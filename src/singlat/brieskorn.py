@@ -356,10 +356,10 @@ def divisor_cycle(a: Sequence[int], i: int) -> Cycle:
     m = len(a)
     if not 1 <= i <= m:
         raise DomainError(f"coordinate index {i} outside 1..{m}")
-    core = _core(a)
+    inv = _invariants_cached(a)
     star = _star_cached(a)
-    z = _divisor_cycle_raw(star, core[7], i)
-    _validate_divisor_pattern(star, z, i, core[6][i - 1])
+    z = _divisor_cycle_raw(star, inv.lambda_i, i)
+    _validate_divisor_pattern(star, z, i, inv.ghat_i[i - 1])
     return z
 
 
@@ -582,8 +582,8 @@ def q_sequence(a: Sequence[int], n_max: int) -> tuple[int, ...]:
 
 
 def is_elliptic(a: Sequence[int]) -> bool:
-    """True iff the fundamental genus equals one."""
-    return _pf_value(_validated(a)).value == 1
+    """True iff the fundamental genus equals one, cross-checked against Laufer."""
+    return _pf_verified(_validated(a)).value == 1
 
 
 def _elliptic_chunk(chunk: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -631,7 +631,7 @@ def invariant_report(a: Sequence[int]) -> dict:
     a = _validated(a)
     inv = _invariants_cached(a)
     star = _star_cached(a)
-    pf = _pf_value(a)
+    pf = _pf_verified(a)
     return {
         "a": list(a),
         "ell": inv.ell,

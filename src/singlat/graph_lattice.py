@@ -4,19 +4,27 @@ A vertex stands for an irreducible exceptional curve and carries a genus and a
 self-intersection number; edges record transverse intersection points
 (multi-edges allowed, self-loops not).  A cycle is a dense integer coefficient
 vector in the fixed vertex order; a Q-cycle uses exact rationals.  All
-arithmetic is exact: Python ints and fractions.Fraction, no floating point.
+arithmetic is exact, with no floating point.
+
+Each graph object is eliminated once: a symmetric Gaussian elimination with
+greedy min-degree pivoting, carrying rationals as reduced integer pairs,
+yields both the definiteness verdict and the canonical Q-cycle Z_K.  These,
+and Laufer's fundamental cycle Z_f, are cached on the graph, so repeated
+calls on one graph cost a lookup.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, DomainError, InternalError
 
 Cycle = tuple[int, ...]
 QCycle = tuple[Fraction, ...]
+_Pair = tuple[int, int]  # a rational as (num, den), den > 0, in lowest terms
 
 __all__ = [
     "Cycle",
@@ -42,7 +50,9 @@ class DualGraph:
     enforced here; it is the job of :func:`is_negative_definite`.
     """
 
-    __slots__ = ("genera", "self_ints", "edges", "_adj", "_neg_def")
+    __slots__ = (
+        "genera", "self_ints", "edges", "_adj", "_neg_def", "_zk", "_zk_error", "_zf"
+    )
 
     def __init__(
         self,
@@ -95,7 +105,11 @@ class DualGraph:
         self.self_ints: tuple[int, ...] = tuple(self_ints)
         self.edges: tuple[tuple[int, int], ...] = tuple(norm)
         self._adj: tuple[dict[int, int], ...] = tuple(adj)
+        # result caches, filled on first use; the data above never changes
         self._neg_def: bool | None = None
+        self._zk: QCycle | None = None
+        self._zk_error: str | None = None
+        self._zf: Cycle | None = None
 
     @property
     def n(self) -> int:
@@ -164,9 +178,9 @@ def cycle_products(g: DualGraph, z: Sequence) -> tuple:
     """All pairings (z . E_i) in vertex order."""
     _check_cycle(g, z)
     out = []
-    for i in range(g.n):
-        v = z[i] * g.self_ints[i]
-        for j, w in g.neighbor_items(i):
+    for i, (e, row) in enumerate(zip(g.self_ints, g._adj)):
+        v = z[i] * e
+        for j, w in row.items():
             v += w * z[j]
         out.append(v)
     return tuple(out)
@@ -190,62 +204,79 @@ def fundamental_cycle(g: DualGraph) -> Cycle:
     Starts at the reduced cycle and repeatedly adds the lowest-index vertex
     whose pairing is still positive.  Consecutive additions at one vertex are
     collapsed into a single batch of ceil(d_i / -E_i^2) steps; the endpoint
-    does not depend on the processing order, only the trace does.
+    does not depend on the processing order, only the trace does.  The
+    result is cached on the graph.
     """
+    if g._zf is not None:
+        return g._zf
     if not is_negative_definite(g):
         raise DomainError(
             "fundamental cycle needs a negative-definite graph; "
             "the computation sequence may not terminate otherwise"
         )
-    n = g.n
-    z = [1] * n
-    d = []
-    for i in range(n):
-        v = g.self_ints[i]
-        for _, w in g.neighbor_items(i):
-            v += w
-        d.append(v)
-    heap = [i for i in range(n) if d[i] > 0]
+    adj, self_ints = g._adj, g.self_ints
+    z = [1] * g.n
+    d = [e + sum(row.values()) for e, row in zip(self_ints, adj)]
+    heap = [i for i, v in enumerate(d) if v > 0]
     heapq.heapify(heap)
     while heap:
         i = heapq.heappop(heap)
         if d[i] <= 0:
             continue
-        c = -g.self_ints[i]  # positive: diagonal of a negative-definite form
+        c = -self_ints[i]  # positive: diagonal of a negative-definite form
         k = -(-d[i] // c)
         z[i] += k
         d[i] -= k * c
-        for j, w in g.neighbor_items(i):
+        for j, w in adj[i].items():
             d[j] += k * w
             if d[j] > 0:
                 heapq.heappush(heap, j)
-    return tuple(z)
+    g._zf = tuple(z)
+    return g._zf
 
 
-def _eliminate(g: DualGraph, rhs: Sequence | None = None, stop_on_nonneg: bool = False):
+def _div(a: _Pair, b: _Pair) -> _Pair:
+    """a / b for a non-zero b."""
+    num, den = a[0] * b[1], a[1] * b[0]
+    if den < 0:
+        num, den = -num, -den
+    c = gcd(num, den)
+    return num // c, den // c
+
+
+def _sub_mul(e: _Pair, a: _Pair, b: _Pair) -> _Pair:
+    """e - a*b."""
+    tn, td = a[0] * b[0], a[1] * b[1]
+    num, den = e[0] * td - tn * e[1], e[1] * td
+    c = gcd(num, den)
+    return num // c, den // c
+
+
+def _eliminate(g: DualGraph, rhs: Sequence[int]):
     """Exact symmetric Gaussian elimination with greedy min-degree pivoting.
 
-    Returns (pivots, order, kept_rows, y).  kept_rows[i] holds the reduced
+    Every rational is a _Pair.  Returns
+    (pivots, order, kept_rows, y).  kept_rows[i] holds the reduced
     off-diagonal row of vertex i at the moment it was eliminated, restricted
     to vertices eliminated later; y is the correspondingly reduced rhs.
-    Linear-time on trees.  If stop_on_nonneg, bail out as soon as a pivot
-    fails to be negative (enough to refute negative definiteness).
+    Linear-time on trees.  Raises DomainError on a zero pivot that still
+    has live neighbors.
     """
     n = g.n
-    rows: list[dict[int, Fraction | int]] = []
-    for i in range(n):
-        row: dict[int, Fraction | int] = {i: g.self_ints[i]}
-        for j, w in g.neighbor_items(i):
-            row[j] = w
+    rows: list[dict[int, _Pair]] = []
+    for i, (e, adj) in enumerate(zip(g.self_ints, g._adj)):
+        row = {i: (e, 1)}
+        for j, w in adj.items():
+            row[j] = (w, 1)
         rows.append(row)
-    y = [Fraction(v) for v in rhs] if rhs is not None else None
+    y = [(v, 1) for v in rhs]
 
     alive = [True] * n
     heap = [(len(rows[i]), i) for i in range(n)]
     heapq.heapify(heap)
-    pivots: list[Fraction | int] = []
+    pivots: list[_Pair] = []
     order: list[int] = []
-    kept: dict[int, dict[int, Fraction | int]] = {}
+    kept: dict[int, dict[int, _Pair]] = {}
 
     while heap:
         size, i = heapq.heappop(heap)
@@ -253,40 +284,50 @@ def _eliminate(g: DualGraph, rhs: Sequence | None = None, stop_on_nonneg: bool =
             continue
         alive[i] = False
         row = rows[i]
-        piv = row.pop(i, 0)
+        piv = row.pop(i)
         pivots.append(piv)
         order.append(i)
         kept[i] = row
-        if stop_on_nonneg and piv >= 0:
-            return pivots, order, kept, y
-        if piv == 0:
+        if piv[0] == 0:
             if row:
                 raise DomainError("zero pivot with live neighbors: singular or indefinite intersection matrix")
             continue
         for j in list(row):
-            off = rows[j].pop(i)
-            f = Fraction(off, 1) / piv
             rj = rows[j]
+            f = _div(rj.pop(i), piv)
             for k, v in row.items():
-                if k == j:
-                    rj[j] = rj[j] - f * v
-                else:
-                    rj[k] = rj.get(k, 0) - f * v
-            if y is not None:
-                y[j] -= f * y[i]
-            heapq.heappush(heap, (len(rows[j]), j))
+                rj[k] = _sub_mul(rj.get(k, (0, 1)), f, v)
+            y[j] = _sub_mul(y[j], f, y[i])
+            heapq.heappush(heap, (len(rj), j))
     return pivots, order, kept, y
+
+
+def _solve(g: DualGraph) -> None:
+    """Eliminate g once against the adjunction right-hand side and cache the
+    definiteness verdict and Z_K, or the reason Z_K does not exist, on g."""
+    b = [e + 2 - 2 * gen for e, gen in zip(g.self_ints, g.genera)]
+    try:
+        pivots, order, kept, y = _eliminate(g, b)
+    except DomainError as exc:
+        g._neg_def, g._zk_error = False, str(exc)
+        return
+    if any(pn == 0 for pn, _ in pivots):
+        g._neg_def, g._zk_error = False, "singular intersection matrix"
+        return
+    x: list[_Pair] = [(0, 1)] * g.n
+    for piv, i in zip(reversed(pivots), reversed(order)):
+        acc = y[i]
+        for k, v in kept[i].items():
+            acc = _sub_mul(acc, v, x[k])
+        x[i] = _div(acc, piv)
+    g._neg_def = all(pn < 0 for pn, _ in pivots)
+    g._zk = tuple(Fraction(num, den) for num, den in x)
 
 
 def is_negative_definite(g: DualGraph) -> bool:
     """Exact definiteness test via symmetric elimination (all pivots < 0)."""
     if g._neg_def is None:
-        try:
-            pivots, _, _, _ = _eliminate(g, stop_on_nonneg=True)
-        except DomainError:
-            g._neg_def = False
-            return False
-        g._neg_def = all(p < 0 for p in pivots) and len(pivots) == g.n
+        _solve(g)
     return g._neg_def
 
 
@@ -294,21 +335,14 @@ def canonical_qcycle(g: DualGraph) -> QCycle:
     """Unique rational cycle with Z_K . E_i = E_i^2 + 2 - 2 genus(E_i) for all i.
 
     These are the adjunction equalities for the canonical cycle; the solution
-    is rational in general and integral for Gorenstein singularities.
+    is rational in general and integral for Gorenstein singularities.  Raises
+    DomainError, on every call, when the intersection matrix is singular.
     """
-    b = [e + 2 - 2 * gen for e, gen in zip(g.self_ints, g.genera)]
-    pivots, order, kept, y = _eliminate(g, rhs=b)
-    if any(p == 0 for p in pivots):
-        raise DomainError("singular intersection matrix")
-    x: list[Fraction | None] = [None] * g.n
-    assert y is not None
-    for idx in range(len(order) - 1, -1, -1):
-        i = order[idx]
-        acc = y[i]
-        for k, v in kept[i].items():
-            acc -= v * x[k]
-        x[i] = acc / pivots[idx]
-    return tuple(Fraction(v) for v in x)  # type: ignore[arg-type]
+    if g._neg_def is None:
+        _solve(g)
+    if g._zk is None:
+        raise DomainError(g._zk_error)
+    return g._zk
 
 
 def arithmetic_genus(g: DualGraph, z: Sequence[int]) -> int:

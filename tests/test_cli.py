@@ -3,8 +3,11 @@
 import contextlib
 import io
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -218,6 +221,18 @@ def test_installed_script():
         pytest.skip("console script not on PATH")
     proc = subprocess.run(
         [exe, "nr", "3", "4", "6", "--oracle"], capture_output=True, text=True
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "nr=2 oracle=2 agree\n"
+
+
+def test_python_dash_m():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "singlat", "nr", "3", "4", "6", "--oracle"],
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == "nr=2 oracle=2 agree\n"

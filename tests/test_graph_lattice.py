@@ -20,6 +20,7 @@ from singlat import (
     is_negative_definite,
     to_dot,
 )
+from singlat import graph_lattice
 from conftest import chain, star
 
 E8_ROOT = (6, 3, 4, 2, 5, 4, 3, 2)  # highest root in the (2,3,5) star layout
@@ -170,6 +171,45 @@ def test_canonical_qcycle_singular_graph():
         canonical_qcycle(DualGraph([(0, 0)], []))
 
 
+def test_results_are_cached_on_the_graph(e8):
+    zk, zf = canonical_qcycle(e8), fundamental_cycle(e8)
+    assert canonical_qcycle(e8) is zk
+    assert fundamental_cycle(e8) is zf
+    assert isinstance(zk, tuple) and isinstance(zf, tuple)
+
+
+def test_singular_graph_raises_on_every_call():
+    for g in (chain(-1, -1), DualGraph([(0, -2), (0, -2)], [(0, 1), (0, 1)])):
+        for _ in range(3):
+            with pytest.raises(DomainError):
+                canonical_qcycle(g)
+            assert not is_negative_definite(g)
+
+
+def test_one_elimination_per_graph(monkeypatch):
+    calls = []
+    real = graph_lattice._eliminate
+
+    def counting(g, rhs):
+        calls.append(g)
+        return real(g, rhs)
+
+    monkeypatch.setattr(graph_lattice, "_eliminate", counting)
+    good = star((0, -2), [[-2], [-2, -2], [-2, -2, -2, -2]])
+    bad = chain(-1, -1)
+    for _ in range(2):
+        is_negative_definite(good)
+        canonical_qcycle(good)
+        fundamental_cycle(good)
+        is_negative_definite(bad)
+        with pytest.raises(DomainError):
+            canonical_qcycle(bad)
+        with pytest.raises(DomainError):
+            fundamental_cycle(bad)
+    assert len(calls) == 2
+    assert calls[0] is good and calls[1] is bad
+
+
 def test_canonical_qcycle_solves_adjunction(e8):
     g = star((2, -3), [[-2, -3], [-4], [-2, -2, -5]])
     zk = canonical_qcycle(g)
@@ -270,3 +310,91 @@ def test_relabeling_invariance(g, rng):
     zf_h = fundamental_cycle(h)
     assert all(zf_h[perm[i]] == zf_g[i] for i in range(g.n))
     assert is_negative_definite(h) == is_negative_definite(g)
+
+
+# ------------------------------------------------ elimination beyond trees
+
+@st.composite
+def cyclic_graphs(draw):
+    """Connected graphs with cycles and multi-edges: a random spanning tree
+    plus extra edges, which may repeat.  Weights sit near diagonal
+    dominance on both sides, so definite, indefinite and singular forms
+    all occur."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    edges = [(draw(st.integers(min_value=0, max_value=i - 1)), i)
+             for i in range(1, n)]
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1])
+    edges += draw(st.lists(pair, min_size=1, max_size=5))
+    deg = [0] * n
+    for i, j in edges:
+        deg[i] += 1
+        deg[j] += 1
+    vertices = [
+        (draw(st.integers(min_value=0, max_value=2)),
+         -max(1, deg[i] + draw(st.integers(min_value=-2, max_value=2))))
+        for i in range(n)
+    ]
+    return DualGraph(vertices, edges)
+
+
+def _dense_matrix(g):
+    m = [[Fraction(0)] * g.n for _ in range(g.n)]
+    for i, e in enumerate(g.self_ints):
+        m[i][i] = Fraction(e)
+    for i, j in g.edges:
+        m[i][j] += 1
+        m[j][i] += 1
+    return m
+
+
+def _dense_solve(m, b):
+    """Gauss-Jordan with row pivoting on the full matrix; None if singular."""
+    n = len(m)
+    a = [row[:] + [Fraction(v)] for row, v in zip(m, b)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col] / a[col][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return tuple(a[i][n] / a[i][i] for i in range(n))
+
+
+def _det(m):
+    a = [row[:] for row in m]
+    n, det = len(a), Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            f = a[r][col] / a[col][col]
+            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return det
+
+
+@given(cyclic_graphs())
+@settings(max_examples=200, deadline=None)
+def test_elimination_matches_dense_reference(g):
+    m = _dense_matrix(g)
+    minors = [_det([row[:k] for row in m[:k]]) for k in range(1, g.n + 1)]
+    definite = all((-1) ** k * d > 0 for k, d in enumerate(minors, start=1))
+    assert is_negative_definite(g) == definite
+    b = [e + 2 - 2 * gen for e, gen in zip(g.self_ints, g.genera)]
+    ref = _dense_solve(m, b)
+    try:
+        zk = canonical_qcycle(g)
+    except DomainError:
+        # symmetric elimination without row exchanges may stall on an
+        # indefinite form, never on a definite one
+        assert ref is None or not definite
+    else:
+        assert zk == ref
