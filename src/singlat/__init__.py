@@ -2,136 +2,18 @@
 singularities: resolution dual graphs, exceptional cycles, genera, normal
 reduction numbers, and the brute-force oracles that validate them."""
 
-from .errors import (
-    SinglatError,
-    DimensionError,
-    DomainError,
-    ConstructionError,
-    InternalError,
-    ConsistencyError,
-)
-from .graph_lattice import (
-    Cycle,
-    QCycle,
-    DualGraph,
-    intersection_number,
-    cycle_products,
-    is_anti_nef,
-    fundamental_cycle,
-    canonical_qcycle,
-    arithmetic_genus,
-    is_negative_definite,
-    to_dot,
-)
-from .brieskorn import (
-    BCIInvariants,
-    ChainFamily,
-    StarGraph,
-    FundamentalGenus,
-    MaximalCycleNumbers,
-    numeric_invariants,
-    dual_graph,
-    divisor_cycle,
-    maximal_ideal_cycle,
-    central_multiple_cycle,
-    canonical_cycle_formula,
-    fundamental_genus,
-    normal_reduction_number,
-    geometric_genus,
-    maximal_cycle_numbers,
-    q_sequence,
-    is_elliptic,
-    classify_elliptic,
-    br2_exceptions,
-    invariant_report,
-    FLAG_NON_MINIMAL,
-)
-from .ideal_oracle import (
-    Monomial,
-    QuotientTable,
-    monomial_in_closure,
-    quotient_dimension,
-    quotient_table,
-    nr_by_oracle,
-    closure_monomials,
-    qp_consistency,
-    nr_pg_bound_check,
-)
-from .cone_homogeneous import (
-    ConeData,
-    plane_cone,
-    round_up_strict,
-    brr_upper_bound,
-    homogeneous_q,
-    homogeneous_nr,
-    a_invariant_relation,
-    gonality_plane,
-    gonality_upper,
-    cone_report,
-)
-from .checks import CheckResult, run_tuple_checks
+from . import brieskorn, checks, cone_homogeneous, errors, graph_lattice, ideal_oracle
+from .errors import *  # noqa: F403
+from .graph_lattice import *  # noqa: F403
+from .brieskorn import *  # noqa: F403
+from .ideal_oracle import *  # noqa: F403
+from .cone_homogeneous import *  # noqa: F403
+from .checks import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "SinglatError",
-    "DimensionError",
-    "DomainError",
-    "ConstructionError",
-    "InternalError",
-    "ConsistencyError",
-    "Cycle",
-    "QCycle",
-    "DualGraph",
-    "intersection_number",
-    "cycle_products",
-    "is_anti_nef",
-    "fundamental_cycle",
-    "canonical_qcycle",
-    "arithmetic_genus",
-    "is_negative_definite",
-    "to_dot",
-    "BCIInvariants",
-    "ChainFamily",
-    "StarGraph",
-    "FundamentalGenus",
-    "MaximalCycleNumbers",
-    "numeric_invariants",
-    "dual_graph",
-    "divisor_cycle",
-    "maximal_ideal_cycle",
-    "central_multiple_cycle",
-    "canonical_cycle_formula",
-    "fundamental_genus",
-    "normal_reduction_number",
-    "geometric_genus",
-    "maximal_cycle_numbers",
-    "q_sequence",
-    "is_elliptic",
-    "classify_elliptic",
-    "br2_exceptions",
-    "invariant_report",
-    "FLAG_NON_MINIMAL",
-    "Monomial",
-    "QuotientTable",
-    "monomial_in_closure",
-    "quotient_dimension",
-    "quotient_table",
-    "nr_by_oracle",
-    "closure_monomials",
-    "qp_consistency",
-    "nr_pg_bound_check",
-    "ConeData",
-    "plane_cone",
-    "round_up_strict",
-    "brr_upper_bound",
-    "homogeneous_q",
-    "homogeneous_nr",
-    "a_invariant_relation",
-    "gonality_plane",
-    "gonality_upper",
-    "cone_report",
-    "CheckResult",
-    "run_tuple_checks",
-    "__version__",
-]
+    name
+    for mod in (errors, graph_lattice, brieskorn, ideal_oracle, cone_homogeneous, checks)
+    for name in mod.__all__
+] + ["__version__"]

@@ -11,7 +11,6 @@ exact.
 from __future__ import annotations
 
 import math
-import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -21,6 +20,7 @@ from typing import NamedTuple, Sequence
 from . import graph_lattice, ideal_oracle
 from .errors import ConsistencyError, ConstructionError, DomainError, InternalError
 from .graph_lattice import Cycle, DualGraph, QCycle
+from .ideal_oracle import _validated
 
 __all__ = [
     "BCIInvariants",
@@ -47,43 +47,6 @@ __all__ = [
 ]
 
 FLAG_NON_MINIMAL = "non-minimal-model"
-
-
-def _validated(a: Sequence[int]) -> tuple[int, ...]:
-    t = tuple(a)
-    if len(t) < 3:
-        raise DomainError(f"need at least three exponents, got {len(t)}")
-    for v in t:
-        if not isinstance(v, int):
-            raise DomainError(f"exponents must be integers, got {v!r}")
-    if t[0] < 2:
-        raise DomainError(f"exponents must be >= 2, got {t[0]}")
-    if any(x > y for x, y in zip(t, t[1:])):
-        raise DomainError(f"exponents must be non-decreasing, got {t}")
-    return t
-
-
-def _core(a: tuple[int, ...]):
-    """lcm bookkeeping: (m, ell, ell_i, alphas, alpha, ghat, ghats, lams)."""
-    m = len(a)
-    ell = math.lcm(*a)
-    ell_i = tuple(math.lcm(*(a[:i] + a[i + 1 :])) for i in range(m))
-    alphas = tuple(ell // li for li in ell_i)
-    alpha = math.prod(alphas)
-    if ell % alpha:
-        raise InternalError(f"alpha = {alpha} does not divide ell = {ell}")
-    ghat = math.prod(a) // ell
-    ghats = []
-    for ai, al in zip(a, alphas):
-        num = ghat * al
-        if num % ai:
-            raise InternalError("branch count ghat_i is not integral")
-        ghats.append(num // ai)
-    lams = tuple(ell // ai for ai in a)
-    for lw, aw in zip(lams, alphas):
-        if math.gcd(lw, aw) != 1:
-            raise InternalError("lambda_w and alpha_w are not coprime")
-    return m, ell, ell_i, alphas, alpha, ghat, tuple(ghats), lams
 
 
 def _neg_cont_frac(p: int, q: int) -> list[int]:
@@ -214,19 +177,34 @@ class StarGraph:
 
 @lru_cache(maxsize=2048)
 def _invariants_cached(a: tuple[int, ...]) -> BCIInvariants:
-    m, ell, ell_i, alphas, alpha, ghat, ghats, lams = _core(a)
+    m = len(a)
+    ell = math.lcm(*a)
+    ell_i = tuple(math.lcm(*(a[:i] + a[i + 1 :])) for i in range(m))
+    alphas = tuple(ell // li for li in ell_i)
+    alpha = math.prod(alphas)
+    if ell % alpha:
+        raise InternalError(f"alpha = {alpha} does not divide ell = {ell}")
+    ghat = math.prod(a) // ell
+    ghats = []
+    for ai, al in zip(a, alphas):
+        num = ghat * al
+        if num % ai:
+            raise InternalError("branch count ghat_i is not integral")
+        ghats.append(num // ai)
+    lams = tuple(ell // ai for ai in a)
+    for lw, aw in zip(lams, alphas):
+        if math.gcd(lw, aw) != 1:
+            raise InternalError("lambda_w and alpha_w are not coprime")
     alpha_m = alphas[-1]
     eta = []
     for i in range(m - 1):
         if lams[i] % alpha_m:
             raise InternalError("lambda_i / alpha_m is not integral")
         eta.append(lams[i] // alpha_m)
-    if alpha_m == 1:
-        eta_m = lams[-1]  # the "tip" of the empty family is the central curve
-    else:
-        beta = (-pow(lams[-1], -1, alpha_m)) % alpha_m
-        chain = _neg_cont_frac(alpha_m, beta)
-        eta_m = _chain_coeffs(chain, lams[-1], 1)[-1]
+    # tip coefficient of Z^(m): (lambda_m + beta')/alpha_m with
+    # beta' = -lambda_m mod alpha_m, i.e. the round-up of lambda_m/alpha_m
+    # (the central coefficient lambda_m itself when family m is empty)
+    eta_m = -(-lams[-1] // alpha_m)
     delta = eta[-1] - eta_m
     if delta < 0:
         raise InternalError(f"delta = {delta} is negative")
@@ -237,7 +215,7 @@ def _invariants_cached(a: tuple[int, ...]) -> BCIInvariants:
         alpha_i=alphas,
         alpha=alpha,
         ghat=ghat,
-        ghat_i=ghats,
+        ghat_i=tuple(ghats),
         lambda_i=lams,
         eta_i=tuple(eta),
         eta_m=eta_m,
@@ -254,27 +232,28 @@ def numeric_invariants(a: Sequence[int]) -> BCIInvariants:
 
 @lru_cache(maxsize=64)
 def _star_cached(a: tuple[int, ...]) -> StarGraph:
-    m, ell, ell_i, alphas, alpha, ghat, ghats, lams = _core(a)
+    inv = _invariants_cached(a)
     families = []
-    for w in range(m):
-        if alphas[w] == 1:
-            families.append(ChainFamily(count=ghats[w], chain=(), beta=0))
+    for count, alpha_w, lam_w in zip(inv.ghat_i, inv.alpha_i, inv.lambda_i):
+        if alpha_w == 1:
+            families.append(ChainFamily(count=count, chain=(), beta=0))
             continue
-        beta = (-pow(lams[w], -1, alphas[w])) % alphas[w]
-        chain = tuple(_neg_cont_frac(alphas[w], beta))
-        if _continuant(chain) != alphas[w]:
+        beta = (-pow(lam_w, -1, alpha_w)) % alpha_w
+        chain = tuple(_neg_cont_frac(alpha_w, beta))
+        if _continuant(chain) != alpha_w:
             raise InternalError("chain continuant does not reproduce alpha_w")
-        families.append(ChainFamily(count=ghats[w], chain=chain, beta=beta))
+        families.append(ChainFamily(count=count, chain=chain, beta=beta))
 
-    two_g = (m - 2) * ghat - sum(ghats)
+    two_g = (inv.m - 2) * inv.ghat - sum(inv.ghat_i)
     if two_g % 2:
         raise ConstructionError("central genus is not an integer")
     center_genus = 1 + two_g // 2
     if center_genus < 0:
         raise ConstructionError(f"central genus {center_genus} is negative")
 
-    c0_frac = Fraction(ghat, ell) + sum(
-        Fraction(fam.count * fam.beta, alphas[w]) for w, fam in enumerate(families)
+    c0_frac = Fraction(inv.ghat, inv.ell) + sum(
+        Fraction(fam.count * fam.beta, alpha_w)
+        for fam, alpha_w in zip(families, inv.alpha_i)
     )
     if c0_frac.denominator != 1:
         raise ConstructionError(f"central self-intersection -({c0_frac}) is not integral")
@@ -298,9 +277,9 @@ def _star_cached(a: tuple[int, ...]) -> StarGraph:
 
     # construction validators: every divisor cycle must solve integrally, and
     # the flattened graph must be negative definite
-    for i in range(1, m + 1):
+    for i, lam_i in enumerate(inv.lambda_i, start=1):
         for w, fam in enumerate(families, start=1):
-            _chain_coeffs(fam.chain, lams[i - 1], 1 if w == i else 0)
+            _chain_coeffs(fam.chain, lam_i, 1 if w == i else 0)
     if not graph_lattice.is_negative_definite(graph):
         raise ConstructionError("star graph is not negative definite")
 
@@ -373,7 +352,7 @@ def central_multiple_cycle(a: Sequence[int]) -> Cycle:
     """Smallest anti-nef cycle pairing to zero against everything off the center;
     its center coefficient is alpha."""
     a = _validated(a)
-    m, ell, ell_i, alphas, alpha, ghat, ghats, lams = _core(a)
+    alpha = _invariants_cached(a).alpha
     star = _star_cached(a)
     fam_coeffs = [_chain_coeffs(fam.chain, alpha, 0) for fam in star.branch_families]
     z = star.assemble(alpha, fam_coeffs)
@@ -393,11 +372,12 @@ def canonical_cycle_formula(a: Sequence[int]) -> QCycle:
     (-1)-curve is legitimate and allowed through.
     """
     a = _validated(a)
-    m, ell, ell_i, alphas, alpha, ghat, ghats, lams = _core(a)
+    inv = _invariants_cached(a)
+    m = inv.m
     star = _star_cached(a)
-    if ((m - 2) * ell) % alpha:
+    if ((m - 2) * inv.ell) % inv.alpha:
         raise InternalError("(m-2) ell / alpha is not integral")
-    k = (m - 2) * ell // alpha
+    k = (m - 2) * inv.ell // inv.alpha
     z0 = central_multiple_cycle(a)
     zws = [divisor_cycle(a, w) for w in range(1, m + 1)]
     vals = [
@@ -405,10 +385,10 @@ def canonical_cycle_formula(a: Sequence[int]) -> QCycle:
     ]
     if any(v < 0 for v in vals) and FLAG_NON_MINIMAL not in star.flags:
         raise InternalError("canonical cycle formula produced a non-effective cycle")
-    adj = graph_lattice.canonical_qcycle(star.graph)
-    if tuple(Fraction(v) for v in vals) != adj:
+    zk = tuple(Fraction(v) for v in vals)
+    if zk != graph_lattice.canonical_qcycle(star.graph):
         raise InternalError("canonical cycle formula disagrees with the adjunction solve")
-    return tuple(Fraction(v) for v in vals)
+    return zk
 
 
 class FundamentalGenus(NamedTuple):
@@ -417,37 +397,31 @@ class FundamentalGenus(NamedTuple):
 
 
 def _pf_value(a: tuple[int, ...]) -> FundamentalGenus:
-    m, ell, ell_i, alphas, alpha, ghat, ghats, lams = _core(a)
-    lam_m = lams[-1]
+    inv = _invariants_cached(a)
+    ell, alpha, ghat, ghat_m = inv.ell, inv.alpha, inv.ghat, inv.ghat_i[-1]
+    lam_m = inv.lambda_i[-1]
+    # each branch returns 2 ell (p_f - 1) in integers, using ell / alpha_w = ell_w
+    head = (inv.m - 2) * ghat * ell - sum(
+        g * l for g, l in zip(inv.ghat_i[:-1], inv.ell_i[:-1])
+    )
 
-    def z0_branch() -> Fraction:
-        s = sum(Fraction(gw, aw) for gw, aw in zip(ghats, alphas))
-        return (
-            Fraction(alpha, 2)
-            * ((m - 2) * ghat - Fraction((alpha - 1) * ghat, ell) - s)
-            + 1
-        )
+    def z0_branch() -> int:
+        return alpha * (head - ghat_m * inv.ell_i[-1] - (alpha - 1) * ghat)
 
-    def mx_branch() -> Fraction:
-        ceil_q = -(-lam_m // alphas[-1])
-        s = sum(Fraction(ghats[w], alphas[w]) for w in range(m - 1))
-        return (
-            Fraction(lam_m, 2)
-            * ((m - 2) * ghat - Fraction((2 * ceil_q - 1) * ghats[-1], lam_m) - s)
-            + 1
-        )
+    def mx_branch() -> int:
+        return lam_m * head - (2 * inv.eta_m - 1) * ghat_m * ell
 
     if lam_m > alpha:
-        val, sel = z0_branch(), "Z0"
+        num, sel = z0_branch(), "Z0"
     elif lam_m < alpha:
-        val, sel = mx_branch(), "MX"
+        num, sel = mx_branch(), "MX"
     else:
-        val, sel = z0_branch(), "both"
-        if val != mx_branch():
+        num, sel = z0_branch(), "both"
+        if num != mx_branch():
             raise InternalError("the two fundamental-genus formulas disagree at lambda_m = alpha")
-    if val.denominator != 1:
-        raise InternalError(f"fundamental genus {val} is not an integer")
-    return FundamentalGenus(int(val), sel)
+    if num % (2 * ell):
+        raise InternalError(f"fundamental genus 1 + {num}/{2 * ell} is not an integer")
+    return FundamentalGenus(1 + num // (2 * ell), sel)
 
 
 @lru_cache(maxsize=4096)
@@ -487,8 +461,9 @@ def normal_reduction_number(a: Sequence[int]) -> int:
 
 @lru_cache(maxsize=4096)
 def _pg_cached(a: tuple[int, ...]) -> int:
-    m, ell, ell_i, alphas, alpha, ghat, ghats, lams = _core(a)
-    bound = (m - 2) * ell - sum(lams)
+    inv = _invariants_cached(a)
+    m, ell, lams = inv.m, inv.ell, inv.lambda_i
+    bound = inv.a_invariant
     if bound < 0:
         return 0
     # graded dimensions of the weight-lams complete intersection with m-2
@@ -586,32 +561,24 @@ def is_elliptic(a: Sequence[int]) -> bool:
     return _pf_verified(_validated(a)).value == 1
 
 
-def _elliptic_chunk(chunk: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    return [t for t in chunk if _pf_value(t).value == 1]
+def classify_elliptic(m_max: int, a_max: int) -> list[tuple[int, ...]]:
+    """All elliptic exponent tuples with m <= m_max and a_m <= a_max, in lex order.
 
-
-def classify_elliptic(
-    m_max: int, a_max: int, threads: int = 1
-) -> list[tuple[int, ...]]:
-    """All elliptic exponent tuples with m <= m_max and a_m <= a_max, in lex order."""
+    The box is scanned by the closed form; every tuple reported is
+    cross-checked against Laufer's algorithm on its graph.
+    """
     if m_max < 3:
         raise DomainError("m_max must be at least 3")
     if a_max < 2:
         raise DomainError("a_max must be at least 2")
-    if threads < 1:
-        raise DomainError("threads must be at least 1")
-    tuples = [
+    found = [
         t
         for m in range(3, m_max + 1)
         for t in combinations_with_replacement(range(2, a_max + 1), m)
+        if _pf_value(t).value == 1
     ]
-    if threads == 1:
-        found = _elliptic_chunk(tuples)
-    else:
-        step = max(1, len(tuples) // (threads * 8))
-        chunks = [tuples[k : k + step] for k in range(0, len(tuples), step)]
-        with multiprocessing.Pool(threads) as pool:
-            found = [t for part in pool.map(_elliptic_chunk, chunks) for t in part]
+    for t in found:
+        _pf_verified(t)
     return sorted(found)
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import brieskorn, cone_homogeneous, graph_lattice, ideal_oracle
-from .brieskorn import _validated
 from .errors import SinglatError
+from .ideal_oracle import _validated
 
 __all__ = ["CheckResult", "run_tuple_checks"]
 

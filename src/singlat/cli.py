@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -51,19 +50,6 @@ def _dumps(doc) -> str:
 
 def _coeffs(z) -> str:
     return " ".join(str(v) for v in z)
-
-
-def _sweep_threads() -> int:
-    raw = os.environ.get("SINGLAT_SWEEP_THREADS")
-    if raw is None:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise UsageError(f"SINGLAT_SWEEP_THREADS must be an integer, got {raw!r}")
-    if threads < 1:
-        raise UsageError(f"SINGLAT_SWEEP_THREADS must be >= 1, got {threads}")
-    return threads
 
 
 def _cmd_invariants(ns: argparse.Namespace) -> int:
@@ -177,9 +163,7 @@ def _cmd_elliptic(ns: argparse.Namespace) -> int:
         raise UsageError(f"--max-exp must be >= 2, got {ns.max_exp}")
     if ns.max_codim < 1:
         raise UsageError(f"--max-codim must be >= 1, got {ns.max_codim}")
-    found = brieskorn.classify_elliptic(
-        ns.max_codim + 2, ns.max_exp, threads=_sweep_threads()
-    )
+    found = brieskorn.classify_elliptic(ns.max_codim + 2, ns.max_exp)
     for t in found:
         print(" ".join(str(v) for v in t))
     return 0

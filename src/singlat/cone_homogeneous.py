@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import brieskorn
 from .errors import DomainError
 
 __all__ = [
@@ -56,10 +57,16 @@ class ConeData:
             )
 
 
-def plane_cone(d: int) -> ConeData:
-    """Cone over a smooth plane curve of degree d: g = (d-1)(d-2)/2, gon = d-1."""
+def _plane_degree(d) -> int:
+    """d, checked to be the degree (>= 3) of a plane curve of positive genus."""
     if not isinstance(d, int) or d < 3:
         raise DomainError(f"degree must be an integer >= 3, got {d!r}")
+    return d
+
+
+def plane_cone(d: int) -> ConeData:
+    """Cone over a smooth plane curve of degree d: g = (d-1)(d-2)/2, gon = d-1."""
+    d = _plane_degree(d)
     return ConeData(g=(d - 1) * (d - 2) // 2, d=d, gon=d - 1)
 
 
@@ -80,8 +87,7 @@ def brr_upper_bound(c: ConeData) -> int:
 
 def homogeneous_q(d: int, n: int) -> int:
     """q(n) = C(d-n, 3) for the cone over a degree-d plane curve (0 when d-n < 3)."""
-    if not isinstance(d, int) or d < 3:
-        raise DomainError(f"degree must be an integer >= 3, got {d!r}")
+    d = _plane_degree(d)
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"index must be a nonnegative integer, got {n!r}")
     return math.comb(max(d - n, 0), 3)
@@ -89,23 +95,19 @@ def homogeneous_q(d: int, n: int) -> int:
 
 def homogeneous_nr(d: int) -> int:
     """Normal reduction number d - 1 of the degree-d plane-curve cone."""
-    if not isinstance(d, int) or d < 3:
-        raise DomainError(f"degree must be an integer >= 3, got {d!r}")
-    return d - 1
+    return _plane_degree(d) - 1
 
 
 def a_invariant_relation(d: int) -> int:
-    """nr recovered from the a-invariant: a(R) + 2 with a(R) = d - 3."""
-    if not isinstance(d, int) or d < 3:
-        raise DomainError(f"degree must be an integer >= 3, got {d!r}")
-    return (d - 3) + 2
+    """nr recovered from the a-invariant: a(R) + 2, with a(R) read off the
+    Brieskorn hypersurface (d, d, d)."""
+    d = _plane_degree(d)
+    return brieskorn.numeric_invariants((d, d, d)).a_invariant + 2
 
 
 def gonality_plane(d: int) -> int:
     """Gonality d - 1 of a smooth plane curve of degree d."""
-    if not isinstance(d, int) or d < 3:
-        raise DomainError(f"degree must be an integer >= 3, got {d!r}")
-    return d - 1
+    return plane_cone(d).gon
 
 
 def gonality_upper(g: int) -> int:

@@ -1,5 +1,14 @@
 """Exception hierarchy shared by all singlat modules."""
 
+__all__ = [
+    "SinglatError",
+    "DimensionError",
+    "DomainError",
+    "ConstructionError",
+    "InternalError",
+    "ConsistencyError",
+]
+
 
 class SinglatError(Exception):
     """Base class for every error raised by this package."""

@@ -52,6 +52,7 @@ class Record(NamedTuple):
     selector: str
     lam_m: int
     alpha: int
+    eta_m_is_tip: bool
     zf_eq_z0: bool
     zf_eq_mx: bool
     zk_matches_adjunction: bool
@@ -68,7 +69,8 @@ class Record(NamedTuple):
 def sweep():
     records = {}
     for a in sweep_tuples():
-        graph = dual_graph(a).graph
+        star_graph = dual_graph(a)
+        graph = star_graph.graph
         inv = numeric_invariants(a)
         zf = fundamental_cycle(graph)
         pf, selector = fundamental_genus(a)
@@ -83,12 +85,15 @@ def sweep():
             selector=selector,
             lam_m=inv.lambda_i[-1],
             alpha=inv.alpha,
+            eta_m_is_tip=all(
+                mx[t] == inv.eta_m for t in star_graph.tip_indices(len(a)) or (0,)
+            ),
             zf_eq_z0=zf == z0,
             zf_eq_mx=zf == mx,
             zk_matches_adjunction=zk == canonical_qcycle(graph),
             zk_integral=all(c.denominator == 1 for c in zk),
             zk_effective=all(c >= 0 for c in zk),
-            flagged=FLAG_NON_MINIMAL in dual_graph(a).flags,
+            flagged=FLAG_NON_MINIMAL in star_graph.flags,
             nr=nr,
             q=q,
             p=quotient_table(a).p,
@@ -158,10 +163,12 @@ def test_criterion_04_formula_oracle_equivalence():
 
 
 def test_criterion_05_fundamental_genus_closed_form(sweep):
-    """p_f closed form equals the Laufer computation, and the
-    fundamental cycle is the predicted distinguished cycle."""
+    """p_f closed form equals the Laufer computation, the fundamental
+    cycle is the predicted distinguished cycle, and the eta_m the closed
+    form uses is the tip coefficient of Z^(m) on the graph."""
     for a, r in sweep.items():
         assert r.pf == r.pf_graph, a
+        assert r.eta_m_is_tip, a
         if r.lam_m >= r.alpha:
             assert r.zf_eq_z0, a
         if r.lam_m <= r.alpha:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from singlat import (
     FLAG_NON_MINIMAL,
+    ConsistencyError,
     DomainError,
     MaximalCycleNumbers,
     arithmetic_genus,
@@ -35,6 +36,7 @@ from singlat import (
     q_sequence,
     quotient_dimension,
 )
+from singlat import brieskorn
 
 GAMMA1 = (3, 4, 6)
 GAMMA2 = (3, 4, 7)
@@ -123,6 +125,11 @@ def test_invariant_identities(a):
     assert inv.eta_i == tuple(
         lam // inv.alpha_i[-1] for lam in inv.lambda_i[: m - 1]
     )
+    # eta_m is the Z^(m) coefficient at the family-m tips (at the center
+    # when family m is empty), read off the cycle solved on the graph
+    zm = divisor_cycle(a, m)
+    for t in dual_graph(a).tip_indices(m) or (0,):
+        assert zm[t] == inv.eta_m
 
 
 # ----------------------------------------------------------- resolution graphs
@@ -312,8 +319,22 @@ def test_fundamental_genus_fixtures():
     assert tuple(fundamental_genus((2, 2, 2))) == (0, "both")
 
 
-@given(exponent_tuples)
-@settings(max_examples=30, deadline=None)
+def _vertex_bound(a):
+    """Upper bound on the star graph's size: an alpha_w chain has < alpha_w curves."""
+    inv = numeric_invariants(a)
+    return 1 + sum(g * (al - 1) for g, al in zip(inv.ghat_i, inv.alpha_i))
+
+
+# beyond the m <= 5, a_m <= 12 acceptance box, on graphs of at most 300 curves
+wide_tuples = (
+    st.lists(st.integers(min_value=2, max_value=40), min_size=3, max_size=5)
+    .map(lambda xs: tuple(sorted(xs)))
+    .filter(lambda a: a[-1] > 12 and _vertex_bound(a) <= 300)
+)
+
+
+@given(exponent_tuples | wide_tuples)
+@settings(max_examples=60, deadline=None)
 def test_fundamental_genus_matches_laufer(a):
     """The closed form must agree with the arithmetic genus of the
     fundamental cycle computed on the actual graph."""
@@ -459,17 +480,29 @@ def test_classify_elliptic_box_3_9():
     assert all(is_elliptic(a) for a in got)
 
 
-def test_classify_elliptic_threads_agree():
-    assert classify_elliptic(4, 6, threads=2) == classify_elliptic(4, 6)
-
-
 def test_classify_elliptic_validation():
     with pytest.raises(DomainError):
         classify_elliptic(2, 9)
     with pytest.raises(DomainError):
         classify_elliptic(3, 1)
-    with pytest.raises(DomainError):
-        classify_elliptic(3, 9, threads=0)
+
+
+def test_classify_elliptic_verifies_what_it_reports(monkeypatch):
+    """A closed form that wrongly calls (2, 3, 5) elliptic is caught by the
+    Laufer cross-check instead of being reported."""
+    real = brieskorn._pf_value
+
+    def patched(a):
+        pf = real(a)
+        return pf._replace(value=1) if a == (2, 3, 5) else pf
+
+    brieskorn._pf_verified.cache_clear()
+    monkeypatch.setattr(brieskorn, "_pf_value", patched)
+    try:
+        with pytest.raises(ConsistencyError, match="Laufer value 0"):
+            classify_elliptic(3, 5)
+    finally:
+        brieskorn._pf_verified.cache_clear()
 
 
 def test_br2_exceptions():

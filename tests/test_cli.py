@@ -181,20 +181,6 @@ def test_graph_dot_and_json_exclusive():
     assert "error:" in err
 
 
-# ------------------------------------------------------------------ environment
-
-def test_sweep_threads_env(monkeypatch):
-    base = invoke(["elliptic", "--max-exp", "5", "--max-codim", "1"])
-    monkeypatch.setenv("SINGLAT_SWEEP_THREADS", "2")
-    assert invoke(["elliptic", "--max-exp", "5", "--max-codim", "1"]) == base
-    monkeypatch.setenv("SINGLAT_SWEEP_THREADS", "abc")
-    code, _, err = invoke(["elliptic", "--max-exp", "5", "--max-codim", "1"])
-    assert code == 1 and "SINGLAT_SWEEP_THREADS" in err
-    monkeypatch.setenv("SINGLAT_SWEEP_THREADS", "0")
-    code, _, _ = invoke(["elliptic", "--max-exp", "5", "--max-codim", "1"])
-    assert code == 1
-
-
 def test_outputs_are_deterministic():
     for args in [
         ["invariants", "6", "10", "15", "--json"],
