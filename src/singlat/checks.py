@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import brieskorn, cone_homogeneous, graph_lattice, ideal_oracle
-from .errors import SinglatError
+from .errors import ResourceError, SinglatError
 from .ideal_oracle import _validated
 
 __all__ = ["CheckResult", "run_tuple_checks"]
@@ -29,6 +29,8 @@ class CheckResult:
 def _run(name: str, fn: Callable[[], str]) -> CheckResult:
     try:
         detail = fn()
+    except ResourceError:
+        raise  # a step that cannot run has not failed; the whole battery stops
     except SinglatError as exc:
         return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
     except AssertionError as exc:
@@ -37,7 +39,11 @@ def _run(name: str, fn: Callable[[], str]) -> CheckResult:
 
 
 def run_tuple_checks(a: Sequence[int]) -> list[CheckResult]:
-    """Run every cross-module invariant for one tuple; never masks a failure."""
+    """Run every cross-module invariant for one tuple; never masks a failure.
+
+    Raises ``ResourceError`` when a route would exceed its budget, since a
+    check that cannot run has neither passed nor failed.
+    """
     a = _validated(a)
     m = len(a)
 
@@ -153,6 +159,8 @@ def run_tuple_checks(a: Sequence[int]) -> list[CheckResult]:
         r = brieskorn.normal_reduction_number(a)
         q = brieskorn.q_sequence(a, r)
         pg = brieskorn.geometric_genus(a)
+        dense = brieskorn._pg_dense(a)
+        assert pg == dense, f"box-basis pg={pg} but the dense series gives pg={dense}"
         assert ideal_oracle.nr_pg_bound_check(a), (
             f"r(r-1)/2 + q(r) = {r * (r - 1) // 2 + q[r]} > pg = {pg}"
         )

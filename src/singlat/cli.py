@@ -2,8 +2,9 @@
 
 Subcommands: invariants, graph, cycles, nr, qseq, elliptic, cone, check.
 Exit codes: 0 success, 1 usage error, 2 domain/construction error,
-3 consistency failure.  All output is byte-deterministic for a fixed argv;
-results go to standard out, diagnostics to standard error.
+3 consistency failure, 4 input over a resource budget.  All output is
+byte-deterministic for a fixed argv; results go to standard out,
+diagnostics to standard error.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 from typing import Sequence
 
 from . import brieskorn, checks, cone_homogeneous, graph_lattice, ideal_oracle
-from .errors import ConsistencyError, SinglatError
+from .errors import ConsistencyError, ResourceError, SinglatError
 
 __all__ = ["run", "main"]
 
@@ -251,6 +252,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except ConsistencyError as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return 3
+    except ResourceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except SinglatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,6 +7,7 @@ __all__ = [
     "ConstructionError",
     "InternalError",
     "ConsistencyError",
+    "ResourceError",
 ]
 
 
@@ -32,3 +33,8 @@ class InternalError(SinglatError):
 
 class ConsistencyError(SinglatError):
     """Two independent routes to the same quantity disagree."""
+
+
+class ResourceError(SinglatError):
+    """A valid input whose computation would exceed a documented budget;
+    raised before the work is allocated."""

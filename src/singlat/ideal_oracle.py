@@ -5,6 +5,11 @@ the maximal ideal are monomial; membership reduces to one weighted-degree
 inequality, and the lattice counts behind the colength sequence reduce to
 counting box points.  Everything here is independent of the resolution
 graph, so it doubles as a cross-check for the intersection-theoretic route.
+
+The box is prod_{i <= m-2} [0, a_i - 1].  Every route over it (the
+quotient table, the closure generators, and the box-basis count of p_g in
+``brieskorn``) checks its size against ``LATTICE_BUDGET`` before building
+any list, and raises ``ResourceError`` when it is too large.
 """
 
 from __future__ import annotations
@@ -12,11 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Sequence
 
-from .errors import DimensionError, DomainError, InternalError
+from .errors import DimensionError, DomainError, InternalError, ResourceError
 
 __all__ = [
+    "LATTICE_BUDGET",
     "Monomial",
     "QuotientTable",
     "monomial_in_closure",
@@ -29,6 +36,19 @@ __all__ = [
 ]
 
 Monomial = tuple[int, ...]
+
+# Most lattice points one box route may enumerate: the box points
+# prod_{i <= m-2} a_i, the closure generators box * (k + 1), or the p_g pairs
+# ((m-2) a_{m-1} + 1) ((m-2) a_m + 1).  A million Python ints is some tens of
+# MB; the tests, demos and benchmark pools stay below 10^5 of each.
+LATTICE_BUDGET = 1_000_000
+
+
+def _check_budget(count: int, what: str) -> None:
+    if count > LATTICE_BUDGET:
+        raise ResourceError(
+            f"{what} needs {count} lattice points, above the budget of {LATTICE_BUDGET}"
+        )
 
 
 def _validated(a: Sequence[int]) -> tuple[int, ...]:
@@ -76,16 +96,30 @@ class QuotientTable:
     n_stop: int
 
 
-def _box_scores(a: tuple[int, ...]) -> list[int]:
-    """a_{m-1} * sum u_i (D/a_i) over the box prod [0, a_i-1], i <= m-2."""
+def _box_sums(sizes: Sequence[int], weights: Sequence[int], bound: int) -> list[int]:
+    """sum u_i w_i over the box prod [0, size_i - 1] in lex order, keeping
+    only the sums <= bound.  The weights are positive, so a partial sum above
+    the bound is dropped before it is extended."""
+    _check_budget(math.prod(sizes), f"the exponent box {tuple(sizes)}")
+    sums = [0]
+    for n, w in zip(sizes, weights):
+        sums = [x for s in sums for x in range(s, min(s + n * w, bound + 1), w)]
+    return sums
+
+
+def _score_weights(a: tuple[int, ...]) -> tuple[int, list[int]]:
+    """D = prod_{i <= m-2} a_i and the w_i = a_{m-1} D / a_i, so that the
+    score a_{m-1} * sum u_i (D/a_i) of a box point is sum u_i w_i."""
     m = len(a)
     d = math.prod(a[: m - 2])
-    sums = [0]
-    for ai in a[: m - 2]:
-        w = d // ai
-        sums = [s + u * w for s in sums for u in range(ai)]
-    head = a[m - 2]
-    return [head * s for s in sums]
+    return d, [a[m - 2] * (d // ai) for ai in a[: m - 2]]
+
+
+def _box_scores(a: tuple[int, ...]) -> list[int]:
+    """The score of every box point prod [0, a_i-1], i <= m-2, in lex order."""
+    sizes = a[: len(a) - 2]
+    _, weights = _score_weights(a)
+    return _box_sums(sizes, weights, sum((n - 1) * w for n, w in zip(sizes, weights)))
 
 
 @lru_cache(maxsize=4096)
@@ -129,32 +163,39 @@ def nr_by_oracle(a: Sequence[int]) -> int:
 
 
 def closure_monomials(a: Sequence[int], k: int) -> list[Monomial]:
-    """Divisibility-minimal monomials of the closure of the k-th power.
-
-    Candidates run over u_i <= a_i - 1 for i <= m-2 and u_{m-1} + u_m <= k;
-    the output is the divisibility antichain of the members, sorted
+    """Divisibility-minimal monomials of the closure of the k-th power, sorted
     lexicographically.  (0, ..., 0, k) is always among them.
+
+    For a box point u (first m-2 coordinates) let
+    r(u) = max(0, k - floor(a_{m-1} s(u) / D)), s(u) = sum u_i (D/a_i):
+    x^(u, x, y) is in the closure iff x + y >= r(u), and r does not increase
+    along the box.  So (u, x, y) is a minimal generator exactly when
+    x + y = r(u) and r(u - e_i) > r(u) for every i with u_i > 0.  Along each
+    line of the last box coordinate r drops at most k times, so only the
+    points where it drops (and the line's start) are tested; walking the
+    lines in lex order emits the generators already sorted.
     """
     a = _validated(a)
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"power must be a positive integer, got {k!r}")
     m = len(a)
-    d = math.prod(a[: m - 2])
-    box = [()]
-    for ai in a[: m - 2]:
-        box = [u + (v,) for u in box for v in range(ai)]
-    members = []
-    for u in box:
-        s = sum(ui * (d // ai) for ui, ai in zip(u, a))
-        for um1 in range(k + 1):
-            for um in range(k + 1 - um1):
-                if a[m - 2] * s >= (k - um1 - um) * d:
-                    members.append(u + (um1, um))
-    members.sort(key=sum)
+    sizes = a[: m - 2]
+    d, weights = _score_weights(a)
+    _check_budget(d * (k + 1), f"the closure generators of {a} at power {k}")
+    n, w = sizes[-1], weights[-1]
     minimal: list[Monomial] = []
-    for u in members:
-        if not any(all(v <= w for v, w in zip(mu, u)) for mu in minimal):
-            minimal.append(u)
+    for head in product(*map(range, sizes[:-1])):
+        base = sum(ui * wi for ui, wi in zip(head, weights))
+        j = 0
+        while j < n:
+            score = base + j * w
+            r = max(0, k - score // d)
+            if all(k - (score - wi) // d > r for ui, wi in zip(head, weights) if ui):
+                u = head + (j,)
+                minimal.extend([u + (x, r - x) for x in range(r + 1)])
+            if r == 0:
+                break
+            j = -((base - (score // d + 1) * d) // w)  # where floor(score / d) next grows
     top = (0,) * (m - 1) + (k,)
     if top not in minimal:
         raise InternalError(f"apex monomial {top} missing from the antichain")

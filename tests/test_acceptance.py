@@ -35,6 +35,7 @@ from singlat import (
     qp_consistency,
     quotient_table,
 )
+from singlat.brieskorn import _pg_dense
 from conftest import star
 
 SWEEP_M_MAX = 5
@@ -63,6 +64,7 @@ class Record(NamedTuple):
     q: tuple
     p: tuple
     pg: int
+    pg_dense: int
 
 
 @pytest.fixture(scope="session")
@@ -98,6 +100,7 @@ def sweep():
             q=q,
             p=quotient_table(a).p,
             pg=geometric_genus(a),
+            pg_dense=_pg_dense(a),
         )
     return records
 
@@ -223,8 +226,10 @@ def test_criterion_08_difference_identities(sweep):
 
 
 def test_criterion_09_reduction_genus_inequality(sweep):
-    """r(r-1)/2 + q(r) <= p_g on the whole sweep."""
+    """r(r-1)/2 + q(r) <= p_g on the whole sweep, with the box-basis p_g
+    equal to the dense-series p_g."""
     for a, r in sweep.items():
+        assert r.pg == r.pg_dense, a
         assert r.nr * (r.nr - 1) // 2 + r.q[r.nr] <= r.pg, a
 
 

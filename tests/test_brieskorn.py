@@ -1,7 +1,9 @@
 """Brieskorn complete intersections: numeric invariants, resolution graphs,
 distinguished cycles, genera, reduction numbers, the elliptic census."""
 
+import time
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb, gcd, lcm, prod
 
 import pytest
@@ -13,6 +15,7 @@ from singlat import (
     ConsistencyError,
     DomainError,
     MaximalCycleNumbers,
+    ResourceError,
     arithmetic_genus,
     br2_exceptions,
     canonical_cycle_formula,
@@ -410,10 +413,28 @@ def test_geometric_genus_fixtures():
     assert geometric_genus((6, 10, 15)) == pg_oracle((6, 10, 15)) == 91
 
 
-@given(exponent_tuples)
+@given(exponent_tuples | wide_tuples.filter(
+    lambda a: numeric_invariants(a).a_invariant <= 20_000))
 @settings(max_examples=60, deadline=None)
 def test_geometric_genus_against_oracle(a):
-    assert geometric_genus(a) == pg_oracle(a)
+    """The box-basis count against the partition-count oracle and the dense
+    series, also beyond the acceptance box."""
+    assert geometric_genus(a) == pg_oracle(a) == brieskorn._pg_dense(a)
+
+
+def test_geometric_genus_without_a_dense_array():
+    """a-invariant 186,249,983: the box route needs no array of that length."""
+    brieskorn._pg_cached.cache_clear()
+    start = time.perf_counter()
+    assert geometric_genus((97, 98, 99, 101)) == 53_538_496
+    assert time.perf_counter() - start < 1.0
+
+
+def test_geometric_genus_budget():
+    with pytest.raises(ResourceError, match="budget"):
+        geometric_genus((1000,) * 5)
+    with pytest.raises(ResourceError, match="p_g pairs"):
+        geometric_genus((3, 4000, 4001))
 
 
 # ------------------------------------------------------------------- q sequence
@@ -513,6 +534,20 @@ def test_br2_exceptions():
         assert geometric_genus(a) == 3
         assert normal_reduction_number(a) == 2
         assert not is_elliptic(a)
+
+
+def test_br2_scan_of_the_census_box():
+    """nr = 2 with p_f != 1 happens 46 times for m <= 5, a_m <= 30, but only
+    the two exceptions also have p_g = 3."""
+    non_elliptic = [
+        a
+        for m in range(3, 6)
+        for a in combinations_with_replacement(range(2, 31), m)
+        if normal_reduction_number(a) == 2 and fundamental_genus(a).value != 1
+    ]
+    assert len(non_elliptic) == 46
+    assert (2, 5, 10) in non_elliptic and geometric_genus((2, 5, 10)) == 4
+    assert [a for a in non_elliptic if geometric_genus(a) == 3] == br2_exceptions()
 
 
 # ----------------------------------------------------------------------- report

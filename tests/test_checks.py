@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from singlat import CheckResult, DomainError, run_tuple_checks
+from singlat import CheckResult, DomainError, ResourceError, brieskorn, run_tuple_checks
 
 CHECK_NAMES = [
     "invariants",
@@ -62,3 +62,17 @@ def test_checks_validation_propagates():
 def test_checks_small_sweep():
     for a in combinations_with_replacement(range(2, 6), 3):
         assert all(r.passed for r in run_tuple_checks(a)), a
+
+
+def test_nr_pg_bound_compares_the_dense_series(monkeypatch):
+    monkeypatch.setattr(brieskorn, "_pg_dense", lambda a: 4)
+    by_name = {r.name: r for r in run_tuple_checks((3, 4, 7))}
+    assert not by_name["nr-pg-bound"].passed
+    assert "pg=3" in by_name["nr-pg-bound"].detail
+    assert "pg=4" in by_name["nr-pg-bound"].detail
+    assert sum(not r.passed for r in by_name.values()) == 1
+
+
+def test_checks_stop_on_a_resource_budget():
+    with pytest.raises(ResourceError):
+        run_tuple_checks((1000,) * 5)

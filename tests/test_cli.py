@@ -50,6 +50,18 @@ def test_domain_errors_exit_2():
         assert "error:" in err
 
 
+def test_resource_budget_exits_4():
+    for args in [
+        ["invariants", "1000", "1000", "1000", "1000", "1000"],
+        ["check", "1000", "1000", "1000", "1000", "1000"],
+        ["nr", "1000", "1000", "1000", "1000", "1000", "--oracle"],
+    ]:
+        code, out, err = invoke(args)
+        assert code == 4, args
+        assert out == ""
+        assert "budget" in err
+
+
 # -------------------------------------------------------------- frozen outputs
 
 def test_invariants_plain():

@@ -1,6 +1,8 @@
 """Brute-force lattice oracles for integral closures of powers of the
 maximal ideal, and the cross-checks built on them."""
 
+import math
+import time
 from fractions import Fraction
 from itertools import product as iproduct
 from math import prod
@@ -10,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singlat import (
+    LATTICE_BUDGET,
     DimensionError,
     DomainError,
     QuotientTable,
+    ResourceError,
     closure_monomials,
     monomial_in_closure,
     normal_reduction_number,
@@ -22,6 +26,7 @@ from singlat import (
     quotient_dimension,
     quotient_table,
 )
+from singlat import ideal_oracle
 
 small_tuples = st.lists(
     st.integers(min_value=2, max_value=6), min_size=3, max_size=4
@@ -204,6 +209,75 @@ def test_closure_monomials_cover_the_box(a, k):
                 assert any(
                     all(x >= y for x, y in zip(u, g)) for g in gens
                 )
+
+
+def closure_antichain_naive(a, k):
+    """Brute force: every candidate member, then the divisibility antichain by
+    a quadratic scan of the members in order of degree."""
+    m = len(a)
+    d = math.prod(a[: m - 2])
+    box = [()]
+    for ai in a[: m - 2]:
+        box = [u + (v,) for u in box for v in range(ai)]
+    members = []
+    for u in box:
+        s = sum(ui * (d // ai) for ui, ai in zip(u, a))
+        for um1 in range(k + 1):
+            for um in range(k + 1 - um1):
+                if a[m - 2] * s >= (k - um1 - um) * d:
+                    members.append(u + (um1, um))
+    members.sort(key=sum)
+    minimal = []
+    for u in members:
+        if not any(all(v <= w for v, w in zip(mu, u)) for mu in minimal):
+            minimal.append(u)
+    return sorted(minimal)
+
+
+@given(small_tuples, st.integers(min_value=1, max_value=5))
+@settings(max_examples=100, deadline=None)
+def test_closure_monomials_match_brute_force(a, k):
+    assert closure_monomials(a, k) == closure_antichain_naive(a, k)
+
+
+@pytest.mark.parametrize("a", [(28, 32, 33, 33, 39), (8, 17, 39, 39, 40)])
+def test_closure_monomials_match_brute_force_on_large_boxes(a):
+    assert closure_monomials(a, 2) == closure_antichain_naive(a, 2)
+
+
+# ----------------------------------------------------------------------- budget
+
+def test_box_sums_prune_above_the_bound():
+    sizes, weights = (3, 4, 5), (7, 3, 2)
+    full = [
+        sum(u * w for u, w in zip(point, weights))
+        for point in iproduct(*map(range, sizes))
+    ]
+    assert ideal_oracle._box_sums(sizes, weights, max(full)) == full
+    for bound in (0, 5, 13, 20):
+        assert ideal_oracle._box_sums(sizes, weights, bound) == [
+            s for s in full if s <= bound
+        ]
+
+
+def test_oversized_box_is_refused_before_allocation():
+    a = (1000,) * 5
+    assert prod(a[:3]) > LATTICE_BUDGET
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match="budget"):
+        nr_by_oracle(a)
+    with pytest.raises(ResourceError):
+        closure_monomials(a, 1)
+    with pytest.raises(ResourceError):
+        quotient_dimension(a, 0)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_closure_generator_budget_counts_the_power():
+    """A box of 10 points fits, but up to 10 (k + 1) generators do not."""
+    assert nr_by_oracle((10, 10, 10)) == 9
+    with pytest.raises(ResourceError, match="power"):
+        closure_monomials((10, 10, 10), LATTICE_BUDGET // 10)
 
 
 # ------------------------------------------------------------------ consistency

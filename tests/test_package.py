@@ -15,8 +15,9 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 EXPORTS = {
     "BCIInvariants", "ChainFamily", "CheckResult", "ConeData", "ConsistencyError",
     "ConstructionError", "Cycle", "DimensionError", "DomainError", "DualGraph",
-    "FLAG_NON_MINIMAL", "FundamentalGenus", "InternalError", "MaximalCycleNumbers",
-    "Monomial", "QCycle", "QuotientTable", "SinglatError", "StarGraph",
+    "FLAG_NON_MINIMAL", "FundamentalGenus", "InternalError", "LATTICE_BUDGET",
+    "MaximalCycleNumbers", "Monomial", "QCycle", "QuotientTable", "ResourceError",
+    "SinglatError", "StarGraph",
     "__version__", "a_invariant_relation", "arithmetic_genus", "br2_exceptions",
     "brr_upper_bound", "canonical_cycle_formula", "canonical_qcycle",
     "central_multiple_cycle", "classify_elliptic", "closure_monomials",
