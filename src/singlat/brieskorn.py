@@ -60,39 +60,35 @@ def _neg_cont_frac(p: int, q: int) -> list[int]:
     return out
 
 
-def _continuant(chain: Sequence[int]) -> int:
-    hi, lo = 1, 0
-    for c in reversed(chain):
-        hi, lo = c * hi - lo, hi
-    return hi
+def _continuants(chain: Sequence[int]) -> list[int]:
+    """Continuants K(c_1..c_v) for v = 0..s: K() = 1 and
+    K(c_1..c_v) = c_v K(c_1..c_{v-1}) - K(c_1..c_{v-2})."""
+    ks = [0, 1]
+    for c in chain:
+        ks.append(c * ks[-1] - ks[-2])
+    return ks[1:]
 
 
 def _chain_coeffs(chain: Sequence[int], center: int, beyond: int) -> list[int]:
     """Solve the two-point recursion lam_{v-1} = c_v lam_v - lam_{v+1} on one chain.
 
     Boundary values: lam_0 = center at the central curve, lam_{s+1} = beyond
-    past the tip.  Raises if the solution is not a positive integer vector.
+    past the tip.  In closed form (Neumann, "A calculus for plumbing")
+    lam_v = (center K(c_{v+1}..c_s) + beyond K(c_1..c_{v-1})) / K(c_1..c_s),
+    K the continuant.  Raises if the solution is not a positive integer vector.
     """
-    s = len(chain)
-    if s == 0:
-        return []
-    # lam_v = A[v]*t + C[v] with t the unknown tip coefficient lam_s
-    A = [0] * (s + 2)
-    C = [0] * (s + 2)
-    A[s + 1], C[s + 1] = 0, beyond
-    A[s], C[s] = 1, 0
-    for v in range(s, 0, -1):
-        A[v - 1] = chain[v - 1] * A[v] - A[v + 1]
-        C[v - 1] = chain[v - 1] * C[v] - C[v + 1]
-    num = center - C[0]
-    if num % A[0]:
-        raise ConstructionError(
-            f"chain solve is not integral: ({center} - {C[0]}) not divisible by {A[0]}"
-        )
-    t = num // A[0]
-    coeffs = [A[v] * t + C[v] for v in range(1, s + 1)]
-    if any(c < 1 for c in coeffs):
-        raise ConstructionError("chain solve produced a non-positive coefficient")
+    # a continuant reads the same both ways, so suf[v] = K(c_{v+1}..c_s)
+    pre, suf = _continuants(chain), _continuants(chain[::-1])[::-1]
+    coeffs = []
+    for v in range(1, len(chain) + 1):
+        lam, rem = divmod(center * suf[v] + beyond * pre[v - 1], pre[-1])
+        if rem:
+            raise ConstructionError(
+                f"chain solve is not integral at curve {v} of {chain} (center {center})"
+            )
+        if lam < 1:
+            raise ConstructionError("chain solve produced a non-positive coefficient")
+        coeffs.append(lam)
     return coeffs
 
 
@@ -138,6 +134,11 @@ class StarGraph:
 
     The flattened :class:`DualGraph` puts the center at index 0 and then the
     families in order, each chain copy laid out center-outward.
+
+    ``cycles`` holds ``Z_0, Z^(1), ..., Z^(m)``, solved once when the star is
+    built, each compressed as ``(center coefficient, one coefficient list per
+    family)``; ``assemble(*cycle)`` flattens one.  The build checks their
+    intersection patterns and the canonical cycle formula on the flattened graph.
     """
 
     center_genus: int
@@ -146,6 +147,7 @@ class StarGraph:
     graph: DualGraph
     flags: tuple[str, ...]
     family_starts: tuple[int, ...]
+    cycles: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
 
     @property
     def m(self) -> int:
@@ -241,7 +243,7 @@ def _star_cached(a: tuple[int, ...]) -> StarGraph:
             continue
         beta = (-pow(lam_w, -1, alpha_w)) % alpha_w
         chain = tuple(_neg_cont_frac(alpha_w, beta))
-        if _continuant(chain) != alpha_w:
+        if _continuants(chain)[-1] != alpha_w:
             raise InternalError("chain continuant does not reproduce alpha_w")
         families.append(ChainFamily(count=count, chain=chain, beta=beta))
 
@@ -276,11 +278,15 @@ def _star_cached(a: tuple[int, ...]) -> StarGraph:
                 prev = idx
     graph = DualGraph(vertices, edges)
 
-    # construction validators: every divisor cycle must solve integrally, and
-    # the flattened graph must be negative definite
-    for i, lam_i in enumerate(inv.lambda_i, start=1):
-        for w, fam in enumerate(families, start=1):
-            _chain_coeffs(fam.chain, lam_i, 1 if w == i else 0)
+    # Z_0 (center alpha, 0 past every tip), then Z^(1..m) (center lambda_i,
+    # 1 past each family-i tip): each chain is solved once, integrally
+    cycles = []
+    for i, center in enumerate((inv.alpha,) + inv.lambda_i):
+        fam_coeffs = tuple(
+            tuple(_chain_coeffs(fam.chain, center, 1 if w == i else 0))
+            for w, fam in enumerate(families, start=1)
+        )
+        cycles.append((center, fam_coeffs))
     if not graph_lattice.is_negative_definite(graph):
         raise ConstructionError("star graph is not negative definite")
 
@@ -289,43 +295,51 @@ def _star_cached(a: tuple[int, ...]) -> StarGraph:
     if c0 == 1 and center_genus == 0 and branch_count <= 2:
         flags = (FLAG_NON_MINIMAL,)
 
-    return StarGraph(
+    star = StarGraph(
         center_genus=center_genus,
         c0=c0,
         branch_families=tuple(families),
         graph=graph,
         flags=flags,
         family_starts=tuple(starts),
+        cycles=tuple(cycles),
     )
+
+    # each cycle pairs to -1 against the tips it was solved for and to 0
+    # against every other chain curve; against the center to 0 if it has such
+    # tips, else to -center ghat/ell (minus the orbifold Euler number times
+    # the center coefficient; -ghat_i for Z^(i) with family i empty)
+    for i, z in enumerate(cycles):
+        tips = star.tip_indices(i) if i else ()
+        want = [0] * graph.n
+        if not tips:
+            want[0] = -(z[0] * inv.ghat // inv.ell)
+        for t in tips:
+            want[t] = -1
+        if list(graph_lattice.cycle_products(graph, star.assemble(*z))) != want:
+            name = f"divisor cycle {i}" if i else "central-multiple cycle"
+            raise ConstructionError(f"{name} has the wrong intersection pattern")
+    # Z_K = 1 + k Z_0 - sum_w Z^(w), k = (m-2) ell/alpha (alpha | ell is checked
+    # with the invariants): effective unless the model is flagged non-minimal,
+    # and equal to the adjunction solve
+    k = (inv.m - 2) * (inv.ell // inv.alpha)
+    zk = star.assemble(
+        1 + k * inv.alpha - sum(inv.lambda_i),
+        [
+            [1 + k * x0 - sum(xs) for x0, *xs in zip(*fam)]
+            for fam in zip(*(fams for _, fams in cycles))
+        ],
+    )
+    if any(v < 0 for v in zk) and FLAG_NON_MINIMAL not in flags:
+        raise InternalError("canonical cycle formula produced a non-effective cycle")
+    if zk != graph_lattice.canonical_qcycle(graph):
+        raise InternalError("canonical cycle formula disagrees with the adjunction solve")
+    return star
 
 
 def dual_graph(a: Sequence[int]) -> StarGraph:
     """Star-shaped dual graph of the resolution attached to the exponent tuple."""
     return _star_cached(_validated(a))
-
-
-def _divisor_cycle_raw(star: StarGraph, lams: Sequence[int], i: int) -> Cycle:
-    lam_i = lams[i - 1]
-    fam_coeffs = [
-        _chain_coeffs(fam.chain, lam_i, 1 if w == i else 0)
-        for w, fam in enumerate(star.branch_families, start=1)
-    ]
-    return star.assemble(lam_i, fam_coeffs)
-
-
-def _validate_divisor_pattern(star: StarGraph, z: Cycle, i: int, ghat_i: int) -> None:
-    prods = graph_lattice.cycle_products(star.graph, z)
-    expected = [0] * star.graph.n
-    tips = star.tip_indices(i)
-    if tips:
-        for t in tips:
-            expected[t] = -1
-    else:
-        expected[0] = -ghat_i
-    if list(prods) != expected:
-        raise ConstructionError(
-            f"divisor cycle {i} has the wrong intersection pattern"
-        )
 
 
 def divisor_cycle(a: Sequence[int], i: int) -> Cycle:
@@ -336,11 +350,8 @@ def divisor_cycle(a: Sequence[int], i: int) -> Cycle:
     m = len(a)
     if not 1 <= i <= m:
         raise DomainError(f"coordinate index {i} outside 1..{m}")
-    inv = _invariants_cached(a)
     star = _star_cached(a)
-    z = _divisor_cycle_raw(star, inv.lambda_i, i)
-    _validate_divisor_pattern(star, z, i, inv.ghat_i[i - 1])
-    return z
+    return star.assemble(*star.cycles[i])
 
 
 def maximal_ideal_cycle(a: Sequence[int]) -> Cycle:
@@ -352,44 +363,21 @@ def maximal_ideal_cycle(a: Sequence[int]) -> Cycle:
 def central_multiple_cycle(a: Sequence[int]) -> Cycle:
     """Smallest anti-nef cycle pairing to zero against everything off the center;
     its center coefficient is alpha."""
-    a = _validated(a)
-    alpha = _invariants_cached(a).alpha
-    star = _star_cached(a)
-    fam_coeffs = [_chain_coeffs(fam.chain, alpha, 0) for fam in star.branch_families]
-    z = star.assemble(alpha, fam_coeffs)
-    prods = graph_lattice.cycle_products(star.graph, z)
-    if prods[0] > 0 or any(v != 0 for v in prods[1:]):
-        raise ConstructionError("central-multiple cycle has the wrong intersection pattern")
-    return z
+    star = _star_cached(_validated(a))
+    return star.assemble(*star.cycles[0])
 
 
 def canonical_cycle_formula(a: Sequence[int]) -> QCycle:
     """Canonical cycle as reduced + (m-2) ell/alpha central multiples minus the
-    divisor cycles; verified against the adjunction solve and integral.
+    divisor cycles; integral, and verified against the adjunction solve when
+    the star graph is built, so this returns the solve it was found equal to.
 
     On an unflagged star graph the result must also be effective (the
     singularity is Gorenstein and the model is the minimal good resolution);
     on a model flagged non-minimal a negative coefficient on the central
     (-1)-curve is legitimate and allowed through.
     """
-    a = _validated(a)
-    inv = _invariants_cached(a)
-    m = inv.m
-    star = _star_cached(a)
-    if ((m - 2) * inv.ell) % inv.alpha:
-        raise InternalError("(m-2) ell / alpha is not integral")
-    k = (m - 2) * inv.ell // inv.alpha
-    z0 = central_multiple_cycle(a)
-    zws = [divisor_cycle(a, w) for w in range(1, m + 1)]
-    vals = [
-        1 + k * z0[j] - sum(zw[j] for zw in zws) for j in range(star.graph.n)
-    ]
-    if any(v < 0 for v in vals) and FLAG_NON_MINIMAL not in star.flags:
-        raise InternalError("canonical cycle formula produced a non-effective cycle")
-    zk = tuple(Fraction(v) for v in vals)
-    if zk != graph_lattice.canonical_qcycle(star.graph):
-        raise InternalError("canonical cycle formula disagrees with the adjunction solve")
-    return zk
+    return graph_lattice.canonical_qcycle(_star_cached(_validated(a)).graph)
 
 
 class FundamentalGenus(NamedTuple):
@@ -483,12 +471,14 @@ def _pg_cached(a: tuple[int, ...]) -> int:
 
 def _pg_dense(a: tuple[int, ...]) -> int:
     """p_g from a dense array of the Poincare series coefficients up to the
-    a-invariant; the independent route that ``singlat check`` compares with."""
+    a-invariant; the independent route that ``singlat check`` compares with.
+    Raises ``ResourceError`` when the array would exceed ``LATTICE_BUDGET``."""
     inv = _invariants_cached(a)
     m, ell, lams = inv.m, inv.ell, inv.lambda_i
     bound = inv.a_invariant
     if bound < 0:
         return 0
+    ideal_oracle._check_budget(bound + 1, f"the dense p_g series of {a}")
     # graded dimensions of the weight-lams complete intersection with m-2
     # relations of degree ell, truncated at the a-invariant
     c = [0] * (bound + 1)

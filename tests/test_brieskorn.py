@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from singlat import (
     FLAG_NON_MINIMAL,
     ConsistencyError,
+    ConstructionError,
     DomainError,
+    InternalError,
     MaximalCycleNumbers,
     ResourceError,
     arithmetic_genus,
@@ -39,7 +41,7 @@ from singlat import (
     q_sequence,
     quotient_dimension,
 )
-from singlat import brieskorn
+from singlat import brieskorn, graph_lattice
 
 GAMMA1 = (3, 4, 6)
 GAMMA2 = (3, 4, 7)
@@ -201,6 +203,128 @@ def test_assemble_layout():
 
 # --------------------------------------------------------- distinguished cycles
 
+def _vertex_bound(a):
+    """Upper bound on the star graph's size: an alpha_w chain has < alpha_w curves."""
+    inv = numeric_invariants(a)
+    return 1 + sum(g * (al - 1) for g, al in zip(inv.ghat_i, inv.alpha_i))
+
+
+# beyond the m <= 5, a_m <= 12 acceptance box, on graphs of at most 300 curves
+wide_tuples = (
+    st.lists(st.integers(min_value=2, max_value=40), min_size=3, max_size=5)
+    .map(lambda xs: tuple(sorted(xs)))
+    .filter(lambda a: a[-1] > 12 and _vertex_bound(a) <= 300)
+)
+
+
+# the two-point recursion, kept as the reference for the continuant closed form
+def _chain_coeffs_two_point(chain, center, beyond):
+    """Solve the two-point recursion lam_{v-1} = c_v lam_v - lam_{v+1} on one chain.
+
+    Boundary values: lam_0 = center at the central curve, lam_{s+1} = beyond
+    past the tip.  Raises if the solution is not a positive integer vector.
+    """
+    s = len(chain)
+    if s == 0:
+        return []
+    # lam_v = A[v]*t + C[v] with t the unknown tip coefficient lam_s
+    A = [0] * (s + 2)
+    C = [0] * (s + 2)
+    A[s + 1], C[s + 1] = 0, beyond
+    A[s], C[s] = 1, 0
+    for v in range(s, 0, -1):
+        A[v - 1] = chain[v - 1] * A[v] - A[v + 1]
+        C[v - 1] = chain[v - 1] * C[v] - C[v + 1]
+    num = center - C[0]
+    if num % A[0]:
+        raise ConstructionError(
+            f"chain solve is not integral: ({center} - {C[0]}) not divisible by {A[0]}"
+        )
+    t = num // A[0]
+    coeffs = [A[v] * t + C[v] for v in range(1, s + 1)]
+    if any(c < 1 for c in coeffs):
+        raise ConstructionError("chain solve produced a non-positive coefficient")
+    return coeffs
+
+
+@given(
+    st.lists(st.integers(min_value=2, max_value=9), max_size=8),
+    st.integers(min_value=1, max_value=10**6),
+    st.sampled_from([0, 1]),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_chain_coeffs_closed_form_matches_recursion(chain, n, beyond, integral):
+    """The continuant closed form against the two-point recursion: the same
+    list, or ConstructionError from both.  A random center rarely solves
+    integrally, so half the examples walk the recursion inward from the tip
+    coefficient n to a center that does."""
+    center = n
+    if integral:
+        lo, center = beyond, n
+        for c in reversed(chain):
+            lo, center = center, c * center - lo
+    try:
+        want = _chain_coeffs_two_point(chain, center, beyond)
+    except ConstructionError:
+        with pytest.raises(ConstructionError):
+            brieskorn._chain_coeffs(chain, center, beyond)
+    else:
+        assert brieskorn._chain_coeffs(chain, center, beyond) == want
+
+
+def test_star_solves_and_checks_its_cycles_once(monkeypatch):
+    """A star build pairs each of its m + 1 distinguished cycles against the
+    graph at most once; reading them back from the cached star pairs none."""
+    real = graph_lattice.cycle_products
+    calls = []
+
+    def counted(g, z):
+        calls.append(z)
+        return real(g, z)
+
+    monkeypatch.setattr(graph_lattice, "cycle_products", counted)
+    for a in [GAMMA2, (2, 3, 4, 5), (6, 10, 15)]:
+        brieskorn._star_cached.cache_clear()
+        dual_graph(a)
+        assert 1 <= len(calls) <= len(a) + 1
+        calls.clear()
+        for i in range(1, len(a) + 1):
+            divisor_cycle(a, i)
+        central_multiple_cycle(a)
+        maximal_ideal_cycle(a)
+        canonical_cycle_formula(a)
+        assert calls == []
+
+
+def test_star_build_rejects_a_wrong_cycle(monkeypatch):
+    """A chain solve with a wrong tip coefficient fails the pairing check."""
+    real = brieskorn._chain_coeffs
+
+    def wrong_tip(chain, center, beyond):
+        coeffs = real(chain, center, beyond)
+        return coeffs[:-1] + [coeffs[-1] + 1] if coeffs else coeffs
+
+    monkeypatch.setattr(brieskorn, "_chain_coeffs", wrong_tip)
+    brieskorn._star_cached.cache_clear()
+    try:
+        with pytest.raises(ConstructionError, match="wrong intersection pattern"):
+            dual_graph((2, 3, 5))
+    finally:
+        brieskorn._star_cached.cache_clear()
+
+
+def test_star_build_rejects_a_wrong_canonical_cycle(monkeypatch):
+    """The canonical cycle formula is compared with the adjunction solve."""
+    monkeypatch.setattr(graph_lattice, "canonical_qcycle", lambda g: (Fraction(7),) * g.n)
+    brieskorn._star_cached.cache_clear()
+    try:
+        with pytest.raises(InternalError, match="adjunction solve"):
+            dual_graph(GAMMA1)
+    finally:
+        brieskorn._star_cached.cache_clear()
+
+
 def test_divisor_cycle_e8_root(e8):
     assert divisor_cycle((2, 3, 5), 3) == (6, 3, 4, 2, 5, 4, 3, 2)
     assert divisor_cycle((2, 3, 5), 1) == (15, 8, 10, 5, 12, 9, 6, 3)
@@ -219,7 +343,7 @@ def test_divisor_cycle_index_range():
         divisor_cycle((2, 3, 5), 4)
 
 
-@given(exponent_tuples)
+@given(exponent_tuples | wide_tuples)
 @settings(max_examples=40, deadline=None)
 def test_divisor_cycle_pairings(a):
     """Z^(i) pairs to 0 off family i, -1 at the tips of family i, and
@@ -268,7 +392,7 @@ def test_central_multiple_cycle():
     assert central_multiple_cycle((2, 2, 2)) == (1,)
 
 
-@given(exponent_tuples)
+@given(exponent_tuples | wide_tuples)
 @settings(max_examples=40, deadline=None)
 def test_central_multiple_cycle_pairings(a):
     star = dual_graph(a)
@@ -300,7 +424,7 @@ def test_canonical_cycle_non_minimal_model():
     assert FLAG_NON_MINIMAL in dual_graph((2, 2, 3)).flags
 
 
-@given(exponent_tuples)
+@given(exponent_tuples | wide_tuples)
 @settings(max_examples=40, deadline=None)
 def test_canonical_cycle_matches_adjunction(a):
     star = dual_graph(a)
@@ -320,20 +444,6 @@ def test_fundamental_genus_fixtures():
     assert tuple(fundamental_genus(GAMMA2)) == (2, "MX")
     assert tuple(fundamental_genus((6, 10, 15))) == (11, "Z0")
     assert tuple(fundamental_genus((2, 2, 2))) == (0, "both")
-
-
-def _vertex_bound(a):
-    """Upper bound on the star graph's size: an alpha_w chain has < alpha_w curves."""
-    inv = numeric_invariants(a)
-    return 1 + sum(g * (al - 1) for g, al in zip(inv.ghat_i, inv.alpha_i))
-
-
-# beyond the m <= 5, a_m <= 12 acceptance box, on graphs of at most 300 curves
-wide_tuples = (
-    st.lists(st.integers(min_value=2, max_value=40), min_size=3, max_size=5)
-    .map(lambda xs: tuple(sorted(xs)))
-    .filter(lambda a: a[-1] > 12 and _vertex_bound(a) <= 300)
-)
 
 
 @given(exponent_tuples | wide_tuples)
@@ -435,6 +545,9 @@ def test_geometric_genus_budget():
         geometric_genus((1000,) * 5)
     with pytest.raises(ResourceError, match="p_g pairs"):
         geometric_genus((3, 4000, 4001))
+    # the dense series of (97, 98, 99, 101) would hold 186,249,984 entries
+    with pytest.raises(ResourceError, match="dense p_g series"):
+        brieskorn._pg_dense((97, 98, 99, 101))
 
 
 # ------------------------------------------------------------------- q sequence

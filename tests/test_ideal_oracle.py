@@ -156,7 +156,13 @@ def test_nr_by_oracle_fixtures():
     assert nr_by_oracle((2, 2, 2)) == 1
 
 
-@given(small_tuples)
+# exponents up to 40: boxes of up to 40^3 = 64,000 points, under the budget
+wide_tuples = st.lists(
+    st.integers(min_value=2, max_value=40), min_size=3, max_size=5
+).map(lambda xs: tuple(sorted(xs)))
+
+
+@given(small_tuples | wide_tuples)
 @settings(max_examples=100, deadline=None)
 def test_nr_by_oracle_matches_closed_form(a):
     assert nr_by_oracle(a) == normal_reduction_number(a)
