@@ -92,6 +92,13 @@ def _chain_coeffs(chain: Sequence[int], center: int, beyond: int) -> list[int]:
     return coeffs
 
 
+def _chain_pairings(chain: Sequence[int], center: int, coeffs: Sequence[int]) -> list[int]:
+    """Pairings of a cycle with the curves of one chain copy, center-outward:
+    lam_{v-1} - c_v lam_v + lam_{v+1}, with lam_0 = center and 0 past the tip."""
+    lam = (center, *coeffs, 0)
+    return [lam[v - 1] - c * lam[v] + lam[v + 1] for v, c in enumerate(chain, start=1)]
+
+
 @dataclass(frozen=True)
 class BCIInvariants:
     """Numeric invariants of an exponent tuple."""
@@ -138,7 +145,10 @@ class StarGraph:
     ``cycles`` holds ``Z_0, Z^(1), ..., Z^(m)``, solved once when the star is
     built, each compressed as ``(center coefficient, one coefficient list per
     family)``; ``assemble(*cycle)`` flattens one.  The build checks their
-    intersection patterns and the canonical cycle formula on the flattened graph.
+    intersection patterns once per family, on the compressed cycles, and the
+    canonical cycle formula against the adjunction solve on the flattened
+    graph; ``singlat check`` and the acceptance sweep pair the cycles on the
+    flattened graph as well.
     """
 
     center_genus: int
@@ -308,15 +318,20 @@ def _star_cached(a: tuple[int, ...]) -> StarGraph:
     # each cycle pairs to -1 against the tips it was solved for and to 0
     # against every other chain curve; against the center to 0 if it has such
     # tips, else to -center ghat/ell (minus the orbifold Euler number times
-    # the center coefficient; -ghat_i for Z^(i) with family i empty)
-    for i, z in enumerate(cycles):
-        tips = star.tip_indices(i) if i else ()
-        want = [0] * graph.n
-        if not tips:
-            want[0] = -(z[0] * inv.ghat // inv.ell)
-        for t in tips:
-            want[t] = -1
-        if list(graph_lattice.cycle_products(graph, star.assemble(*z))) != want:
+    # the center coefficient; -ghat_i for Z^(i) with family i empty).  Every
+    # chain copy of a family carries the same coefficients, so one copy per
+    # family is paired, and the center pairing is
+    # -c0 x + sum_w count_w lam_{w,1}
+    for i, (x, fam_coeffs) in enumerate(cycles):
+        at_center = -star.c0 * x
+        chains_ok = True
+        for w, (fam, cc) in enumerate(zip(star.branch_families, fam_coeffs), start=1):
+            if fam.chain:
+                at_center += fam.count * cc[0]
+                want = [0] * (len(fam.chain) - 1) + [-1 if w == i else 0]
+                chains_ok = chains_ok and _chain_pairings(fam.chain, x, cc) == want
+        has_tips = i > 0 and bool(star.branch_families[i - 1].chain)
+        if not chains_ok or at_center != (0 if has_tips else -(x * inv.ghat // inv.ell)):
             name = f"divisor cycle {i}" if i else "central-multiple cycle"
             raise ConstructionError(f"{name} has the wrong intersection pattern")
     # Z_K = 1 + k Z_0 - sum_w Z^(w), k = (m-2) ell/alpha (alpha | ell is checked
@@ -448,6 +463,20 @@ def normal_reduction_number(a: Sequence[int]) -> int:
     return (a[m - 2] * s) // d
 
 
+def _pg_pairs_size(a: tuple[int, ...]) -> tuple[int, str]:
+    """The (p, q) pairs the box-basis p_g walks, as ``(count, what)`` for
+    ``ideal_oracle._check_budget``; none below a negative a-invariant."""
+    m = len(a)
+    count = ((m - 2) * a[m - 2] + 1) * ((m - 2) * a[m - 1] + 1)
+    return (count if _invariants_cached(a).a_invariant >= 0 else 0), f"the p_g pairs of {a}"
+
+
+def _pg_series_size(a: tuple[int, ...]) -> tuple[int, str]:
+    """The coefficients the dense p_g series holds, a-invariant + 1, as
+    ``(count, what)`` for ``ideal_oracle._check_budget``."""
+    return _invariants_cached(a).a_invariant + 1, f"the dense p_g series of {a}"
+
+
 @lru_cache(maxsize=4096)
 def _pg_cached(a: tuple[int, ...]) -> int:
     inv = _invariants_cached(a)
@@ -458,9 +487,7 @@ def _pg_cached(a: tuple[int, ...]) -> int:
     # (1 - t^ell)/(1 - t^lambda_i) = sum_{u < a_i} t^(u lambda_i) for i <= m-2, so
     # p_g counts the (u, p, q) in box x N^2 with
     # D(u) + lambda_{m-1} p + lambda_m q <= B, D(u) = sum u_i lambda_i
-    ideal_oracle._check_budget(
-        ((m - 2) * a[m - 2] + 1) * ((m - 2) * a[m - 1] + 1), f"the p_g pairs of {a}"
-    )
+    ideal_oracle._check_budget(*_pg_pairs_size(a))
     degs = sorted(ideal_oracle._box_sums(a[: m - 2], lams[: m - 2], bound))
     return sum(
         bisect_right(degs, x)
@@ -478,7 +505,7 @@ def _pg_dense(a: tuple[int, ...]) -> int:
     bound = inv.a_invariant
     if bound < 0:
         return 0
-    ideal_oracle._check_budget(bound + 1, f"the dense p_g series of {a}")
+    ideal_oracle._check_budget(*_pg_series_size(a))
     # graded dimensions of the weight-lams complete intersection with m-2
     # relations of degree ell, truncated at the a-invariant
     c = [0] * (bound + 1)

@@ -42,10 +42,30 @@ def run_tuple_checks(a: Sequence[int]) -> list[CheckResult]:
     """Run every cross-module invariant for one tuple; never masks a failure.
 
     Raises ``ResourceError`` when a route would exceed its budget, since a
-    check that cannot run has neither passed nor failed.
+    check that cannot run has neither passed nor failed.  Every budget is
+    checked before the first step runs, so such a tuple costs nothing else.
     """
     a = _validated(a)
     m = len(a)
+    for need in (
+        ideal_oracle._box_size(a[: m - 2]),
+        brieskorn._pg_pairs_size(a),
+        brieskorn._pg_series_size(a),
+    ):
+        ideal_oracle._check_budget(*need)
+
+    def assert_pairings(star, name: str, z, tips, at_center: int) -> None:
+        """z pairs to -1 at each of tips, to 0 on every other chain curve and
+        to at_center at the center, on the flattened graph."""
+        want = [0] * star.graph.n
+        want[0] = at_center
+        for t in tips:
+            want[t] = -1
+        prods = graph_lattice.cycle_products(star.graph, z)
+        bad = next((v for v, (p, w) in enumerate(zip(prods, want)) if p != w), None)
+        assert bad is None, (
+            f"{name} pairs to {prods[bad]} at vertex {bad}, expected {want[bad]}"
+        )
 
     def invariants() -> str:
         inv = brieskorn.numeric_invariants(a)
@@ -92,10 +112,11 @@ def run_tuple_checks(a: Sequence[int]) -> list[CheckResult]:
             assert z[0] == inv.lambda_i[i - 1], f"Z^({i}) center coefficient"
             assert all(v >= 1 for v in z), f"Z^({i}) is not effective"
             assert graph_lattice.is_anti_nef(star.graph, z), f"Z^({i}) is not anti-nef"
+            tips = star.tip_indices(i)
+            assert_pairings(star, f"Z^({i})", z, tips, 0 if tips else -inv.ghat_i[i - 1])
         zm = brieskorn.divisor_cycle(a, m)
         tips = star.tip_indices(m)
         tip_coeff = zm[tips[0]] if tips else inv.lambda_i[-1]
-        assert len({zm[t] for t in tips} | {tip_coeff}) == 1, "family-m tips differ"
         assert tip_coeff == inv.eta_m, (
             f"eta_m={inv.eta_m} but the Z^(m) tip coefficient is {tip_coeff}"
         )
@@ -107,6 +128,7 @@ def run_tuple_checks(a: Sequence[int]) -> list[CheckResult]:
         z0 = brieskorn.central_multiple_cycle(a)
         assert z0[0] == inv.alpha, "Z_0 center coefficient != alpha"
         assert graph_lattice.is_anti_nef(star.graph, z0), "Z_0 is not anti-nef"
+        assert_pairings(star, "Z_0", z0, (), -(inv.alpha * inv.ghat // inv.ell))
         return f"center coefficient {inv.alpha}"
 
     def canonical_cycle() -> str:

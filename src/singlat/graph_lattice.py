@@ -8,14 +8,16 @@ arithmetic is exact, with no floating point.
 
 Each graph object is eliminated once: a symmetric Gaussian elimination with
 greedy min-degree pivoting, carrying rationals as reduced integer pairs,
-yields both the definiteness verdict and the canonical Q-cycle Z_K.  These,
-and Laufer's fundamental cycle Z_f, are cached on the graph, so repeated
-calls on one graph cost a lookup.
+yields both the definiteness verdict and the canonical Q-cycle Z_K.  Laufer's
+fundamental cycle Z_f comes from the computation sequence run on a FIFO
+worklist of the vertices with positive pairing.  All three are cached on the
+graph, so repeated calls on one graph cost a lookup.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
@@ -201,11 +203,11 @@ def is_anti_nef(g: DualGraph, z: Sequence) -> bool:
 def fundamental_cycle(g: DualGraph) -> Cycle:
     """Smallest non-zero anti-nef cycle, by the classical computation sequence.
 
-    Starts at the reduced cycle and repeatedly adds the lowest-index vertex
-    whose pairing is still positive.  Consecutive additions at one vertex are
-    collapsed into a single batch of ceil(d_i / -E_i^2) steps; the endpoint
-    does not depend on the processing order, only the trace does.  The
-    result is cached on the graph.
+    Starts at the reduced cycle and keeps a FIFO worklist of the vertices
+    whose pairing is positive, each queued at most once; a vertex taken from
+    it gets ceil(d_i / -E_i^2) copies of E_i at once, the whole run of
+    consecutive additions there.  The endpoint does not depend on the
+    processing order, only the trace does.  The result is cached on the graph.
     """
     if g._zf is not None:
         return g._zf
@@ -217,45 +219,32 @@ def fundamental_cycle(g: DualGraph) -> Cycle:
     adj, self_ints = g._adj, g.self_ints
     z = [1] * g.n
     d = [e + sum(row.values()) for e, row in zip(self_ints, adj)]
-    heap = [i for i, v in enumerate(d) if v > 0]
-    heapq.heapify(heap)
-    while heap:
-        i = heapq.heappop(heap)
-        if d[i] <= 0:
-            continue
+    queued = [v > 0 for v in d]
+    work = deque(i for i, v in enumerate(d) if v > 0)
+    # a queued pairing only grows until its vertex is taken, so it is still
+    # positive then
+    while work:
+        i = work.popleft()
+        queued[i] = False
         c = -self_ints[i]  # positive: diagonal of a negative-definite form
         k = -(-d[i] // c)
         z[i] += k
         d[i] -= k * c
         for j, w in adj[i].items():
-            d[j] += k * w
-            if d[j] > 0:
-                heapq.heappush(heap, j)
+            dj = d[j] + k * w
+            d[j] = dj
+            if dj > 0 and not queued[j]:
+                queued[j] = True
+                work.append(j)
     g._zf = tuple(z)
     return g._zf
-
-
-def _div(a: _Pair, b: _Pair) -> _Pair:
-    """a / b for a non-zero b."""
-    num, den = a[0] * b[1], a[1] * b[0]
-    if den < 0:
-        num, den = -num, -den
-    c = gcd(num, den)
-    return num // c, den // c
-
-
-def _sub_mul(e: _Pair, a: _Pair, b: _Pair) -> _Pair:
-    """e - a*b."""
-    tn, td = a[0] * b[0], a[1] * b[1]
-    num, den = e[0] * td - tn * e[1], e[1] * td
-    c = gcd(num, den)
-    return num // c, den // c
 
 
 def _eliminate(g: DualGraph, rhs: Sequence[int]):
     """Exact symmetric Gaussian elimination with greedy min-degree pivoting.
 
-    Every rational is a _Pair.  Returns
+    Every rational is a _Pair, reduced after each operation (the floor
+    divisions are skipped when the gcd is 1).  Returns
     (pivots, order, kept_rows, y).  kept_rows[i] holds the reduced
     off-diagonal row of vertex i at the moment it was eliminated, restricted
     to vertices eliminated later; y is the correspondingly reduced rhs.
@@ -288,16 +277,36 @@ def _eliminate(g: DualGraph, rhs: Sequence[int]):
         pivots.append(piv)
         order.append(i)
         kept[i] = row
-        if piv[0] == 0:
+        pn, pd = piv
+        if pn == 0:
             if row:
                 raise DomainError("zero pivot with live neighbors: singular or indefinite intersection matrix")
             continue
+        yn, yd = y[i]
         for j in list(row):
             rj = rows[j]
-            f = _div(rj.pop(i), piv)
-            for k, v in row.items():
-                rj[k] = _sub_mul(rj.get(k, (0, 1)), f, v)
-            y[j] = _sub_mul(y[j], f, y[i])
+            # f = rows[j][i] / piv; then rows[j] -= f row and y[j] -= f y[i]
+            an, ad = rj.pop(i)
+            fn, fd = an * pd, ad * pn
+            if fd < 0:
+                fn, fd = -fn, -fd
+            c = gcd(fn, fd)
+            if c != 1:
+                fn, fd = fn // c, fd // c
+            for k, (vn, vd) in row.items():
+                tn, td = fn * vn, fd * vd
+                e = rj.get(k)
+                if e is None:
+                    num, den = -tn, td
+                else:
+                    num, den = e[0] * td - tn * e[1], e[1] * td
+                c = gcd(num, den)
+                rj[k] = (num, den) if c == 1 else (num // c, den // c)
+            en, ed = y[j]
+            tn, td = fn * yn, fd * yd
+            num, den = en * td - tn * ed, ed * td
+            c = gcd(num, den)
+            y[j] = (num, den) if c == 1 else (num // c, den // c)
             heapq.heappush(heap, (len(rj), j))
     return pivots, order, kept, y
 
@@ -315,11 +324,21 @@ def _solve(g: DualGraph) -> None:
         g._neg_def, g._zk_error = False, "singular intersection matrix"
         return
     x: list[_Pair] = [(0, 1)] * g.n
-    for piv, i in zip(reversed(pivots), reversed(order)):
-        acc = y[i]
-        for k, v in kept[i].items():
-            acc = _sub_mul(acc, v, x[k])
-        x[i] = _div(acc, piv)
+    for (pn, pd), i in zip(reversed(pivots), reversed(order)):
+        # x_i = (y_i - sum_k kept_ik x_k) / pivot_i
+        num, den = y[i]
+        for k, (vn, vd) in kept[i].items():
+            xn, xd = x[k]
+            tn, td = vn * xn, vd * xd
+            num, den = num * td - tn * den, den * td
+            c = gcd(num, den)
+            if c != 1:
+                num, den = num // c, den // c
+        num, den = num * pd, den * pn
+        if den < 0:
+            num, den = -num, -den
+        c = gcd(num, den)
+        x[i] = (num, den) if c == 1 else (num // c, den // c)
     g._neg_def = all(pn < 0 for pn, _ in pivots)
     g._zk = tuple(Fraction(num, den) for num, den in x)
 

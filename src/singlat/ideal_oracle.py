@@ -96,11 +96,17 @@ class QuotientTable:
     n_stop: int
 
 
+def _box_size(sizes: Sequence[int]) -> tuple[int, str]:
+    """The points of the box prod [0, size_i - 1], as ``(count, what)`` for
+    ``_check_budget``."""
+    return math.prod(sizes), f"the exponent box {tuple(sizes)}"
+
+
 def _box_sums(sizes: Sequence[int], weights: Sequence[int], bound: int) -> list[int]:
     """sum u_i w_i over the box prod [0, size_i - 1] in lex order, keeping
     only the sums <= bound.  The weights are positive, so a partial sum above
     the bound is dropped before it is extended."""
-    _check_budget(math.prod(sizes), f"the exponent box {tuple(sizes)}")
+    _check_budget(*_box_size(sizes))
     sums = [0]
     for n, w in zip(sizes, weights):
         sums = [x for s in sums for x in range(s, min(s + n * w, bound + 1), w)]

@@ -1,8 +1,9 @@
 """Shared builders for small weighted dual graphs used across the tests."""
 
 import pytest
+from hypothesis import strategies as st
 
-from singlat import DualGraph
+from singlat import DualGraph, numeric_invariants
 
 
 def chain(*weights, genera=None):
@@ -28,6 +29,21 @@ def star(center, arms):
             edges.append((prev, idx))
             prev = idx
     return DualGraph(vertices, edges)
+
+
+def _vertex_bound(a):
+    """Upper bound on the star graph's size: an alpha_w chain has < alpha_w curves."""
+    inv = numeric_invariants(a)
+    return 1 + sum(g * (al - 1) for g, al in zip(inv.ghat_i, inv.alpha_i))
+
+
+# exponent tuples beyond the m <= 5, a_m <= 12 acceptance box, on graphs of
+# at most 300 curves
+wide_tuples = (
+    st.lists(st.integers(min_value=2, max_value=40), min_size=3, max_size=5)
+    .map(lambda xs: tuple(sorted(xs)))
+    .filter(lambda a: a[-1] > 12 and _vertex_bound(a) <= 300)
+)
 
 
 @pytest.fixture

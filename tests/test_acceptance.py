@@ -22,6 +22,8 @@ from singlat import (
     canonical_qcycle,
     central_multiple_cycle,
     classify_elliptic,
+    cycle_products,
+    divisor_cycle,
     dual_graph,
     fundamental_cycle,
     fundamental_genus,
@@ -47,6 +49,20 @@ def sweep_tuples():
         yield from combinations_with_replacement(range(2, SWEEP_A_MAX + 1), m)
 
 
+def solved_pairings(star_graph, inv, i):
+    """The pairings Z_0 (i = 0) or Z^(i) was solved for, on the flattened
+    graph: -1 at the tips of family i, 0 on every other chain curve, and at
+    the center 0 if there are such tips, else -alpha ghat/ell for Z_0 and
+    -ghat_i for Z^(i)."""
+    want = [0] * star_graph.graph.n
+    tips = star_graph.tip_indices(i) if i else ()
+    for t in tips:
+        want[t] = -1
+    if not tips:
+        want[0] = -inv.ghat_i[i - 1] if i else -(inv.alpha * inv.ghat // inv.ell)
+    return tuple(want)
+
+
 class Record(NamedTuple):
     pf: int
     pf_graph: int
@@ -54,6 +70,7 @@ class Record(NamedTuple):
     lam_m: int
     alpha: int
     eta_m_is_tip: bool
+    cycles_pair_as_solved: bool
     zf_eq_z0: bool
     zf_eq_mx: bool
     zk_matches_adjunction: bool
@@ -89,6 +106,12 @@ def sweep():
             alpha=inv.alpha,
             eta_m_is_tip=all(
                 mx[t] == inv.eta_m for t in star_graph.tip_indices(len(a)) or (0,)
+            ),
+            cycles_pair_as_solved=all(
+                cycle_products(graph, z) == solved_pairings(star_graph, inv, i)
+                for i, z in enumerate(
+                    [z0] + [divisor_cycle(a, i) for i in range(1, len(a) + 1)]
+                )
             ),
             zf_eq_z0=zf == z0,
             zf_eq_mx=zf == mx,
@@ -167,11 +190,13 @@ def test_criterion_04_formula_oracle_equivalence():
 
 def test_criterion_05_fundamental_genus_closed_form(sweep):
     """p_f closed form equals the Laufer computation, the fundamental
-    cycle is the predicted distinguished cycle, and the eta_m the closed
-    form uses is the tip coefficient of Z^(m) on the graph."""
+    cycle is the predicted distinguished cycle, the eta_m the closed
+    form uses is the tip coefficient of Z^(m) on the graph, and Z_0 and
+    every Z^(i) pair against the flattened graph as they were solved for."""
     for a, r in sweep.items():
         assert r.pf == r.pf_graph, a
         assert r.eta_m_is_tip, a
+        assert r.cycles_pair_as_solved, a
         if r.lam_m >= r.alpha:
             assert r.zf_eq_z0, a
         if r.lam_m <= r.alpha:

@@ -42,6 +42,7 @@ from singlat import (
     quotient_dimension,
 )
 from singlat import brieskorn, graph_lattice
+from conftest import wide_tuples
 
 GAMMA1 = (3, 4, 6)
 GAMMA2 = (3, 4, 7)
@@ -203,20 +204,6 @@ def test_assemble_layout():
 
 # --------------------------------------------------------- distinguished cycles
 
-def _vertex_bound(a):
-    """Upper bound on the star graph's size: an alpha_w chain has < alpha_w curves."""
-    inv = numeric_invariants(a)
-    return 1 + sum(g * (al - 1) for g, al in zip(inv.ghat_i, inv.alpha_i))
-
-
-# beyond the m <= 5, a_m <= 12 acceptance box, on graphs of at most 300 curves
-wide_tuples = (
-    st.lists(st.integers(min_value=2, max_value=40), min_size=3, max_size=5)
-    .map(lambda xs: tuple(sorted(xs)))
-    .filter(lambda a: a[-1] > 12 and _vertex_bound(a) <= 300)
-)
-
-
 # the two-point recursion, kept as the reference for the continuant closed form
 def _chain_coeffs_two_point(chain, center, beyond):
     """Solve the two-point recursion lam_{v-1} = c_v lam_v - lam_{v+1} on one chain.
@@ -274,31 +261,42 @@ def test_chain_coeffs_closed_form_matches_recursion(chain, n, beyond, integral):
 
 
 def test_star_solves_and_checks_its_cycles_once(monkeypatch):
-    """A star build pairs each of its m + 1 distinguished cycles against the
-    graph at most once; reading them back from the cached star pairs none."""
-    real = graph_lattice.cycle_products
-    calls = []
+    """A star build pairs each of its m + 1 distinguished cycles once per
+    chain family, on the compressed cycles, and never calls cycle_products on
+    the flattened graph; reading the cycles back from the cached star pairs
+    none."""
+    flat, per_family = [], []
+    real_products, real_pairings = graph_lattice.cycle_products, brieskorn._chain_pairings
 
-    def counted(g, z):
-        calls.append(z)
-        return real(g, z)
+    def counted_products(g, z):
+        flat.append(z)
+        return real_products(g, z)
 
-    monkeypatch.setattr(graph_lattice, "cycle_products", counted)
+    def counted_pairings(chain, center, coeffs):
+        per_family.append(chain)
+        return real_pairings(chain, center, coeffs)
+
+    monkeypatch.setattr(graph_lattice, "cycle_products", counted_products)
+    monkeypatch.setattr(brieskorn, "_chain_pairings", counted_pairings)
     for a in [GAMMA2, (2, 3, 4, 5), (6, 10, 15)]:
         brieskorn._star_cached.cache_clear()
-        dual_graph(a)
-        assert 1 <= len(calls) <= len(a) + 1
-        calls.clear()
+        star = dual_graph(a)
+        families = sum(1 for fam in star.branch_families if fam.chain)
+        assert flat == []
+        assert len(per_family) == (len(a) + 1) * families
+        per_family.clear()
         for i in range(1, len(a) + 1):
             divisor_cycle(a, i)
         central_multiple_cycle(a)
         maximal_ideal_cycle(a)
         canonical_cycle_formula(a)
-        assert calls == []
+        assert flat == [] and per_family == []
 
 
 def test_star_build_rejects_a_wrong_cycle(monkeypatch):
-    """A chain solve with a wrong tip coefficient fails the pairing check."""
+    """A chain solve with a wrong tip coefficient fails the pairing check.
+    On (3,4,7) every chain has two curves or more, so the center pairing
+    stays right and only the chain pairings can catch it."""
     real = brieskorn._chain_coeffs
 
     def wrong_tip(chain, center, beyond):
@@ -306,9 +304,28 @@ def test_star_build_rejects_a_wrong_cycle(monkeypatch):
         return coeffs[:-1] + [coeffs[-1] + 1] if coeffs else coeffs
 
     monkeypatch.setattr(brieskorn, "_chain_coeffs", wrong_tip)
+    for a in [(2, 3, 5), GAMMA2]:
+        brieskorn._star_cached.cache_clear()
+        try:
+            with pytest.raises(ConstructionError, match="wrong intersection pattern"):
+                dual_graph(a)
+        finally:
+            brieskorn._star_cached.cache_clear()
+
+
+def test_star_build_rejects_a_wrong_center_pairing(monkeypatch):
+    """A star whose center weight is one more than the one its graph and its
+    cycles were built with: every chain pairing still holds, so only the
+    center pairing -c0 x + sum_w count_w lam_{w,1} can catch it."""
+    real = brieskorn.StarGraph
+
+    def heavier_center(**fields):
+        return real(**{**fields, "c0": fields["c0"] + 1})
+
+    monkeypatch.setattr(brieskorn, "StarGraph", heavier_center)
     brieskorn._star_cached.cache_clear()
     try:
-        with pytest.raises(ConstructionError, match="wrong intersection pattern"):
+        with pytest.raises(ConstructionError, match="central-multiple cycle has the wrong"):
             dual_graph((2, 3, 5))
     finally:
         brieskorn._star_cached.cache_clear()

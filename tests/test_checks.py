@@ -76,3 +76,46 @@ def test_nr_pg_bound_compares_the_dense_series(monkeypatch):
 def test_checks_stop_on_a_resource_budget():
     with pytest.raises(ResourceError):
         run_tuple_checks((1000,) * 5)
+
+
+def test_divisor_cycles_step_pairs_on_the_flattened_graph(monkeypatch):
+    """A Z^(1) of (3,4,6) with one chain copy raised by one: effective,
+    anti-nef, with the right center coefficient, but its center pairing is
+    -1 where -ghat_1 = -2 is expected."""
+    real = brieskorn.divisor_cycle
+    monkeypatch.setattr(
+        brieskorn, "divisor_cycle", lambda a, i: (4, 3, 2, 2) if i == 1 else real(a, i)
+    )
+    by_name = {r.name: r for r in run_tuple_checks((3, 4, 6))}
+    assert not by_name["divisor-cycles"].passed
+    assert by_name["divisor-cycles"].detail == "Z^(1) pairs to -1 at vertex 0, expected -2"
+    assert sum(not r.passed for r in by_name.values()) == 1
+
+
+def test_central_cycle_step_pairs_on_the_flattened_graph(monkeypatch):
+    """A Z_0 of (2,3,5) solved with 2 past the family-1 tip instead of 0:
+    still anti-nef with center coefficient alpha, but its pattern is off."""
+    monkeypatch.setattr(
+        brieskorn, "central_multiple_cycle", lambda a: (30, 16, 20, 10, 24, 18, 12, 6)
+    )
+    by_name = {r.name: r for r in run_tuple_checks((2, 3, 5))}
+    assert not by_name["central-cycle"].passed
+    assert by_name["central-cycle"].detail == "Z_0 pairs to 0 at vertex 0, expected -1"
+    assert sum(not r.passed for r in by_name.values()) == 1
+
+
+def test_checks_stop_on_a_budget_before_the_first_step(monkeypatch):
+    """(97,98,99,101) needs a dense p_g series of 186,249,984 terms; the
+    battery refuses it before any step, in particular before Laufer's
+    sequence on its graph."""
+    calls = []
+
+    def refuse(*args):
+        calls.append(args)
+        raise RuntimeError("a step ran before the budgets were checked")
+
+    monkeypatch.setattr(brieskorn, "numeric_invariants", refuse)
+    monkeypatch.setattr(brieskorn, "dual_graph", refuse)
+    with pytest.raises(ResourceError, match="dense p_g series"):
+        run_tuple_checks((97, 98, 99, 101))
+    assert calls == []

@@ -64,6 +64,25 @@ def test_resource_budget_exits_4():
 
 # -------------------------------------------------------------- frozen outputs
 
+def test_check_exits_4_before_laufer(monkeypatch):
+    """The battery checks every budget before its first step, so a tuple whose
+    dense p_g series is too long never reaches Laufer's sequence."""
+    from singlat import graph_lattice
+
+    calls = []
+
+    def refuse(g):
+        calls.append(g)
+        raise RuntimeError("Laufer's sequence ran although the battery cannot finish")
+
+    monkeypatch.setattr(graph_lattice, "fundamental_cycle", refuse)
+    code, out, err = invoke(["check", "97", "98", "99", "101"])
+    assert calls == []
+    assert code == 4
+    assert out == ""
+    assert "dense p_g series" in err
+
+
 def test_invariants_plain():
     code, out, _ = invoke(["invariants", "3", "4", "7"])
     assert code == 0

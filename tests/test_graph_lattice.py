@@ -1,10 +1,12 @@
 """Intersection theory on weighted dual graphs: construction, pairing,
 anti-nef cycles, Laufer's algorithm, adjunction, definiteness."""
 
+import heapq
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from singlat import (
@@ -14,6 +16,7 @@ from singlat import (
     arithmetic_genus,
     canonical_qcycle,
     cycle_products,
+    dual_graph,
     fundamental_cycle,
     intersection_number,
     is_anti_nef,
@@ -21,7 +24,7 @@ from singlat import (
     to_dot,
 )
 from singlat import graph_lattice
-from conftest import chain, star
+from conftest import chain, star, wide_tuples
 
 E8_ROOT = (6, 3, 4, 2, 5, 4, 3, 2)  # highest root in the (2,3,5) star layout
 
@@ -239,10 +242,10 @@ def test_to_dot(e8):
 # ----------------------------------------------------------- random properties
 
 @st.composite
-def tree_graphs(draw):
+def tree_graphs(draw, max_n=9):
     """Random trees whose form is strictly diagonally dominant, hence
     negative definite: -e_i >= deg(i) everywhere, > somewhere."""
-    n = draw(st.integers(min_value=1, max_value=9))
+    n = draw(st.integers(min_value=1, max_value=max_n))
     edges = [(draw(st.integers(min_value=0, max_value=i - 1)), i)
              for i in range(1, n)]
     deg = [0] * n
@@ -315,12 +318,12 @@ def test_relabeling_invariance(g, rng):
 # ------------------------------------------------ elimination beyond trees
 
 @st.composite
-def cyclic_graphs(draw):
+def cyclic_graphs(draw, max_n=7):
     """Connected graphs with cycles and multi-edges: a random spanning tree
     plus extra edges, which may repeat.  Weights sit near diagonal
     dominance on both sides, so definite, indefinite and singular forms
     all occur."""
-    n = draw(st.integers(min_value=2, max_value=7))
+    n = draw(st.integers(min_value=2, max_value=max_n))
     edges = [(draw(st.integers(min_value=0, max_value=i - 1)), i)
              for i in range(1, n)]
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
@@ -398,3 +401,63 @@ def test_elimination_matches_dense_reference(g):
         assert ref is None or not definite
     else:
         assert zk == ref
+
+
+# ------------------------------------- Laufer's sequence against a heap order
+
+def _fundamental_cycle_heap(g):
+    """Laufer's computation sequence on a lowest-index heap, the order
+    ``fundamental_cycle`` used before its FIFO worklist; kept as the reference
+    for it.  The body is that implementation verbatim, less the cache on the
+    graph, which it neither reads nor fills."""
+    if not is_negative_definite(g):
+        raise DomainError(
+            "fundamental cycle needs a negative-definite graph; "
+            "the computation sequence may not terminate otherwise"
+        )
+    adj, self_ints = g._adj, g.self_ints
+    z = [1] * g.n
+    d = [e + sum(row.values()) for e, row in zip(self_ints, adj)]
+    heap = [i for i, v in enumerate(d) if v > 0]
+    heapq.heapify(heap)
+    while heap:
+        i = heapq.heappop(heap)
+        if d[i] <= 0:
+            continue
+        c = -self_ints[i]  # positive: diagonal of a negative-definite form
+        k = -(-d[i] // c)
+        z[i] += k
+        d[i] -= k * c
+        for j, w in adj[i].items():
+            d[j] += k * w
+            if d[j] > 0:
+                heapq.heappush(heap, j)
+    return tuple(z)
+
+
+@given(cyclic_graphs() | tree_graphs())
+@settings(max_examples=200, deadline=None)
+def test_worklist_matches_the_heap_order(g):
+    assume(is_negative_definite(g))
+    assert fundamental_cycle(g) == _fundamental_cycle_heap(g)
+
+
+@given(wide_tuples)
+@settings(max_examples=30, deadline=None)
+def test_worklist_matches_the_heap_order_on_flattened_stars(a):
+    g = dual_graph(a).graph
+    assert fundamental_cycle(g) == _fundamental_cycle_heap(g)
+
+
+@given(cyclic_graphs(max_n=4) | tree_graphs(max_n=4))
+@settings(max_examples=150, deadline=None)
+def test_fundamental_cycle_is_the_least_anti_nef_cycle(g):
+    """Brute force on at most four curves: Z_f is anti-nef and >= E, and
+    every anti-nef cycle >= E in a box around it dominates it."""
+    assume(is_negative_definite(g))
+    zf = fundamental_cycle(g)
+    assert min(zf) >= 1 and is_anti_nef(g, zf)
+    top = min(max(zf) + 1, 8)
+    for z in product(range(1, top + 1), repeat=g.n):
+        if is_anti_nef(g, z):
+            assert all(a >= b for a, b in zip(z, zf)), (z, zf)
