@@ -14,7 +14,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, combinations_with_replacement
 from typing import NamedTuple, Sequence
 
@@ -139,25 +139,36 @@ class ChainFamily:
 class StarGraph:
     """Star-shaped resolution graph: central curve plus chain families.
 
-    The flattened :class:`DualGraph` puts the center at index 0 and then the
-    families in order, each chain copy laid out center-outward.
-
-    ``cycles`` holds ``Z_0, Z^(1), ..., Z^(m)``, solved once when the star is
-    built, each compressed as ``(center coefficient, one coefficient list per
-    family)``; ``assemble(*cycle)`` flattens one.  The build checks their
-    intersection patterns once per family, on the compressed cycles, and the
-    canonical cycle formula against the adjunction solve on the flattened
-    graph; ``singlat check`` and the acceptance sweep pair the cycles on the
-    flattened graph as well.
+    ``cycles`` holds ``Z_0, Z^(1), ..., Z^(m), Z_K``, each compressed as
+    ``(center coefficient, one coefficient list per family)``;
+    ``assemble(*cycle)`` flattens one.  ``graph``, the flattened
+    :class:`DualGraph`, is built on first use: the center at index 0, then
+    each family's chain copies center-outward from ``family_starts``.
     """
 
     center_genus: int
     c0: int
     branch_families: tuple[ChainFamily, ...]
-    graph: DualGraph
     flags: tuple[str, ...]
-    family_starts: tuple[int, ...]
     cycles: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
+
+    @cached_property
+    def graph(self) -> DualGraph:
+        vertices, edges = [(self.center_genus, -self.c0)], []
+        for fam in self.branch_families:
+            for _ in range(fam.count if fam.chain else 0):
+                prev = 0
+                for c in fam.chain:
+                    idx = len(vertices)
+                    vertices.append((0, -c))
+                    edges.append((prev, idx))
+                    prev = idx
+        return DualGraph(vertices, edges)
+
+    @cached_property
+    def family_starts(self) -> tuple[int, ...]:
+        sizes = [fam.count * len(fam.chain) for fam in self.branch_families]
+        return tuple(accumulate(sizes[:-1], initial=1))
 
     @property
     def m(self) -> int:
@@ -274,20 +285,6 @@ def _star_cached(a: tuple[int, ...]) -> StarGraph:
     if c0 < 1:
         raise ConstructionError(f"central weight c0 = {c0} is below 1")
 
-    vertices: list[tuple[int, int]] = [(center_genus, -c0)]
-    edges: list[tuple[int, int]] = []
-    starts = []
-    for fam in families:
-        starts.append(len(vertices))
-        for _ in range(fam.count if fam.chain else 0):
-            prev = 0
-            for c in fam.chain:
-                idx = len(vertices)
-                vertices.append((0, -c))
-                edges.append((prev, idx))
-                prev = idx
-    graph = DualGraph(vertices, edges)
-
     # Z_0 (center alpha, 0 past every tip), then Z^(1..m) (center lambda_i,
     # 1 past each family-i tip): each chain is solved once, integrally
     cycles = []
@@ -297,58 +294,50 @@ def _star_cached(a: tuple[int, ...]) -> StarGraph:
             for w, fam in enumerate(families, start=1)
         )
         cycles.append((center, fam_coeffs))
-    if not graph_lattice.is_negative_definite(graph):
-        raise ConstructionError("star graph is not negative definite")
+    # Z_K = 1 + k Z_0 - sum_w Z^(w), k = (m-2) ell/alpha, coefficientwise
+    k = (inv.m - 2) * (inv.ell // inv.alpha)
+    centers, fams = zip(*cycles)
+    cycles.append((
+        1 + k * centers[0] - sum(centers[1:]),
+        tuple(tuple(1 + k * x0 - sum(xs) for x0, *xs in zip(*fam)) for fam in zip(*fams)),
+    ))
 
     branch_count = sum(fam.count for fam in families if fam.chain)
-    flags: tuple[str, ...] = ()
-    if c0 == 1 and center_genus == 0 and branch_count <= 2:
-        flags = (FLAG_NON_MINIMAL,)
-
+    flags = (FLAG_NON_MINIMAL,) if c0 == 1 and center_genus == 0 and branch_count <= 2 else ()
     star = StarGraph(
-        center_genus=center_genus,
-        c0=c0,
-        branch_families=tuple(families),
-        graph=graph,
-        flags=flags,
-        family_starts=tuple(starts),
-        cycles=tuple(cycles),
+        center_genus=center_genus, c0=c0, branch_families=tuple(families),
+        flags=flags, cycles=tuple(cycles),
     )
 
-    # each cycle pairs to -1 against the tips it was solved for and to 0
-    # against every other chain curve; against the center to 0 if it has such
-    # tips, else to -center ghat/ell (minus the orbifold Euler number times
-    # the center coefficient; -ghat_i for Z^(i) with family i empty).  Every
-    # chain copy of a family carries the same coefficients, so one copy per
-    # family is paired, and the center pairing is
-    # -c0 x + sum_w count_w lam_{w,1}
-    for i, (x, fam_coeffs) in enumerate(cycles):
+    # Z_0 and Z^(i) pair to -1 at the tips they were solved for, 0 on other chain
+    # curves, and at the center 0 if there are such tips, else -x ghat/ell; Z_K
+    # to 2 - c_v and 2 - 2g - c0 (adjunction).  One copy per family is paired;
+    # the center pairing is -c0 x + sum_w count_w lam_{w,1}.  A positive Z_0
+    # pairing below 0 at the center proves the connected star negative definite.
+    m = inv.m
+    names = ["central-multiple cycle", *(f"divisor cycle {i}" for i in range(1, m + 1))]
+    names.append("canonical cycle")
+    for i, (x, fam_coeffs) in enumerate(star.cycles):
         at_center = -star.c0 * x
         chains_ok = True
         for w, (fam, cc) in enumerate(zip(star.branch_families, fam_coeffs), start=1):
             if fam.chain:
                 at_center += fam.count * cc[0]
                 want = [0] * (len(fam.chain) - 1) + [-1 if w == i else 0]
+                if i > m:
+                    want = [2 - c for c in fam.chain]
                 chains_ok = chains_ok and _chain_pairings(fam.chain, x, cc) == want
-        has_tips = i > 0 and bool(star.branch_families[i - 1].chain)
-        if not chains_ok or at_center != (0 if has_tips else -(x * inv.ghat // inv.ell)):
-            name = f"divisor cycle {i}" if i else "central-multiple cycle"
-            raise ConstructionError(f"{name} has the wrong intersection pattern")
-    # Z_K = 1 + k Z_0 - sum_w Z^(w), k = (m-2) ell/alpha (alpha | ell is checked
-    # with the invariants): effective unless the model is flagged non-minimal,
-    # and equal to the adjunction solve
-    k = (inv.m - 2) * (inv.ell // inv.alpha)
-    zk = star.assemble(
-        1 + k * inv.alpha - sum(inv.lambda_i),
-        [
-            [1 + k * x0 - sum(xs) for x0, *xs in zip(*fam)]
-            for fam in zip(*(fams for _, fams in cycles))
-        ],
-    )
-    if any(v < 0 for v in zk) and FLAG_NON_MINIMAL not in flags:
-        raise InternalError("canonical cycle formula produced a non-effective cycle")
-    if zk != graph_lattice.canonical_qcycle(graph):
-        raise InternalError("canonical cycle formula disagrees with the adjunction solve")
+        low = min([x, *sum(fam_coeffs, ())])
+        if i == 0 and chains_ok and (at_center >= 0 or low < 1):
+            raise ConstructionError("Z_0 does not show the star graph negative definite")
+        tips = 0 < i <= m and star.branch_families[i - 1].chain
+        want_center = 0 if tips else -(x * inv.ghat // inv.ell)
+        if i > m:
+            want_center = 2 - 2 * star.center_genus - star.c0
+        if not chains_ok or at_center != want_center:
+            raise ConstructionError(f"{names[i]} has the wrong intersection pattern")
+        if i > m and low < 0 and FLAG_NON_MINIMAL not in flags:
+            raise InternalError("canonical cycle formula produced a non-effective cycle")
     return star
 
 
@@ -384,15 +373,17 @@ def central_multiple_cycle(a: Sequence[int]) -> Cycle:
 
 def canonical_cycle_formula(a: Sequence[int]) -> QCycle:
     """Canonical cycle as reduced + (m-2) ell/alpha central multiples minus the
-    divisor cycles; integral, and verified against the adjunction solve when
-    the star graph is built, so this returns the solve it was found equal to.
+    divisor cycles, the unique adjunction solve by the star build's checks;
+    ``singlat check`` compares it with the solve on the flattened graph.
 
     On an unflagged star graph the result must also be effective (the
     singularity is Gorenstein and the model is the minimal good resolution);
     on a model flagged non-minimal a negative coefficient on the central
     (-1)-curve is legitimate and allowed through.
     """
-    return graph_lattice.canonical_qcycle(_star_cached(_validated(a)).graph)
+    star = _star_cached(_validated(a))
+    x, fam_coeffs = star.cycles[-1]
+    return star.assemble(Fraction(x), [[Fraction(v) for v in cc] for cc in fam_coeffs])
 
 
 class FundamentalGenus(NamedTuple):
@@ -544,13 +535,19 @@ class MaximalCycleNumbers:
 
 
 def maximal_cycle_numbers(a: Sequence[int]) -> MaximalCycleNumbers:
+    """MY_sq and MY_K from the checked patterns: M_X = Z^(m) pairs to -1 at
+    the ghat_m family-m tips (-ghat_m at the center if there are none), where
+    M_X and Z_K have coefficients eta_m and z, so p_a(M_X) = 1 + ghat_m (z - eta_m)/2."""
     a = _validated(a)
     inv = _invariants_cached(a)
     star = _star_cached(a)
-    mx = divisor_cycle(a, len(a))
-    pa = graph_lattice.arithmetic_genus(star.graph, mx)
+    (x, fams), (zk_x, zk_fams) = star.cycles[len(a)], star.cycles[-1]
+    eta_m, z = (fams[-1][-1], zk_fams[-1][-1]) if fams[-1] else (x, zk_x)
+    two_pa_minus_2 = inv.ghat_i[-1] * (z - eta_m)
+    if two_pa_minus_2 % 2:
+        raise InternalError("M_X.(M_X + K) is odd")
     my_sq = -inv.multiplicity
-    my_k = 2 * pa - 2 - 2 * inv.delta * inv.ghat_i[-1] - my_sq
+    my_k = two_pa_minus_2 - 2 * inv.delta * inv.ghat_i[-1] - my_sq
     return MaximalCycleNumbers(MY_sq=my_sq, MY_K=my_k)
 
 
@@ -565,6 +562,7 @@ def q_sequence(a: Sequence[int], n_max: int) -> tuple[int, ...]:
     a = _validated(a)
     if n_max < 0:
         raise DomainError("q-sequence length must be nonnegative")
+    ideal_oracle._check_budget(n_max + 1, f"the q-sequence q(0..{n_max}) of {a}")
     pg = geometric_genus(a)
     mcn = maximal_cycle_numbers(a)
     diff = mcn.MY_sq - mcn.MY_K

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import brieskorn
+from . import brieskorn, ideal_oracle
 from .errors import DomainError
 
 __all__ = [
@@ -120,6 +120,7 @@ def gonality_upper(g: int) -> int:
 def cone_report(d: int) -> dict:
     """JSON-ready summary {"d","g","gon","nr","bound","q"} for the degree-d cone."""
     cone = plane_cone(d)
+    ideal_oracle._check_budget(d + 1, f"the q list of the degree-{d} cone")
     return {
         "d": cone.d,
         "g": cone.g,

@@ -37,10 +37,10 @@ __all__ = [
 
 Monomial = tuple[int, ...]
 
-# Most lattice points one box route may enumerate: the box points
-# prod_{i <= m-2} a_i, the closure generators box * (k + 1), or the p_g pairs
-# ((m-2) a_{m-1} + 1) ((m-2) a_m + 1).  A million Python ints is some tens of
-# MB; the tests, demos and benchmark pools stay below 10^5 of each.
+# Most lattice points one route may enumerate: the box points prod_{i<=m-2} a_i,
+# the closure generators box * (k + 1), the p_g pairs ((m-2) a_{m-1} + 1)
+# ((m-2) a_m + 1), the N + 1 entries of q(0..N) or d + 1 of a cone report.  A
+# million ints is tens of MB; tests, demos and benchmark pools stay below 10^5.
 LATTICE_BUDGET = 1_000_000
 
 

@@ -29,6 +29,7 @@ from singlat import (
     fundamental_genus,
     geometric_genus,
     is_elliptic,
+    maximal_cycle_numbers,
     maximal_ideal_cycle,
     normal_reduction_number,
     nr_by_oracle,
@@ -73,6 +74,7 @@ class Record(NamedTuple):
     cycles_pair_as_solved: bool
     zf_eq_z0: bool
     zf_eq_mx: bool
+    pa_mx_matches_graph: bool
     zk_matches_adjunction: bool
     zk_integral: bool
     zk_effective: bool
@@ -96,6 +98,7 @@ def sweep():
         z0 = central_multiple_cycle(a)
         mx = maximal_ideal_cycle(a)
         zk = canonical_cycle_formula(a)
+        mcn = maximal_cycle_numbers(a)
         nr = normal_reduction_number(a)
         q = q_sequence(a, nr + 2)
         records[a] = Record(
@@ -115,6 +118,10 @@ def sweep():
             ),
             zf_eq_z0=zf == z0,
             zf_eq_mx=zf == mx,
+            # maximal_cycle_numbers reads p_a(M_X) off the compressed cycles:
+            # MY_sq + MY_K = 2 p_a(M_X) - 2 - 2 delta ghat_m
+            pa_mx_matches_graph=mcn.MY_sq + mcn.MY_K
+            == 2 * arithmetic_genus(graph, mx) - 2 - 2 * inv.delta * inv.ghat_i[-1],
             zk_matches_adjunction=zk == canonical_qcycle(graph),
             zk_integral=all(c.denominator == 1 for c in zk),
             zk_effective=all(c >= 0 for c in zk),
@@ -191,10 +198,12 @@ def test_criterion_04_formula_oracle_equivalence():
 def test_criterion_05_fundamental_genus_closed_form(sweep):
     """p_f closed form equals the Laufer computation, the fundamental
     cycle is the predicted distinguished cycle, the eta_m the closed
-    form uses is the tip coefficient of Z^(m) on the graph, and Z_0 and
-    every Z^(i) pair against the flattened graph as they were solved for."""
+    form uses is the tip coefficient of Z^(m) on the graph, Z_0 and every
+    Z^(i) pair against the flattened graph as they were solved for, and the
+    p_a(M_X) read off the compressed cycles is the graph's."""
     for a, r in sweep.items():
         assert r.pf == r.pf_graph, a
+        assert r.pa_mx_matches_graph, a
         assert r.eta_m_is_tip, a
         assert r.cycles_pair_as_solved, a
         if r.lam_m >= r.alpha:

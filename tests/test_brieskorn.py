@@ -15,7 +15,6 @@ from singlat import (
     ConsistencyError,
     ConstructionError,
     DomainError,
-    InternalError,
     MaximalCycleNumbers,
     ResourceError,
     arithmetic_genus,
@@ -34,6 +33,7 @@ from singlat import (
     invariant_report,
     is_anti_nef,
     is_elliptic,
+    is_negative_definite,
     maximal_cycle_numbers,
     maximal_ideal_cycle,
     normal_reduction_number,
@@ -260,30 +260,44 @@ def test_chain_coeffs_closed_form_matches_recursion(chain, n, beyond, integral):
         assert brieskorn._chain_coeffs(chain, center, beyond) == want
 
 
-def test_star_solves_and_checks_its_cycles_once(monkeypatch):
-    """A star build pairs each of its m + 1 distinguished cycles once per
-    chain family, on the compressed cycles, and never calls cycle_products on
-    the flattened graph; reading the cycles back from the cached star pairs
-    none."""
-    flat, per_family = [], []
-    real_products, real_pairings = graph_lattice.cycle_products, brieskorn._chain_pairings
+def _count_flattening(monkeypatch):
+    """Record every DualGraph construction, _eliminate call and cycle_products
+    call from here on, as (name, argument) pairs in the returned list."""
+    calls = []
+    for owner, name in [
+        (graph_lattice.DualGraph, "__init__"),
+        (graph_lattice, "_eliminate"),
+        (graph_lattice, "cycle_products"),
+    ]:
+        real = getattr(owner, name)
 
-    def counted_products(g, z):
-        flat.append(z)
-        return real_products(g, z)
+        def counted(*args, _real=real, _name=name):
+            calls.append((_name, args[1] if _name == "__init__" else args[0]))
+            return _real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_star_solves_and_checks_its_cycles_once(monkeypatch):
+    """A star build pairs each of its m + 2 distinguished cycles (Z_0, the
+    Z^(i) and Z_K) once per chain family, on the compressed cycles, and
+    neither builds nor eliminates the flattened graph nor pairs on it;
+    reading the cycles back from the cached star pairs none."""
+    flat = _count_flattening(monkeypatch)
+    per_family, real_pairings = [], brieskorn._chain_pairings
 
     def counted_pairings(chain, center, coeffs):
         per_family.append(chain)
         return real_pairings(chain, center, coeffs)
 
-    monkeypatch.setattr(graph_lattice, "cycle_products", counted_products)
     monkeypatch.setattr(brieskorn, "_chain_pairings", counted_pairings)
-    for a in [GAMMA2, (2, 3, 4, 5), (6, 10, 15)]:
+    for a in [GAMMA2, (2, 3, 4, 5), (6, 10, 15), (11, 12, 12, 12, 12)]:
         brieskorn._star_cached.cache_clear()
         star = dual_graph(a)
         families = sum(1 for fam in star.branch_families if fam.chain)
         assert flat == []
-        assert len(per_family) == (len(a) + 1) * families
+        assert len(per_family) == (len(a) + 2) * families
         per_family.clear()
         for i in range(1, len(a) + 1):
             divisor_cycle(a, i)
@@ -291,6 +305,21 @@ def test_star_solves_and_checks_its_cycles_once(monkeypatch):
         maximal_ideal_cycle(a)
         canonical_cycle_formula(a)
         assert flat == [] and per_family == []
+    brieskorn._star_cached.cache_clear()
+
+
+def test_invariant_paths_build_no_flattened_graph(monkeypatch):
+    """dual_graph, q_sequence, maximal_cycle_numbers and
+    canonical_cycle_formula work on the compressed star alone."""
+    flat = _count_flattening(monkeypatch)
+    for a in [GAMMA1, (2, 3, 5), (2, 2, 3), (6, 10, 15), (11, 12, 12, 12, 12)]:
+        brieskorn._star_cached.cache_clear()
+        dual_graph(a)
+        q_sequence(a, normal_reduction_number(a) + 1)
+        maximal_cycle_numbers(a)
+        canonical_cycle_formula(a)
+        assert flat == [], a
+    brieskorn._star_cached.cache_clear()
 
 
 def test_star_build_rejects_a_wrong_cycle(monkeypatch):
@@ -331,15 +360,73 @@ def test_star_build_rejects_a_wrong_center_pairing(monkeypatch):
         brieskorn._star_cached.cache_clear()
 
 
-def test_star_build_rejects_a_wrong_canonical_cycle(monkeypatch):
-    """The canonical cycle formula is compared with the adjunction solve."""
-    monkeypatch.setattr(graph_lattice, "canonical_qcycle", lambda g: (Fraction(7),) * g.n)
+def _build_with(monkeypatch, a, change):
+    """Build the star of a with StarGraph's fields passed through change."""
+    real = brieskorn.StarGraph
+    monkeypatch.setattr(brieskorn, "StarGraph", lambda **fields: real(**change(fields)))
     brieskorn._star_cached.cache_clear()
     try:
-        with pytest.raises(InternalError, match="adjunction solve"):
-            dual_graph(GAMMA1)
+        return dual_graph(a)
     finally:
         brieskorn._star_cached.cache_clear()
+
+
+def _with_cycle(fields, i, x, fams):
+    cycles = list(fields["cycles"])
+    cycles[i] = (x, tuple(fams))
+    return {**fields, "cycles": tuple(cycles)}
+
+
+def test_star_build_rejects_a_wrong_canonical_cycle(monkeypatch):
+    """Z_K is paired with the other cycles: one chain entry or the center
+    coefficient raised by one fails the adjunction pattern."""
+
+    def chain_entry(fields):
+        x, (f1, f2, *rest) = fields["cycles"][-1]
+        return _with_cycle(fields, -1, x, [f1, (f2[0] + 1, *f2[1:]), *rest])
+
+    def center(fields):
+        x, fams = fields["cycles"][-1]
+        return _with_cycle(fields, -1, x + 1, fams)
+
+    for change in (chain_entry, center):
+        for a in [(2, 3, 5), GAMMA1, GAMMA2]:
+            with pytest.raises(ConstructionError, match="canonical cycle has the wrong"):
+                _build_with(monkeypatch, a, change)
+
+
+def test_star_build_rejects_a_zero_central_cycle(monkeypatch):
+    """The zero cycle pairs to 0 = -(0 ghat // ell) at the center and to 0 on
+    every chain curve; only the positivity that makes Z_0 prove definiteness
+    rejects it."""
+
+    def zero(fields):
+        x, fams = fields["cycles"][0]
+        return _with_cycle(fields, 0, 0, [(0,) * len(cc) for cc in fams])
+
+    for a in [(2, 3, 5), (2, 2, 2), GAMMA1]:
+        with pytest.raises(ConstructionError, match="negative definite"):
+            _build_with(monkeypatch, a, zero)
+
+
+def test_star_build_rejects_an_indefinite_star(monkeypatch):
+    """(2,3,5) with its center weight lowered from 2 to 1 has orbifold Euler
+    number 1/30 - 1 < 0, so Z_0 pairs to 29 > 0 at the center: the build
+    reports the star as not negative definite."""
+    with pytest.raises(ConstructionError, match="negative definite"):
+        _build_with(monkeypatch, (2, 3, 5), lambda fields: {**fields, "c0": fields["c0"] - 1})
+
+
+@given(exponent_tuples | wide_tuples)
+@settings(max_examples=40, deadline=None)
+def test_compressed_maximal_cycle_genus_matches_the_graph(a):
+    """p_a(M_X) read off the compressed patterns of M_X and Z_K, as
+    maximal_cycle_numbers uses it, equals arithmetic_genus on the flattened
+    graph, which the elimination finds negative definite."""
+    inv, star, mcn = numeric_invariants(a), dual_graph(a), maximal_cycle_numbers(a)
+    pa = arithmetic_genus(star.graph, maximal_ideal_cycle(a))
+    assert mcn.MY_sq + mcn.MY_K == 2 * pa - 2 - 2 * inv.delta * inv.ghat_i[-1]
+    assert is_negative_definite(star.graph)
 
 
 def test_divisor_cycle_e8_root(e8):

@@ -1,10 +1,13 @@
 """The per-tuple self-check battery used by the command line."""
 
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
-from singlat import CheckResult, DomainError, ResourceError, brieskorn, run_tuple_checks
+from singlat import (
+    CheckResult, DomainError, ResourceError, brieskorn, graph_lattice, run_tuple_checks,
+)
 
 CHECK_NAMES = [
     "invariants",
@@ -70,6 +73,18 @@ def test_nr_pg_bound_compares_the_dense_series(monkeypatch):
     assert not by_name["nr-pg-bound"].passed
     assert "pg=3" in by_name["nr-pg-bound"].detail
     assert "pg=4" in by_name["nr-pg-bound"].detail
+    assert sum(not r.passed for r in by_name.values()) == 1
+
+
+def test_canonical_cycle_step_compares_the_formula_with_the_solve(monkeypatch):
+    """An adjunction solve of all 7s on the flattened graph of (3,4,6): the
+    formula's Z_K = (4, 2, 2, 2) still meets adjunction there, so only the
+    comparison of the two routes fails, naming the first differing vertex
+    and both values."""
+    monkeypatch.setattr(graph_lattice, "canonical_qcycle", lambda g: (Fraction(7),) * g.n)
+    by_name = {r.name: r for r in run_tuple_checks((3, 4, 6))}
+    assert not by_name["canonical-cycle"].passed
+    assert by_name["canonical-cycle"].detail == "Z_K formula is 4 at vertex 0, expected 7"
     assert sum(not r.passed for r in by_name.values()) == 1
 
 

@@ -62,6 +62,19 @@ def test_resource_budget_exits_4():
         assert "budget" in err
 
 
+def test_long_sequences_exit_4():
+    """A q-sequence q(0..10^6) or a degree-10^6 cone report would list
+    10^6 + 1 entries, one above the budget."""
+    for args, what in [
+        (["qseq", "3", "4", "5", "-N", "1000000"], "q-sequence q(0..1000000)"),
+        (["cone", "--degree", "1000000"], "q list of the degree-1000000 cone"),
+    ]:
+        code, out, err = invoke(args)
+        assert code == 4, args
+        assert out == ""
+        assert what in err and "budget" in err
+
+
 # -------------------------------------------------------------- frozen outputs
 
 def test_check_exits_4_before_laufer(monkeypatch):
