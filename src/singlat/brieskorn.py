@@ -144,6 +144,8 @@ class StarGraph:
     ``assemble(*cycle)`` flattens one.  ``graph``, the flattened
     :class:`DualGraph`, is built on first use: the center at index 0, then
     each family's chain copies center-outward from ``family_starts``.
+    ``vertex_count`` is its size, read off the families; ``graph`` and
+    ``assemble`` check it against ``LATTICE_BUDGET`` before they allocate.
     """
 
     center_genus: int
@@ -153,7 +155,16 @@ class StarGraph:
     cycles: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
 
     @cached_property
+    def vertex_count(self) -> int:
+        return 1 + sum(fam.count * len(fam.chain) for fam in self.branch_families)
+
+    def check_flat_budget(self) -> None:
+        """Raise ``ResourceError`` when the flattened graph is too large."""
+        ideal_oracle._check_budget(self.vertex_count, "the flattened star graph", "vertices")
+
+    @cached_property
     def graph(self) -> DualGraph:
+        self.check_flat_budget()
         vertices, edges = [(self.center_genus, -self.c0)], []
         for fam in self.branch_families:
             for _ in range(fam.count if fam.chain else 0):
@@ -192,6 +203,7 @@ class StarGraph:
 
     def assemble(self, center_coeff: int, fam_coeffs: Sequence[Sequence[int]]) -> Cycle:
         """Cycle from a center coefficient and one coefficient list per family."""
+        self.check_flat_budget()
         coeffs = [center_coeff]
         for fam, cc in zip(self.branch_families, fam_coeffs):
             if fam.chain:

@@ -53,6 +53,7 @@ def run_tuple_checks(a: Sequence[int]) -> list[CheckResult]:
         brieskorn._pg_series_size(a),
     ):
         ideal_oracle._check_budget(*need)
+    brieskorn.dual_graph(a).check_flat_budget()
 
     def assert_same(what: str, got, want) -> None:
         """got == want entrywise, or name the first vertex where they differ."""
@@ -97,8 +98,7 @@ def run_tuple_checks(a: Sequence[int]) -> list[CheckResult]:
             assert (not fam.chain) == (inv.alpha_i[w] == 1), (
                 f"family {w + 1} emptiness disagrees with alpha_w"
             )
-        expected_n = 1 + sum(f.count * len(f.chain) for f in star.branch_families)
-        assert star.graph.n == expected_n, "flattened vertex count mismatch"
+        assert star.graph.n == star.vertex_count, "flattened vertex count mismatch"
         assert graph_lattice.is_negative_definite(star.graph), "not negative definite"
         return (
             f"n={star.graph.n} center=(genus {star.center_genus}, "

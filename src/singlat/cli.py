@@ -105,7 +105,7 @@ def _cmd_graph(ns: argparse.Namespace) -> int:
         }
         print(_dumps(doc))
         return 0
-    print(f"vertices: {star.graph.n}")
+    print(f"vertices: {star.vertex_count}")
     print(f"center: genus {star.center_genus}, self-int {star.center_self_int}")
     for w, fam in enumerate(star.branch_families, start=1):
         if fam.chain:

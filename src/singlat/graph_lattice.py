@@ -6,9 +6,11 @@ self-intersection number; edges record transverse intersection points
 vector in the fixed vertex order; a Q-cycle uses exact rationals.  All
 arithmetic is exact, with no floating point.
 
-Each graph object is eliminated once: a symmetric Gaussian elimination with
-greedy min-degree pivoting, carrying rationals as reduced integer pairs,
-yields both the definiteness verdict and the canonical Q-cycle Z_K.  Laufer's
+Each graph object is eliminated once: a symmetric Gaussian elimination,
+carrying rationals as reduced integer pairs, yields both the definiteness
+verdict and the canonical Q-cycle Z_K.  It peels pendant vertices first, on
+flat integer lists and without fill-in, and runs greedy min-degree pivoting
+only on what survives: the 2-core, or a single vertex of a tree.  Laufer's
 fundamental cycle Z_f comes from the computation sequence run on a FIFO
 worklist of the vertices with positive pairing.  All three are cached on the
 graph, so repeated calls on one graph cost a lookup.
@@ -27,6 +29,7 @@ from .errors import DimensionError, DomainError, InternalError
 Cycle = tuple[int, ...]
 QCycle = tuple[Fraction, ...]
 _Pair = tuple[int, int]  # a rational as (num, den), den > 0, in lowest terms
+_ZERO_PIVOT = "zero pivot with live neighbors: singular or indefinite intersection matrix"
 
 __all__ = [
     "Cycle",
@@ -241,27 +244,84 @@ def fundamental_cycle(g: DualGraph) -> Cycle:
 
 
 def _eliminate(g: DualGraph, rhs: Sequence[int]):
-    """Exact symmetric Gaussian elimination with greedy min-degree pivoting.
+    """Exact symmetric Gaussian elimination, pendant vertices first.
 
-    Every rational is a _Pair, reduced after each operation (the floor
-    divisions are skipped when the gcd is 1).  Returns
-    (pivots, order, kept_rows, y).  kept_rows[i] holds the reduced
-    off-diagonal row of vertex i at the moment it was eliminated, restricted
-    to vertices eliminated later; y is the correspondingly reduced rhs.
-    Linear-time on trees.  Raises DomainError on a zero pivot that still
-    has live neighbors.
+    Every rational is a reduced integer pair (the floor divisions are skipped
+    when the gcd is 1).  Two phases:
+
+    - Peel: a vertex with exactly one live neighbor is taken from a stack of
+      such vertices, which is refilled as neighbors drop to one.  Eliminating
+      a leaf creates no fill-in (Parter, "The use of linear graphs in Gauss
+      elimination", 1961), so it only updates its neighbor's diagonal and
+      right-hand side, kept as parallel num/den lists.
+    - Core: what survives (the 2-core, or the last vertex of a tree) is
+      eliminated on dict rows with greedy min-degree pivoting.
+
+    Returns (peeled, pivots, order, kept, yn, yd).  peeled lists
+    (v, p, w, pivot num, pivot den) for each peeled vertex v, its live
+    neighbor p and the edge multiplicity w; pivots and order list the core
+    steps; kept[i] holds the reduced off-diagonal row of core vertex i at the
+    moment it was eliminated, restricted to vertices eliminated later; yn/yd
+    is the correspondingly reduced rhs.  Linear-time on trees.  Raises
+    DomainError on a zero pivot that still has live neighbors.
     """
     n = g.n
-    rows: list[dict[int, _Pair]] = []
-    for i, (e, adj) in enumerate(zip(g.self_ints, g._adj)):
-        row = {i: (e, 1)}
-        for j, w in adj.items():
-            row[j] = (w, 1)
-        rows.append(row)
-    y = [(v, 1) for v in rhs]
-
+    adj = g._adj
+    dn, dd = list(g.self_ints), [1] * n
+    yn, yd = list(rhs), [1] * n
     alive = [True] * n
-    heap = [(len(rows[i]), i) for i in range(n)]
+    deg = [len(row) for row in adj]
+    # leaves pop in index order, the tie-break of the heap below
+    stack = [i for i in range(n - 1, -1, -1) if deg[i] == 1]
+    peeled: list[tuple[int, int, int, int, int]] = []
+    while stack:
+        v = stack.pop()
+        if deg[v] != 1:
+            continue  # its last neighbor went first: v is what is left of a tree
+        alive[v] = False
+        for p, w in adj[v].items():
+            if alive[p]:
+                break
+        pn, pd = dn[v], dd[v]
+        if pn == 0:
+            raise DomainError(_ZERO_PIVOT)
+        peeled.append((v, p, w, pn, pd))
+        # d_p -= w^2 / pivot
+        an, ad = dn[p], dd[p]
+        num, den = an * pn - w * w * pd * ad, ad * pn
+        if den < 0:
+            num, den = -num, -den
+        c = gcd(num, den)
+        if c == 1:
+            dn[p], dd[p] = num, den
+        else:
+            dn[p], dd[p] = num // c, den // c
+        # y_p -= w y_v / pivot
+        cn = yn[v]
+        if cn:
+            cd, en, ed = yd[v], yn[p], yd[p]
+            num, den = en * cd * pn - w * cn * pd * ed, ed * cd * pn
+            if den < 0:
+                num, den = -num, -den
+            c = gcd(num, den)
+            if c == 1:
+                yn[p], yd[p] = num, den
+            else:
+                yn[p], yd[p] = num // c, den // c
+        d = deg[p] - 1
+        deg[p] = d
+        if d == 1:
+            stack.append(p)
+
+    rows: dict[int, dict[int, _Pair]] = {}
+    for i in range(n):
+        if alive[i]:
+            row = {i: (dn[i], dd[i])}
+            for j, w in adj[i].items():
+                if alive[j]:
+                    row[j] = (w, 1)
+            rows[i] = row
+    heap = [(len(row), i) for i, row in rows.items()]
     heapq.heapify(heap)
     pivots: list[_Pair] = []
     order: list[int] = []
@@ -280,9 +340,9 @@ def _eliminate(g: DualGraph, rhs: Sequence[int]):
         pn, pd = piv
         if pn == 0:
             if row:
-                raise DomainError("zero pivot with live neighbors: singular or indefinite intersection matrix")
+                raise DomainError(_ZERO_PIVOT)
             continue
-        yn, yd = y[i]
+        cn, cd = yn[i], yd[i]
         for j in list(row):
             rj = rows[j]
             # f = rows[j][i] / piv; then rows[j] -= f row and y[j] -= f y[i]
@@ -302,13 +362,13 @@ def _eliminate(g: DualGraph, rhs: Sequence[int]):
                     num, den = e[0] * td - tn * e[1], e[1] * td
                 c = gcd(num, den)
                 rj[k] = (num, den) if c == 1 else (num // c, den // c)
-            en, ed = y[j]
-            tn, td = fn * yn, fd * yd
+            en, ed = yn[j], yd[j]
+            tn, td = fn * cn, fd * cd
             num, den = en * td - tn * ed, ed * td
             c = gcd(num, den)
-            y[j] = (num, den) if c == 1 else (num // c, den // c)
+            yn[j], yd[j] = (num, den) if c == 1 else (num // c, den // c)
             heapq.heappush(heap, (len(rj), j))
-    return pivots, order, kept, y
+    return peeled, pivots, order, kept, yn, yd
 
 
 def _solve(g: DualGraph) -> None:
@@ -316,7 +376,7 @@ def _solve(g: DualGraph) -> None:
     definiteness verdict and Z_K, or the reason Z_K does not exist, on g."""
     b = [e + 2 - 2 * gen for e, gen in zip(g.self_ints, g.genera)]
     try:
-        pivots, order, kept, y = _eliminate(g, b)
+        peeled, pivots, order, kept, yn, yd = _eliminate(g, b)
     except DomainError as exc:
         g._neg_def, g._zk_error = False, str(exc)
         return
@@ -326,7 +386,7 @@ def _solve(g: DualGraph) -> None:
     x: list[_Pair] = [(0, 1)] * g.n
     for (pn, pd), i in zip(reversed(pivots), reversed(order)):
         # x_i = (y_i - sum_k kept_ik x_k) / pivot_i
-        num, den = y[i]
+        num, den = yn[i], yd[i]
         for k, (vn, vd) in kept[i].items():
             xn, xd = x[k]
             tn, td = vn * xn, vd * xd
@@ -339,8 +399,19 @@ def _solve(g: DualGraph) -> None:
             num, den = -num, -den
         c = gcd(num, den)
         x[i] = (num, den) if c == 1 else (num // c, den // c)
-    g._neg_def = all(pn < 0 for pn, _ in pivots)
-    g._zk = tuple(Fraction(num, den) for num, den in x)
+    for v, p, w, pn, pd in reversed(peeled):
+        # x_v = (y_v - w x_p) / pivot_v
+        xn, xd = x[p]
+        cd = yd[v]
+        num, den = (yn[v] * xd - w * xn * cd) * pd, cd * xd * pn
+        if den < 0:
+            num, den = -num, -den
+        c = gcd(num, den)
+        x[v] = (num, den) if c == 1 else (num // c, den // c)
+    g._neg_def = all(pn < 0 for _, _, _, pn, _ in peeled) and all(pn < 0 for pn, _ in pivots)
+    # one Fraction per distinct value; the pairs are already in lowest terms
+    fracs = {pair: Fraction(*pair) for pair in set(x)}
+    g._zk = tuple(map(fracs.__getitem__, x))
 
 
 def is_negative_definite(g: DualGraph) -> bool:

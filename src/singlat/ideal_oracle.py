@@ -39,15 +39,16 @@ Monomial = tuple[int, ...]
 
 # Most lattice points one route may enumerate: the box points prod_{i<=m-2} a_i,
 # the closure generators box * (k + 1), the p_g pairs ((m-2) a_{m-1} + 1)
-# ((m-2) a_m + 1), the N + 1 entries of q(0..N) or d + 1 of a cone report.  A
-# million ints is tens of MB; tests, demos and benchmark pools stay below 10^5.
+# ((m-2) a_m + 1), the N + 1 entries of q(0..N) or d + 1 of a cone report, the
+# curves 1 + sum count * len(chain) of a flattened star graph.  A million ints
+# is tens of MB; tests, demos and benchmark pools stay below 10^5.
 LATTICE_BUDGET = 1_000_000
 
 
-def _check_budget(count: int, what: str) -> None:
+def _check_budget(count: int, what: str, unit: str = "lattice points") -> None:
     if count > LATTICE_BUDGET:
         raise ResourceError(
-            f"{what} needs {count} lattice points, above the budget of {LATTICE_BUDGET}"
+            f"{what} needs {count} {unit}, above the budget of {LATTICE_BUDGET}"
         )
 
 

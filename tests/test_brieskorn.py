@@ -202,6 +202,24 @@ def test_assemble_layout():
     assert z == (9, 1, 2, 3, 4, 5, 6, 7)
 
 
+@given(exponent_tuples | wide_tuples)
+@settings(max_examples=40, deadline=None)
+def test_vertex_count_matches_the_flattening(a):
+    star = dual_graph(a)
+    assert star.vertex_count == star.graph.n
+
+
+def test_flattening_is_budgeted():
+    """The star of (23,24,24,24,24,24) is 331,776 chains of 22 curves: it is
+    built compressed, but flattening it or one of its cycles is refused."""
+    a = (23, 24, 24, 24, 24, 24)
+    star = dual_graph(a)
+    assert star.vertex_count == 1 + 331_776 * 22
+    for flatten in (lambda: star.graph, lambda: divisor_cycle(a, 1)):
+        with pytest.raises(ResourceError, match="7299073 vertices"):
+            flatten()
+
+
 # --------------------------------------------------------- distinguished cycles
 
 # the two-point recursion, kept as the reference for the continuant closed form

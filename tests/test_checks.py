@@ -134,3 +134,11 @@ def test_checks_stop_on_a_budget_before_the_first_step(monkeypatch):
     with pytest.raises(ResourceError, match="dense p_g series"):
         run_tuple_checks((97, 98, 99, 101))
     assert calls == []
+
+
+def test_checks_stop_on_the_flattened_graph_budget():
+    """(23,24,24,24,24,24) fits the box (317,952 points), the p_g pairs
+    (9,409) and the dense series (2,070 terms); its flattened graph of
+    7,299,073 curves does not, and the battery says so before any step."""
+    with pytest.raises(ResourceError, match="flattened star graph needs 7299073 vertices"):
+        run_tuple_checks((23, 24, 24, 24, 24, 24))

@@ -75,6 +75,28 @@ def test_long_sequences_exit_4():
         assert what in err and "budget" in err
 
 
+def test_flattened_graph_budget_exits_4(monkeypatch):
+    """(23,24,24,24,24,24) passes the box, p_g-pair and dense-series budgets,
+    but its flattened graph would have 1 + 331,776 * 22 = 7,299,073 curves:
+    every command that flattens exits 4 before it builds a DualGraph, and
+    plain ``graph`` reads the count off the families."""
+    from singlat import graph_lattice
+
+    def refuse(self, *args):
+        raise RuntimeError("a DualGraph was built for an over-budget star")
+
+    monkeypatch.setattr(graph_lattice.DualGraph, "__init__", refuse)
+    a = ["23", "24", "24", "24", "24", "24"]
+    for cmd in (["check"], ["invariants"], ["cycles"], ["graph", "--json"]):
+        code, out, err = invoke(cmd + a)
+        assert code == 4, cmd
+        assert out == ""
+        assert "flattened star graph needs 7299073 vertices" in err
+    code, out, _ = invoke(["graph"] + a)
+    assert code == 0
+    assert out.splitlines()[0] == "vertices: 7299073"
+
+
 # -------------------------------------------------------------- frozen outputs
 
 def test_check_exits_4_before_laufer(monkeypatch):

@@ -182,7 +182,12 @@ def test_results_are_cached_on_the_graph(e8):
 
 
 def test_singular_graph_raises_on_every_call():
-    for g in (chain(-1, -1), DualGraph([(0, -2), (0, -2)], [(0, 1), (0, 1)])):
+    for g in (
+        chain(-1, -1),
+        DualGraph([(0, -2), (0, -2)], [(0, 1), (0, 1)]),
+        # indefinite: a zero pivot at a pendant vertex that has a live neighbor
+        DualGraph([(0, 0), (0, -2)], [(0, 1)]),
+    ):
         for _ in range(3):
             with pytest.raises(DomainError):
                 canonical_qcycle(g)
@@ -313,6 +318,10 @@ def test_relabeling_invariance(g, rng):
     zf_h = fundamental_cycle(h)
     assert all(zf_h[perm[i]] == zf_g[i] for i in range(g.n))
     assert is_negative_definite(h) == is_negative_definite(g)
+    # relabelling changes which leaves are peeled first and which vertex is
+    # left for the core, not the solution
+    zk_g, zk_h = canonical_qcycle(g), canonical_qcycle(h)
+    assert all(zk_h[perm[i]] == zk_g[i] for i in range(g.n))
 
 
 # ------------------------------------------------ elimination beyond trees
@@ -337,6 +346,29 @@ def cyclic_graphs(draw, max_n=7):
         (draw(st.integers(min_value=0, max_value=2)),
          -max(1, deg[i] + draw(st.integers(min_value=-2, max_value=2))))
         for i in range(n)
+    ]
+    return DualGraph(vertices, edges)
+
+
+@st.composite
+def pendant_graphs(draw):
+    """A graph from ``cyclic_graphs`` with a pendant path of 1-4 curves hung
+    on it by a single or a double edge, so that the elimination peels the
+    path, with edge multiplicity 1 or 2, before it reaches the core."""
+    g = draw(cyclic_graphs())
+    n, k = g.n, draw(st.integers(min_value=1, max_value=4))
+    edges = list(g.edges)
+    edges += [(draw(st.integers(min_value=0, max_value=n - 1)), n)] * draw(
+        st.sampled_from([1, 2]))
+    edges += [(v, v + 1) for v in range(n, n + k - 1)]
+    deg = [0] * (n + k)
+    for i, j in edges:
+        deg[i] += 1
+        deg[j] += 1
+    vertices = list(zip(g.genera, g.self_ints)) + [
+        (draw(st.integers(min_value=0, max_value=2)),
+         -max(1, deg[v] + draw(st.integers(min_value=-2, max_value=2))))
+        for v in range(n, n + k)
     ]
     return DualGraph(vertices, edges)
 
@@ -384,8 +416,8 @@ def _det(m):
     return det
 
 
-@given(cyclic_graphs())
-@settings(max_examples=200, deadline=None)
+@given(cyclic_graphs() | pendant_graphs())
+@settings(max_examples=300, deadline=None)
 def test_elimination_matches_dense_reference(g):
     m = _dense_matrix(g)
     minors = [_det([row[:k] for row in m[:k]]) for k in range(1, g.n + 1)]
