@@ -26,6 +26,13 @@ class CheckResult:
     detail: str = ""
 
 
+def _require(ok: bool, msg: str) -> None:
+    """Fail the running step with msg unless ok.  Unlike an assert statement,
+    this survives ``python -O``."""
+    if not ok:
+        raise AssertionError(msg)
+
+
 def _run(name: str, fn: Callable[[], str]) -> CheckResult:
     try:
         detail = fn()
@@ -58,7 +65,10 @@ def run_tuple_checks(a: Sequence[int]) -> list[CheckResult]:
     def assert_same(what: str, got, want) -> None:
         """got == want entrywise, or name the first vertex where they differ."""
         bad = next((v for v, (x, y) in enumerate(zip(got, want)) if x != y), None)
-        assert bad is None, f"{what} {got[bad]} at vertex {bad}, expected {want[bad]}"
+        if bad is not None:
+            raise AssertionError(
+                f"{what} {got[bad]} at vertex {bad}, expected {want[bad]}"
+            )
 
     def assert_pairings(star, name: str, z, tips, at_center: int) -> None:
         """z pairs to -1 at each of tips, to 0 on every other chain curve and
@@ -71,35 +81,40 @@ def run_tuple_checks(a: Sequence[int]) -> list[CheckResult]:
 
     def invariants() -> str:
         inv = brieskorn.numeric_invariants(a)
-        assert inv.ell % inv.alpha == 0, "alpha does not divide ell"
-        assert all(v > 0 for v in inv.ell_i + inv.alpha_i + inv.ghat_i + inv.lambda_i), (
-            "a positive invariant came out nonpositive"
+        _require(inv.ell % inv.alpha == 0, "alpha does not divide ell")
+        _require(
+            all(v > 0 for v in inv.ell_i + inv.alpha_i + inv.ghat_i + inv.lambda_i),
+            "a positive invariant came out nonpositive",
         )
-        assert inv.ghat > 0, "ghat is not positive"
-        assert all(
-            x >= y for x, y in zip(inv.lambda_i, inv.lambda_i[1:])
-        ), "lambda is not non-increasing"
-        assert all(
-            e * inv.alpha_i[-1] == l for e, l in zip(inv.eta_i, inv.lambda_i)
-        ), "eta_i * alpha_m != lambda_i"
-        assert inv.delta >= 0, "delta is negative"
-        assert all(
-            math.gcd(l, al) == 1 for l, al in zip(inv.lambda_i, inv.alpha_i)
-        ), "lambda_w and alpha_w share a factor"
+        _require(inv.ghat > 0, "ghat is not positive")
+        _require(
+            all(x >= y for x, y in zip(inv.lambda_i, inv.lambda_i[1:])),
+            "lambda is not non-increasing",
+        )
+        _require(
+            all(e * inv.alpha_i[-1] == l for e, l in zip(inv.eta_i, inv.lambda_i)),
+            "eta_i * alpha_m != lambda_i",
+        )
+        _require(inv.delta >= 0, "delta is negative")
+        _require(
+            all(math.gcd(l, al) == 1 for l, al in zip(inv.lambda_i, inv.alpha_i)),
+            "lambda_w and alpha_w share a factor",
+        )
         return f"ell={inv.ell} alpha={inv.alpha} ghat={inv.ghat} delta={inv.delta}"
 
     def graph() -> str:
         inv = brieskorn.numeric_invariants(a)
         star = brieskorn.dual_graph(a)
-        assert star.center_self_int == -star.c0, "center weight mismatch"
+        _require(star.center_self_int == -star.c0, "center weight mismatch")
         for w, fam in enumerate(star.branch_families):
-            assert fam.count == inv.ghat_i[w], f"family {w + 1} count != ghat_w"
-            assert all(c >= 2 for c in fam.chain), f"family {w + 1} chain entry < 2"
-            assert (not fam.chain) == (inv.alpha_i[w] == 1), (
-                f"family {w + 1} emptiness disagrees with alpha_w"
+            _require(fam.count == inv.ghat_i[w], f"family {w + 1} count != ghat_w")
+            _require(all(c >= 2 for c in fam.chain), f"family {w + 1} chain entry < 2")
+            _require(
+                (not fam.chain) == (inv.alpha_i[w] == 1),
+                f"family {w + 1} emptiness disagrees with alpha_w",
             )
-        assert star.graph.n == star.vertex_count, "flattened vertex count mismatch"
-        assert graph_lattice.is_negative_definite(star.graph), "not negative definite"
+        _require(star.graph.n == star.vertex_count, "flattened vertex count mismatch")
+        _require(graph_lattice.is_negative_definite(star.graph), "not negative definite")
         return (
             f"n={star.graph.n} center=(genus {star.center_genus}, "
             f"{star.center_self_int})"
@@ -110,16 +125,17 @@ def run_tuple_checks(a: Sequence[int]) -> list[CheckResult]:
         star = brieskorn.dual_graph(a)
         for i in range(1, m + 1):
             z = brieskorn.divisor_cycle(a, i)
-            assert z[0] == inv.lambda_i[i - 1], f"Z^({i}) center coefficient"
-            assert all(v >= 1 for v in z), f"Z^({i}) is not effective"
-            assert graph_lattice.is_anti_nef(star.graph, z), f"Z^({i}) is not anti-nef"
+            _require(z[0] == inv.lambda_i[i - 1], f"Z^({i}) center coefficient")
+            _require(all(v >= 1 for v in z), f"Z^({i}) is not effective")
+            _require(graph_lattice.is_anti_nef(star.graph, z), f"Z^({i}) is not anti-nef")
             tips = star.tip_indices(i)
             assert_pairings(star, f"Z^({i})", z, tips, 0 if tips else -inv.ghat_i[i - 1])
         zm = brieskorn.divisor_cycle(a, m)
         tips = star.tip_indices(m)
         tip_coeff = zm[tips[0]] if tips else inv.lambda_i[-1]
-        assert tip_coeff == inv.eta_m, (
-            f"eta_m={inv.eta_m} but the Z^(m) tip coefficient is {tip_coeff}"
+        _require(
+            tip_coeff == inv.eta_m,
+            f"eta_m={inv.eta_m} but the Z^(m) tip coefficient is {tip_coeff}",
         )
         return f"all {m} cycles anti-nef; eta_m={inv.eta_m} confirmed on the graph"
 
@@ -127,8 +143,8 @@ def run_tuple_checks(a: Sequence[int]) -> list[CheckResult]:
         inv = brieskorn.numeric_invariants(a)
         star = brieskorn.dual_graph(a)
         z0 = brieskorn.central_multiple_cycle(a)
-        assert z0[0] == inv.alpha, "Z_0 center coefficient != alpha"
-        assert graph_lattice.is_anti_nef(star.graph, z0), "Z_0 is not anti-nef"
+        _require(z0[0] == inv.alpha, "Z_0 center coefficient != alpha")
+        _require(graph_lattice.is_anti_nef(star.graph, z0), "Z_0 is not anti-nef")
         assert_pairings(star, "Z_0", z0, (), -(inv.alpha * inv.ghat // inv.ell))
         return f"center coefficient {inv.alpha}"
 
@@ -144,7 +160,7 @@ def run_tuple_checks(a: Sequence[int]) -> list[CheckResult]:
         assert_same("Z_K formula is", zk, graph_lattice.canonical_qcycle(star.graph))
         if brieskorn.FLAG_NON_MINIMAL in star.flags:
             return "integral, matches the adjunction solve (non-minimal model)"
-        assert all(v >= 0 for v in zi), "Z_K is not effective on a minimal model"
+        _require(all(v >= 0 for v in zi), "Z_K is not effective on a minimal model")
         return "integral, effective, matches the adjunction solve"
 
     def fundamental() -> str:
@@ -154,15 +170,15 @@ def run_tuple_checks(a: Sequence[int]) -> list[CheckResult]:
         zf = graph_lattice.fundamental_cycle(star.graph)
         lam_m = inv.lambda_i[-1]
         if lam_m >= inv.alpha:
-            assert zf == brieskorn.central_multiple_cycle(a), "Z_f != Z_0"
+            _require(zf == brieskorn.central_multiple_cycle(a), "Z_f != Z_0")
         if lam_m <= inv.alpha:
-            assert zf == brieskorn.maximal_ideal_cycle(a), "Z_f != M_X"
+            _require(zf == brieskorn.maximal_ideal_cycle(a), "Z_f != M_X")
         return f"pf={pf.value} via {pf.cycle}"
 
     def nr_oracle() -> str:
         nr = brieskorn.normal_reduction_number(a)
         oracle = ideal_oracle.nr_by_oracle(a)
-        assert nr == oracle, f"closed form nr={nr} but oracle says {oracle}"
+        _require(nr == oracle, f"closed form nr={nr} but oracle says {oracle}")
         return f"nr={nr} agrees with the lattice oracle"
 
     def q_seq() -> str:
@@ -171,11 +187,12 @@ def run_tuple_checks(a: Sequence[int]) -> list[CheckResult]:
         q = brieskorn.q_sequence(a, n_max)
         table = ideal_oracle.quotient_table(a)
         p = [table.p[n] if n < len(table.p) else 0 for n in range(n_max)]
-        assert ideal_oracle.qp_consistency(q, p), "q/p second-difference identity"
+        _require(ideal_oracle.qp_consistency(q, p), "q/p second-difference identity")
         for i in range(1, n_max):
-            assert q[i - 1] - 2 * q[i] + q[i + 1] == ideal_oracle.quotient_dimension(
-                a, i
-            ), f"re-derived p({i}) disagrees with the lattice count"
+            _require(
+                q[i - 1] - 2 * q[i] + q[i + 1] == ideal_oracle.quotient_dimension(a, i),
+                f"re-derived p({i}) disagrees with the lattice count",
+            )
         return f"q={q}"
 
     def nr_pg_bound() -> str:
@@ -183,9 +200,10 @@ def run_tuple_checks(a: Sequence[int]) -> list[CheckResult]:
         q = brieskorn.q_sequence(a, r)
         pg = brieskorn.geometric_genus(a)
         dense = brieskorn._pg_dense(a)
-        assert pg == dense, f"box-basis pg={pg} but the dense series gives pg={dense}"
-        assert ideal_oracle.nr_pg_bound_check(a), (
-            f"r(r-1)/2 + q(r) = {r * (r - 1) // 2 + q[r]} > pg = {pg}"
+        _require(pg == dense, f"box-basis pg={pg} but the dense series gives pg={dense}")
+        _require(
+            ideal_oracle.nr_pg_bound_check(a),
+            f"r(r-1)/2 + q(r) = {r * (r - 1) // 2 + q[r]} > pg = {pg}",
         )
         return f"{r * (r - 1) // 2 + q[r]} <= pg={pg}"
 
@@ -193,7 +211,7 @@ def run_tuple_checks(a: Sequence[int]) -> list[CheckResult]:
         pg = brieskorn.geometric_genus(a)
         nr = brieskorn.normal_reduction_number(a)
         if pg == 0:
-            assert nr == 1, f"pg=0 but nr={nr}"
+            _require(nr == 1, f"pg=0 but nr={nr}")
             return "pg=0 forces nr=1, satisfied"
         return f"pg={pg} > 0, nothing to enforce"
 
@@ -205,13 +223,14 @@ def run_tuple_checks(a: Sequence[int]) -> list[CheckResult]:
             return "degree below 3, outside the cone formulas"
         q = brieskorn.q_sequence(a, d)
         want = tuple(cone_homogeneous.homogeneous_q(d, n) for n in range(d + 1))
-        assert q == want, f"q={q} but the cone formula gives {want}"
+        _require(q == want, f"q={q} but the cone formula gives {want}")
         nr = brieskorn.normal_reduction_number(a)
-        assert nr == cone_homogeneous.homogeneous_nr(d), "nr != d-1"
-        assert nr == cone_homogeneous.a_invariant_relation(d), "nr != a(R)+2"
-        assert nr == cone_homogeneous.brr_upper_bound(
-            cone_homogeneous.plane_cone(d)
-        ), "cone bound not attained"
+        _require(nr == cone_homogeneous.homogeneous_nr(d), "nr != d-1")
+        _require(nr == cone_homogeneous.a_invariant_relation(d), "nr != a(R)+2")
+        _require(
+            nr == cone_homogeneous.brr_upper_bound(cone_homogeneous.plane_cone(d)),
+            "cone bound not attained",
+        )
         return f"matches the degree-{d} plane-cone formulas"
 
     steps = [

@@ -58,11 +58,7 @@ def _cmd_invariants(ns: argparse.Namespace) -> int:
     if ns.json:
         print(_dumps(report))
         return 0
-    for key in (
-        "a", "ell", "alpha", "ghat", "lambda", "eta", "delta",
-        "g", "c0", "pf", "pg", "nr", "elliptic", "flags",
-    ):
-        value = report[key]
+    for key, value in report.items():
         if isinstance(value, list):
             value = " ".join(str(v) for v in value) if value else "-"
         print(f"{key} = {value}")

@@ -8,9 +8,11 @@ arithmetic is exact, with no floating point.
 
 Each graph object is eliminated once: a symmetric Gaussian elimination,
 carrying rationals as reduced integer pairs, yields both the definiteness
-verdict and the canonical Q-cycle Z_K.  It peels pendant vertices first, on
-flat integer lists and without fill-in, and runs greedy min-degree pivoting
-only on what survives: the 2-core, or a single vertex of a tree.  Laufer's
+verdict and, on a negative-definite graph (every resolution graph is one),
+the canonical Q-cycle Z_K.  It stops at the first pivot >= 0; Z_K and
+Laufer's Z_f are refused on any other graph.  It peels pendant vertices
+first, on flat integer lists and without fill-in, and eliminates what
+survives in index order: the 2-core, or a single vertex of a tree.  Laufer's
 fundamental cycle Z_f comes from the computation sequence run on a FIFO
 worklist of the vertices with positive pairing.  All three are cached on the
 graph, so repeated calls on one graph cost a lookup.
@@ -18,7 +20,6 @@ graph, so repeated calls on one graph cost a lookup.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from fractions import Fraction
 from math import gcd
@@ -29,7 +30,6 @@ from .errors import DimensionError, DomainError, InternalError
 Cycle = tuple[int, ...]
 QCycle = tuple[Fraction, ...]
 _Pair = tuple[int, int]  # a rational as (num, den), den > 0, in lowest terms
-_ZERO_PIVOT = "zero pivot with live neighbors: singular or indefinite intersection matrix"
 
 __all__ = [
     "Cycle",
@@ -56,7 +56,7 @@ class DualGraph:
     """
 
     __slots__ = (
-        "genera", "self_ints", "edges", "_adj", "_neg_def", "_zk", "_zk_error", "_zf"
+        "genera", "self_ints", "edges", "_adj", "_neg_def", "_zk", "_zf"
     )
 
     def __init__(
@@ -113,16 +113,11 @@ class DualGraph:
         # result caches, filled on first use; the data above never changes
         self._neg_def: bool | None = None
         self._zk: QCycle | None = None
-        self._zk_error: str | None = None
         self._zf: Cycle | None = None
 
     @property
     def n(self) -> int:
         return len(self.genera)
-
-    def neighbor_items(self, i: int) -> Iterable[tuple[int, int]]:
-        """Pairs (neighbor index, edge multiplicity) of vertex i."""
-        return self._adj[i].items()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DualGraph):
@@ -193,14 +188,7 @@ def cycle_products(g: DualGraph, z: Sequence) -> tuple:
 
 def is_anti_nef(g: DualGraph, z: Sequence) -> bool:
     """True iff z . E_i <= 0 for every vertex.  Meant for effective z."""
-    _check_cycle(g, z)
-    for i in range(g.n):
-        v = z[i] * g.self_ints[i]
-        for j, w in g.neighbor_items(i):
-            v += w * z[j]
-        if v > 0:
-            return False
-    return True
+    return all(v <= 0 for v in cycle_products(g, z))
 
 
 def fundamental_cycle(g: DualGraph) -> Cycle:
@@ -243,11 +231,15 @@ def fundamental_cycle(g: DualGraph) -> Cycle:
     return g._zf
 
 
-def _eliminate(g: DualGraph, rhs: Sequence[int]):
-    """Exact symmetric Gaussian elimination, pendant vertices first.
+def _solve(g: DualGraph) -> None:
+    """Eliminate g once against the adjunction right-hand side and cache on g
+    the definiteness verdict and, when the form is negative definite, Z_K.
 
-    Every rational is a reduced integer pair (the floor divisions are skipped
-    when the gcd is 1).  Two phases:
+    An exact symmetric Gaussian elimination; every rational is a reduced
+    integer pair (the floor divisions are skipped when the gcd is 1).  The
+    form is negative definite exactly when every pivot is negative, in any
+    symmetric order, so the elimination stops at the first pivot >= 0 and
+    every division below is by a negative number.  Two phases:
 
     - Peel: a vertex with exactly one live neighbor is taken from a stack of
       such vertices, which is refilled as neighbors drop to one.  Eliminating
@@ -255,42 +247,37 @@ def _eliminate(g: DualGraph, rhs: Sequence[int]):
       elimination", 1961), so it only updates its neighbor's diagonal and
       right-hand side, kept as parallel num/den lists.
     - Core: what survives (the 2-core, or the last vertex of a tree) is
-      eliminated on dict rows with greedy min-degree pivoting.
+      eliminated in index order on dict rows.
 
-    Returns (peeled, pivots, order, kept, yn, yd).  peeled lists
-    (v, p, w, pivot num, pivot den) for each peeled vertex v, its live
-    neighbor p and the edge multiplicity w; pivots and order list the core
-    steps; kept[i] holds the reduced off-diagonal row of core vertex i at the
-    moment it was eliminated, restricted to vertices eliminated later; yn/yd
-    is the correspondingly reduced rhs.  Linear-time on trees.  Raises
-    DomainError on a zero pivot that still has live neighbors.
+    Back-substitution then runs the core steps and the peel in reverse.
+    Linear-time on trees.
     """
     n = g.n
     adj = g._adj
     dn, dd = list(g.self_ints), [1] * n
-    yn, yd = list(rhs), [1] * n
+    yn = [e + 2 - 2 * gen for e, gen in zip(g.self_ints, g.genera)]
+    yd = [1] * n
     alive = [True] * n
     deg = [len(row) for row in adj]
-    # leaves pop in index order, the tie-break of the heap below
     stack = [i for i in range(n - 1, -1, -1) if deg[i] == 1]
+    # (v, its live neighbor p, edge multiplicity w, pivot num, pivot den)
     peeled: list[tuple[int, int, int, int, int]] = []
     while stack:
         v = stack.pop()
         if deg[v] != 1:
             continue  # its last neighbor went first: v is what is left of a tree
+        pn, pd = dn[v], dd[v]
+        if pn >= 0:
+            g._neg_def = False
+            return
         alive[v] = False
         for p, w in adj[v].items():
             if alive[p]:
                 break
-        pn, pd = dn[v], dd[v]
-        if pn == 0:
-            raise DomainError(_ZERO_PIVOT)
         peeled.append((v, p, w, pn, pd))
         # d_p -= w^2 / pivot
         an, ad = dn[p], dd[p]
-        num, den = an * pn - w * w * pd * ad, ad * pn
-        if den < 0:
-            num, den = -num, -den
+        num, den = w * w * pd * ad - an * pn, -ad * pn
         c = gcd(num, den)
         if c == 1:
             dn[p], dd[p] = num, den
@@ -300,9 +287,7 @@ def _eliminate(g: DualGraph, rhs: Sequence[int]):
         cn = yn[v]
         if cn:
             cd, en, ed = yd[v], yn[p], yd[p]
-            num, den = en * cd * pn - w * cn * pd * ed, ed * cd * pn
-            if den < 0:
-                num, den = -num, -den
+            num, den = w * cn * pd * ed - en * cd * pn, -ed * cd * pn
             c = gcd(num, den)
             if c == 1:
                 yn[p], yd[p] = num, den
@@ -313,43 +298,30 @@ def _eliminate(g: DualGraph, rhs: Sequence[int]):
         if d == 1:
             stack.append(p)
 
+    core = [i for i in range(n) if alive[i]]
     rows: dict[int, dict[int, _Pair]] = {}
-    for i in range(n):
-        if alive[i]:
-            row = {i: (dn[i], dd[i])}
-            for j, w in adj[i].items():
-                if alive[j]:
-                    row[j] = (w, 1)
-            rows[i] = row
-    heap = [(len(row), i) for i, row in rows.items()]
-    heapq.heapify(heap)
+    for i in core:
+        row = {i: (dn[i], dd[i])}
+        for j, w in adj[i].items():
+            if alive[j]:
+                row[j] = (w, 1)
+        rows[i] = row
+    # once core vertex i is eliminated, rows[i] is its reduced off-diagonal
+    # row, restricted to the core vertices after it
     pivots: list[_Pair] = []
-    order: list[int] = []
-    kept: dict[int, dict[int, _Pair]] = {}
-
-    while heap:
-        size, i = heapq.heappop(heap)
-        if not alive[i] or size != len(rows[i]):
-            continue
-        alive[i] = False
+    for i in core:
         row = rows[i]
-        piv = row.pop(i)
-        pivots.append(piv)
-        order.append(i)
-        kept[i] = row
-        pn, pd = piv
-        if pn == 0:
-            if row:
-                raise DomainError(_ZERO_PIVOT)
-            continue
+        pn, pd = row.pop(i)
+        if pn >= 0:
+            g._neg_def = False
+            return
+        pivots.append((pn, pd))
         cn, cd = yn[i], yd[i]
-        for j in list(row):
+        for j in row:
             rj = rows[j]
             # f = rows[j][i] / piv; then rows[j] -= f row and y[j] -= f y[i]
             an, ad = rj.pop(i)
-            fn, fd = an * pd, ad * pn
-            if fd < 0:
-                fn, fd = -fn, -fd
+            fn, fd = -an * pd, -ad * pn
             c = gcd(fn, fd)
             if c != 1:
                 fn, fd = fn // c, fd // c
@@ -367,48 +339,29 @@ def _eliminate(g: DualGraph, rhs: Sequence[int]):
             num, den = en * td - tn * ed, ed * td
             c = gcd(num, den)
             yn[j], yd[j] = (num, den) if c == 1 else (num // c, den // c)
-            heapq.heappush(heap, (len(rj), j))
-    return peeled, pivots, order, kept, yn, yd
 
-
-def _solve(g: DualGraph) -> None:
-    """Eliminate g once against the adjunction right-hand side and cache the
-    definiteness verdict and Z_K, or the reason Z_K does not exist, on g."""
-    b = [e + 2 - 2 * gen for e, gen in zip(g.self_ints, g.genera)]
-    try:
-        peeled, pivots, order, kept, yn, yd = _eliminate(g, b)
-    except DomainError as exc:
-        g._neg_def, g._zk_error = False, str(exc)
-        return
-    if any(pn == 0 for pn, _ in pivots):
-        g._neg_def, g._zk_error = False, "singular intersection matrix"
-        return
-    x: list[_Pair] = [(0, 1)] * g.n
-    for (pn, pd), i in zip(reversed(pivots), reversed(order)):
-        # x_i = (y_i - sum_k kept_ik x_k) / pivot_i
+    x: list[_Pair] = [(0, 1)] * n
+    for i, (pn, pd) in zip(reversed(core), reversed(pivots)):
+        # x_i = (y_i - sum_k rows_ik x_k) / pivot_i
         num, den = yn[i], yd[i]
-        for k, (vn, vd) in kept[i].items():
+        for k, (vn, vd) in rows[i].items():
             xn, xd = x[k]
             tn, td = vn * xn, vd * xd
             num, den = num * td - tn * den, den * td
             c = gcd(num, den)
             if c != 1:
                 num, den = num // c, den // c
-        num, den = num * pd, den * pn
-        if den < 0:
-            num, den = -num, -den
+        num, den = -num * pd, -den * pn
         c = gcd(num, den)
         x[i] = (num, den) if c == 1 else (num // c, den // c)
     for v, p, w, pn, pd in reversed(peeled):
         # x_v = (y_v - w x_p) / pivot_v
         xn, xd = x[p]
         cd = yd[v]
-        num, den = (yn[v] * xd - w * xn * cd) * pd, cd * xd * pn
-        if den < 0:
-            num, den = -num, -den
+        num, den = (w * xn * cd - yn[v] * xd) * pd, -cd * xd * pn
         c = gcd(num, den)
         x[v] = (num, den) if c == 1 else (num // c, den // c)
-    g._neg_def = all(pn < 0 for _, _, _, pn, _ in peeled) and all(pn < 0 for pn, _ in pivots)
+    g._neg_def = True
     # one Fraction per distinct value; the pairs are already in lowest terms
     fracs = {pair: Fraction(*pair) for pair in set(x)}
     g._zk = tuple(map(fracs.__getitem__, x))
@@ -426,12 +379,11 @@ def canonical_qcycle(g: DualGraph) -> QCycle:
 
     These are the adjunction equalities for the canonical cycle; the solution
     is rational in general and integral for Gorenstein singularities.  Raises
-    DomainError, on every call, when the intersection matrix is singular.
+    DomainError, on every call, unless the graph is negative definite, as
+    every resolution graph is.
     """
-    if g._neg_def is None:
-        _solve(g)
-    if g._zk is None:
-        raise DomainError(g._zk_error)
+    if not is_negative_definite(g):
+        raise DomainError("canonical cycle needs a negative-definite graph")
     return g._zk
 
 

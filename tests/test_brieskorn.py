@@ -279,12 +279,12 @@ def test_chain_coeffs_closed_form_matches_recursion(chain, n, beyond, integral):
 
 
 def _count_flattening(monkeypatch):
-    """Record every DualGraph construction, _eliminate call and cycle_products
+    """Record every DualGraph construction, _solve call and cycle_products
     call from here on, as (name, argument) pairs in the returned list."""
     calls = []
     for owner, name in [
         (graph_lattice.DualGraph, "__init__"),
-        (graph_lattice, "_eliminate"),
+        (graph_lattice, "_solve"),
         (graph_lattice, "cycle_products"),
     ]:
         real = getattr(owner, name)

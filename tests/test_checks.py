@@ -1,7 +1,11 @@
 """The per-tuple self-check battery used by the command line."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +90,31 @@ def test_canonical_cycle_step_compares_the_formula_with_the_solve(monkeypatch):
     assert not by_name["canonical-cycle"].passed
     assert by_name["canonical-cycle"].detail == "Z_K formula is 4 at vertex 0, expected 7"
     assert sum(not r.passed for r in by_name.values()) == 1
+
+
+_CORRUPT_SOLVE_UNDER_O = """
+from fractions import Fraction
+from singlat import graph_lattice, run_tuple_checks
+assert False, "this interpreter keeps assert statements"
+graph_lattice.canonical_qcycle = lambda g: (Fraction(7),) * g.n
+for r in run_tuple_checks((3, 4, 7)):
+    print("PASS" if r.passed else "FAIL", r.name, r.detail)
+"""
+
+
+def test_checks_fail_under_python_O():
+    """python -O strips assert statements; the battery still fails a
+    corrupted route there, with the same detail as without -O."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPT_SOLVE_UNDER_O],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    failed = [line for line in proc.stdout.splitlines() if not line.startswith("PASS ")]
+    assert failed == ["FAIL canonical-cycle Z_K formula is 24 at vertex 0, expected 7"]
 
 
 def test_checks_stop_on_a_resource_budget():

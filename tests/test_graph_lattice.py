@@ -185,24 +185,30 @@ def test_singular_graph_raises_on_every_call():
     for g in (
         chain(-1, -1),
         DualGraph([(0, -2), (0, -2)], [(0, 1), (0, 1)]),
-        # indefinite: a zero pivot at a pendant vertex that has a live neighbor
+        # indefinite with determinant -1: a unique Z_K exists, but the form
+        # is not that of a resolution graph
         DualGraph([(0, 0), (0, -2)], [(0, 1)]),
+        # positive definite, and indefinite with a positive pivot first
+        DualGraph([(0, 1)]),
+        DualGraph([(0, 2), (0, -3)], [(0, 1)]),
     ):
         for _ in range(3):
-            with pytest.raises(DomainError):
+            with pytest.raises(
+                DomainError, match="^canonical cycle needs a negative-definite graph$"
+            ):
                 canonical_qcycle(g)
             assert not is_negative_definite(g)
 
 
 def test_one_elimination_per_graph(monkeypatch):
     calls = []
-    real = graph_lattice._eliminate
+    real = graph_lattice._solve
 
-    def counting(g, rhs):
+    def counting(g):
         calls.append(g)
-        return real(g, rhs)
+        return real(g)
 
-    monkeypatch.setattr(graph_lattice, "_eliminate", counting)
+    monkeypatch.setattr(graph_lattice, "_solve", counting)
     good = star((0, -2), [[-2], [-2, -2], [-2, -2, -2, -2]])
     bad = chain(-1, -1)
     for _ in range(2):
@@ -424,15 +430,11 @@ def test_elimination_matches_dense_reference(g):
     definite = all((-1) ** k * d > 0 for k, d in enumerate(minors, start=1))
     assert is_negative_definite(g) == definite
     b = [e + 2 - 2 * gen for e, gen in zip(g.self_ints, g.genera)]
-    ref = _dense_solve(m, b)
-    try:
-        zk = canonical_qcycle(g)
-    except DomainError:
-        # symmetric elimination without row exchanges may stall on an
-        # indefinite form, never on a definite one
-        assert ref is None or not definite
+    if definite:
+        assert canonical_qcycle(g) == _dense_solve(m, b)
     else:
-        assert zk == ref
+        with pytest.raises(DomainError):
+            canonical_qcycle(g)
 
 
 # ------------------------------------- Laufer's sequence against a heap order

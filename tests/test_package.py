@@ -1,5 +1,7 @@
-"""The package surface: the exported names and the runnable demos."""
+"""The package surface: the exported names, the runnable demos and the
+README's quick start."""
 
+import doctest
 import os
 import subprocess
 import sys
@@ -60,3 +62,10 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_readme_quick_start():
+    """Every example in the README's library quick start runs as shown."""
+    result = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
+    assert result.attempted > 0
+    assert result.failed == 0
