@@ -276,9 +276,15 @@ def _star_cached(a: tuple[int, ...]) -> StarGraph:
             continue
         beta = (-pow(lam_w, -1, alpha_w)) % alpha_w
         chain = tuple(_neg_cont_frac(alpha_w, beta))
-        if _continuants(chain)[-1] != alpha_w:
-            raise InternalError("chain continuant does not reproduce alpha_w")
         families.append(ChainFamily(count=count, chain=chain, beta=beta))
+    # each of the m + 2 cycles solved below holds one coefficient list per family
+    ideal_oracle._check_budget(
+        (inv.m + 2) * sum(len(fam.chain) for fam in families),
+        f"the compressed star of {a}", "cycle coefficients",
+    )
+    for fam, alpha_w in zip(families, inv.alpha_i):
+        if _continuants(fam.chain)[-1] != alpha_w:
+            raise InternalError("chain continuant does not reproduce alpha_w")
 
     two_g = (inv.m - 2) * inv.ghat - sum(inv.ghat_i)
     if two_g % 2:
@@ -666,6 +672,9 @@ def invariant_report(a: Sequence[int]) -> dict:
     """JSON-ready summary: {"a","ell","alpha","ghat","lambda","eta","delta",
     "g","c0","pf","pg","nr","elliptic","flags"}."""
     a = _validated(a)
+    # p_g is refused on its budget before the star is built and Laufer's
+    # sequence runs on it
+    ideal_oracle._check_budget(*_pg_pairs_size(a))
     inv = _invariants_cached(a)
     star = _star_cached(a)
     pf = _pf_verified(a)

@@ -13,8 +13,10 @@ the canonical Q-cycle Z_K.  It stops at the first pivot >= 0; Z_K and
 Laufer's Z_f are refused on any other graph.  It peels pendant vertices
 first, on flat integer lists and without fill-in, and eliminates what
 survives in index order: the 2-core, or a single vertex of a tree.  Laufer's
-fundamental cycle Z_f comes from the computation sequence run on a FIFO
-worklist of the vertices with positive pairing.  All three are cached on the
+fundamental cycle Z_f comes from the computation sequence run on the classes
+of an equitable partition, found by colour refinement, with a FIFO worklist
+of the classes of positive pairing; the identical chains of a flattened star
+share their classes, so they cost one step.  All three are cached on the
 graph, so repeated calls on one graph cost a lookup.
 """
 
@@ -191,14 +193,104 @@ def is_anti_nef(g: DualGraph, z: Sequence) -> bool:
     return all(v <= 0 for v in cycle_products(g, z))
 
 
-def fundamental_cycle(g: DualGraph) -> Cycle:
-    """Smallest non-zero anti-nef cycle, by the classical computation sequence.
+def _equitable_classes(g: DualGraph) -> list[int]:
+    """Class index of every curve in an equitable partition of g: curves of
+    one class have the same self-intersection and, for every class B, the
+    same number of edges into B.
 
-    Starts at the reduced cycle and keeps a FIFO worklist of the vertices
-    whose pairing is positive, each queued at most once; a vertex taken from
-    it gets ceil(d_i / -E_i^2) copies of E_i at once, the whole run of
-    consecutive additions there.  The endpoint does not depend on the
-    processing order, only the trace does.  The result is cached on the graph.
+    Colour refinement (Godsil-Royle, "Algebraic Graph Theory", 9.3).  The
+    first colours are the self-intersection and the pendant-peel round: each
+    round strips, all at once, the curves with at most one neighbour left,
+    and the 2-core is never stripped (round -1).  The rounds already tell
+    apart the curves of a chain, so on a flattened star the first colours
+    are usually equitable already.  Refinement splits a class by the number
+    of edges its curves send into a splitter class, taken from Hopcroft's
+    worklist: every first class is queued, and a class that splits queues
+    all its parts if it is still queued itself, else all but the largest.
+    That takes O(m log n) steps, where re-colouring every curve round by
+    round would take one round per curve of a long asymmetric chain.
+    Classes are numbered 0, 1, ...
+    """
+    n, adj = g.n, g._adj
+    deg = [len(row) for row in adj]
+    peel = [-1] * n
+    front = [i for i in range(n) if deg[i] <= 1]
+    r = 0
+    while front:
+        for v in front:
+            peel[v] = r
+        nxt = []
+        for v in front:
+            for u in adj[v]:
+                if peel[u] < 0:
+                    deg[u] -= 1
+                    if deg[u] == 1:
+                        nxt.append(u)
+        front, r = nxt, r + 1
+    ids: dict = {}
+    col = [ids.setdefault(key, len(ids)) for key in zip(g.self_ints, peel)]
+    members: list[set[int]] = [set() for _ in ids]
+    for v, a in enumerate(col):
+        members[a].add(v)
+    queued = [True] * len(members)
+    work = list(range(len(members)))
+    while work and len(members) < n:  # single curves are equitable at once
+        s = work.pop()
+        queued[s] = False
+        hits: dict[int, int] = {}  # curve -> its edges into class s
+        for u in members[s]:
+            for v, w in adj[u].items():
+                hits[v] = hits.get(v, 0) + w
+        by_class: dict[int, dict[int, list[int]]] = {}
+        for v, x in hits.items():
+            by_class.setdefault(col[v], {}).setdefault(x, []).append(v)
+        for a, by_count in by_class.items():
+            mem, parts = members[a], list(by_count.values())
+            rest = len(mem) - sum(map(len, parts))  # curves of a with no edge into s
+            if not rest and len(parts) == 1:
+                continue
+            for p in parts:
+                mem.difference_update(p)
+            if not rest:  # a keeps its largest part
+                parts.sort(key=len)
+                mem.update(parts.pop())
+            new = []
+            for p in parts:
+                new.append(len(members))
+                members.append(set(p))
+                queued.append(False)
+                for v in p:
+                    col[v] = new[-1]
+            if not queued[a]:
+                # the partition is stable on the whole of a, so it is stable on
+                # the largest part once it is on all the others
+                new.append(a)
+                new.remove(max(new, key=lambda b: len(members[b])))
+            for b in new:
+                if not queued[b]:
+                    queued[b] = True
+                    work.append(b)
+    return col
+
+
+def fundamental_cycle(g: DualGraph) -> Cycle:
+    """Smallest non-zero anti-nef cycle, by the classical computation sequence
+    run on the classes of an equitable partition (``_equitable_classes``).
+
+    Starts at the reduced cycle.  With ``c_A = -E^2`` and ``n_AB`` the edges
+    from one curve of class A into class B, every curve of A pairs to
+    ``d_A = -c_A z_A + sum_B n_AB z_B`` while the cycle is constant on
+    classes.  A FIFO worklist holds the classes with ``d_A > 0``, each queued
+    at most once; a class taken from it gets ``k = ceil(d_A / (c_A - n_AA))``
+    copies of every one of its curves, so ``d_A`` falls by ``k (c_A - n_AA)``
+    and each other class B gains ``k n_BA``.  Made as k rounds that each add
+    one copy of every curve of A in turn, every single addition is at a curve
+    of positive pairing: round t starts with ``d_A - (t-1)(c_A - n_AA) > 0``
+    on every curve of A, and a curve's pairing only rises while the others
+    of its class are added.  So the lifted run is a Laufer sequence, and it
+    ends at Z_f whatever the order (Laufer, "On rational singularities",
+    1972).  ``c_A - n_AA`` is positive because the form is negative on the
+    sum of the curves of A.  The result is cached on the graph.
     """
     if g._zf is not None:
         return g._zf
@@ -208,26 +300,41 @@ def fundamental_cycle(g: DualGraph) -> Cycle:
             "the computation sequence may not terminate otherwise"
         )
     adj, self_ints = g._adj, g.self_ints
-    z = [1] * g.n
-    d = [e + sum(row.values()) for e, row in zip(self_ints, adj)]
+    col = _equitable_classes(g)
+    # the last curve of each class stands for it, as any curve of it would
+    last = dict(zip(col, range(g.n)))
+    rep = [last[a] for a in range(len(last))]
+    # step[A] = c_A - n_AA; into[A] = {B: n_BA} over the other classes B
+    step = [-self_ints[v] for v in rep]
+    into: list[dict[int, int]] = [{} for _ in rep]
+    d = []
+    for b, v in enumerate(rep):
+        d.append(self_ints[v] + sum(adj[v].values()))
+        for u, w in adj[v].items():
+            a = col[u]
+            if a == b:
+                step[b] -= w
+            else:
+                into[a][b] = into[a].get(b, 0) + w
+    z = [1] * len(rep)
     queued = [v > 0 for v in d]
-    work = deque(i for i, v in enumerate(d) if v > 0)
-    # a queued pairing only grows until its vertex is taken, so it is still
+    work = deque(a for a, v in enumerate(d) if v > 0)
+    # a queued pairing only grows until its class is taken, so it is still
     # positive then
     while work:
-        i = work.popleft()
-        queued[i] = False
-        c = -self_ints[i]  # positive: diagonal of a negative-definite form
-        k = -(-d[i] // c)
-        z[i] += k
-        d[i] -= k * c
-        for j, w in adj[i].items():
-            dj = d[j] + k * w
-            d[j] = dj
-            if dj > 0 and not queued[j]:
-                queued[j] = True
-                work.append(j)
-    g._zf = tuple(z)
+        a = work.popleft()
+        queued[a] = False
+        c = step[a]
+        k = -(-d[a] // c)
+        z[a] += k
+        d[a] -= k * c
+        for b, w in into[a].items():
+            db = d[b] + k * w
+            d[b] = db
+            if db > 0 and not queued[b]:
+                queued[b] = True
+                work.append(b)
+    g._zf = tuple(map(z.__getitem__, col))
     return g._zf
 
 

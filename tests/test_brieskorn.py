@@ -220,6 +220,17 @@ def test_flattening_is_budgeted():
             flatten()
 
 
+def test_compressed_star_is_budgeted(monkeypatch):
+    """(2,3,6000001) has a 1,000,001-curve chain, so its m + 2 = 5 compressed
+    cycles would hold 5,000,010 coefficients: refused before any is solved."""
+    def refuse(*args):
+        raise RuntimeError("a chain was solved although the star is refused")
+
+    monkeypatch.setattr(brieskorn, "_chain_coeffs", refuse)
+    with pytest.raises(ResourceError, match="compressed star .* 5000010 cycle coefficients"):
+        dual_graph((2, 3, 6000001))
+
+
 # --------------------------------------------------------- distinguished cycles
 
 # the two-point recursion, kept as the reference for the continuant closed form

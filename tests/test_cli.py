@@ -118,6 +118,26 @@ def test_check_exits_4_before_laufer(monkeypatch):
     assert "dense p_g series" in err
 
 
+def test_invariants_exits_4_before_laufer(monkeypatch):
+    """invariants tests the p_g pairs before it builds the star, so a tuple
+    whose p_g is refused never reaches Laufer's sequence on its 166,674
+    curves."""
+    from singlat import graph_lattice
+
+    calls = []
+
+    def refuse(g):
+        calls.append(g)
+        raise RuntimeError("Laufer's sequence ran although p_g is refused")
+
+    monkeypatch.setattr(graph_lattice, "fundamental_cycle", refuse)
+    code, out, err = invoke(["invariants", "2", "3", "1000001"])
+    assert calls == []
+    assert code == 4
+    assert out == ""
+    assert "p_g pairs" in err
+
+
 def test_invariants_plain():
     code, out, _ = invoke(["invariants", "3", "4", "7"])
     assert code == 0

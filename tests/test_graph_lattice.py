@@ -2,6 +2,7 @@
 anti-nef cycles, Laufer's algorithm, adjunction, definiteness."""
 
 import heapq
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -440,10 +441,11 @@ def test_elimination_matches_dense_reference(g):
 # ------------------------------------- Laufer's sequence against a heap order
 
 def _fundamental_cycle_heap(g):
-    """Laufer's computation sequence on a lowest-index heap, the order
-    ``fundamental_cycle`` used before its FIFO worklist; kept as the reference
-    for it.  The body is that implementation verbatim, less the cache on the
-    graph, which it neither reads nor fills."""
+    """Laufer's computation sequence curve by curve, on a lowest-index heap:
+    the reference for ``fundamental_cycle``, which runs the sequence on the
+    classes of an equitable partition.  The body is the per-curve
+    implementation the library once had, less the cache on the graph, which
+    it neither reads nor fills."""
     if not is_negative_definite(g):
         raise DomainError(
             "fundamental cycle needs a negative-definite graph; "
@@ -495,3 +497,124 @@ def test_fundamental_cycle_is_the_least_anti_nef_cycle(g):
     for z in product(range(1, top + 1), repeat=g.n):
         if is_anti_nef(g, z):
             assert all(a >= b for a, b in zip(z, zf)), (z, zf)
+
+
+# ------------------------------------ Laufer's sequence on the equitable classes
+
+@st.composite
+def cyclic_covers(draw):
+    """An r-fold cyclic cover of a small base multigraph, branched at some
+    base curves, with the base curve's weight on every curve above it.
+
+    A free base curve i lifts to r curves (i, t), a branch curve to one;
+    base curve 0 is a branch curve, so the cover is connected.  A base edge
+    between free curves, with voltage s, lifts to the r edges
+    (i, t)-(j, t + s mod r); one at a branch curve lifts to one edge per
+    curve above the other end; a loop at a free curve, with voltage s != 0,
+    lifts to edges inside its fibre (double edges when 2s = r).  The fibres
+    form an equitable partition, with edges inside a class from the loops
+    and classes of sizes 1 and r side by side.  The weights start at the
+    degree plus one and are lowered, base curve by base curve in a drawn
+    order, as far as the form stays negative definite, so that large
+    fundamental cycles are common."""
+    r = draw(st.integers(min_value=2, max_value=5))
+    k = draw(st.integers(min_value=2, max_value=5))
+    branch = [True] + [draw(st.booleans()) for _ in range(k - 1)]
+    base = [(draw(st.integers(min_value=0, max_value=i - 1)), i) for i in range(1, k)]
+    base += draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))
+                          .filter(lambda e: e[0] != e[1]), max_size=2))
+    loops = [i for i in range(k) if not branch[i] and draw(st.booleans())]
+    first = [0]
+    for b in branch:
+        first.append(first[-1] + (1 if b else r))
+
+    def curve(i, t):
+        return first[i] + (0 if branch[i] else t % r)
+
+    edges = []
+    for i in loops:
+        s = draw(st.integers(min_value=1, max_value=r - 1))
+        edges += [(curve(i, t), curve(i, t + s)) for t in range(r)]
+    for i, j in base:
+        s = draw(st.integers(min_value=0, max_value=r - 1))
+        edges += list(dict.fromkeys((curve(i, t), curve(j, t + s)) for t in range(r)))
+    deg = [0] * first[-1]
+    for i, j in edges:
+        deg[i] += 1
+        deg[j] += 1
+
+    def cover(c):
+        return DualGraph([(0, -c[i]) for i in range(k) for _ in range(first[i], first[i + 1])],
+                         edges)
+
+    # start diagonally dominant, so negative definite, then lower each
+    # weight in turn as far as the form stays negative definite
+    c = [deg[first[i]] + 1 for i in range(k)]
+    g = cover(c)
+    for i in draw(st.permutations(range(k))):
+        while c[i] > 1:
+            c[i] -= 1
+            h = cover(c)
+            if not is_negative_definite(h):
+                c[i] += 1
+                break
+            g = h
+    return k, g
+
+
+@given(cyclic_covers())
+@settings(max_examples=300, deadline=None)
+def test_class_sequence_matches_the_heap_order_on_cyclic_covers(data):
+    """The fibres are equitable, so there are at most as many classes as
+    base curves; the class-wise sequence must reach the per-curve Z_f."""
+    k, g = data
+    assert is_negative_definite(g)
+    assert max(graph_lattice._equitable_classes(g)) < k
+    assert fundamental_cycle(g) == _fundamental_cycle_heap(g)
+
+
+@given(cyclic_graphs() | pendant_graphs() | tree_graphs() | cyclic_covers().map(lambda d: d[1]))
+@settings(max_examples=200, deadline=None)
+def test_classes_are_equitable(g):
+    """One self-intersection per class, and the same number of edges from
+    each curve of a class into each class."""
+    col = graph_lattice._equitable_classes(g)
+    assert sorted(set(col)) == list(range(max(col) + 1))
+    profile = {}
+    for v, row in enumerate(g._adj):
+        into = {}
+        for u, w in row.items():
+            into[col[u]] = into.get(col[u], 0) + w
+        assert profile.setdefault(col[v], (g.self_ints[v], into)) == (g.self_ints[v], into)
+
+
+def test_long_asymmetric_chain_refines_in_near_linear_time():
+    """A -3 curve at one end of 20,000 curves: every class splits, one pair of
+    curves at a time.  Re-colouring every curve per split would take about
+    10^4 rounds of 2 * 10^4 curves."""
+    n = 20_000
+    g = DualGraph([(0, -3)] + [(0, -2)] * (n - 1), [(i, i + 1) for i in range(n - 1)])
+    start = time.perf_counter()
+    assert max(graph_lattice._equitable_classes(g)) == n - 1
+    assert fundamental_cycle(g) == (1,) * n
+    assert time.perf_counter() - start < 5.0
+
+
+def _chain_positions(a):
+    return 1 + sum(len(fam.chain) for fam in dual_graph(a).branch_families)
+
+
+@given(wide_tuples)
+@settings(max_examples=30, deadline=None)
+def test_flattened_stars_have_one_class_per_chain_position(a):
+    """The ghat_w copies of a chain share their classes, so Laufer's
+    sequence never works curve by curve on a flattened star."""
+    classes = graph_lattice._equitable_classes(dual_graph(a).graph)
+    assert max(classes) < _chain_positions(a)
+
+
+def test_the_largest_sweep_star_has_few_classes():
+    a = (50, 60, 70, 80, 90)
+    g = dual_graph(a).graph
+    assert g.n == 25_001
+    assert max(graph_lattice._equitable_classes(g)) < _chain_positions(a)
