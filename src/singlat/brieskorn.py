@@ -60,6 +60,20 @@ def _neg_cont_frac(p: int, q: int) -> list[int]:
     return out
 
 
+def _neg_cont_frac_len(p: int, q: int) -> int:
+    """len(_neg_cont_frac(p, q)) in O(log p) steps.  With the regular continued
+    fraction p/q = [a_1, ..., a_k] padded to odd k by [.., x] = [.., x - 1, 1],
+    the length is (k + 1)/2 + sum_{i even} (a_i - 1); unpadded, the loop
+    counts the same as ceil(k/2) + sum_{i even} (a_i - 1).  0 for (1, 0)."""
+    k = length = 0
+    while q:
+        k += 1
+        if k % 2 == 0:
+            length += p // q - 1
+        p, q = q, p % q
+    return length + (k + 1) // 2
+
+
 def _continuants(chain: Sequence[int]) -> list[int]:
     """Continuants K(c_1..c_v) for v = 0..s: K() = 1 and
     K(c_1..c_v) = c_v K(c_1..c_{v-1}) - K(c_1..c_{v-2})."""
@@ -182,10 +196,6 @@ class StarGraph:
         return tuple(accumulate(sizes[:-1], initial=1))
 
     @property
-    def m(self) -> int:
-        return len(self.branch_families)
-
-    @property
     def center_self_int(self) -> int:
         return -self.c0
 
@@ -269,19 +279,21 @@ def numeric_invariants(a: Sequence[int]) -> BCIInvariants:
 @lru_cache(maxsize=64)
 def _star_cached(a: tuple[int, ...]) -> StarGraph:
     inv = _invariants_cached(a)
-    families = []
-    for count, alpha_w, lam_w in zip(inv.ghat_i, inv.alpha_i, inv.lambda_i):
-        if alpha_w == 1:
-            families.append(ChainFamily(count=count, chain=(), beta=0))
-            continue
-        beta = (-pow(lam_w, -1, alpha_w)) % alpha_w
-        chain = tuple(_neg_cont_frac(alpha_w, beta))
-        families.append(ChainFamily(count=count, chain=chain, beta=beta))
-    # each of the m + 2 cycles solved below holds one coefficient list per family
+    # beta_w = 0 and the chain is empty where alpha_w = 1
+    betas = [
+        (-pow(lam_w, -1, alpha_w)) % alpha_w
+        for alpha_w, lam_w in zip(inv.alpha_i, inv.lambda_i)
+    ]
+    # each of the m + 2 cycles solved below holds one coefficient list per
+    # family; counted before any chain is expanded
     ideal_oracle._check_budget(
-        (inv.m + 2) * sum(len(fam.chain) for fam in families),
+        (inv.m + 2) * sum(map(_neg_cont_frac_len, inv.alpha_i, betas)),
         f"the compressed star of {a}", "cycle coefficients",
     )
+    families = [
+        ChainFamily(count=count, chain=tuple(_neg_cont_frac(alpha_w, beta)), beta=beta)
+        for count, alpha_w, beta in zip(inv.ghat_i, inv.alpha_i, betas)
+    ]
     for fam, alpha_w in zip(families, inv.alpha_i):
         if _continuants(fam.chain)[-1] != alpha_w:
             raise InternalError("chain continuant does not reproduce alpha_w")

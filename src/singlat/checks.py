@@ -60,7 +60,9 @@ def run_tuple_checks(a: Sequence[int]) -> list[CheckResult]:
         brieskorn._pg_series_size(a),
     ):
         ideal_oracle._check_budget(*need)
-    brieskorn.dual_graph(a).check_flat_budget()
+    inv = brieskorn.numeric_invariants(a)
+    star = brieskorn.dual_graph(a)
+    star.check_flat_budget()
 
     def assert_same(what: str, got, want) -> None:
         """got == want entrywise, or name the first vertex where they differ."""
@@ -70,7 +72,7 @@ def run_tuple_checks(a: Sequence[int]) -> list[CheckResult]:
                 f"{what} {got[bad]} at vertex {bad}, expected {want[bad]}"
             )
 
-    def assert_pairings(star, name: str, z, tips, at_center: int) -> None:
+    def assert_pairings(name: str, z, tips, at_center: int) -> None:
         """z pairs to -1 at each of tips, to 0 on every other chain curve and
         to at_center at the center, on the flattened graph."""
         want = [0] * star.graph.n
@@ -80,7 +82,6 @@ def run_tuple_checks(a: Sequence[int]) -> list[CheckResult]:
         assert_same(f"{name} pairs to", graph_lattice.cycle_products(star.graph, z), want)
 
     def invariants() -> str:
-        inv = brieskorn.numeric_invariants(a)
         _require(inv.ell % inv.alpha == 0, "alpha does not divide ell")
         _require(
             all(v > 0 for v in inv.ell_i + inv.alpha_i + inv.ghat_i + inv.lambda_i),
@@ -103,8 +104,6 @@ def run_tuple_checks(a: Sequence[int]) -> list[CheckResult]:
         return f"ell={inv.ell} alpha={inv.alpha} ghat={inv.ghat} delta={inv.delta}"
 
     def graph() -> str:
-        inv = brieskorn.numeric_invariants(a)
-        star = brieskorn.dual_graph(a)
         _require(star.center_self_int == -star.c0, "center weight mismatch")
         for w, fam in enumerate(star.branch_families):
             _require(fam.count == inv.ghat_i[w], f"family {w + 1} count != ghat_w")
@@ -121,15 +120,13 @@ def run_tuple_checks(a: Sequence[int]) -> list[CheckResult]:
         )
 
     def divisor_cycles() -> str:
-        inv = brieskorn.numeric_invariants(a)
-        star = brieskorn.dual_graph(a)
         for i in range(1, m + 1):
             z = brieskorn.divisor_cycle(a, i)
             _require(z[0] == inv.lambda_i[i - 1], f"Z^({i}) center coefficient")
             _require(all(v >= 1 for v in z), f"Z^({i}) is not effective")
             _require(graph_lattice.is_anti_nef(star.graph, z), f"Z^({i}) is not anti-nef")
             tips = star.tip_indices(i)
-            assert_pairings(star, f"Z^({i})", z, tips, 0 if tips else -inv.ghat_i[i - 1])
+            assert_pairings(f"Z^({i})", z, tips, 0 if tips else -inv.ghat_i[i - 1])
         zm = brieskorn.divisor_cycle(a, m)
         tips = star.tip_indices(m)
         tip_coeff = zm[tips[0]] if tips else inv.lambda_i[-1]
@@ -140,16 +137,13 @@ def run_tuple_checks(a: Sequence[int]) -> list[CheckResult]:
         return f"all {m} cycles anti-nef; eta_m={inv.eta_m} confirmed on the graph"
 
     def central_cycle() -> str:
-        inv = brieskorn.numeric_invariants(a)
-        star = brieskorn.dual_graph(a)
         z0 = brieskorn.central_multiple_cycle(a)
         _require(z0[0] == inv.alpha, "Z_0 center coefficient != alpha")
         _require(graph_lattice.is_anti_nef(star.graph, z0), "Z_0 is not anti-nef")
-        assert_pairings(star, "Z_0", z0, (), -(inv.alpha * inv.ghat // inv.ell))
+        assert_pairings("Z_0", z0, (), -(inv.alpha * inv.ghat // inv.ell))
         return f"center coefficient {inv.alpha}"
 
     def canonical_cycle() -> str:
-        star = brieskorn.dual_graph(a)
         zk = brieskorn.canonical_cycle_formula(a)
         zi = tuple(int(v) for v in zk)
         want = [
@@ -164,8 +158,6 @@ def run_tuple_checks(a: Sequence[int]) -> list[CheckResult]:
         return "integral, effective, matches the adjunction solve"
 
     def fundamental() -> str:
-        inv = brieskorn.numeric_invariants(a)
-        star = brieskorn.dual_graph(a)
         pf = brieskorn.fundamental_genus(a)
         zf = graph_lattice.fundamental_cycle(star.graph)
         lam_m = inv.lambda_i[-1]

@@ -199,36 +199,19 @@ def _equitable_classes(g: DualGraph) -> list[int]:
     same number of edges into B.
 
     Colour refinement (Godsil-Royle, "Algebraic Graph Theory", 9.3).  The
-    first colours are the self-intersection and the pendant-peel round: each
-    round strips, all at once, the curves with at most one neighbour left,
-    and the 2-core is never stripped (round -1).  The rounds already tell
-    apart the curves of a chain, so on a flattened star the first colours
-    are usually equitable already.  Refinement splits a class by the number
-    of edges its curves send into a splitter class, taken from Hopcroft's
-    worklist: every first class is queued, and a class that splits queues
-    all its parts if it is still queued itself, else all but the largest.
-    That takes O(m log n) steps, where re-colouring every curve round by
-    round would take one round per curve of a long asymmetric chain.
+    first colours are the self-intersection and the number of neighbours;
+    any equitable partition serves Laufer's sequence, and refinement reaches
+    the coarsest one that refines them.  Refinement splits a class by the
+    number of edges its curves send into a splitter class, taken from
+    Hopcroft's worklist: every first class is queued, and a class that
+    splits queues all its parts if it is still queued itself, else all but
+    the largest.  That takes O(m log n) steps, where re-colouring every
+    curve round by round would take one round per curve of a long chain.
     Classes are numbered 0, 1, ...
     """
     n, adj = g.n, g._adj
-    deg = [len(row) for row in adj]
-    peel = [-1] * n
-    front = [i for i in range(n) if deg[i] <= 1]
-    r = 0
-    while front:
-        for v in front:
-            peel[v] = r
-        nxt = []
-        for v in front:
-            for u in adj[v]:
-                if peel[u] < 0:
-                    deg[u] -= 1
-                    if deg[u] == 1:
-                        nxt.append(u)
-        front, r = nxt, r + 1
     ids: dict = {}
-    col = [ids.setdefault(key, len(ids)) for key in zip(g.self_ints, peel)]
+    col = [ids.setdefault(key, len(ids)) for key in zip(g.self_ints, map(len, adj))]
     members: list[set[int]] = [set() for _ in ids]
     for v, a in enumerate(col):
         members[a].add(v)

@@ -122,19 +122,14 @@ def _score_weights(a: tuple[int, ...]) -> tuple[int, list[int]]:
     return d, [a[m - 2] * (d // ai) for ai in a[: m - 2]]
 
 
-def _box_scores(a: tuple[int, ...]) -> list[int]:
-    """The score of every box point prod [0, a_i-1], i <= m-2, in lex order."""
-    sizes = a[: len(a) - 2]
-    _, weights = _score_weights(a)
-    return _box_sums(sizes, weights, sum((n - 1) * w for n, w in zip(sizes, weights)))
-
-
 @lru_cache(maxsize=4096)
 def _table_cached(a: tuple[int, ...]) -> QuotientTable:
-    d = math.prod(a[: len(a) - 2])
+    sizes = a[: len(a) - 2]
+    d, weights = _score_weights(a)
     top = 0
     hist: dict[int, int] = {}
-    for score in _box_scores(a):
+    # the score of every box point, the largest one included
+    for score in _box_sums(sizes, weights, sum((n - 1) * w for n, w in zip(sizes, weights))):
         n_top = score // d - 1  # largest n with score >= (n+1) d
         if n_top >= 0:
             hist[n_top] = hist.get(n_top, 0) + 1

@@ -7,7 +7,7 @@ from itertools import combinations_with_replacement
 from math import comb, gcd, lcm, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from singlat import (
@@ -222,13 +222,24 @@ def test_flattening_is_budgeted():
 
 def test_compressed_star_is_budgeted(monkeypatch):
     """(2,3,6000001) has a 1,000,001-curve chain, so its m + 2 = 5 compressed
-    cycles would hold 5,000,010 coefficients: refused before any is solved."""
+    cycles would hold 5,000,010 coefficients, and (2,3,60000001) ten times
+    as many: refused before any chain is expanded or solved."""
     def refuse(*args):
-        raise RuntimeError("a chain was solved although the star is refused")
+        raise RuntimeError("a chain was built although the star is refused")
 
+    monkeypatch.setattr(brieskorn, "_neg_cont_frac", refuse)
     monkeypatch.setattr(brieskorn, "_chain_coeffs", refuse)
-    with pytest.raises(ResourceError, match="compressed star .* 5000010 cycle coefficients"):
-        dual_graph((2, 3, 6000001))
+    for a, need in (((2, 3, 6000001), 5000010), ((2, 3, 60000001), 50000010)):
+        with pytest.raises(ResourceError, match=f"compressed star .* {need} cycle coefficients"):
+            dual_graph(a)
+
+
+@given(st.integers(1, 10**6).flatmap(lambda p: st.tuples(st.just(p), st.integers(0, p - 1))))
+@settings(max_examples=300, deadline=None)
+def test_chain_length_from_the_regular_continued_fraction(pq):
+    p, q = pq
+    assume(gcd(p, q) == 1)
+    assert brieskorn._neg_cont_frac_len(p, q) == len(brieskorn._neg_cont_frac(p, q))
 
 
 # --------------------------------------------------------- distinguished cycles

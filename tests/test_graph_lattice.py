@@ -591,13 +591,23 @@ def test_classes_are_equitable(g):
 def test_long_asymmetric_chain_refines_in_near_linear_time():
     """A -3 curve at one end of 20,000 curves: every class splits, one pair of
     curves at a time.  Re-colouring every curve per split would take about
-    10^4 rounds of 2 * 10^4 curves."""
+    10^4 rounds of 2 * 10^4 curves.  A symmetric chain of 20,000 -2 curves
+    and a comb of 10,000 -3 curves with a -1 tooth each split from both ends
+    into mirror pairs, which the first colours do not tell apart."""
     n = 20_000
-    g = DualGraph([(0, -3)] + [(0, -2)] * (n - 1), [(i, i + 1) for i in range(n - 1)])
-    start = time.perf_counter()
-    assert max(graph_lattice._equitable_classes(g)) == n - 1
-    assert fundamental_cycle(g) == (1,) * n
-    assert time.perf_counter() - start < 5.0
+    path = [(i, i + 1) for i in range(n - 1)]
+    half = n // 2
+    cases = [
+        (DualGraph([(0, -3)] + [(0, -2)] * (n - 1), path), n),
+        (DualGraph([(0, -2)] * n, path), half),
+        (DualGraph([(0, -3)] * half + [(0, -1)] * half,
+                   path[: half - 1] + [(i, half + i) for i in range(half)]), half),
+    ]
+    for g, classes in cases:
+        start = time.perf_counter()
+        assert max(graph_lattice._equitable_classes(g)) == classes - 1
+        assert fundamental_cycle(g) == (1,) * n
+        assert time.perf_counter() - start < 5.0
 
 
 def _chain_positions(a):
