@@ -83,22 +83,23 @@ def _continuants(chain: Sequence[int]) -> list[int]:
     return ks[1:]
 
 
-def _chain_coeffs(chain: Sequence[int], center: int, beyond: int) -> list[int]:
-    """Solve the two-point recursion lam_{v-1} = c_v lam_v - lam_{v+1} on one chain.
+def _chain_coeffs(pre: Sequence[int], suf: Sequence[int], center: int, beyond: int) -> list[int]:
+    """Solve the two-point recursion lam_{v-1} = c_v lam_v - lam_{v+1} on one
+    chain c_1..c_s, given its continuants pre[v] = K(c_1..c_v) and
+    suf[v] = K(c_{v+1}..c_s), v = 0..s.
 
     Boundary values: lam_0 = center at the central curve, lam_{s+1} = beyond
     past the tip.  In closed form (Neumann, "A calculus for plumbing")
     lam_v = (center K(c_{v+1}..c_s) + beyond K(c_1..c_{v-1})) / K(c_1..c_s),
     K the continuant.  Raises if the solution is not a positive integer vector.
     """
-    # a continuant reads the same both ways, so suf[v] = K(c_{v+1}..c_s)
-    pre, suf = _continuants(chain), _continuants(chain[::-1])[::-1]
     coeffs = []
-    for v in range(1, len(chain) + 1):
+    for v in range(1, len(pre)):
         lam, rem = divmod(center * suf[v] + beyond * pre[v - 1], pre[-1])
         if rem:
             raise ConstructionError(
-                f"chain solve is not integral at curve {v} of {chain} (center {center})"
+                f"chain solve is not integral at curve {v} of a chain with "
+                f"continuant {pre[-1]} (center {center})"
             )
         if lam < 1:
             raise ConstructionError("chain solve produced a non-positive coefficient")
@@ -158,6 +159,8 @@ class StarGraph:
     ``assemble(*cycle)`` flattens one.  ``graph``, the flattened
     :class:`DualGraph`, is built on first use: the center at index 0, then
     each family's chain copies center-outward from ``family_starts``.
+    Its classes are the chain positions: the center, then one class per
+    family and position, shared by the family's ``count`` copies.
     ``vertex_count`` is its size, read off the families; ``graph`` and
     ``assemble`` check it against ``LATTICE_BUDGET`` before they allocate.
     """
@@ -179,16 +182,19 @@ class StarGraph:
     @cached_property
     def graph(self) -> DualGraph:
         self.check_flat_budget()
-        vertices, edges = [(self.center_genus, -self.c0)], []
+        vertices, edges, classes = [(self.center_genus, -self.c0)], [], [0]
+        first = 1  # class of the family's first chain position
         for fam in self.branch_families:
             for _ in range(fam.count if fam.chain else 0):
                 prev = 0
-                for c in fam.chain:
+                for cls, c in enumerate(fam.chain, start=first):
                     idx = len(vertices)
                     vertices.append((0, -c))
                     edges.append((prev, idx))
+                    classes.append(cls)
                     prev = idx
-        return DualGraph(vertices, edges)
+            first += len(fam.chain)
+        return DualGraph(vertices, edges, classes=classes)
 
     @cached_property
     def family_starts(self) -> tuple[int, ...]:
@@ -294,8 +300,13 @@ def _star_cached(a: tuple[int, ...]) -> StarGraph:
         ChainFamily(count=count, chain=tuple(_neg_cont_frac(alpha_w, beta)), beta=beta)
         for count, alpha_w, beta in zip(inv.ghat_i, inv.alpha_i, betas)
     ]
-    for fam, alpha_w in zip(families, inv.alpha_i):
-        if _continuants(fam.chain)[-1] != alpha_w:
+    # each chain's continuants, once: a continuant reads the same both ways,
+    # so suf[v] = K(c_{v+1}..c_s) comes from the reversed chain
+    solves = [
+        (_continuants(fam.chain), _continuants(fam.chain[::-1])[::-1]) for fam in families
+    ]
+    for (pre, _), alpha_w in zip(solves, inv.alpha_i):
+        if pre[-1] != alpha_w:
             raise InternalError("chain continuant does not reproduce alpha_w")
 
     two_g = (inv.m - 2) * inv.ghat - sum(inv.ghat_i)
@@ -305,13 +316,15 @@ def _star_cached(a: tuple[int, ...]) -> StarGraph:
     if center_genus < 0:
         raise ConstructionError(f"central genus {center_genus} is negative")
 
-    c0_frac = Fraction(inv.ghat, inv.ell) + sum(
-        Fraction(fam.count * fam.beta, alpha_w)
-        for fam, alpha_w in zip(families, inv.alpha_i)
+    # c0 = ghat/ell + sum_w count_w beta_w/alpha_w, and ell/alpha_w = ell_w
+    c0_num = inv.ghat + sum(
+        fam.count * fam.beta * ell_w for fam, ell_w in zip(families, inv.ell_i)
     )
-    if c0_frac.denominator != 1:
-        raise ConstructionError(f"central self-intersection -({c0_frac}) is not integral")
-    c0 = int(c0_frac)
+    c0, rem = divmod(c0_num, inv.ell)
+    if rem:
+        raise ConstructionError(
+            f"central self-intersection -({Fraction(c0_num, inv.ell)}) is not integral"
+        )
     if c0 < 1:
         raise ConstructionError(f"central weight c0 = {c0} is below 1")
 
@@ -320,8 +333,8 @@ def _star_cached(a: tuple[int, ...]) -> StarGraph:
     cycles = []
     for i, center in enumerate((inv.alpha,) + inv.lambda_i):
         fam_coeffs = tuple(
-            tuple(_chain_coeffs(fam.chain, center, 1 if w == i else 0))
-            for w, fam in enumerate(families, start=1)
+            tuple(_chain_coeffs(pre, suf, center, 1 if w == i else 0))
+            for w, (pre, suf) in enumerate(solves, start=1)
         )
         cycles.append((center, fam_coeffs))
     # Z_K = 1 + k Z_0 - sum_w Z^(w), k = (m-2) ell/alpha, coefficientwise

@@ -14,10 +14,11 @@ Laufer's Z_f are refused on any other graph.  It peels pendant vertices
 first, on flat integer lists and without fill-in, and eliminates what
 survives in index order: the 2-core, or a single vertex of a tree.  Laufer's
 fundamental cycle Z_f comes from the computation sequence run on the classes
-of an equitable partition, found by colour refinement, with a FIFO worklist
-of the classes of positive pairing; the identical chains of a flattened star
-share their classes, so they cost one step.  All three are cached on the
-graph, so repeated calls on one graph cost a lookup.
+of the graph's equitable partition, with a FIFO worklist of the classes of
+positive pairing.  A flattened star brings its chain positions as classes,
+so its identical chains cost one step; any other graph has one class per
+curve.  All three are cached on the graph, so repeated calls on one graph
+cost a lookup.
 """
 
 from __future__ import annotations
@@ -55,16 +56,26 @@ class DualGraph:
     ``edges`` an iterable of vertex-index pairs.  Repeating a pair makes a
     multi-edge.  Negativity of self-intersections is deliberately not
     enforced here; it is the job of :func:`is_negative_definite`.
+
+    ``classes``, if given, numbers the classes ``0..k-1`` of an equitable
+    partition, one id per curve: the curves of a class have one
+    self-intersection and, for every class B, the same number of edges into
+    B.  It is checked here and raises ``DomainError`` otherwise.  Laufer's
+    sequence runs class by class on it; without it, every curve is its own
+    class.  Any equitable partition gives the same results, so equality,
+    hashing and ``to_json_dict`` ignore it.
     """
 
     __slots__ = (
-        "genera", "self_ints", "edges", "_adj", "_neg_def", "_zk", "_zf"
+        "genera", "self_ints", "edges", "classes", "_adj", "_neg_def", "_zk", "_zf"
     )
 
     def __init__(
         self,
         vertices: Iterable[tuple[int, int]],
         edges: Iterable[tuple[int, int]] = (),
+        *,
+        classes: Sequence[int] | None = None,
     ) -> None:
         genera: list[int] = []
         self_ints: list[int] = []
@@ -108,9 +119,24 @@ class DualGraph:
         if count != n:
             raise DomainError("dual graph must be connected")
 
+        if classes is not None:
+            classes = tuple(classes)
+            ids = set(classes)
+            if (len(classes) != n or ids != set(range(len(ids)))
+                    or not all(isinstance(a, int) for a in ids)):
+                raise DomainError(f"class ids must be {n} integers that cover 0..k-1 exactly")
+            profile: dict[int, tuple[int, dict[int, int]]] = {}
+            for v, row in enumerate(adj):
+                into: dict[int, int] = {}
+                for u, w in row.items():
+                    into[classes[u]] = into.get(classes[u], 0) + w
+                if profile.setdefault(classes[v], (self_ints[v], into)) != (self_ints[v], into):
+                    raise DomainError(f"the classes are not equitable at vertex {v}")
+
         self.genera: tuple[int, ...] = tuple(genera)
         self.self_ints: tuple[int, ...] = tuple(self_ints)
         self.edges: tuple[tuple[int, int], ...] = tuple(norm)
+        self.classes: tuple[int, ...] | None = classes
         self._adj: tuple[dict[int, int], ...] = tuple(adj)
         # result caches, filled on first use; the data above never changes
         self._neg_def: bool | None = None
@@ -193,72 +219,10 @@ def is_anti_nef(g: DualGraph, z: Sequence) -> bool:
     return all(v <= 0 for v in cycle_products(g, z))
 
 
-def _equitable_classes(g: DualGraph) -> list[int]:
-    """Class index of every curve in an equitable partition of g: curves of
-    one class have the same self-intersection and, for every class B, the
-    same number of edges into B.
-
-    Colour refinement (Godsil-Royle, "Algebraic Graph Theory", 9.3).  The
-    first colours are the self-intersection and the number of neighbours;
-    any equitable partition serves Laufer's sequence, and refinement reaches
-    the coarsest one that refines them.  Refinement splits a class by the
-    number of edges its curves send into a splitter class, taken from
-    Hopcroft's worklist: every first class is queued, and a class that
-    splits queues all its parts if it is still queued itself, else all but
-    the largest.  That takes O(m log n) steps, where re-colouring every
-    curve round by round would take one round per curve of a long chain.
-    Classes are numbered 0, 1, ...
-    """
-    n, adj = g.n, g._adj
-    ids: dict = {}
-    col = [ids.setdefault(key, len(ids)) for key in zip(g.self_ints, map(len, adj))]
-    members: list[set[int]] = [set() for _ in ids]
-    for v, a in enumerate(col):
-        members[a].add(v)
-    queued = [True] * len(members)
-    work = list(range(len(members)))
-    while work and len(members) < n:  # single curves are equitable at once
-        s = work.pop()
-        queued[s] = False
-        hits: dict[int, int] = {}  # curve -> its edges into class s
-        for u in members[s]:
-            for v, w in adj[u].items():
-                hits[v] = hits.get(v, 0) + w
-        by_class: dict[int, dict[int, list[int]]] = {}
-        for v, x in hits.items():
-            by_class.setdefault(col[v], {}).setdefault(x, []).append(v)
-        for a, by_count in by_class.items():
-            mem, parts = members[a], list(by_count.values())
-            rest = len(mem) - sum(map(len, parts))  # curves of a with no edge into s
-            if not rest and len(parts) == 1:
-                continue
-            for p in parts:
-                mem.difference_update(p)
-            if not rest:  # a keeps its largest part
-                parts.sort(key=len)
-                mem.update(parts.pop())
-            new = []
-            for p in parts:
-                new.append(len(members))
-                members.append(set(p))
-                queued.append(False)
-                for v in p:
-                    col[v] = new[-1]
-            if not queued[a]:
-                # the partition is stable on the whole of a, so it is stable on
-                # the largest part once it is on all the others
-                new.append(a)
-                new.remove(max(new, key=lambda b: len(members[b])))
-            for b in new:
-                if not queued[b]:
-                    queued[b] = True
-                    work.append(b)
-    return col
-
-
 def fundamental_cycle(g: DualGraph) -> Cycle:
     """Smallest non-zero anti-nef cycle, by the classical computation sequence
-    run on the classes of an equitable partition (``_equitable_classes``).
+    run on the classes of ``g.classes``: the chain positions of a flattened
+    star, and one class per curve on a graph built without classes.
 
     Starts at the reduced cycle.  With ``c_A = -E^2`` and ``n_AB`` the edges
     from one curve of class A into class B, every curve of A pairs to
@@ -283,7 +247,7 @@ def fundamental_cycle(g: DualGraph) -> Cycle:
             "the computation sequence may not terminate otherwise"
         )
     adj, self_ints = g._adj, g.self_ints
-    col = _equitable_classes(g)
+    col = g.classes or range(g.n)
     # the last curve of each class stands for it, as any curve of it would
     last = dict(zip(col, range(g.n)))
     rep = [last[a] for a in range(len(last))]

@@ -291,13 +291,15 @@ def test_chain_coeffs_closed_form_matches_recursion(chain, n, beyond, integral):
         lo, center = beyond, n
         for c in reversed(chain):
             lo, center = center, c * center - lo
+    pre = brieskorn._continuants(chain)
+    suf = brieskorn._continuants(chain[::-1])[::-1]
     try:
         want = _chain_coeffs_two_point(chain, center, beyond)
     except ConstructionError:
         with pytest.raises(ConstructionError):
-            brieskorn._chain_coeffs(chain, center, beyond)
+            brieskorn._chain_coeffs(pre, suf, center, beyond)
     else:
-        assert brieskorn._chain_coeffs(chain, center, beyond) == want
+        assert brieskorn._chain_coeffs(pre, suf, center, beyond) == want
 
 
 def _count_flattening(monkeypatch):
@@ -311,9 +313,9 @@ def _count_flattening(monkeypatch):
     ]:
         real = getattr(owner, name)
 
-        def counted(*args, _real=real, _name=name):
+        def counted(*args, _real=real, _name=name, **kwargs):
             calls.append((_name, args[1] if _name == "__init__" else args[0]))
-            return _real(*args)
+            return _real(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
     return calls
@@ -368,8 +370,8 @@ def test_star_build_rejects_a_wrong_cycle(monkeypatch):
     stays right and only the chain pairings can catch it."""
     real = brieskorn._chain_coeffs
 
-    def wrong_tip(chain, center, beyond):
-        coeffs = real(chain, center, beyond)
+    def wrong_tip(*args):
+        coeffs = real(*args)
         return coeffs[:-1] + [coeffs[-1] + 1] if coeffs else coeffs
 
     monkeypatch.setattr(brieskorn, "_chain_coeffs", wrong_tip)

@@ -51,6 +51,18 @@ def test_edge_validation():
         DualGraph([(0, -2), (0, -2)], [])  # disconnected
 
 
+def test_class_validation():
+    """Class ids must number the curves, cover 0..k-1 and be equitable."""
+    g = chain(-2, -2, -2)
+    for classes in ([0, 1], [0, 1, 0, 1], [0, 2, 0], [1, 2, 1], [0, 1.0, 0], [0, 0, 0], [0, 1, 1]):
+        with pytest.raises(DomainError):
+            DualGraph(zip(g.genera, g.self_ints), g.edges, classes=classes)
+    # the ends of a chain have one self-intersection only if told so
+    with pytest.raises(DomainError):
+        DualGraph([(0, -2), (0, -2), (0, -3)], g.edges, classes=[0, 1, 0])
+    assert DualGraph(zip(g.genera, g.self_ints), g.edges, classes=[0, 1, 0]).classes == (0, 1, 0)
+
+
 def test_multi_edges_allowed():
     g = DualGraph([(0, -2), (0, -2)], [(0, 1), (0, 1)])
     assert intersection_number(g, (1, 0), (0, 1)) == 2
@@ -66,6 +78,12 @@ def test_equality_and_serialization(e8):
     assert hash(back) == hash(e8)
     assert back.to_json_dict() == doc
     assert doc["vertices"][0] == {"genus": 0, "self_int": -2}
+    # the classes are not part of the graph's identity
+    d4 = star((0, -2), [[-2]] * 3)
+    h = DualGraph(zip(d4.genera, d4.self_ints), d4.edges, classes=[0, 1, 1, 1])
+    assert h == d4 and hash(h) == hash(d4)
+    assert h.to_json_dict() == d4.to_json_dict()
+    assert DualGraph.from_json_dict(h.to_json_dict()).classes is None
 
 
 def test_edge_order_does_not_matter():
@@ -504,7 +522,8 @@ def test_fundamental_cycle_is_the_least_anti_nef_cycle(g):
 @st.composite
 def cyclic_covers(draw):
     """An r-fold cyclic cover of a small base multigraph, branched at some
-    base curves, with the base curve's weight on every curve above it.
+    base curves, with the base curve's weight on every curve above it, and
+    the fibre of every curve: the index of the base curve below it.
 
     A free base curve i lifts to r curves (i, t), a branch curve to one;
     base curve 0 is a branch curve, so the cover is connected.  A base edge
@@ -559,53 +578,70 @@ def cyclic_covers(draw):
                 c[i] += 1
                 break
             g = h
-    return k, g
+    return g, [i for i in range(k) for _ in range(first[i], first[i + 1])]
+
+
+def _with_classes(g, classes):
+    return DualGraph(zip(g.genera, g.self_ints), g.edges, classes=classes)
 
 
 @given(cyclic_covers())
 @settings(max_examples=300, deadline=None)
 def test_class_sequence_matches_the_heap_order_on_cyclic_covers(data):
-    """The fibres are equitable, so there are at most as many classes as
-    base curves; the class-wise sequence must reach the per-curve Z_f."""
-    k, g = data
-    assert is_negative_definite(g)
-    assert max(graph_lattice._equitable_classes(g)) < k
-    assert fundamental_cycle(g) == _fundamental_cycle_heap(g)
+    """The fibres are equitable, with edges inside a class and classes of
+    sizes 1 and r; the class-wise sequence must reach the per-curve Z_f."""
+    g, fibres = data
+    h = _with_classes(g, fibres)
+    assert is_negative_definite(h)
+    assert fundamental_cycle(h) == _fundamental_cycle_heap(g)
 
 
-@given(cyclic_graphs() | pendant_graphs() | tree_graphs() | cyclic_covers().map(lambda d: d[1]))
-@settings(max_examples=200, deadline=None)
-def test_classes_are_equitable(g):
+def _is_equitable(g, classes):
     """One self-intersection per class, and the same number of edges from
     each curve of a class into each class."""
-    col = graph_lattice._equitable_classes(g)
-    assert sorted(set(col)) == list(range(max(col) + 1))
     profile = {}
     for v, row in enumerate(g._adj):
         into = {}
         for u, w in row.items():
-            into[col[u]] = into.get(col[u], 0) + w
-        assert profile.setdefault(col[v], (g.self_ints[v], into)) == (g.self_ints[v], into)
+            into[classes[u]] = into.get(classes[u], 0) + w
+        if profile.setdefault(classes[v], (g.self_ints[v], into)) != (g.self_ints[v], into):
+            return False
+    return True
 
 
-def test_long_asymmetric_chain_refines_in_near_linear_time():
-    """A -3 curve at one end of 20,000 curves: every class splits, one pair of
-    curves at a time.  Re-colouring every curve per split would take about
-    10^4 rounds of 2 * 10^4 curves.  A symmetric chain of 20,000 -2 curves
-    and a comb of 10,000 -3 curves with a -1 tooth each split from both ends
-    into mirror pairs, which the first colours do not tell apart."""
+@given(cyclic_covers(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_cover_with_one_curve_moved_is_checked(cover, data):
+    """Moving one curve of an r-curve fibre into another fibre: the graph
+    refuses the classes exactly when they are no longer equitable."""
+    g, fibres = cover
+    free = [v for v in range(g.n) if fibres.count(fibres[v]) > 1]
+    assume(free)
+    v = data.draw(st.sampled_from(free))
+    moved = list(fibres)
+    moved[v] = data.draw(st.sampled_from(sorted(set(fibres) - {fibres[v]})))
+    if _is_equitable(g, moved):
+        assert fundamental_cycle(_with_classes(g, moved)) == _fundamental_cycle_heap(g)
+    else:
+        with pytest.raises(DomainError, match="not equitable"):
+            _with_classes(g, moved)
+
+
+def test_long_chains_solve_in_near_linear_time():
+    """Laufer's sequence and the elimination on graphs of 20,000 curves with
+    one class per curve: a -3 curve at one end of a -2 chain, a symmetric
+    chain of -2 curves and a comb of 10,000 -3 curves with a -1 tooth each."""
     n = 20_000
     path = [(i, i + 1) for i in range(n - 1)]
     half = n // 2
     cases = [
-        (DualGraph([(0, -3)] + [(0, -2)] * (n - 1), path), n),
-        (DualGraph([(0, -2)] * n, path), half),
-        (DualGraph([(0, -3)] * half + [(0, -1)] * half,
-                   path[: half - 1] + [(i, half + i) for i in range(half)]), half),
+        DualGraph([(0, -3)] + [(0, -2)] * (n - 1), path),
+        DualGraph([(0, -2)] * n, path),
+        DualGraph([(0, -3)] * half + [(0, -1)] * half,
+                  path[: half - 1] + [(i, half + i) for i in range(half)]),
     ]
-    for g, classes in cases:
+    for g in cases:
         start = time.perf_counter()
-        assert max(graph_lattice._equitable_classes(g)) == classes - 1
         assert fundamental_cycle(g) == (1,) * n
         assert time.perf_counter() - start < 5.0
 
@@ -619,12 +655,11 @@ def _chain_positions(a):
 def test_flattened_stars_have_one_class_per_chain_position(a):
     """The ghat_w copies of a chain share their classes, so Laufer's
     sequence never works curve by curve on a flattened star."""
-    classes = graph_lattice._equitable_classes(dual_graph(a).graph)
-    assert max(classes) < _chain_positions(a)
+    assert len(set(dual_graph(a).graph.classes)) == _chain_positions(a)
 
 
 def test_the_largest_sweep_star_has_few_classes():
     a = (50, 60, 70, 80, 90)
     g = dual_graph(a).graph
     assert g.n == 25_001
-    assert max(graph_lattice._equitable_classes(g)) < _chain_positions(a)
+    assert len(set(g.classes)) == _chain_positions(a)
