@@ -157,12 +157,13 @@ class StarGraph:
     ``cycles`` holds ``Z_0, Z^(1), ..., Z^(m), Z_K``, each compressed as
     ``(center coefficient, one coefficient list per family)``;
     ``assemble(*cycle)`` flattens one.  ``graph``, the flattened
-    :class:`DualGraph`, is built on first use: the center at index 0, then
-    each family's chain copies center-outward from ``family_starts``.
-    Its classes are the chain positions: the center, then one class per
-    family and position, shared by the family's ``count`` copies.
-    ``vertex_count`` is its size, read off the families; ``graph`` and
-    ``assemble`` check it against ``LATTICE_BUDGET`` before they allocate.
+    :class:`DualGraph`, is built on first use by
+    :meth:`DualGraph.from_star`, whose vertex order ``family_starts``,
+    ``chain_start``, ``tip_indices`` and ``assemble`` rely on: the center at
+    index 0, then each family's chain copies center-outward.  Its classes
+    are the chain positions.  ``vertex_count`` is its size, read off the
+    families; ``graph`` and ``assemble`` check it against ``LATTICE_BUDGET``
+    before they allocate.
     """
 
     center_genus: int
@@ -182,19 +183,10 @@ class StarGraph:
     @cached_property
     def graph(self) -> DualGraph:
         self.check_flat_budget()
-        vertices, edges, classes = [(self.center_genus, -self.c0)], [], [0]
-        first = 1  # class of the family's first chain position
-        for fam in self.branch_families:
-            for _ in range(fam.count if fam.chain else 0):
-                prev = 0
-                for cls, c in enumerate(fam.chain, start=first):
-                    idx = len(vertices)
-                    vertices.append((0, -c))
-                    edges.append((prev, idx))
-                    classes.append(cls)
-                    prev = idx
-            first += len(fam.chain)
-        return DualGraph(vertices, edges, classes=classes)
+        return DualGraph.from_star(
+            (self.center_genus, -self.c0),
+            [(fam.count, [-c for c in fam.chain]) for fam in self.branch_families],
+        )
 
     @cached_property
     def family_starts(self) -> tuple[int, ...]:
@@ -395,8 +387,8 @@ def divisor_cycle(a: Sequence[int], i: int) -> Cycle:
     (against the center itself when family i has no vertices)."""
     a = _validated(a)
     m = len(a)
-    if not 1 <= i <= m:
-        raise DomainError(f"coordinate index {i} outside 1..{m}")
+    if not isinstance(i, int) or not 1 <= i <= m:
+        raise DomainError(f"coordinate index {i!r} outside 1..{m}")
     star = _star_cached(a)
     return star.assemble(*star.cycles[i])
 
@@ -603,8 +595,8 @@ def q_sequence(a: Sequence[int], n_max: int) -> tuple[int, ...]:
     first repeat exactly at the normal reduction number, constant afterwards.
     """
     a = _validated(a)
-    if n_max < 0:
-        raise DomainError("q-sequence length must be nonnegative")
+    if not isinstance(n_max, int) or n_max < 0:
+        raise DomainError("q-sequence length must be a nonnegative integer")
     ideal_oracle._check_budget(n_max + 1, f"the q-sequence q(0..{n_max}) of {a}")
     pg = geometric_genus(a)
     mcn = maximal_cycle_numbers(a)
@@ -654,10 +646,10 @@ def classify_elliptic(m_max: int, a_max: int) -> list[tuple[int, ...]]:
     The box is scanned by the closed form; every tuple reported is
     cross-checked against Laufer's algorithm on its graph.
     """
-    if m_max < 3:
-        raise DomainError("m_max must be at least 3")
-    if a_max < 2:
-        raise DomainError("a_max must be at least 2")
+    if not isinstance(m_max, int) or m_max < 3:
+        raise DomainError("m_max must be an integer at least 3")
+    if not isinstance(a_max, int) or a_max < 2:
+        raise DomainError("a_max must be an integer at least 2")
     found = [
         t
         for m in range(3, m_max + 1)

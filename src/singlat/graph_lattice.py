@@ -13,12 +13,12 @@ the canonical Q-cycle Z_K.  It stops at the first pivot >= 0; Z_K and
 Laufer's Z_f are refused on any other graph.  It peels pendant vertices
 first, on flat integer lists and without fill-in, and eliminates what
 survives in index order: the 2-core, or a single vertex of a tree.  Laufer's
-fundamental cycle Z_f comes from the computation sequence run on the classes
-of the graph's equitable partition, with a FIFO worklist of the classes of
-positive pairing.  A flattened star brings its chain positions as classes,
-so its identical chains cost one step; any other graph has one class per
-curve.  All three are cached on the graph, so repeated calls on one graph
-cost a lookup.
+fundamental cycle Z_f comes from the computation sequence run class by
+class, with a FIFO worklist of the classes of positive pairing.  A star
+built by ``DualGraph.from_star`` numbers its chain positions as it emits
+them, and those are its classes, so its identical chains cost one step; any
+other graph has one class per curve.  All three are cached on the graph, so
+repeated calls on one graph cost a lookup.
 """
 
 from __future__ import annotations
@@ -57,12 +57,9 @@ class DualGraph:
     multi-edge.  Negativity of self-intersections is deliberately not
     enforced here; it is the job of :func:`is_negative_definite`.
 
-    ``classes``, if given, numbers the classes ``0..k-1`` of an equitable
-    partition, one id per curve: the curves of a class have one
-    self-intersection and, for every class B, the same number of edges into
-    B.  It is checked here and raises ``DomainError`` otherwise.  Laufer's
-    sequence runs class by class on it; without it, every curve is its own
-    class.  Any equitable partition gives the same results, so equality,
+    ``classes`` is ``None``, every curve its own class, except on a graph
+    built by :meth:`from_star`, where it gives each curve its chain
+    position.  Laufer's sequence runs class by class on it.  Equality,
     hashing and ``to_json_dict`` ignore it.
     """
 
@@ -74,8 +71,6 @@ class DualGraph:
         self,
         vertices: Iterable[tuple[int, int]],
         edges: Iterable[tuple[int, int]] = (),
-        *,
-        classes: Sequence[int] | None = None,
     ) -> None:
         genera: list[int] = []
         self_ints: list[int] = []
@@ -119,24 +114,10 @@ class DualGraph:
         if count != n:
             raise DomainError("dual graph must be connected")
 
-        if classes is not None:
-            classes = tuple(classes)
-            ids = set(classes)
-            if (len(classes) != n or ids != set(range(len(ids)))
-                    or not all(isinstance(a, int) for a in ids)):
-                raise DomainError(f"class ids must be {n} integers that cover 0..k-1 exactly")
-            profile: dict[int, tuple[int, dict[int, int]]] = {}
-            for v, row in enumerate(adj):
-                into: dict[int, int] = {}
-                for u, w in row.items():
-                    into[classes[u]] = into.get(classes[u], 0) + w
-                if profile.setdefault(classes[v], (self_ints[v], into)) != (self_ints[v], into):
-                    raise DomainError(f"the classes are not equitable at vertex {v}")
-
         self.genera: tuple[int, ...] = tuple(genera)
         self.self_ints: tuple[int, ...] = tuple(self_ints)
         self.edges: tuple[tuple[int, int], ...] = tuple(norm)
-        self.classes: tuple[int, ...] | None = classes
+        self.classes: tuple[int, ...] | None = None
         self._adj: tuple[dict[int, int], ...] = tuple(adj)
         # result caches, filled on first use; the data above never changes
         self._neg_def: bool | None = None
@@ -170,6 +151,44 @@ class DualGraph:
             ],
             "edges": [[i, j] for i, j in self.edges],
         }
+
+    @classmethod
+    def from_star(
+        cls,
+        center: tuple[int, int],
+        families: Iterable[tuple[int, Sequence[int]]],
+    ) -> "DualGraph":
+        """Flattened star: ``center`` is ``(genus, self_int)``, and each
+        ``(count, chain)`` of ``families`` hangs ``count`` copies of the
+        genus-0 chain ``chain``, self-intersections listed center-outward,
+        on the center.
+
+        The vertex order is a contract: the center at index 0, then each
+        family's copies one after the other, each center-outward.  Each curve
+        gets its chain position as its class: 0 for the center, then one id
+        per family and position, shared by the family's copies.  The copies
+        of a position share one self-intersection and one edge to each
+        neighbouring position, so the classes are equitable, as
+        :func:`fundamental_cycle` needs.  ``count`` must be a positive
+        ``int``, else ``DomainError``.
+        """
+        vertices, edges, classes = [center], [], [0]
+        first = 1  # class of the family's first chain position
+        for count, chain in families:
+            if not isinstance(count, int) or count < 1:
+                raise DomainError(f"a family needs a positive integer count, got {count!r}")
+            for _ in range(count):
+                prev = 0
+                for pos, e in enumerate(chain, start=first):
+                    idx = len(vertices)
+                    vertices.append((0, e))
+                    classes.append(pos)
+                    edges.append((prev, idx))
+                    prev = idx
+            first += len(chain)
+        g = cls(vertices, edges)
+        g.classes = tuple(classes)
+        return g
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "DualGraph":
@@ -221,23 +240,25 @@ def is_anti_nef(g: DualGraph, z: Sequence) -> bool:
 
 def fundamental_cycle(g: DualGraph) -> Cycle:
     """Smallest non-zero anti-nef cycle, by the classical computation sequence
-    run on the classes of ``g.classes``: the chain positions of a flattened
-    star, and one class per curve on a graph built without classes.
+    run on the classes of ``g.classes``: the chain positions of a star built
+    by :meth:`DualGraph.from_star`, and one class per curve on any other
+    graph.
 
-    Starts at the reduced cycle.  With ``c_A = -E^2`` and ``n_AB`` the edges
-    from one curve of class A into class B, every curve of A pairs to
-    ``d_A = -c_A z_A + sum_B n_AB z_B`` while the cycle is constant on
-    classes.  A FIFO worklist holds the classes with ``d_A > 0``, each queued
-    at most once; a class taken from it gets ``k = ceil(d_A / (c_A - n_AA))``
-    copies of every one of its curves, so ``d_A`` falls by ``k (c_A - n_AA)``
-    and each other class B gains ``k n_BA``.  Made as k rounds that each add
-    one copy of every curve of A in turn, every single addition is at a curve
-    of positive pairing: round t starts with ``d_A - (t-1)(c_A - n_AA) > 0``
-    on every curve of A, and a curve's pairing only rises while the others
-    of its class are added.  So the lifted run is a Laufer sequence, and it
-    ends at Z_f whatever the order (Laufer, "On rational singularities",
-    1972).  ``c_A - n_AA`` is positive because the form is negative on the
-    sum of the curves of A.  The result is cached on the graph.
+    Starts at the reduced cycle.  A class is one curve or one chain position
+    across disjoint chain copies, so no edge joins two curves of a class.
+    With ``c_A = -E^2`` and ``n_AB`` the edges from one curve of class A into
+    class B, every curve of A pairs to ``d_A = -c_A z_A + sum_B n_AB z_B``
+    while the cycle is constant on classes.  A FIFO worklist holds the
+    classes with ``d_A > 0``, each queued at most once; a class taken from
+    it gets ``k = ceil(d_A / c_A)`` copies of every one of its curves, so
+    ``d_A`` falls by ``k c_A`` and each other class B gains ``k n_BA``.  Made
+    as k rounds that each add one copy of every curve of A in turn, every
+    single addition is at a curve of positive pairing: round t starts with
+    ``d_A - (t-1) c_A > 0`` on every curve of A, and a curve's pairing does
+    not move while the others of its class are added.  So the lifted run is
+    a Laufer sequence, and it ends at Z_f whatever the order (Laufer, "On
+    rational singularities", 1972).  ``c_A`` is positive because the form is
+    negative definite.  The result is cached on the graph.
     """
     if g._zf is not None:
         return g._zf
@@ -251,7 +272,7 @@ def fundamental_cycle(g: DualGraph) -> Cycle:
     # the last curve of each class stands for it, as any curve of it would
     last = dict(zip(col, range(g.n)))
     rep = [last[a] for a in range(len(last))]
-    # step[A] = c_A - n_AA; into[A] = {B: n_BA} over the other classes B
+    # step[A] = c_A; into[A] = {B: n_BA}
     step = [-self_ints[v] for v in rep]
     into: list[dict[int, int]] = [{} for _ in rep]
     d = []
@@ -259,10 +280,7 @@ def fundamental_cycle(g: DualGraph) -> Cycle:
         d.append(self_ints[v] + sum(adj[v].values()))
         for u, w in adj[v].items():
             a = col[u]
-            if a == b:
-                step[b] -= w
-            else:
-                into[a][b] = into[a].get(b, 0) + w
+            into[a][b] = into[a].get(b, 0) + w
     z = [1] * len(rep)
     queued = [v > 0 for v in d]
     work = deque(a for a, v in enumerate(d) if v > 0)

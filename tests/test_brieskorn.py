@@ -767,6 +767,21 @@ def test_classify_elliptic_validation():
         classify_elliptic(3, 1)
 
 
+@pytest.mark.parametrize(
+    "func, args",
+    [
+        (q_sequence, ((3, 4, 6), 2.5)),
+        (q_sequence, ((3, 4, 6), 2.0)),
+        (divisor_cycle, ((3, 4, 6), 1.0)),
+        (classify_elliptic, (3.0, 8)),
+        (classify_elliptic, (3, 8.0)),
+    ],
+)
+def test_non_integer_arguments_raise_domain_error(func, args):
+    with pytest.raises(DomainError):
+        func(*args)
+
+
 def test_classify_elliptic_verifies_what_it_reports(monkeypatch):
     """A closed form that wrongly calls (2, 3, 5) elliptic is caught by the
     Laufer cross-check instead of being reported."""

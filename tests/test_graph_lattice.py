@@ -51,18 +51,6 @@ def test_edge_validation():
         DualGraph([(0, -2), (0, -2)], [])  # disconnected
 
 
-def test_class_validation():
-    """Class ids must number the curves, cover 0..k-1 and be equitable."""
-    g = chain(-2, -2, -2)
-    for classes in ([0, 1], [0, 1, 0, 1], [0, 2, 0], [1, 2, 1], [0, 1.0, 0], [0, 0, 0], [0, 1, 1]):
-        with pytest.raises(DomainError):
-            DualGraph(zip(g.genera, g.self_ints), g.edges, classes=classes)
-    # the ends of a chain have one self-intersection only if told so
-    with pytest.raises(DomainError):
-        DualGraph([(0, -2), (0, -2), (0, -3)], g.edges, classes=[0, 1, 0])
-    assert DualGraph(zip(g.genera, g.self_ints), g.edges, classes=[0, 1, 0]).classes == (0, 1, 0)
-
-
 def test_multi_edges_allowed():
     g = DualGraph([(0, -2), (0, -2)], [(0, 1), (0, 1)])
     assert intersection_number(g, (1, 0), (0, 1)) == 2
@@ -80,7 +68,8 @@ def test_equality_and_serialization(e8):
     assert doc["vertices"][0] == {"genus": 0, "self_int": -2}
     # the classes are not part of the graph's identity
     d4 = star((0, -2), [[-2]] * 3)
-    h = DualGraph(zip(d4.genera, d4.self_ints), d4.edges, classes=[0, 1, 1, 1])
+    h = DualGraph.from_star((0, -2), [(3, [-2])])
+    assert h.classes == (0, 1, 1, 1) and d4.classes is None
     assert h == d4 and hash(h) == hash(d4)
     assert h.to_json_dict() == d4.to_json_dict()
     assert DualGraph.from_json_dict(h.to_json_dict()).classes is None
@@ -456,86 +445,22 @@ def test_elimination_matches_dense_reference(g):
             canonical_qcycle(g)
 
 
-# ------------------------------------- Laufer's sequence against a heap order
-
-def _fundamental_cycle_heap(g):
-    """Laufer's computation sequence curve by curve, on a lowest-index heap:
-    the reference for ``fundamental_cycle``, which runs the sequence on the
-    classes of an equitable partition.  The body is the per-curve
-    implementation the library once had, less the cache on the graph, which
-    it neither reads nor fills."""
-    if not is_negative_definite(g):
-        raise DomainError(
-            "fundamental cycle needs a negative-definite graph; "
-            "the computation sequence may not terminate otherwise"
-        )
-    adj, self_ints = g._adj, g.self_ints
-    z = [1] * g.n
-    d = [e + sum(row.values()) for e, row in zip(self_ints, adj)]
-    heap = [i for i, v in enumerate(d) if v > 0]
-    heapq.heapify(heap)
-    while heap:
-        i = heapq.heappop(heap)
-        if d[i] <= 0:
-            continue
-        c = -self_ints[i]  # positive: diagonal of a negative-definite form
-        k = -(-d[i] // c)
-        z[i] += k
-        d[i] -= k * c
-        for j, w in adj[i].items():
-            d[j] += k * w
-            if d[j] > 0:
-                heapq.heappush(heap, j)
-    return tuple(z)
-
-
-@given(cyclic_graphs() | tree_graphs())
-@settings(max_examples=200, deadline=None)
-def test_worklist_matches_the_heap_order(g):
-    assume(is_negative_definite(g))
-    assert fundamental_cycle(g) == _fundamental_cycle_heap(g)
-
-
-@given(wide_tuples)
-@settings(max_examples=30, deadline=None)
-def test_worklist_matches_the_heap_order_on_flattened_stars(a):
-    g = dual_graph(a).graph
-    assert fundamental_cycle(g) == _fundamental_cycle_heap(g)
-
-
-@given(cyclic_graphs(max_n=4) | tree_graphs(max_n=4))
-@settings(max_examples=150, deadline=None)
-def test_fundamental_cycle_is_the_least_anti_nef_cycle(g):
-    """Brute force on at most four curves: Z_f is anti-nef and >= E, and
-    every anti-nef cycle >= E in a box around it dominates it."""
-    assume(is_negative_definite(g))
-    zf = fundamental_cycle(g)
-    assert min(zf) >= 1 and is_anti_nef(g, zf)
-    top = min(max(zf) + 1, 8)
-    for z in product(range(1, top + 1), repeat=g.n):
-        if is_anti_nef(g, z):
-            assert all(a >= b for a, b in zip(z, zf)), (z, zf)
-
-
-# ------------------------------------ Laufer's sequence on the equitable classes
-
 @st.composite
 def cyclic_covers(draw):
     """An r-fold cyclic cover of a small base multigraph, branched at some
-    base curves, with the base curve's weight on every curve above it, and
-    the fibre of every curve: the index of the base curve below it.
+    base curves, with the base curve's weight on every curve above it.
 
     A free base curve i lifts to r curves (i, t), a branch curve to one;
     base curve 0 is a branch curve, so the cover is connected.  A base edge
     between free curves, with voltage s, lifts to the r edges
     (i, t)-(j, t + s mod r); one at a branch curve lifts to one edge per
     curve above the other end; a loop at a free curve, with voltage s != 0,
-    lifts to edges inside its fibre (double edges when 2s = r).  The fibres
-    form an equitable partition, with edges inside a class from the loops
-    and classes of sizes 1 and r side by side.  The weights start at the
-    degree plus one and are lowered, base curve by base curve in a drawn
-    order, as far as the form stays negative definite, so that large
-    fundamental cycles are common."""
+    lifts to edges inside its fibre (double edges when 2s = r).  So the
+    graph is symmetric, with edges inside a fibre from the loops and fibres
+    of sizes 1 and r side by side.  The weights start at the degree plus
+    one and are lowered, base curve by base curve in a drawn order, as far
+    as the form stays negative definite, so that large fundamental cycles
+    are common."""
     r = draw(st.integers(min_value=2, max_value=5))
     k = draw(st.integers(min_value=2, max_value=5))
     branch = [True] + [draw(st.booleans()) for _ in range(k - 1)]
@@ -578,53 +503,68 @@ def cyclic_covers(draw):
                 c[i] += 1
                 break
             g = h
-    return g, [i for i in range(k) for _ in range(first[i], first[i + 1])]
+    return g
 
 
-def _with_classes(g, classes):
-    return DualGraph(zip(g.genera, g.self_ints), g.edges, classes=classes)
+# ------------------------------------- Laufer's sequence against a heap order
+
+def _fundamental_cycle_heap(g):
+    """Laufer's computation sequence curve by curve, on a lowest-index heap:
+    the reference for ``fundamental_cycle``, which runs the sequence on a
+    star's chain positions.  The body is the per-curve
+    implementation the library once had, less the cache on the graph, which
+    it neither reads nor fills."""
+    if not is_negative_definite(g):
+        raise DomainError(
+            "fundamental cycle needs a negative-definite graph; "
+            "the computation sequence may not terminate otherwise"
+        )
+    adj, self_ints = g._adj, g.self_ints
+    z = [1] * g.n
+    d = [e + sum(row.values()) for e, row in zip(self_ints, adj)]
+    heap = [i for i, v in enumerate(d) if v > 0]
+    heapq.heapify(heap)
+    while heap:
+        i = heapq.heappop(heap)
+        if d[i] <= 0:
+            continue
+        c = -self_ints[i]  # positive: diagonal of a negative-definite form
+        k = -(-d[i] // c)
+        z[i] += k
+        d[i] -= k * c
+        for j, w in adj[i].items():
+            d[j] += k * w
+            if d[j] > 0:
+                heapq.heappush(heap, j)
+    return tuple(z)
 
 
-@given(cyclic_covers())
-@settings(max_examples=300, deadline=None)
-def test_class_sequence_matches_the_heap_order_on_cyclic_covers(data):
-    """The fibres are equitable, with edges inside a class and classes of
-    sizes 1 and r; the class-wise sequence must reach the per-curve Z_f."""
-    g, fibres = data
-    h = _with_classes(g, fibres)
-    assert is_negative_definite(h)
-    assert fundamental_cycle(h) == _fundamental_cycle_heap(g)
+@given(cyclic_graphs() | tree_graphs() | cyclic_covers())
+@settings(max_examples=500, deadline=None)
+def test_worklist_matches_the_heap_order(g):
+    assume(is_negative_definite(g))
+    assert fundamental_cycle(g) == _fundamental_cycle_heap(g)
 
 
-def _is_equitable(g, classes):
-    """One self-intersection per class, and the same number of edges from
-    each curve of a class into each class."""
-    profile = {}
-    for v, row in enumerate(g._adj):
-        into = {}
-        for u, w in row.items():
-            into[classes[u]] = into.get(classes[u], 0) + w
-        if profile.setdefault(classes[v], (g.self_ints[v], into)) != (g.self_ints[v], into):
-            return False
-    return True
+@given(wide_tuples)
+@settings(max_examples=30, deadline=None)
+def test_worklist_matches_the_heap_order_on_flattened_stars(a):
+    g = dual_graph(a).graph
+    assert fundamental_cycle(g) == _fundamental_cycle_heap(g)
 
 
-@given(cyclic_covers(), st.data())
-@settings(max_examples=200, deadline=None)
-def test_a_cover_with_one_curve_moved_is_checked(cover, data):
-    """Moving one curve of an r-curve fibre into another fibre: the graph
-    refuses the classes exactly when they are no longer equitable."""
-    g, fibres = cover
-    free = [v for v in range(g.n) if fibres.count(fibres[v]) > 1]
-    assume(free)
-    v = data.draw(st.sampled_from(free))
-    moved = list(fibres)
-    moved[v] = data.draw(st.sampled_from(sorted(set(fibres) - {fibres[v]})))
-    if _is_equitable(g, moved):
-        assert fundamental_cycle(_with_classes(g, moved)) == _fundamental_cycle_heap(g)
-    else:
-        with pytest.raises(DomainError, match="not equitable"):
-            _with_classes(g, moved)
+@given(cyclic_graphs(max_n=4) | tree_graphs(max_n=4))
+@settings(max_examples=150, deadline=None)
+def test_fundamental_cycle_is_the_least_anti_nef_cycle(g):
+    """Brute force on at most four curves: Z_f is anti-nef and >= E, and
+    every anti-nef cycle >= E in a box around it dominates it."""
+    assume(is_negative_definite(g))
+    zf = fundamental_cycle(g)
+    assert min(zf) >= 1 and is_anti_nef(g, zf)
+    top = min(max(zf) + 1, 8)
+    for z in product(range(1, top + 1), repeat=g.n):
+        if is_anti_nef(g, z):
+            assert all(a >= b for a, b in zip(z, zf)), (z, zf)
 
 
 def test_long_chains_solve_in_near_linear_time():
@@ -644,6 +584,50 @@ def test_long_chains_solve_in_near_linear_time():
         start = time.perf_counter()
         assert fundamental_cycle(g) == (1,) * n
         assert time.perf_counter() - start < 5.0
+
+
+# ------------------------------------------ stars built with their classes
+
+@st.composite
+def seifert_stars(draw):
+    """Seifert data ``(genus, c0, [(count, chain)])`` of a star: 1-4
+    families of 1-4 copies of a chain of 0-4 curves, entries 2-5.  ``c0``
+    reaches the number of chain copies, past which the form is definite."""
+    families = draw(st.lists(
+        st.tuples(st.integers(min_value=1, max_value=4),
+                  st.lists(st.integers(min_value=2, max_value=5), max_size=4)),
+        min_size=1, max_size=4))
+    copies = sum(count for count, chain in families if chain)
+    genus = draw(st.integers(min_value=0, max_value=2))
+    return genus, draw(st.integers(min_value=1, max_value=copies + 1)), families
+
+
+@given(seifert_stars())
+@settings(max_examples=300, deadline=None)
+def test_a_star_with_its_classes_matches_its_plain_twin(data):
+    """The classes of ``from_star`` change neither the graph nor Z_f: the
+    class-wise sequence reaches the per-curve Z_f of the same graph built
+    without them, with one class per chain position."""
+    genus, c0, families = data
+    g = DualGraph.from_star((genus, -c0), [(count, [-c for c in chain])
+                                           for count, chain in families])
+    assume(is_negative_definite(g))
+    twin = DualGraph(zip(g.genera, g.self_ints), g.edges)
+    # the documented vertex order: the center, then each family's copies
+    # center-outward
+    assert g == star((genus, -c0), [[-c for c in chain]
+                                    for count, chain in families for _ in range(count)])
+    assert g == twin and hash(g) == hash(twin)
+    assert g.to_json_dict() == twin.to_json_dict()
+    assert twin.classes is None
+    assert len(set(g.classes)) == 1 + sum(len(chain) for _, chain in families)
+    assert fundamental_cycle(g) == _fundamental_cycle_heap(twin)
+
+
+@pytest.mark.parametrize("count", [0, -1, 1.0])
+def test_from_star_refuses_a_count_that_is_not_positive(count):
+    with pytest.raises(DomainError, match="positive integer count"):
+        DualGraph.from_star((0, -3), [(2, [-2]), (count, [-2, -3])])
 
 
 def _chain_positions(a):
