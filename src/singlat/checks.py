@@ -106,7 +106,8 @@ def run_tuple_checks(a: Sequence[int]) -> list[CheckResult]:
         return f"ell={inv.ell} alpha={inv.alpha} ghat={inv.ghat} delta={inv.delta}"
 
     def graph() -> str:
-        _require(star.center_self_int == -star.c0, "center weight mismatch")
+        center = (star.graph.genera[0], star.graph.self_ints[0])
+        _require(center == (star.center_genus, -star.c0), "center weight mismatch")
         for w, fam in enumerate(star.branch_families):
             _require(fam.count == inv.ghat_i[w], f"family {w + 1} count != ghat_w")
             _require(all(c >= 2 for c in fam.chain), f"family {w + 1} chain entry < 2")
@@ -180,11 +181,15 @@ def run_tuple_checks(a: Sequence[int]) -> list[CheckResult]:
         table = ideal_oracle.quotient_table(a)
         p = [table.p[n] if n < len(table.p) else 0 for n in range(n_max)]
         _require(ideal_oracle.qp_consistency(q, p), "q/p second-difference identity")
-        for i in range(1, n_max):
-            _require(
-                q[i - 1] - 2 * q[i] + q[i + 1] == ideal_oracle.quotient_dimension(a, i),
-                f"re-derived p({i}) disagrees with the lattice count",
-            )
+        # the one input of q read off the star's cycles, checked on the flat graph
+        mcn = brieskorn.maximal_cycle_numbers(a)
+        pa_mx = graph_lattice.arithmetic_genus(star.graph, brieskorn.maximal_ideal_cycle(a))
+        want = 2 * pa_mx - 2 - 2 * inv.delta * inv.ghat_i[-1]
+        _require(
+            mcn.MY_sq + mcn.MY_K == want,
+            f"MY_sq + MY_K = {mcn.MY_sq + mcn.MY_K}, but p_a(M_X) = {pa_mx} on the "
+            f"flattened graph gives {want}",
+        )
         return f"q={q}"
 
     def nr_pg_bound() -> str:

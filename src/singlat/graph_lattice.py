@@ -6,19 +6,19 @@ self-intersection number; edges record transverse intersection points
 vector in the fixed vertex order; a Q-cycle uses exact rationals.  All
 arithmetic is exact, with no floating point.
 
-Each graph object is eliminated once: a symmetric Gaussian elimination,
-carrying rationals as reduced integer pairs, yields both the definiteness
-verdict and, on a negative-definite graph (every resolution graph is one),
-the canonical Q-cycle Z_K.  It stops at the first pivot >= 0; Z_K and
-Laufer's Z_f are refused on any other graph.  It peels pendant vertices
-first, on flat integer lists and without fill-in, and eliminates what
-survives in index order: the 2-core, or a single vertex of a tree.  Laufer's
-fundamental cycle Z_f comes from the computation sequence run class by
-class, with a FIFO worklist of the classes of positive pairing.  A star
-built by ``DualGraph.from_star`` numbers its chain positions as it emits
-them, and those are its classes, so its identical chains cost one step; any
-other graph has one class per curve.  All three are cached on the graph, so
-repeated calls on one graph cost a lookup.
+Each graph object is eliminated once: an exact symmetric Gaussian
+elimination yields both the definiteness verdict and, on a negative-definite
+graph (every resolution graph is one), the canonical Q-cycle Z_K.  It stops
+at the first pivot >= 0; Z_K and Laufer's Z_f are refused on any other
+graph.  It peels pendant vertices first, without fill-in and with rationals
+as reduced integer pairs on flat lists, then eliminates what survives in
+index order on Fractions: the 2-core, or the one vertex left of a tree such
+as a star.  Laufer's fundamental cycle Z_f comes from the computation
+sequence run class by class, with a FIFO worklist of the classes of positive
+pairing.  A star built by ``DualGraph.from_star`` numbers its chain
+positions as it emits them, and those are its classes, so its identical
+chains cost one step; any other graph has one class per curve.  All three
+are cached on the graph, so repeated calls on one graph cost a lookup.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .errors import DimensionError, DomainError, InternalError
 
 Cycle = tuple[int, ...]
 QCycle = tuple[Fraction, ...]
-_Pair = tuple[int, int]  # a rational as (num, den), den > 0, in lowest terms
 
 __all__ = [
     "Cycle",
@@ -87,6 +86,8 @@ class DualGraph:
 
         norm: list[tuple[int, int]] = []
         for i, j in edges:
+            if not isinstance(i, int) or not isinstance(j, int):
+                raise DomainError(f"edge ({i!r},{j!r}) needs integer vertex indices")
             if not (0 <= i < n and 0 <= j < n):
                 raise DomainError(f"edge ({i},{j}) leaves the vertex range 0..{n - 1}")
             if i == j:
@@ -194,7 +195,7 @@ class DualGraph:
     def from_json_dict(cls, doc: dict) -> "DualGraph":
         try:
             vertices = [(v["genus"], v["self_int"]) for v in doc["vertices"]]
-            edges = [(int(i), int(j)) for i, j in doc["edges"]]
+            edges = [(i, j) for i, j in doc["edges"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed dual-graph document: {exc}") from None
         return cls(vertices, edges)
@@ -307,19 +308,20 @@ def _solve(g: DualGraph) -> None:
     """Eliminate g once against the adjunction right-hand side and cache on g
     the definiteness verdict and, when the form is negative definite, Z_K.
 
-    An exact symmetric Gaussian elimination; every rational is a reduced
-    integer pair (the floor divisions are skipped when the gcd is 1).  The
-    form is negative definite exactly when every pivot is negative, in any
-    symmetric order, so the elimination stops at the first pivot >= 0 and
-    every division below is by a negative number.  Two phases:
+    An exact symmetric Gaussian elimination.  The form is negative definite
+    exactly when every pivot is negative, in any symmetric order, so the
+    elimination stops at the first pivot >= 0 and every division below is by
+    a negative number.  Two phases:
 
     - Peel: a vertex with exactly one live neighbor is taken from a stack of
       such vertices, which is refilled as neighbors drop to one.  Eliminating
       a leaf creates no fill-in (Parter, "The use of linear graphs in Gauss
       elimination", 1961), so it only updates its neighbor's diagonal and
-      right-hand side, kept as parallel num/den lists.
+      right-hand side, kept as parallel num/den lists of reduced integer
+      pairs (the floor divisions are skipped when the gcd is 1).  This phase
+      eliminates every curve of a star but one.
     - Core: what survives (the 2-core, or the last vertex of a tree) is
-      eliminated in index order on dict rows.
+      eliminated in index order on dict rows of Fractions.
 
     Back-substitution then runs the core steps and the peel in reverse.
     Linear-time on trees.
@@ -371,61 +373,31 @@ def _solve(g: DualGraph) -> None:
             stack.append(p)
 
     core = [i for i in range(n) if alive[i]]
-    rows: dict[int, dict[int, _Pair]] = {}
+    rows = {i: {j: Fraction(w) for j, w in adj[i].items() if alive[j]} for i in core}
     for i in core:
-        row = {i: (dn[i], dd[i])}
-        for j, w in adj[i].items():
-            if alive[j]:
-                row[j] = (w, 1)
-        rows[i] = row
-    # once core vertex i is eliminated, rows[i] is its reduced off-diagonal
-    # row, restricted to the core vertices after it
-    pivots: list[_Pair] = []
+        rows[i][i] = Fraction(dn[i], dd[i])
+    y = {i: Fraction(yn[i], yd[i]) for i in core}
+    # once core vertex i is eliminated, rows[i] is its reduced row over the
+    # core vertices after it, with its pivot put back at i
     for i in core:
         row = rows[i]
-        pn, pd = row.pop(i)
-        if pn >= 0:
+        piv = row.pop(i)
+        if piv >= 0:
             g._neg_def = False
             return
-        pivots.append((pn, pd))
-        cn, cd = yn[i], yd[i]
         for j in row:
-            rj = rows[j]
-            # f = rows[j][i] / piv; then rows[j] -= f row and y[j] -= f y[i]
-            an, ad = rj.pop(i)
-            fn, fd = -an * pd, -ad * pn
-            c = gcd(fn, fd)
-            if c != 1:
-                fn, fd = fn // c, fd // c
-            for k, (vn, vd) in row.items():
-                tn, td = fn * vn, fd * vd
-                e = rj.get(k)
-                if e is None:
-                    num, den = -tn, td
-                else:
-                    num, den = e[0] * td - tn * e[1], e[1] * td
-                c = gcd(num, den)
-                rj[k] = (num, den) if c == 1 else (num // c, den // c)
-            en, ed = yn[j], yd[j]
-            tn, td = fn * cn, fd * cd
-            num, den = en * td - tn * ed, ed * td
-            c = gcd(num, den)
-            yn[j], yd[j] = (num, den) if c == 1 else (num // c, den // c)
+            f = rows[j].pop(i) / piv
+            for k, u in row.items():
+                rows[j][k] = rows[j].get(k, 0) - f * u
+            y[j] -= f * y[i]
+        row[i] = piv
 
-    x: list[_Pair] = [(0, 1)] * n
-    for i, (pn, pd) in zip(reversed(core), reversed(pivots)):
-        # x_i = (y_i - sum_k rows_ik x_k) / pivot_i
-        num, den = yn[i], yd[i]
-        for k, (vn, vd) in rows[i].items():
-            xn, xd = x[k]
-            tn, td = vn * xn, vd * xd
-            num, den = num * td - tn * den, den * td
-            c = gcd(num, den)
-            if c != 1:
-                num, den = num // c, den // c
-        num, den = -num * pd, -den * pn
-        c = gcd(num, den)
-        x[i] = (num, den) if c == 1 else (num // c, den // c)
+    x: list[tuple[int, int]] = [(0, 1)] * n
+    for i in reversed(core):
+        piv = rows[i].pop(i)
+        # y_i becomes x_i = (y_i - sum_k rows_ik x_k) / pivot_i
+        xi = y[i] = (y[i] - sum(u * y[k] for k, u in rows[i].items())) / piv
+        x[i] = (xi.numerator, xi.denominator)
     for v, p, w, pn, pd in reversed(peeled):
         # x_v = (y_v - w x_p) / pivot_v
         xn, xd = x[p]

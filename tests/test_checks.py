@@ -92,6 +92,42 @@ def test_canonical_cycle_step_compares_the_formula_with_the_solve(monkeypatch):
     assert sum(not r.passed for r in by_name.values()) == 1
 
 
+def test_graph_step_reads_the_flattened_center(monkeypatch):
+    """A flattened graph whose center is one lower than -c0 fails the graph
+    step, which compares the graph's own center with the star's data."""
+    real = graph_lattice.DualGraph.from_star
+
+    def lowered(center, families):
+        return real((center[0], center[1] - 1), families)
+
+    monkeypatch.setattr(graph_lattice.DualGraph, "from_star", staticmethod(lowered))
+    brieskorn._star_cached.cache_clear()
+    try:
+        by_name = {r.name: r for r in run_tuple_checks((3, 4, 7))}
+    finally:
+        brieskorn._star_cached.cache_clear()
+    assert not by_name["graph"].passed
+    assert by_name["graph"].detail == "center weight mismatch"
+
+
+def test_q_sequence_step_checks_the_maximal_cycle_numbers(monkeypatch):
+    """MY_sq and MY_K both one too high leave MY_sq - MY_K, and so q, as they
+    were; only p_a(M_X) on the flattened graph catches them."""
+    real = brieskorn.maximal_cycle_numbers
+
+    def raised(a):
+        mcn = real(a)
+        return brieskorn.MaximalCycleNumbers(MY_sq=mcn.MY_sq + 1, MY_K=mcn.MY_K + 1)
+
+    monkeypatch.setattr(brieskorn, "maximal_cycle_numbers", raised)
+    by_name = {r.name: r for r in run_tuple_checks((3, 4, 7))}
+    assert not by_name["q-sequence"].passed
+    assert by_name["q-sequence"].detail == (
+        "MY_sq + MY_K = 2, but p_a(M_X) = 2 on the flattened graph gives 0"
+    )
+    assert sum(not r.passed for r in by_name.values()) == 1
+
+
 _CORRUPT_SOLVE_UNDER_O = """
 from fractions import Fraction
 from singlat import graph_lattice, run_tuple_checks

@@ -49,6 +49,13 @@ def test_edge_validation():
         DualGraph([(0, -2), (0, -2)], [(0, 2)])  # out of range
     with pytest.raises(DomainError):
         DualGraph([(0, -2), (0, -2)], [])  # disconnected
+    with pytest.raises(DomainError):
+        DualGraph([(0, -2), (0, -2)], [(0.0, 1)])  # float endpoint
+    with pytest.raises(DomainError):
+        DualGraph([(0, -2), (0, -2)], [("0", 1)])  # string endpoint
+    doc = {"vertices": [{"genus": 0, "self_int": -2}] * 2, "edges": [[0.2, 1.9]]}
+    with pytest.raises(DomainError):
+        DualGraph.from_json_dict(doc)  # not truncated to the edge (0, 1)
 
 
 def test_multi_edges_allowed():
