@@ -84,25 +84,21 @@ def run_tuple_checks(a: Sequence[int]) -> list[CheckResult]:
         assert_same(f"{name} pairs to", products, want)
 
     def invariants() -> str:
-        _require(inv.ell % inv.alpha == 0, "alpha does not divide ell")
+        # identities independent of the ones _invariants_cached raises on
         _require(
-            all(v > 0 for v in inv.ell_i + inv.alpha_i + inv.ghat_i + inv.lambda_i),
-            "a positive invariant came out nonpositive",
-        )
-        _require(inv.ghat > 0, "ghat is not positive")
-        _require(
-            all(x >= y for x, y in zip(inv.lambda_i, inv.lambda_i[1:])),
-            "lambda is not non-increasing",
+            all(al == x // math.gcd(x, l) for al, x, l in zip(inv.alpha_i, a, inv.ell_i)),
+            "alpha_i != a_i / gcd(a_i, ell_i)",
         )
         _require(
-            all(e * inv.alpha_i[-1] == l for e, l in zip(inv.eta_i, inv.lambda_i)),
-            "eta_i * alpha_m != lambda_i",
+            all(gh * l == math.prod(a[:i] + a[i + 1 :])
+                for i, (gh, l) in enumerate(zip(inv.ghat_i, inv.ell_i))),
+            "ghat_i * ell_i != prod_{j != i} a_j",
         )
-        _require(inv.delta >= 0, "delta is negative")
         _require(
-            all(math.gcd(l, al) == 1 for l, al in zip(inv.lambda_i, inv.alpha_i)),
-            "lambda_w and alpha_w share a factor",
+            all(lam * x == inv.ell for lam, x in zip(inv.lambda_i, a)),
+            "lambda_i * a_i != ell",
         )
+        _require(inv.ghat * inv.ell == math.prod(a), "ghat * ell != prod(a)")
         return f"ell={inv.ell} alpha={inv.alpha} ghat={inv.ghat} delta={inv.delta}"
 
     def graph() -> str:

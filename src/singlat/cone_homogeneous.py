@@ -51,9 +51,10 @@ class ConeData:
             raise DomainError(f"degree must be a positive integer, got {self.d!r}")
         if not isinstance(self.gon, int) or self.gon < 1:
             raise DomainError(f"gonality must be a positive integer, got {self.gon!r}")
-        if self.gon > (self.g + 3) // 2:
+        bound = gonality_upper(self.g)
+        if self.gon > bound:
             raise DomainError(
-                f"gonality {self.gon} exceeds the bound floor((g+3)/2) = {(self.g + 3) // 2}"
+                f"gonality {self.gon} exceeds the bound floor((g+3)/2) = {bound}"
             )
 
 

@@ -6,26 +6,25 @@ self-intersection number; edges record transverse intersection points
 vector in the fixed vertex order; a Q-cycle uses exact rationals.  All
 arithmetic is exact, with no floating point.
 
-Each graph object is eliminated once: an exact symmetric Gaussian
-elimination yields both the definiteness verdict and, on a negative-definite
+Each graph object is eliminated once: an exact Gaussian elimination on
+Fractions yields both the definiteness verdict and, on a negative-definite
 graph (every resolution graph is one), the canonical Q-cycle Z_K.  It stops
 at the first pivot >= 0; Z_K and Laufer's Z_f are refused on any other
-graph.  It peels pendant vertices first, without fill-in and with rationals
-as reduced integer pairs on flat lists, then eliminates what survives in
-index order on Fractions: the 2-core, or the one vertex left of a tree such
-as a star.  Laufer's fundamental cycle Z_f comes from the computation
-sequence run class by class, with a FIFO worklist of the classes of positive
-pairing.  A star built by ``DualGraph.from_star`` numbers its chain
-positions as it emits them, and those are its classes, so its identical
-chains cost one step; any other graph has one class per curve.  All three
-are cached on the graph, so repeated calls on one graph cost a lookup.
+graph.  Both the elimination and Laufer's computation sequence run on the
+classes of the graph.  A star built by ``DualGraph.from_star`` numbers its
+chain positions as it emits them, and those are its classes, so its
+identical chains cost one step; any other graph has one class per curve.
+The elimination peels pendant classes first, without fill-in, then
+eliminates what survives in index order: the 2-core, or the one class left
+of a tree such as a star.  Laufer's sequence keeps a FIFO worklist of the
+classes of positive pairing.  All three are cached on the graph, so repeated
+calls on one graph cost a lookup.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, DomainError, InternalError
@@ -58,8 +57,8 @@ class DualGraph:
 
     ``classes`` is ``None``, every curve its own class, except on a graph
     built by :meth:`from_star`, where it gives each curve its chain
-    position.  Laufer's sequence runs class by class on it.  Equality,
-    hashing and ``to_json_dict`` ignore it.
+    position.  The elimination and Laufer's sequence run class by class on
+    it.  Equality, hashing and ``to_json_dict`` ignore it.
     """
 
     __slots__ = (
@@ -170,7 +169,7 @@ class DualGraph:
         per family and position, shared by the family's copies.  The copies
         of a position share one self-intersection and one edge to each
         neighbouring position, so the classes are equitable, as
-        :func:`fundamental_cycle` needs.  ``count`` must be a positive
+        :func:`fundamental_cycle` and the elimination need.  ``count`` must be a positive
         ``int``, else ``DomainError``.
         """
         vertices, edges, classes = [center], [], [0]
@@ -239,11 +238,28 @@ def is_anti_nef(g: DualGraph, z: Sequence) -> bool:
     return all(v <= 0 for v in cycle_products(g, z))
 
 
+def _quotient(g: DualGraph) -> tuple[Sequence[int], list[int], list[dict[int, int]]]:
+    """The quotient of g by its classes, as ``(col, rep, into)``: ``col[v]``
+    is the class of curve v, ``rep[A]`` the last curve of class A, which
+    stands for it as any curve of it would, and ``into[A][B]`` the number
+    ``n_BA`` of edges from one curve of class B into class A."""
+    adj = g._adj
+    col = g.classes or range(g.n)
+    last = dict(zip(col, range(g.n)))
+    rep = [last[a] for a in range(len(last))]
+    into: list[dict[int, int]] = [{} for _ in rep]
+    for b, v in enumerate(rep):
+        for u, w in adj[v].items():
+            a = col[u]
+            into[a][b] = into[a].get(b, 0) + w
+    return col, rep, into
+
+
 def fundamental_cycle(g: DualGraph) -> Cycle:
     """Smallest non-zero anti-nef cycle, by the classical computation sequence
-    run on the classes of ``g.classes``: the chain positions of a star built
-    by :meth:`DualGraph.from_star`, and one class per curve on any other
-    graph.
+    run on the classes of ``g.classes`` (see :func:`_quotient`): the chain
+    positions of a star built by :meth:`DualGraph.from_star`, and one class
+    per curve on any other graph.
 
     Starts at the reduced cycle.  A class is one curve or one chain position
     across disjoint chain copies, so no edge joins two curves of a class.
@@ -269,19 +285,10 @@ def fundamental_cycle(g: DualGraph) -> Cycle:
             "the computation sequence may not terminate otherwise"
         )
     adj, self_ints = g._adj, g.self_ints
-    col = g.classes or range(g.n)
-    # the last curve of each class stands for it, as any curve of it would
-    last = dict(zip(col, range(g.n)))
-    rep = [last[a] for a in range(len(last))]
-    # step[A] = c_A; into[A] = {B: n_BA}
+    col, rep, into = _quotient(g)
+    # step[A] = c_A
     step = [-self_ints[v] for v in rep]
-    into: list[dict[int, int]] = [{} for _ in rep]
-    d = []
-    for b, v in enumerate(rep):
-        d.append(self_ints[v] + sum(adj[v].values()))
-        for u, w in adj[v].items():
-            a = col[u]
-            into[a][b] = into[a].get(b, 0) + w
+    d = [self_ints[v] + sum(adj[v].values()) for v in rep]
     z = [1] * len(rep)
     queued = [v > 0 for v in d]
     work = deque(a for a, v in enumerate(d) if v > 0)
@@ -308,77 +315,76 @@ def _solve(g: DualGraph) -> None:
     """Eliminate g once against the adjunction right-hand side and cache on g
     the definiteness verdict and, when the form is negative definite, Z_K.
 
-    An exact symmetric Gaussian elimination.  The form is negative definite
-    exactly when every pivot is negative, in any symmetric order, so the
-    elimination stops at the first pivot >= 0 and every division below is by
-    a negative number.  Two phases:
+    The elimination runs on the quotient of :func:`_quotient`, on Fractions:
+    with ``N_AB = n_AB``, the edges from one curve of class A into class B,
+    and ``N_AA = E_A^2``, a cycle constant on classes pairs with every curve
+    of A to ``(N z)_A``, so the class system is ``N z = y`` with ``y_A =
+    E_A^2 + 2 - 2 genus(E_A)``.  Graphs from the plain constructor have one class per
+    curve, so there this is the ordinary elimination.  It is sound on a
+    star's chain positions:
 
-    - Peel: a vertex with exactly one live neighbor is taken from a stack of
-      such vertices, which is refilled as neighbors drop to one.  Eliminating
-      a leaf creates no fill-in (Parter, "The use of linear graphs in Gauss
-      elimination", 1961), so it only updates its neighbor's diagonal and
-      right-hand side, kept as parallel num/den lists of reduced integer
-      pairs (the floor divisions are skipped when the gcd is 1).  This phase
-      eliminates every curve of a star but one.
-    - Core: what survives (the 2-core, or the last vertex of a tree) is
-      eliminated in index order on dict rows of Fractions.
+    - Let ``D = diag(|A|)``.  ``DN`` is the form restricted to class-constant
+      cycles, and it is symmetric.  The pivots of N are those of DN divided
+      by ``|A|``, so they have the same signs in any order.  Z_K is unique and
+      constant on classes, so the class solve gives Z_K.
+    - A cycle orthogonal to the class-constant ones is 0 at the center and
+      splits over the chain copies, so on it the form is a sum of chain forms
+      ``C_w``.  Class-constant cycles that live on family w only give
+      ``count_w C_w``.  So if the class-constant form is definite, every
+      ``C_w`` is definite, and so is the whole form: the verdict is that of
+      the flattened graph, in any order.
+
+    The form is negative definite exactly when every pivot is negative, so
+    the elimination stops at the first pivot >= 0 and every division below is
+    by a negative number.  Two phases:
+
+    - Peel: a class with exactly one live neighbouring class is taken from a
+      stack of such classes, which is refilled as neighbours drop to one.
+      Eliminating it creates no fill-in (Parter, "The use of linear graphs in
+      Gauss elimination", 1961), so it only updates its neighbour's diagonal
+      and right-hand side.  This phase eliminates every class of a star but
+      one.
+    - Core: what survives (the 2-core, or the last class of a tree) is
+      eliminated in index order on dict rows.
 
     Back-substitution then runs the core steps and the peel in reverse.
-    Linear-time on trees.
+    Linear-time in the classes on trees.
     """
-    n = g.n
-    adj = g._adj
-    dn, dd = list(g.self_ints), [1] * n
-    yn = [e + 2 - 2 * gen for e, gen in zip(g.self_ints, g.genera)]
-    yd = [1] * n
-    alive = [True] * n
-    deg = [len(row) for row in adj]
-    stack = [i for i in range(n - 1, -1, -1) if deg[i] == 1]
-    # (v, its live neighbor p, edge multiplicity w, pivot num, pivot den)
-    peeled: list[tuple[int, int, int, int, int]] = []
+    genera, self_ints = g.genera, g.self_ints
+    col, rep, into = _quotient(g)
+    diag = [Fraction(self_ints[v]) for v in rep]
+    y = [Fraction(self_ints[v] + 2 - 2 * genera[v]) for v in rep]
+    alive = [True] * len(rep)
+    deg = [len(row) for row in into]
+    stack = [a for a in range(len(rep) - 1, -1, -1) if deg[a] == 1]
+    # (class a, its live neighbour b)
+    peeled: list[tuple[int, int]] = []
     while stack:
-        v = stack.pop()
-        if deg[v] != 1:
-            continue  # its last neighbor went first: v is what is left of a tree
-        pn, pd = dn[v], dd[v]
-        if pn >= 0:
+        a = stack.pop()
+        if deg[a] != 1:
+            continue  # its last neighbour went first: a is what is left of a tree
+        piv = diag[a]
+        if piv >= 0:
             g._neg_def = False
             return
-        alive[v] = False
-        for p, w in adj[v].items():
-            if alive[p]:
+        alive[a] = False
+        for b in into[a]:
+            if alive[b]:
                 break
-        peeled.append((v, p, w, pn, pd))
-        # d_p -= w^2 / pivot
-        an, ad = dn[p], dd[p]
-        num, den = w * w * pd * ad - an * pn, -ad * pn
-        c = gcd(num, den)
-        if c == 1:
-            dn[p], dd[p] = num, den
-        else:
-            dn[p], dd[p] = num // c, den // c
-        # y_p -= w y_v / pivot
-        cn = yn[v]
-        if cn:
-            cd, en, ed = yd[v], yn[p], yd[p]
-            num, den = w * cn * pd * ed - en * cd * pn, -ed * cd * pn
-            c = gcd(num, den)
-            if c == 1:
-                yn[p], yd[p] = num, den
-            else:
-                yn[p], yd[p] = num // c, den // c
-        d = deg[p] - 1
-        deg[p] = d
-        if d == 1:
-            stack.append(p)
+        peeled.append((a, b))
+        w = into[a][b]
+        diag[b] -= w * into[b][a] / piv
+        y[b] -= w * y[a] / piv
+        deg[b] -= 1
+        if deg[b] == 1:
+            stack.append(b)
 
-    core = [i for i in range(n) if alive[i]]
-    rows = {i: {j: Fraction(w) for j, w in adj[i].items() if alive[j]} for i in core}
+    core = [a for a in range(len(rep)) if alive[a]]
+    rows = {i: {j: Fraction(into[j][i]) for j in into[i] if alive[j]} for i in core}
     for i in core:
-        rows[i][i] = Fraction(dn[i], dd[i])
-    y = {i: Fraction(yn[i], yd[i]) for i in core}
-    # once core vertex i is eliminated, rows[i] is its reduced row over the
-    # core vertices after it, with its pivot put back at i
+        rows[i][i] = diag[i]
+    # once core class i is eliminated, rows[i] is its reduced row over the
+    # core classes after it, with its pivot put back at i
     for i in core:
         row = rows[i]
         piv = row.pop(i)
@@ -392,23 +398,14 @@ def _solve(g: DualGraph) -> None:
             y[j] -= f * y[i]
         row[i] = piv
 
-    x: list[tuple[int, int]] = [(0, 1)] * n
+    # y_i becomes x_i = (y_i - sum_k rows_ik x_k) / pivot_i
     for i in reversed(core):
         piv = rows[i].pop(i)
-        # y_i becomes x_i = (y_i - sum_k rows_ik x_k) / pivot_i
-        xi = y[i] = (y[i] - sum(u * y[k] for k, u in rows[i].items())) / piv
-        x[i] = (xi.numerator, xi.denominator)
-    for v, p, w, pn, pd in reversed(peeled):
-        # x_v = (y_v - w x_p) / pivot_v
-        xn, xd = x[p]
-        cd = yd[v]
-        num, den = (w * xn * cd - yn[v] * xd) * pd, -cd * xd * pn
-        c = gcd(num, den)
-        x[v] = (num, den) if c == 1 else (num // c, den // c)
+        y[i] = (y[i] - sum(u * y[k] for k, u in rows[i].items())) / piv
+    for a, b in reversed(peeled):
+        y[a] = (y[a] - into[b][a] * y[b]) / diag[a]
     g._neg_def = True
-    # one Fraction per distinct value; the pairs are already in lowest terms
-    fracs = {pair: Fraction(*pair) for pair in set(x)}
-    g._zk = tuple(map(fracs.__getitem__, x))
+    g._zk = tuple(map(y.__getitem__, col))
 
 
 def is_negative_definite(g: DualGraph) -> bool:

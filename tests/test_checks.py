@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -90,6 +91,21 @@ def test_canonical_cycle_step_compares_the_formula_with_the_solve(monkeypatch):
     assert not by_name["canonical-cycle"].passed
     assert by_name["canonical-cycle"].detail == "Z_K formula is 4 at vertex 0, expected 7"
     assert sum(not r.passed for r in by_name.values()) == 1
+
+
+def test_invariants_step_checks_the_branch_counts(monkeypatch):
+    """ghat_1 one too high on (3,4,7) breaks ghat_1 ell_1 = a_2 a_3, which
+    none of the conditions the invariant record is built under restates."""
+    real = brieskorn.numeric_invariants
+
+    def raised(a):
+        inv = real(a)
+        return replace(inv, ghat_i=(inv.ghat_i[0] + 1,) + inv.ghat_i[1:])
+
+    monkeypatch.setattr(brieskorn, "numeric_invariants", raised)
+    by_name = {r.name: r for r in run_tuple_checks((3, 4, 7))}
+    assert not by_name["invariants"].passed
+    assert by_name["invariants"].detail == "ghat_i * ell_i != prod_{j != i} a_j"
 
 
 def test_graph_step_reads_the_flattened_center(monkeypatch):

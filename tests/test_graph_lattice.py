@@ -437,7 +437,22 @@ def _det(m):
     return det
 
 
-@given(cyclic_graphs() | pendant_graphs())
+@st.composite
+def weighted_stars(draw):
+    """A star from ``DualGraph.from_star``, with its chain-position classes:
+    1-3 families of 1-4 copies of a chain of 0-3 curves with
+    self-intersections 0..-5, on a center of self-intersection 0..-8, so
+    that definite, indefinite and singular forms all occur."""
+    families = draw(st.lists(
+        st.tuples(st.integers(min_value=1, max_value=4),
+                  st.lists(st.integers(min_value=-5, max_value=0), max_size=3)),
+        min_size=1, max_size=3))
+    center = (draw(st.integers(min_value=0, max_value=2)),
+              draw(st.integers(min_value=-8, max_value=0)))
+    return DualGraph.from_star(center, families)
+
+
+@given(cyclic_graphs() | pendant_graphs() | weighted_stars())
 @settings(max_examples=300, deadline=None)
 def test_elimination_matches_dense_reference(g):
     m = _dense_matrix(g)
@@ -612,14 +627,16 @@ def seifert_stars(draw):
 @given(seifert_stars())
 @settings(max_examples=300, deadline=None)
 def test_a_star_with_its_classes_matches_its_plain_twin(data):
-    """The classes of ``from_star`` change neither the graph nor Z_f: the
-    class-wise sequence reaches the per-curve Z_f of the same graph built
-    without them, with one class per chain position."""
+    """The classes of ``from_star`` change neither the graph, its
+    definiteness, Z_K nor Z_f: the class-wise elimination and sequence
+    reach the per-curve results of the same graph built without them, with
+    one class per chain position."""
     genus, c0, families = data
     g = DualGraph.from_star((genus, -c0), [(count, [-c for c in chain])
                                            for count, chain in families])
-    assume(is_negative_definite(g))
     twin = DualGraph(zip(g.genera, g.self_ints), g.edges)
+    assert is_negative_definite(g) == is_negative_definite(twin)
+    assume(is_negative_definite(g))
     # the documented vertex order: the center, then each family's copies
     # center-outward
     assert g == star((genus, -c0), [[-c for c in chain]
@@ -628,6 +645,7 @@ def test_a_star_with_its_classes_matches_its_plain_twin(data):
     assert g.to_json_dict() == twin.to_json_dict()
     assert twin.classes is None
     assert len(set(g.classes)) == 1 + sum(len(chain) for _, chain in families)
+    assert canonical_qcycle(g) == canonical_qcycle(twin)
     assert fundamental_cycle(g) == _fundamental_cycle_heap(twin)
 
 
