@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations_with_replacement
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from . import graph_lattice, ideal_oracle
@@ -219,12 +220,23 @@ class StarGraph:
         return tuple(coeffs)
 
 
-@lru_cache(maxsize=2048)
-def _invariants_cached(a: tuple[int, ...]) -> BCIInvariants:
-    m = len(a)
-    ell = math.lcm(*a)
-    ell_i = tuple(math.lcm(*(a[:i] + a[i + 1 :])) for i in range(m))
-    alphas = tuple(ell // li for li in ell_i)
+def _lcm_data(a: tuple[int, ...]) -> tuple:
+    """The lcm data of ``a``: ``(ell, ell_i, alpha_i, alpha, ghat, ghat_i,
+    lambda_i, eta_i, eta_m, delta)``, the fields of :class:`BCIInvariants`
+    after ``a`` in their order, as a plain tuple and uncached.
+
+    ``ell_i`` is the lcm of the prefix lcm before ``a_i`` and the suffix lcm
+    after it, so the lcms take O(m) calls.  The five consistency checks of
+    the data run here, so the record and the elliptic scans share them; a
+    failure raises ``InternalError``.
+    """
+    lcm = math.lcm
+    suf = list(accumulate(a[:0:-1], lcm, initial=1))  # lcm(a[m-j:]), j = 0..m-1
+    suf.reverse()  # now suf[i] = lcm(a[i+1:])
+    ell = lcm(a[0], suf[0])
+    # the prefix lcms lcm(a[:i]), i = 0..m-1, meet the suffixes one by one
+    ell_i = tuple(map(lcm, accumulate(a[:-1], lcm, initial=1), suf))
+    alphas = tuple([ell // li for li in ell_i])
     alpha = math.prod(alphas)
     if ell % alpha:
         raise InternalError(f"alpha = {alpha} does not divide ell = {ell}")
@@ -235,16 +247,16 @@ def _invariants_cached(a: tuple[int, ...]) -> BCIInvariants:
         if num % ai:
             raise InternalError("branch count ghat_i is not integral")
         ghats.append(num // ai)
-    lams = tuple(ell // ai for ai in a)
+    lams = tuple([ell // ai for ai in a])
     for lw, aw in zip(lams, alphas):
         if math.gcd(lw, aw) != 1:
             raise InternalError("lambda_w and alpha_w are not coprime")
     alpha_m = alphas[-1]
     eta = []
-    for i in range(m - 1):
-        if lams[i] % alpha_m:
+    for lam in lams[:-1]:
+        if lam % alpha_m:
             raise InternalError("lambda_i / alpha_m is not integral")
-        eta.append(lams[i] // alpha_m)
+        eta.append(lam // alpha_m)
     # tip coefficient of Z^(m): (lambda_m + beta')/alpha_m with
     # beta' = -lambda_m mod alpha_m, i.e. the round-up of lambda_m/alpha_m
     # (the central coefficient lambda_m itself when family m is empty)
@@ -252,18 +264,19 @@ def _invariants_cached(a: tuple[int, ...]) -> BCIInvariants:
     delta = eta[-1] - eta_m
     if delta < 0:
         raise InternalError(f"delta = {delta} is negative")
+    return ell, ell_i, alphas, alpha, ghat, tuple(ghats), lams, tuple(eta), eta_m, delta
+
+
+@lru_cache(maxsize=2048)
+def _invariants_cached(a: tuple[int, ...]) -> BCIInvariants:
+    """The record of ``a``: the lcm data of :func:`_lcm_data`, checked there,
+    plus the a-invariant and the multiplicity.  Cached for the per-tuple
+    paths; the elliptic scans read the kernel and build no record."""
+    m = len(a)
+    data = _lcm_data(a)
+    ell, lams = data[0], data[6]
     return BCIInvariants(
-        a=a,
-        ell=ell,
-        ell_i=ell_i,
-        alpha_i=alphas,
-        alpha=alpha,
-        ghat=ghat,
-        ghat_i=tuple(ghats),
-        lambda_i=lams,
-        eta_i=tuple(eta),
-        eta_m=eta_m,
-        delta=delta,
+        a, *data,
         a_invariant=(m - 2) * ell - sum(lams),
         multiplicity=math.prod(a[: m - 2]),
     )
@@ -427,27 +440,19 @@ class FundamentalGenus(NamedTuple):
 
 
 def _pf_value(a: tuple[int, ...]) -> FundamentalGenus:
-    inv = _invariants_cached(a)
-    ell, alpha, ghat, ghat_m = inv.ell, inv.alpha, inv.ghat, inv.ghat_i[-1]
-    lam_m = inv.lambda_i[-1]
-    # each branch returns 2 ell (p_f - 1) in integers, using ell / alpha_w = ell_w
-    head = (inv.m - 2) * ghat * ell - sum(
-        g * l for g, l in zip(inv.ghat_i[:-1], inv.ell_i[:-1])
-    )
-
-    def z0_branch() -> int:
-        return alpha * (head - ghat_m * inv.ell_i[-1] - (alpha - 1) * ghat)
-
-    def mx_branch() -> int:
-        return lam_m * head - (2 * inv.eta_m - 1) * ghat_m * ell
-
+    ell, ell_i, _, alpha, ghat, ghat_i, lams, _, eta_m, _ = _lcm_data(a)
+    ghat_m, lam_m = ghat_i[-1], lams[-1]
+    # each branch gives 2 ell (p_f - 1) in integers, using ell / alpha_w = ell_w
+    head = (len(a) - 2) * ghat * ell - sum(map(mul, ghat_i[:-1], ell_i[:-1]))
+    z0 = alpha * (head - ghat_m * ell_i[-1] - (alpha - 1) * ghat)
+    mx = lam_m * head - (2 * eta_m - 1) * ghat_m * ell
     if lam_m > alpha:
-        num, sel = z0_branch(), "Z0"
+        num, sel = z0, "Z0"
     elif lam_m < alpha:
-        num, sel = mx_branch(), "MX"
+        num, sel = mx, "MX"
     else:
-        num, sel = z0_branch(), "both"
-        if num != mx_branch():
+        num, sel = z0, "both"
+        if num != mx:
             raise InternalError("the two fundamental-genus formulas disagree at lambda_m = alpha")
     if num % (2 * ell):
         raise InternalError(f"fundamental genus 1 + {num}/{2 * ell} is not an integer")
@@ -643,8 +648,10 @@ def is_elliptic(a: Sequence[int]) -> bool:
 def classify_elliptic(m_max: int, a_max: int) -> list[tuple[int, ...]]:
     """All elliptic exponent tuples with m <= m_max and a_m <= a_max, in lex order.
 
-    The box is scanned by the closed form; every tuple reported is
-    cross-checked against Laufer's algorithm on its graph.
+    The box is scanned by the closed form, which reads the uncached lcm
+    kernel with every consistency check; no invariant record is built and
+    no cache is filled for a tuple that is not reported.  Every tuple
+    reported is cross-checked against Laufer's algorithm on its graph.
     """
     if not isinstance(m_max, int) or m_max < 3:
         raise DomainError("m_max must be an integer at least 3")
@@ -668,9 +675,11 @@ def br2_exceptions() -> list[tuple[int, int, int]]:
 
     The list is derived by scanning that box with the closed forms for nr and
     p_f and the box-basis p_g; every tuple reported has its p_f cross-checked
-    against Laufer's algorithm.  The scan finds (3, 4, 6) and (3, 4, 7), both
-    with p_f = 2.  Other non-elliptic tuples do reach nr = 2 with a different
-    p_g, e.g. (2, 5, 10) with p_f = 2 and p_g = 4.
+    against Laufer's algorithm.  p_f reads the uncached lcm kernel with every
+    consistency check, so only the tuples with nr = 2 and p_f != 1 reach
+    the invariant record and the p_g cache.  The scan finds (3, 4, 6) and
+    (3, 4, 7), both with p_f = 2.  Other non-elliptic tuples do reach nr = 2
+    with a different p_g, e.g. (2, 5, 10) with p_f = 2 and p_g = 4.
     """
     found = [
         t

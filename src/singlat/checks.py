@@ -84,7 +84,7 @@ def run_tuple_checks(a: Sequence[int]) -> list[CheckResult]:
         assert_same(f"{name} pairs to", products, want)
 
     def invariants() -> str:
-        # identities independent of the ones _invariants_cached raises on
+        # identities independent of the ones the lcm kernel raises on
         _require(
             all(al == x // math.gcd(x, l) for al, x, l in zip(inv.alpha_i, a, inv.ell_i)),
             "alpha_i != a_i / gcd(a_i, ell_i)",

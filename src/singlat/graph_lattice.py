@@ -17,8 +17,9 @@ identical chains cost one step; any other graph has one class per curve.
 The elimination peels pendant classes first, without fill-in, then
 eliminates what survives in index order: the 2-core, or the one class left
 of a tree such as a star.  Laufer's sequence keeps a FIFO worklist of the
-classes of positive pairing.  All three are cached on the graph, so repeated
-calls on one graph cost a lookup.
+classes of positive pairing.  All three are cached on the graph, and so is
+the quotient by the classes that the elimination builds and Laufer's
+sequence reuses, so repeated calls on one graph cost a lookup.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ class DualGraph:
     """
 
     __slots__ = (
-        "genera", "self_ints", "edges", "classes", "_adj", "_neg_def", "_zk", "_zf"
+        "genera", "self_ints", "edges", "classes", "_adj", "_quo", "_neg_def", "_zk", "_zf"
     )
 
     def __init__(
@@ -120,6 +121,7 @@ class DualGraph:
         self.classes: tuple[int, ...] | None = None
         self._adj: tuple[dict[int, int], ...] = tuple(adj)
         # result caches, filled on first use; the data above never changes
+        self._quo: tuple[Sequence[int], list[int], list[dict[int, int]]] | None = None
         self._neg_def: bool | None = None
         self._zk: QCycle | None = None
         self._zf: Cycle | None = None
@@ -285,7 +287,8 @@ def fundamental_cycle(g: DualGraph) -> Cycle:
             "the computation sequence may not terminate otherwise"
         )
     adj, self_ints = g._adj, g.self_ints
-    col, rep, into = _quotient(g)
+    # the definiteness solve above built the quotient and kept it
+    col, rep, into = g._quo
     # step[A] = c_A
     step = [-self_ints[v] for v in rep]
     d = [self_ints[v] + sum(adj[v].values()) for v in rep]
@@ -348,10 +351,11 @@ def _solve(g: DualGraph) -> None:
       eliminated in index order on dict rows.
 
     Back-substitution then runs the core steps and the peel in reverse.
-    Linear-time in the classes on trees.
+    Linear-time in the classes on trees.  The quotient is kept on g for
+    :func:`fundamental_cycle`, which runs only after this solve.
     """
     genera, self_ints = g.genera, g.self_ints
-    col, rep, into = _quotient(g)
+    g._quo = col, rep, into = _quotient(g)
     diag = [Fraction(self_ints[v]) for v in rep]
     y = [Fraction(self_ints[v] + 2 - 2 * genera[v]) for v in rep]
     alive = [True] * len(rep)

@@ -1,10 +1,13 @@
 """Brieskorn complete intersections: numeric invariants, resolution graphs,
 distinguished cycles, genera, reduction numbers, the elliptic census."""
 
+import math
 import time
+from dataclasses import astuple
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, gcd, lcm, prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,6 +18,7 @@ from singlat import (
     ConsistencyError,
     ConstructionError,
     DomainError,
+    InternalError,
     MaximalCycleNumbers,
     ResourceError,
     arithmetic_genus,
@@ -136,6 +140,79 @@ def test_invariant_identities(a):
     zm = divisor_cycle(a, m)
     for t in dual_graph(a).tip_indices(m) or (0,):
         assert zm[t] == inv.eta_m
+
+
+@given(
+    st.lists(st.integers(min_value=2, max_value=300), min_size=3, max_size=7)
+    .map(lambda xs: tuple(sorted(xs)))
+)
+@settings(max_examples=200, deadline=None)
+def test_lcm_kernel_against_the_definitions(a):
+    """The prefix-suffix lcms against lcm of all the other exponents."""
+    data = brieskorn._lcm_data(a)
+    ell, ell_i, alpha_i, alpha, ghat, ghat_i, lams, eta_i, eta_m, delta = data
+    assert ell == lcm(*a)
+    assert ell_i == tuple(lcm(*(a[:i] + a[i + 1 :])) for i in range(len(a)))
+    assert all(lam * x == ell for lam, x in zip(lams, a))
+    assert ghat * ell == prod(a)
+    inv = brieskorn._invariants_cached.__wrapped__(a)
+    assert astuple(inv)[1:11] == data
+
+
+@pytest.mark.parametrize(
+    "a, fake, message",
+    [
+        # an lcm that takes the largest argument, as if each exponent divided the next
+        ((2, 3, 7), {"lcm": max}, "alpha = 2 does not divide ell = 7"),
+        ((2, 3, 4), {"lcm": max}, "branch count ghat_i is not integral"),
+        ((2, 3, 6), {"lcm": max}, "lambda_i / alpha_m is not integral"),
+        # an lcm that multiplies, as if the exponents were pairwise coprime
+        ((2, 2, 3), {"lcm": lambda *xs: prod(xs)}, "lambda_w and alpha_w are not coprime"),
+        # an unsorted tuple, which the validator would refuse
+        ((2, 3, 2), {}, "delta = -1 is negative"),
+    ],
+)
+def test_every_kernel_check_can_fire(monkeypatch, a, fake, message):
+    """Each consistency check of the lcm data raises, with its message, on
+    the record's path and on the elliptic scan's."""
+    real = {name: getattr(math, name) for name in ("lcm", "gcd", "prod")}
+    monkeypatch.setattr(brieskorn, "math", SimpleNamespace(**{**real, **fake}))
+    for route in (
+        brieskorn._lcm_data, brieskorn._invariants_cached.__wrapped__, brieskorn._pf_value
+    ):
+        with pytest.raises(InternalError) as err:
+            route(a)
+        assert str(err.value) == message
+
+
+def _with_kernel(monkeypatch, field, change):
+    """Let the scan read the lcm data with one field changed."""
+    real = brieskorn._lcm_data
+
+    def changed(a):
+        data = list(real(a))
+        data[field] = change(data[field])
+        return tuple(data)
+
+    monkeypatch.setattr(brieskorn, "_lcm_data", changed)
+
+
+def test_pf_formulas_must_agree_at_lambda_m_equal_alpha(monkeypatch):
+    assert brieskorn._pf_value((2, 3, 6)).cycle == "both"
+    _with_kernel(monkeypatch, 8, lambda eta_m: eta_m + 1)
+    with pytest.raises(
+        InternalError,
+        match="^the two fundamental-genus formulas disagree at lambda_m = alpha$",
+    ):
+        brieskorn._pf_value((2, 3, 6))
+
+
+def test_pf_must_be_an_integer(monkeypatch):
+    _with_kernel(monkeypatch, 5, lambda ghat_i: (ghat_i[0] + 1, *ghat_i[1:]))
+    with pytest.raises(
+        InternalError, match=r"^fundamental genus 1 \+ -\d+/84 is not an integer$"
+    ):
+        brieskorn._pf_value((2, 3, 7))
 
 
 # ----------------------------------------------------------- resolution graphs
@@ -798,6 +875,16 @@ def test_classify_elliptic_verifies_what_it_reports(monkeypatch):
             classify_elliptic(3, 5)
     finally:
         brieskorn._pf_verified.cache_clear()
+
+
+def test_classify_elliptic_builds_records_only_for_what_it_reports():
+    """The scan reads the uncached lcm kernel; only the Laufer cross-check
+    of a reported tuple builds its record."""
+    for cache in (brieskorn._pf_verified, brieskorn._star_cached, brieskorn._invariants_cached):
+        cache.cache_clear()
+    found = classify_elliptic(4, 12)
+    assert len(found) < 100 < comb(13, 3) + comb(14, 4)
+    assert brieskorn._invariants_cached.cache_info().misses == len(found)
 
 
 def test_br2_exceptions():

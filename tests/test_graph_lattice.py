@@ -239,6 +239,31 @@ def test_one_elimination_per_graph(monkeypatch):
     assert calls[0] is good and calls[1] is bad
 
 
+@pytest.mark.parametrize("first", [fundamental_cycle, canonical_qcycle, is_negative_definite])
+def test_one_quotient_per_graph(monkeypatch, first):
+    """The elimination and Laufer's sequence share one quotient per graph,
+    whichever of the three is asked first."""
+    built = []
+    real = graph_lattice._quotient
+
+    def counting(g):
+        built.append(g)
+        return real(g)
+
+    monkeypatch.setattr(graph_lattice, "_quotient", counting)
+    graphs = [
+        star((0, -2), [[-2], [-2, -2], [-2, -2, -2, -2]]),
+        DualGraph.from_star((0, -4), [(3, [-3]), (2, [-2, -2])]),
+    ]
+    for g in graphs:
+        first(g)
+        for _ in range(2):
+            is_negative_definite(g)
+            canonical_qcycle(g)
+            fundamental_cycle(g)
+    assert built == graphs
+
+
 def test_canonical_qcycle_solves_adjunction(e8):
     g = star((2, -3), [[-2, -3], [-4], [-2, -2, -5]])
     zk = canonical_qcycle(g)
