@@ -11,21 +11,25 @@ Fractions yields both the definiteness verdict and, on a negative-definite
 graph (every resolution graph is one), the canonical Q-cycle Z_K.  It stops
 at the first pivot >= 0; Z_K and Laufer's Z_f are refused on any other
 graph.  Both the elimination and Laufer's computation sequence run on the
-classes of the graph.  A star built by ``DualGraph.from_star`` numbers its
-chain positions as it emits them, and those are its classes, so its
-identical chains cost one step; any other graph has one class per curve.
+classes of the graph.  A star built by ``DualGraph.from_star`` has its
+chain positions as its classes, so its identical chains cost one step; it
+is emitted in bulk from its families, and comes with its quotient by the
+classes, built from the families in O(classes).  Any other graph has one
+class per curve, and its quotient is built from its adjacency on first use.
 The elimination peels pendant classes first, without fill-in, then
 eliminates what survives in index order: the 2-core, or the one class left
 of a tree such as a star.  Laufer's sequence keeps a FIFO worklist of the
 classes of positive pairing.  All three are cached on the graph, and so is
-the quotient by the classes that the elimination builds and Laufer's
-sequence reuses, so repeated calls on one graph cost a lookup.
+the quotient that the elimination and Laufer's sequence share, so repeated
+calls on one graph cost a lookup.  The per-curve adjacency is built on first
+use too: only ``cycle_products`` and ``is_anti_nef`` need it on a star.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, DomainError, InternalError
@@ -60,6 +64,11 @@ class DualGraph:
     built by :meth:`from_star`, where it gives each curve its chain
     position.  The elimination and Laufer's sequence run class by class on
     it.  Equality, hashing and ``to_json_dict`` ignore it.
+
+    The per-curve adjacency is built from ``edges`` on first use: the
+    plain constructor's connectivity check needs it at once, while a star
+    builds it only when :func:`cycle_products` pairs a cycle with every
+    curve.
     """
 
     __slots__ = (
@@ -74,10 +83,7 @@ class DualGraph:
         genera: list[int] = []
         self_ints: list[int] = []
         for g, e in vertices:
-            if not isinstance(g, int) or not isinstance(e, int):
-                raise DomainError("vertex data must be integer (genus, self_int) pairs")
-            if g < 0:
-                raise DomainError(f"genus must be nonnegative, got {g}")
+            _check_vertex(g, e)
             genera.append(g)
             self_ints.append(e)
         n = len(genera)
@@ -94,13 +100,10 @@ class DualGraph:
                 raise DomainError(f"self-loop at vertex {i} is not allowed")
             norm.append((i, j) if i < j else (j, i))
         norm.sort()
-
-        adj: list[dict[int, int]] = [{} for _ in range(n)]
-        for i, j in norm:
-            adj[i][j] = adj[i].get(j, 0) + 1
-            adj[j][i] = adj[j].get(i, 0) + 1
+        self._fill(tuple(genera), tuple(self_ints), tuple(norm), None, None)
 
         # connectivity
+        adj = _adjacency(self)
         seen = [False] * n
         stack = [0]
         seen[0] = True
@@ -115,13 +118,21 @@ class DualGraph:
         if count != n:
             raise DomainError("dual graph must be connected")
 
-        self.genera: tuple[int, ...] = tuple(genera)
-        self.self_ints: tuple[int, ...] = tuple(self_ints)
-        self.edges: tuple[tuple[int, int], ...] = tuple(norm)
-        self.classes: tuple[int, ...] | None = None
-        self._adj: tuple[dict[int, int], ...] = tuple(adj)
-        # result caches, filled on first use; the data above never changes
-        self._quo: tuple[Sequence[int], list[int], list[dict[int, int]]] | None = None
+    def _fill(
+        self,
+        genera: tuple[int, ...],
+        self_ints: tuple[int, ...],
+        edges: tuple[tuple[int, int], ...],
+        classes: tuple[int, ...] | None,
+        quo: tuple[Sequence[int], list[int], list[dict[int, int]]] | None,
+    ) -> None:
+        self.genera = genera
+        self.self_ints = self_ints
+        self.edges = edges
+        self.classes = classes
+        # built from the data above on first use; that data never changes
+        self._adj: tuple[dict[int, int], ...] | None = None
+        self._quo = quo
         self._neg_def: bool | None = None
         self._zk: QCycle | None = None
         self._zf: Cycle | None = None
@@ -171,25 +182,52 @@ class DualGraph:
         per family and position, shared by the family's copies.  The copies
         of a position share one self-intersection and one edge to each
         neighbouring position, so the classes are equitable, as
-        :func:`fundamental_cycle` and the elimination need.  ``count`` must be a positive
-        ``int``, else ``DomainError``.
+        :func:`fundamental_cycle` and the elimination need.
+
+        The star is emitted in bulk from the families: one chain copy
+        repeated ``count`` times, the edges already normalized and sorted,
+        and the quotient by the classes (see :func:`_quotient`) built from
+        the families in O(classes) and kept on the graph.  The center and
+        each family are checked once, with the plain constructor's
+        ``DomainError`` messages; ``count`` must be a positive ``int``.  Each
+        copy's first curve is joined to the center, so the graph is connected
+        by construction and needs no search.
         """
-        vertices, edges, classes = [center], [], [0]
-        first = 1  # class of the family's first chain position
+        g0, c0 = center
+        _check_vertex(g0, c0)
+        self_ints, classes, heads, keep = [c0], [0], [], []
+        rep: list[int] = [0]
+        into: list[dict[int, int]] = [{}]
         for count, chain in families:
             if not isinstance(count, int) or count < 1:
                 raise DomainError(f"a family needs a positive integer count, got {count!r}")
-            for _ in range(count):
-                prev = 0
-                for pos, e in enumerate(chain, start=first):
-                    idx = len(vertices)
-                    vertices.append((0, e))
-                    classes.append(pos)
-                    edges.append((prev, idx))
-                    prev = idx
-            first += len(chain)
-        g = cls(vertices, edges)
-        g.classes = tuple(classes)
+            chain = list(chain)
+            for e in chain:
+                _check_vertex(0, e)
+            s = len(chain)
+            if not s:
+                continue
+            first, start = len(rep), len(self_ints)
+            last = start + (count - 1) * s  # first curve of the last copy
+            heads += range(start, last + 1, s)
+            self_ints += chain * count
+            classes += list(range(first, first + s)) * count
+            # every curve of a copy but its last has an edge to the next one
+            keep += ([True] * (s - 1) + [False]) * count
+            # the center sends count edges into the first position, and each
+            # position one edge to each neighbouring position
+            rep += range(last, last + s)
+            into[0][first] = 1
+            into.append({0: count})
+            into += [{a - 1: 1} for a in range(first + 1, first + s)]
+            for a in range(first, first + s - 1):
+                into[a][a + 1] = 1
+        n = len(self_ints)
+        edges = [(0, h) for h in heads]
+        edges += [(v, v + 1) for v in compress(range(1, n), keep)]
+        cols = tuple(classes)
+        g = cls.__new__(cls)
+        g._fill((g0,) + (0,) * (n - 1), tuple(self_ints), tuple(edges), cols, (cols, rep, into))
         return g
 
     @classmethod
@@ -200,6 +238,25 @@ class DualGraph:
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed dual-graph document: {exc}") from None
         return cls(vertices, edges)
+
+
+def _check_vertex(genus: int, self_int: int) -> None:
+    if not isinstance(genus, int) or not isinstance(self_int, int):
+        raise DomainError("vertex data must be integer (genus, self_int) pairs")
+    if genus < 0:
+        raise DomainError(f"genus must be nonnegative, got {genus}")
+
+
+def _adjacency(g: DualGraph) -> tuple[dict[int, int], ...]:
+    """One dict ``{neighbour: edges}`` per curve of g, built from ``g.edges``
+    on first use and kept on g."""
+    if g._adj is None:
+        adj: list[dict[int, int]] = [{} for _ in range(g.n)]
+        for i, j in g.edges:
+            adj[i][j] = adj[i].get(j, 0) + 1
+            adj[j][i] = adj[j].get(i, 0) + 1
+        g._adj = tuple(adj)
+    return g._adj
 
 
 def _check_cycle(g: DualGraph, z: Sequence, name: str = "cycle") -> None:
@@ -227,7 +284,7 @@ def cycle_products(g: DualGraph, z: Sequence) -> tuple:
     """All pairings (z . E_i) in vertex order."""
     _check_cycle(g, z)
     out = []
-    for i, (e, row) in enumerate(zip(g.self_ints, g._adj)):
+    for i, (e, row) in enumerate(zip(g.self_ints, _adjacency(g))):
         v = z[i] * e
         for j, w in row.items():
             v += w * z[j]
@@ -244,8 +301,10 @@ def _quotient(g: DualGraph) -> tuple[Sequence[int], list[int], list[dict[int, in
     """The quotient of g by its classes, as ``(col, rep, into)``: ``col[v]``
     is the class of curve v, ``rep[A]`` the last curve of class A, which
     stands for it as any curve of it would, and ``into[A][B]`` the number
-    ``n_BA`` of edges from one curve of class B into class A."""
-    adj = g._adj
+    ``n_BA`` of edges from one curve of class B into class A, keyed in
+    increasing B.  A star from :meth:`DualGraph.from_star` comes with its
+    quotient; any other graph builds it here once, from its adjacency."""
+    adj = _adjacency(g)
     col = g.classes or range(g.n)
     last = dict(zip(col, range(g.n)))
     rep = [last[a] for a in range(len(last))]
@@ -286,12 +345,17 @@ def fundamental_cycle(g: DualGraph) -> Cycle:
             "fundamental cycle needs a negative-definite graph; "
             "the computation sequence may not terminate otherwise"
         )
-    adj, self_ints = g._adj, g.self_ints
-    # the definiteness solve above built the quotient and kept it
+    self_ints = g.self_ints
+    # a star comes with its quotient; the definiteness solve above built
+    # and kept any other graph's
     col, rep, into = g._quo
     # step[A] = c_A
     step = [-self_ints[v] for v in rep]
-    d = [self_ints[v] + sum(adj[v].values()) for v in rep]
+    # d_A at z = 1: E_A^2 plus the degree sum_B n_AB of a curve of A
+    d = [self_ints[v] for v in rep]
+    for row in into:
+        for b, w in row.items():
+            d[b] += w
     z = [1] * len(rep)
     queued = [v > 0 for v in d]
     work = deque(a for a, v in enumerate(d) if v > 0)
@@ -351,11 +415,14 @@ def _solve(g: DualGraph) -> None:
       eliminated in index order on dict rows.
 
     Back-substitution then runs the core steps and the peel in reverse.
-    Linear-time in the classes on trees.  The quotient is kept on g for
+    Linear-time in the classes on trees.  A star comes with its quotient;
+    any other graph builds it here, and keeps it on g for
     :func:`fundamental_cycle`, which runs only after this solve.
     """
     genera, self_ints = g.genera, g.self_ints
-    g._quo = col, rep, into = _quotient(g)
+    if g._quo is None:
+        g._quo = _quotient(g)
+    col, rep, into = g._quo
     diag = [Fraction(self_ints[v]) for v in rep]
     y = [Fraction(self_ints[v] + 2 - 2 * genera[v]) for v in rep]
     alive = [True] * len(rep)

@@ -31,6 +31,13 @@ def star(center, arms):
     return DualGraph(vertices, edges)
 
 
+def ordered_quotient(quo):
+    """A quotient ``(col, rep, into)`` with each ``into`` row as its list of
+    items, so that comparing two of them compares the key order too."""
+    col, rep, into = quo
+    return tuple(col), list(rep), [list(row.items()) for row in into]
+
+
 def _vertex_bound(a):
     """Upper bound on the star graph's size: an alpha_w chain has < alpha_w curves."""
     inv = numeric_invariants(a)

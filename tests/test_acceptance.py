@@ -38,8 +38,9 @@ from singlat import (
     qp_consistency,
     quotient_table,
 )
+from singlat import graph_lattice
 from singlat.brieskorn import _pg_dense
-from conftest import star
+from conftest import ordered_quotient, star
 
 SWEEP_M_MAX = 5
 SWEEP_A_MAX = 12
@@ -72,6 +73,7 @@ class Record(NamedTuple):
     alpha: int
     eta_m_is_tip: bool
     cycles_pair_as_solved: bool
+    kept_quotient_matches_adjacency: bool
     zf_eq_z0: bool
     zf_eq_mx: bool
     pa_mx_matches_graph: bool
@@ -116,6 +118,10 @@ def sweep():
                     [z0] + [divisor_cycle(a, i) for i in range(1, len(a) + 1)]
                 )
             ),
+            # the quotient from_star builds from the families, against the
+            # one the adjacency gives, row keys in order
+            kept_quotient_matches_adjacency=ordered_quotient(graph._quo)
+            == ordered_quotient(graph_lattice._quotient(graph)),
             zf_eq_z0=zf == z0,
             zf_eq_mx=zf == mx,
             # maximal_cycle_numbers reads p_a(M_X) off the compressed cycles:
@@ -199,10 +205,12 @@ def test_criterion_05_fundamental_genus_closed_form(sweep):
     """p_f closed form equals the Laufer computation, the fundamental
     cycle is the predicted distinguished cycle, the eta_m the closed
     form uses is the tip coefficient of Z^(m) on the graph, Z_0 and every
-    Z^(i) pair against the flattened graph as they were solved for, and the
-    p_a(M_X) read off the compressed cycles is the graph's."""
+    Z^(i) pair against the flattened graph as they were solved for, the
+    p_a(M_X) read off the compressed cycles is the graph's, and the quotient
+    each star keeps from its families is the one its adjacency gives."""
     for a, r in sweep.items():
         assert r.pf == r.pf_graph, a
+        assert r.kept_quotient_matches_adjacency, a
         assert r.pa_mx_matches_graph, a
         assert r.eta_m_is_tip, a
         assert r.cycles_pair_as_solved, a

@@ -2,6 +2,7 @@
 anti-nef cycles, Laufer's algorithm, adjunction, definiteness."""
 
 import heapq
+import re
 import time
 from fractions import Fraction
 from itertools import product
@@ -25,7 +26,7 @@ from singlat import (
     to_dot,
 )
 from singlat import graph_lattice
-from conftest import chain, star, wide_tuples
+from conftest import chain, ordered_quotient, star, wide_tuples
 
 E8_ROOT = (6, 3, 4, 2, 5, 4, 3, 2)  # highest root in the (2,3,5) star layout
 
@@ -241,8 +242,9 @@ def test_one_elimination_per_graph(monkeypatch):
 
 @pytest.mark.parametrize("first", [fundamental_cycle, canonical_qcycle, is_negative_definite])
 def test_one_quotient_per_graph(monkeypatch, first):
-    """The elimination and Laufer's sequence share one quotient per graph,
-    whichever of the three is asked first."""
+    """A star from ``from_star`` comes with its quotient and never builds
+    one; a plain graph builds it exactly once, whichever of the elimination
+    and Laufer's sequence is asked first."""
     built = []
     real = graph_lattice._quotient
 
@@ -251,17 +253,39 @@ def test_one_quotient_per_graph(monkeypatch, first):
         return real(g)
 
     monkeypatch.setattr(graph_lattice, "_quotient", counting)
-    graphs = [
-        star((0, -2), [[-2], [-2, -2], [-2, -2, -2, -2]]),
-        DualGraph.from_star((0, -4), [(3, [-3]), (2, [-2, -2])]),
-    ]
-    for g in graphs:
+    plain = star((0, -2), [[-2], [-2, -2], [-2, -2, -2, -2]])
+    kept = DualGraph.from_star((0, -4), [(3, [-3]), (2, [-2, -2])])
+    for g in (plain, kept):
         first(g)
         for _ in range(2):
             is_negative_definite(g)
             canonical_qcycle(g)
             fundamental_cycle(g)
-    assert built == graphs
+    assert len(built) == 1 and built[0] is plain
+
+
+def test_a_star_builds_its_adjacency_only_for_pairings():
+    """Only ``cycle_products`` and ``is_anti_nef`` need a star's adjacency;
+    every other entry point leaves it unbuilt, so a star costs no per-curve
+    dicts unless a caller pairs a cycle with every curve."""
+    def build():
+        return DualGraph.from_star((1, -3), [(4, [-2, -3]), (2, [-5])])
+
+    g = build()
+    zf = fundamental_cycle(g)
+    assert is_negative_definite(g)
+    zk = canonical_qcycle(g)
+    assert isinstance(arithmetic_genus(g, zf), int)
+    assert intersection_number(g, zf, zk) == intersection_number(g, zk, zf)
+    assert g == build() and hash(g) == hash(build())
+    assert DualGraph.from_json_dict(g.to_json_dict()) == g
+    assert to_dot(g).count("--") == len(g.edges)
+    assert g._adj is None
+    assert is_anti_nef(g, zf)
+    assert g._adj is not None
+    h = build()
+    cycle_products(h, zf)
+    assert h._adj is not None
 
 
 def test_canonical_qcycle_solves_adjunction(e8):
@@ -566,7 +590,7 @@ def _fundamental_cycle_heap(g):
             "fundamental cycle needs a negative-definite graph; "
             "the computation sequence may not terminate otherwise"
         )
-    adj, self_ints = g._adj, g.self_ints
+    adj, self_ints = graph_lattice._adjacency(g), g.self_ints
     z = [1] * g.n
     d = [e + sum(row.values()) for e, row in zip(self_ints, adj)]
     heap = [i for i, v in enumerate(d) if v > 0]
@@ -649,6 +673,25 @@ def seifert_stars(draw):
     return genus, draw(st.integers(min_value=1, max_value=copies + 1)), families
 
 
+def _assert_built_as_its_plain_twin(g):
+    """Check that a star from ``from_star`` has the edges and the adjacency
+    that the plain constructor gives its data, and keeps the quotient that
+    :func:`graph_lattice._quotient` recomputes from that adjacency, down to
+    the key order of each row.  Returns the plain twin."""
+    twin = DualGraph(zip(g.genera, g.self_ints), g.edges)
+    assert g.edges == twin.edges
+    assert g == twin and hash(g) == hash(twin)
+    assert g.to_json_dict() == twin.to_json_dict()
+    assert twin.classes is None
+    kept = g._quo
+    assert g._adj is None
+    assert ordered_quotient(kept) == ordered_quotient(graph_lattice._quotient(g))
+    assert [list(row.items()) for row in graph_lattice._adjacency(g)] == [
+        list(row.items()) for row in graph_lattice._adjacency(twin)]
+    assert g._quo is kept
+    return twin
+
+
 @given(seifert_stars())
 @settings(max_examples=300, deadline=None)
 def test_a_star_with_its_classes_matches_its_plain_twin(data):
@@ -659,25 +702,45 @@ def test_a_star_with_its_classes_matches_its_plain_twin(data):
     genus, c0, families = data
     g = DualGraph.from_star((genus, -c0), [(count, [-c for c in chain])
                                            for count, chain in families])
-    twin = DualGraph(zip(g.genera, g.self_ints), g.edges)
+    twin = _assert_built_as_its_plain_twin(g)
     assert is_negative_definite(g) == is_negative_definite(twin)
     assume(is_negative_definite(g))
     # the documented vertex order: the center, then each family's copies
     # center-outward
     assert g == star((genus, -c0), [[-c for c in chain]
                                     for count, chain in families for _ in range(count)])
-    assert g == twin and hash(g) == hash(twin)
-    assert g.to_json_dict() == twin.to_json_dict()
-    assert twin.classes is None
     assert len(set(g.classes)) == 1 + sum(len(chain) for _, chain in families)
     assert canonical_qcycle(g) == canonical_qcycle(twin)
     assert fundamental_cycle(g) == _fundamental_cycle_heap(twin)
+
+
+@given(weighted_stars())
+@settings(max_examples=200, deadline=None)
+def test_a_weighted_star_is_built_as_its_plain_twin(g):
+    """The same on stars with empty chains and indefinite forms, where the
+    verdict still comes from the kept quotient."""
+    twin = _assert_built_as_its_plain_twin(g)
+    assert is_negative_definite(g) == is_negative_definite(twin)
 
 
 @pytest.mark.parametrize("count", [0, -1, 1.0])
 def test_from_star_refuses_a_count_that_is_not_positive(count):
     with pytest.raises(DomainError, match="positive integer count"):
         DualGraph.from_star((0, -3), [(2, [-2]), (count, [-2, -3])])
+
+
+@pytest.mark.parametrize("center, chain, vertex", [
+    ((0, -3.0), [-2], (0, -3.0)),
+    ((0.0, -3), [-2], (0.0, -3)),
+    ((-1, -3), [-2], (-1, -3)),
+    ((0, -3), [-2, "-3"], (0, "-3")),
+    ((0, -3), [-2, -3.0], (0, -3.0)),
+], ids=["center-self-int", "center-genus", "negative-genus", "chain-str", "chain-float"])
+def test_from_star_refuses_bad_vertex_data_as_the_constructor_does(center, chain, vertex):
+    with pytest.raises(DomainError) as plain:
+        DualGraph([(0, -2), vertex], [(0, 1)])
+    with pytest.raises(DomainError, match=f"^{re.escape(str(plain.value))}$"):
+        DualGraph.from_star(center, [(2, [-2]), (3, chain)])
 
 
 def _chain_positions(a):
