@@ -159,12 +159,11 @@ class StarGraph:
     ``(center coefficient, one coefficient list per family)``;
     ``assemble(*cycle)`` flattens one.  ``graph``, the flattened
     :class:`DualGraph`, is built on first use by
-    :meth:`DualGraph.from_star`, whose vertex order ``family_starts``,
-    ``chain_start``, ``tip_indices`` and ``assemble`` rely on: the center at
-    index 0, then each family's chain copies center-outward.  Its classes
-    are the chain positions.  ``vertex_count`` is its size, read off the
-    families; ``graph`` and ``assemble`` check it against ``LATTICE_BUDGET``
-    before they allocate.
+    :meth:`DualGraph.from_star`, whose vertex order ``tip_indices`` and
+    ``assemble`` rely on: the center at index 0, then each family's chain
+    copies center-outward.  Its classes are the chain positions.
+    ``vertex_count`` is its size, read off the families; ``graph`` and
+    ``assemble`` check it against ``LATTICE_BUDGET`` before they allocate.
     """
 
     center_genus: int
@@ -189,26 +188,19 @@ class StarGraph:
             [(fam.count, [-c for c in fam.chain]) for fam in self.branch_families],
         )
 
-    @cached_property
-    def family_starts(self) -> tuple[int, ...]:
-        sizes = [fam.count * len(fam.chain) for fam in self.branch_families]
-        return tuple(accumulate(sizes[:-1], initial=1))
-
     @property
     def center_self_int(self) -> int:
         return -self.c0
 
-    def chain_start(self, w: int, xi: int) -> int:
-        """Index of vertex (w, 1, xi): chain copy xi (0-based) of family w (1-based)."""
-        fam = self.branch_families[w - 1]
-        return self.family_starts[w - 1] + xi * len(fam.chain)
-
     def tip_indices(self, w: int) -> tuple[int, ...]:
-        fam = self.branch_families[w - 1]
+        """Indices of the outer ends of family w's (1-based) chain copies."""
+        fams = self.branch_families
+        fam = fams[w - 1]
         s = len(fam.chain)
         if s == 0:
             return ()
-        return tuple(self.chain_start(w, xi) + s - 1 for xi in range(fam.count))
+        start = 1 + sum(f.count * len(f.chain) for f in fams[: w - 1])
+        return tuple(range(start + s - 1, start + fam.count * s, s))
 
     def assemble(self, center_coeff: int, fam_coeffs: Sequence[Sequence[int]]) -> Cycle:
         """Cycle from a center coefficient and one coefficient list per family."""

@@ -67,17 +67,15 @@ def _cmd_invariants(ns: argparse.Namespace) -> int:
 
 def _star_dot(star: brieskorn.StarGraph) -> str:
     g = star.graph
-    labels = [f"E0 [g={star.center_genus}] ({star.center_self_int})"]
-    labels.extend([""] * (g.n - 1))
+    # the curves in vertex order: the center, then family w's copy xi
+    # center-outward
+    names = [f"E0 [g={star.center_genus}]"]
     for w, fam in enumerate(star.branch_families, start=1):
-        s = len(fam.chain)
-        for xi in range(fam.count):
-            for nu in range(1, s + 1):
-                idx = star.chain_start(w, xi) + nu - 1
-                labels[idx] = f"E_{{{w},{nu},{xi + 1}}} ({g.self_ints[idx]})"
+        for xi in range(1, fam.count + 1):
+            names += (f"E_{{{w},{nu},{xi}}}" for nu in range(1, len(fam.chain) + 1))
     lines = ["graph star {"]
-    for i, label in enumerate(labels):
-        lines.append(f'  v{i} [label="{label}"];')
+    for i, (name, e) in enumerate(zip(names, g.self_ints)):
+        lines.append(f'  v{i} [label="{name} ({e})"];')
     for i, j in g.edges:
         lines.append(f"  v{i} -- v{j};")
     lines.append("}")

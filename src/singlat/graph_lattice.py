@@ -11,18 +11,17 @@ Fractions yields both the definiteness verdict and, on a negative-definite
 graph (every resolution graph is one), the canonical Q-cycle Z_K.  It stops
 at the first pivot >= 0; Z_K and Laufer's Z_f are refused on any other
 graph.  Both the elimination and Laufer's computation sequence run on the
-classes of the graph.  A star built by ``DualGraph.from_star`` has its
-chain positions as its classes, so its identical chains cost one step; it
-is emitted in bulk from its families, and comes with its quotient by the
-classes, built from the families in O(classes).  Any other graph has one
-class per curve, and its quotient is built from its adjacency on first use.
-The elimination peels pendant classes first, without fill-in, then
-eliminates what survives in index order: the 2-core, or the one class left
-of a tree such as a star.  Laufer's sequence keeps a FIFO worklist of the
-classes of positive pairing.  All three are cached on the graph, and so is
-the quotient that the elimination and Laufer's sequence share, so repeated
-calls on one graph cost a lookup.  The per-curve adjacency is built on first
-use too: only ``cycle_products`` and ``is_anti_nef`` need it on a star.
+quotient of the graph by its classes, which every graph holds from its
+construction.  A star built by ``DualGraph.from_star`` has its chain
+positions as its classes, so its identical chains cost one step; it is
+emitted in bulk from its families, quotient included, in O(classes).  Any
+other graph has one class per curve, and its quotient is the adjacency that
+its constructor builds for the connectivity check.  The elimination peels
+pendant classes first, without fill-in, then eliminates what survives in
+index order: the 2-core, or the one class left of a tree such as a star.
+Laufer's sequence keeps a FIFO worklist of the classes of positive pairing.
+All three are cached on the graph, so repeated calls on one graph cost a
+lookup.  Pairings with every curve walk the edge list.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from itertools import compress
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, DomainError, InternalError
@@ -65,15 +65,14 @@ class DualGraph:
     position.  The elimination and Laufer's sequence run class by class on
     it.  Equality, hashing and ``to_json_dict`` ignore it.
 
-    The per-curve adjacency is built from ``edges`` on first use: the
-    plain constructor's connectivity check needs it at once, while a star
-    builds it only when :func:`cycle_products` pairs a cycle with every
-    curve.
+    Each graph keeps its quotient by the classes, as ``(col, rep, into)``:
+    ``col[v]`` is the class of curve v, ``rep[A]`` the last curve of class
+    A, which stands for it as any curve of it would, and ``into[A][B]`` the
+    number ``n_BA`` of edges from one curve of class B into class A, keyed
+    in increasing B.  With one class per curve, ``into`` is the adjacency.
     """
 
-    __slots__ = (
-        "genera", "self_ints", "edges", "classes", "_adj", "_quo", "_neg_def", "_zk", "_zf"
-    )
+    __slots__ = ("genera", "self_ints", "edges", "classes", "_quo", "_neg_def", "_zk", "_zf")
 
     def __init__(
         self,
@@ -100,10 +99,13 @@ class DualGraph:
                 raise DomainError(f"self-loop at vertex {i} is not allowed")
             norm.append((i, j) if i < j else (j, i))
         norm.sort()
-        self._fill(tuple(genera), tuple(self_ints), tuple(norm), None, None)
+        # sorted edges key each row in increasing neighbour
+        adj: list[dict[int, int]] = [{} for _ in range(n)]
+        for i, j in norm:
+            adj[i][j] = adj[i].get(j, 0) + 1
+            adj[j][i] = adj[j].get(i, 0) + 1
 
         # connectivity
-        adj = _adjacency(self)
         seen = [False] * n
         stack = [0]
         seen[0] = True
@@ -117,6 +119,7 @@ class DualGraph:
                     stack.append(w)
         if count != n:
             raise DomainError("dual graph must be connected")
+        self._fill(tuple(genera), tuple(self_ints), tuple(norm), None, (range(n), range(n), adj))
 
     def _fill(
         self,
@@ -124,15 +127,14 @@ class DualGraph:
         self_ints: tuple[int, ...],
         edges: tuple[tuple[int, int], ...],
         classes: tuple[int, ...] | None,
-        quo: tuple[Sequence[int], list[int], list[dict[int, int]]] | None,
+        quo: tuple[Sequence[int], Sequence[int], list[dict[int, int]]],
     ) -> None:
         self.genera = genera
         self.self_ints = self_ints
         self.edges = edges
         self.classes = classes
-        # built from the data above on first use; that data never changes
-        self._adj: tuple[dict[int, int], ...] | None = None
         self._quo = quo
+        # results, computed from the data above on first use; that data never changes
         self._neg_def: bool | None = None
         self._zk: QCycle | None = None
         self._zf: Cycle | None = None
@@ -186,12 +188,11 @@ class DualGraph:
 
         The star is emitted in bulk from the families: one chain copy
         repeated ``count`` times, the edges already normalized and sorted,
-        and the quotient by the classes (see :func:`_quotient`) built from
-        the families in O(classes) and kept on the graph.  The center and
-        each family are checked once, with the plain constructor's
-        ``DomainError`` messages; ``count`` must be a positive ``int``.  Each
-        copy's first curve is joined to the center, so the graph is connected
-        by construction and needs no search.
+        and the quotient by the classes built from the families in
+        O(classes).  The center and each family are checked once, with the
+        plain constructor's ``DomainError`` messages; ``count`` must be a
+        positive ``int``.  Each copy's first curve is joined to the center,
+        so the graph is connected by construction and needs no search.
         """
         g0, c0 = center
         _check_vertex(g0, c0)
@@ -247,18 +248,6 @@ def _check_vertex(genus: int, self_int: int) -> None:
         raise DomainError(f"genus must be nonnegative, got {genus}")
 
 
-def _adjacency(g: DualGraph) -> tuple[dict[int, int], ...]:
-    """One dict ``{neighbour: edges}`` per curve of g, built from ``g.edges``
-    on first use and kept on g."""
-    if g._adj is None:
-        adj: list[dict[int, int]] = [{} for _ in range(g.n)]
-        for i, j in g.edges:
-            adj[i][j] = adj[i].get(j, 0) + 1
-            adj[j][i] = adj[j].get(i, 0) + 1
-        g._adj = tuple(adj)
-    return g._adj
-
-
 def _check_cycle(g: DualGraph, z: Sequence, name: str = "cycle") -> None:
     if len(z) != g.n:
         raise DimensionError(
@@ -274,21 +263,16 @@ def intersection_number(g: DualGraph, z1: Sequence, z2: Sequence):
     """
     _check_cycle(g, z1, "first cycle")
     _check_cycle(g, z2, "second cycle")
-    total = sum(a * e * b for a, e, b in zip(z1, g.self_ints, z2))
-    for i, j in g.edges:
-        total += z1[i] * z2[j] + z1[j] * z2[i]
-    return total
+    return sum(map(mul, z1, cycle_products(g, z2)))
 
 
 def cycle_products(g: DualGraph, z: Sequence) -> tuple:
-    """All pairings (z . E_i) in vertex order."""
+    """All pairings (z . E_i) in vertex order, by one walk of the edges."""
     _check_cycle(g, z)
-    out = []
-    for i, (e, row) in enumerate(zip(g.self_ints, _adjacency(g))):
-        v = z[i] * e
-        for j, w in row.items():
-            v += w * z[j]
-        out.append(v)
+    out = [c * e for c, e in zip(z, g.self_ints)]
+    for i, j in g.edges:
+        out[i] += z[j]
+        out[j] += z[i]
     return tuple(out)
 
 
@@ -297,28 +281,9 @@ def is_anti_nef(g: DualGraph, z: Sequence) -> bool:
     return all(v <= 0 for v in cycle_products(g, z))
 
 
-def _quotient(g: DualGraph) -> tuple[Sequence[int], list[int], list[dict[int, int]]]:
-    """The quotient of g by its classes, as ``(col, rep, into)``: ``col[v]``
-    is the class of curve v, ``rep[A]`` the last curve of class A, which
-    stands for it as any curve of it would, and ``into[A][B]`` the number
-    ``n_BA`` of edges from one curve of class B into class A, keyed in
-    increasing B.  A star from :meth:`DualGraph.from_star` comes with its
-    quotient; any other graph builds it here once, from its adjacency."""
-    adj = _adjacency(g)
-    col = g.classes or range(g.n)
-    last = dict(zip(col, range(g.n)))
-    rep = [last[a] for a in range(len(last))]
-    into: list[dict[int, int]] = [{} for _ in rep]
-    for b, v in enumerate(rep):
-        for u, w in adj[v].items():
-            a = col[u]
-            into[a][b] = into[a].get(b, 0) + w
-    return col, rep, into
-
-
 def fundamental_cycle(g: DualGraph) -> Cycle:
     """Smallest non-zero anti-nef cycle, by the classical computation sequence
-    run on the classes of ``g.classes`` (see :func:`_quotient`): the chain
+    run on the quotient of g by its classes (see :class:`DualGraph`): the chain
     positions of a star built by :meth:`DualGraph.from_star`, and one class
     per curve on any other graph.
 
@@ -346,8 +311,6 @@ def fundamental_cycle(g: DualGraph) -> Cycle:
             "the computation sequence may not terminate otherwise"
         )
     self_ints = g.self_ints
-    # a star comes with its quotient; the definiteness solve above built
-    # and kept any other graph's
     col, rep, into = g._quo
     # step[A] = c_A
     step = [-self_ints[v] for v in rep]
@@ -382,7 +345,8 @@ def _solve(g: DualGraph) -> None:
     """Eliminate g once against the adjunction right-hand side and cache on g
     the definiteness verdict and, when the form is negative definite, Z_K.
 
-    The elimination runs on the quotient of :func:`_quotient`, on Fractions:
+    The elimination runs on the quotient of g by its classes (see
+    :class:`DualGraph`), on Fractions:
     with ``N_AB = n_AB``, the edges from one curve of class A into class B,
     and ``N_AA = E_A^2``, a cycle constant on classes pairs with every curve
     of A to ``(N z)_A``, so the class system is ``N z = y`` with ``y_A =
@@ -415,13 +379,9 @@ def _solve(g: DualGraph) -> None:
       eliminated in index order on dict rows.
 
     Back-substitution then runs the core steps and the peel in reverse.
-    Linear-time in the classes on trees.  A star comes with its quotient;
-    any other graph builds it here, and keeps it on g for
-    :func:`fundamental_cycle`, which runs only after this solve.
+    Linear-time in the classes on trees.
     """
     genera, self_ints = g.genera, g.self_ints
-    if g._quo is None:
-        g._quo = _quotient(g)
     col, rep, into = g._quo
     diag = [Fraction(self_ints[v]) for v in rep]
     y = [Fraction(self_ints[v] + 2 - 2 * genera[v]) for v in rep]
@@ -509,6 +469,8 @@ def arithmetic_genus(g: DualGraph, z: Sequence[int]) -> int:
         c * (-e + 2 * gen - 2) for c, e, gen in zip(z, g.self_ints, g.genera)
     )
     val = zz + zk
+    if not isinstance(val, int):
+        raise DomainError(f"arithmetic genus needs an integral cycle; z.(z+K) = {val!r}")
     if val % 2 != 0:
         raise InternalError(
             "z.(z+K) came out odd; the graph data is inconsistent"

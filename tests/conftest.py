@@ -31,6 +31,25 @@ def star(center, arms):
     return DualGraph(vertices, edges)
 
 
+def reference_quotient(g):
+    """The quotient ``(col, rep, into)`` of g by its classes (see
+    ``DualGraph``), collapsed from a per-curve adjacency built from
+    ``g.edges``: the reference for the quotient every graph keeps."""
+    adj = [{} for _ in range(g.n)]
+    for i, j in g.edges:
+        adj[i][j] = adj[i].get(j, 0) + 1
+        adj[j][i] = adj[j].get(i, 0) + 1
+    col = g.classes or range(g.n)
+    last = dict(zip(col, range(g.n)))
+    rep = [last[a] for a in range(len(last))]
+    into = [{} for _ in rep]
+    for b, v in enumerate(rep):
+        for u, w in adj[v].items():
+            a = col[u]
+            into[a][b] = into[a].get(b, 0) + w
+    return col, rep, into
+
+
 def ordered_quotient(quo):
     """A quotient ``(col, rep, into)`` with each ``into`` row as its list of
     items, so that comparing two of them compares the key order too."""

@@ -38,9 +38,8 @@ from singlat import (
     qp_consistency,
     quotient_table,
 )
-from singlat import graph_lattice
 from singlat.brieskorn import _pg_dense
-from conftest import ordered_quotient, star
+from conftest import ordered_quotient, reference_quotient, star
 
 SWEEP_M_MAX = 5
 SWEEP_A_MAX = 12
@@ -121,7 +120,7 @@ def sweep():
             # the quotient from_star builds from the families, against the
             # one the adjacency gives, row keys in order
             kept_quotient_matches_adjacency=ordered_quotient(graph._quo)
-            == ordered_quotient(graph_lattice._quotient(graph)),
+            == ordered_quotient(reference_quotient(graph)),
             zf_eq_z0=zf == z0,
             zf_eq_mx=zf == mx,
             # maximal_cycle_numbers reads p_a(M_X) off the compressed cycles:

@@ -46,6 +46,7 @@ from singlat import (
     quotient_dimension,
 )
 from singlat import brieskorn, graph_lattice
+from singlat.cli import _star_dot
 from conftest import wide_tuples
 
 GAMMA1 = (3, 4, 6)
@@ -238,10 +239,12 @@ def test_graph_gamma2():
     assert star.center_self_int == -2
     assert [(f.count, f.chain) for f in star.branch_families] == [
         (1, (2, 2)), (1, (2, 2, 2)), (1, (2, 4))]
-    assert star.family_starts == (1, 3, 6)
-    assert star.tip_indices(1) == (2,)
-    assert star.tip_indices(3) == (7,)
-    assert star.chain_start(1, 0) == 1
+    # the vertex order: the center, then each family's chain center-outward
+    assert [star.tip_indices(w) for w in (1, 2, 3)] == [(2,), (5,), (7,)]
+    dot = _star_dot(star)
+    for i, label in [(1, "E_{1,1,1} (-2)"), (3, "E_{2,1,1} (-2)"),
+                     (6, "E_{3,1,1} (-2)"), (7, "E_{3,2,1} (-4)")]:
+        assert f'v{i} [label="{label}"];' in dot
 
 
 def test_graph_e8(e8):

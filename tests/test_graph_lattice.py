@@ -6,6 +6,7 @@ import re
 import time
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -26,7 +27,7 @@ from singlat import (
     to_dot,
 )
 from singlat import graph_lattice
-from conftest import chain, ordered_quotient, star, wide_tuples
+from conftest import chain, ordered_quotient, reference_quotient, star, wide_tuples
 
 E8_ROOT = (6, 3, 4, 2, 5, 4, 3, 2)  # highest root in the (2,3,5) star layout
 
@@ -241,33 +242,30 @@ def test_one_elimination_per_graph(monkeypatch):
 
 
 @pytest.mark.parametrize("first", [fundamental_cycle, canonical_qcycle, is_negative_definite])
-def test_one_quotient_per_graph(monkeypatch, first):
-    """A star from ``from_star`` comes with its quotient and never builds
-    one; a plain graph builds it exactly once, whichever of the elimination
-    and Laufer's sequence is asked first."""
-    built = []
-    real = graph_lattice._quotient
-
-    def counting(g):
-        built.append(g)
-        return real(g)
-
-    monkeypatch.setattr(graph_lattice, "_quotient", counting)
+def test_one_quotient_per_graph(first):
+    """A plain graph and a star from ``from_star`` both hold their quotient
+    from construction, and every entry point leaves that one object in
+    place, whichever of the elimination and Laufer's sequence is asked
+    first."""
     plain = star((0, -2), [[-2], [-2, -2], [-2, -2, -2, -2]])
     kept = DualGraph.from_star((0, -4), [(3, [-3]), (2, [-2, -2])])
     for g in (plain, kept):
-        first(g)
-        for _ in range(2):
-            is_negative_definite(g)
-            canonical_qcycle(g)
-            fundamental_cycle(g)
-    assert len(built) == 1 and built[0] is plain
+        quo = g._quo
+        assert quo is not None
+        entries = [first, is_negative_definite, canonical_qcycle, fundamental_cycle,
+                   lambda g: cycle_products(g, (1,) * g.n),
+                   lambda g: is_anti_nef(g, (1,) * g.n),
+                   lambda g: intersection_number(g, (1,) * g.n, (1,) * g.n),
+                   lambda g: arithmetic_genus(g, (1,) * g.n)]
+        for entry in entries * 2:
+            entry(g)
+            assert g._quo is quo
 
 
-def test_a_star_builds_its_adjacency_only_for_pairings():
-    """Only ``cycle_products`` and ``is_anti_nef`` need a star's adjacency;
-    every other entry point leaves it unbuilt, so a star costs no per-curve
-    dicts unless a caller pairs a cycle with every curve."""
+def test_a_star_serves_every_entry_point():
+    """A star from ``from_star`` answers the whole public surface of a
+    graph: the cached solves, the pairings, equality, hashing, the JSON
+    round trip and the Graphviz rendering."""
     def build():
         return DualGraph.from_star((1, -3), [(4, [-2, -3]), (2, [-5])])
 
@@ -280,12 +278,8 @@ def test_a_star_builds_its_adjacency_only_for_pairings():
     assert g == build() and hash(g) == hash(build())
     assert DualGraph.from_json_dict(g.to_json_dict()) == g
     assert to_dot(g).count("--") == len(g.edges)
-    assert g._adj is None
     assert is_anti_nef(g, zf)
-    assert g._adj is not None
-    h = build()
-    cycle_products(h, zf)
-    assert h._adj is not None
+    assert cycle_products(build(), zf) == cycle_products(g, zf)
 
 
 def test_canonical_qcycle_solves_adjunction(e8):
@@ -298,6 +292,12 @@ def test_canonical_qcycle_solves_adjunction(e8):
 
 
 # -------------------------------------------------------------- arithmetic genus
+
+@pytest.mark.parametrize("c", [Fraction(1, 2), 1.5, Fraction(2)])
+def test_arithmetic_genus_refuses_a_cycle_that_is_not_integral(c):
+    with pytest.raises(DomainError, match="integral cycle"):
+        arithmetic_genus(dual_graph((2, 3, 5)).graph, (c,) * 8)
+
 
 def test_arithmetic_genus_fixtures(e8, a2):
     assert arithmetic_genus(a2, (1, 1)) == 0
@@ -504,7 +504,15 @@ def weighted_stars(draw):
 @given(cyclic_graphs() | pendant_graphs() | weighted_stars())
 @settings(max_examples=300, deadline=None)
 def test_elimination_matches_dense_reference(g):
+    """The elimination, the edge walk of the pairings and the kept quotient
+    against the dense matrix and the reference collapse; cyclic graphs come
+    with shuffled, reversed and repeated edges."""
     m = _dense_matrix(g)
+    z = tuple(range(1, g.n + 1))
+    mz = tuple(sum(map(mul, row, z)) for row in m)
+    assert cycle_products(g, z) == mz
+    assert intersection_number(g, z, z) == sum(map(mul, z, mz))
+    assert ordered_quotient(g._quo) == ordered_quotient(reference_quotient(g))
     minors = [_det([row[:k] for row in m[:k]]) for k in range(1, g.n + 1)]
     definite = all((-1) ** k * d > 0 for k, d in enumerate(minors, start=1))
     assert is_negative_definite(g) == definite
@@ -590,7 +598,9 @@ def _fundamental_cycle_heap(g):
             "fundamental cycle needs a negative-definite graph; "
             "the computation sequence may not terminate otherwise"
         )
-    adj, self_ints = graph_lattice._adjacency(g), g.self_ints
+    # the per-curve adjacency: the quotient of g's plain twin
+    adj = DualGraph(zip(g.genera, g.self_ints), g.edges)._quo[2]
+    self_ints = g.self_ints
     z = [1] * g.n
     d = [e + sum(row.values()) for e, row in zip(self_ints, adj)]
     heap = [i for i, v in enumerate(d) if v > 0]
@@ -674,21 +684,18 @@ def seifert_stars(draw):
 
 
 def _assert_built_as_its_plain_twin(g):
-    """Check that a star from ``from_star`` has the edges and the adjacency
-    that the plain constructor gives its data, and keeps the quotient that
-    :func:`graph_lattice._quotient` recomputes from that adjacency, down to
-    the key order of each row.  Returns the plain twin."""
+    """Check that a star from ``from_star`` has the edges that the plain
+    constructor gives its data, and that both keep the quotient that
+    :func:`conftest.reference_quotient` collapses from the adjacency of
+    those edges, down to the key order of each row.  Returns the plain
+    twin."""
     twin = DualGraph(zip(g.genera, g.self_ints), g.edges)
     assert g.edges == twin.edges
     assert g == twin and hash(g) == hash(twin)
     assert g.to_json_dict() == twin.to_json_dict()
     assert twin.classes is None
-    kept = g._quo
-    assert g._adj is None
-    assert ordered_quotient(kept) == ordered_quotient(graph_lattice._quotient(g))
-    assert [list(row.items()) for row in graph_lattice._adjacency(g)] == [
-        list(row.items()) for row in graph_lattice._adjacency(twin)]
-    assert g._quo is kept
+    assert ordered_quotient(g._quo) == ordered_quotient(reference_quotient(g))
+    assert ordered_quotient(twin._quo) == ordered_quotient(reference_quotient(twin))
     return twin
 
 
