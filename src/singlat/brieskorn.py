@@ -401,7 +401,8 @@ def divisor_cycle(a: Sequence[int], i: int) -> Cycle:
 def maximal_ideal_cycle(a: Sequence[int]) -> Cycle:
     """Cycle cut out by a generic function of the maximal ideal (= last divisor cycle)."""
     a = _validated(a)
-    return divisor_cycle(a, len(a))
+    star = _star_cached(a)
+    return star.assemble(*star.cycles[len(a)])
 
 
 def central_multiple_cycle(a: Sequence[int]) -> Cycle:

@@ -16,9 +16,10 @@ construction.  A star built by ``DualGraph.from_star`` has its chain
 positions as its classes, so its identical chains cost one step; it is
 emitted in bulk from its families, quotient included, in O(classes).  Any
 other graph has one class per curve, and its quotient is the adjacency that
-its constructor builds for the connectivity check.  The elimination peels
-pendant classes first, without fill-in, then eliminates what survives in
-index order: the 2-core, or the one class left of a tree such as a star.
+its constructor builds for the connectivity check.  The elimination runs
+once, in one order: pendant classes as they become pendant, which creates
+no fill-in, then the classes left over, the 2-core, in index order.  A
+tree such as a star is ordered whole by the pendant rule.
 Laufer's sequence keeps a FIFO worklist of the classes of positive pairing.
 All three are cached on the graph, so repeated calls on one graph cost a
 lookup.  Pairings with every curve walk the edge list.
@@ -367,56 +368,45 @@ def _solve(g: DualGraph) -> None:
 
     The form is negative definite exactly when every pivot is negative, so
     the elimination stops at the first pivot >= 0 and every division below is
-    by a negative number.  Two phases:
+    by a negative number.  Three steps:
 
-    - Peel: a class with exactly one live neighbouring class is taken from a
-      stack of such classes, which is refilled as neighbours drop to one.
-      Eliminating it creates no fill-in (Parter, "The use of linear graphs in
-      Gauss elimination", 1961), so it only updates its neighbour's diagonal
-      and right-hand side.  This phase eliminates every class of a star but
-      one.
-    - Core: what survives (the 2-core, or the last class of a tree) is
-      eliminated in index order on dict rows.
+    - Order: a class with exactly one neighbouring class not yet ordered is
+      taken from a stack of such classes, which is refilled as neighbours
+      drop to one.  Eliminated in that order, it creates no fill-in (Parter,
+      "The use of linear graphs in Gauss elimination", 1961).  This orders
+      every class of a star, or of any tree.  The classes left over, the
+      2-core, follow in index order.
+    - Eliminate: one pass over that order on sparse rows.
+    - Back-substitute in reverse order.
 
-    Back-substitution then runs the core steps and the peel in reverse.
     Linear-time in the classes on trees.
     """
     genera, self_ints = g.genera, g.self_ints
     col, rep, into = g._quo
-    diag = [Fraction(self_ints[v]) for v in rep]
-    y = [Fraction(self_ints[v] + 2 - 2 * genera[v]) for v in rep]
-    alive = [True] * len(rep)
+    # deg[a]: the neighbouring classes of a not yet ordered, 0 once a is; a
+    # one-class graph starts with its class on the stack
     deg = [len(row) for row in into]
-    stack = [a for a in range(len(rep) - 1, -1, -1) if deg[a] == 1]
-    # (class a, its live neighbour b)
-    peeled: list[tuple[int, int]] = []
+    stack = [a for a in range(len(rep) - 1, -1, -1) if deg[a] < 2]
+    order: list[int] = []
     while stack:
         a = stack.pop()
-        if deg[a] != 1:
-            continue  # its last neighbour went first: a is what is left of a tree
-        piv = diag[a]
-        if piv >= 0:
-            g._neg_def = False
-            return
-        alive[a] = False
-        for b in into[a]:
-            if alive[b]:
-                break
-        peeled.append((a, b))
-        w = into[a][b]
-        diag[b] -= w * into[b][a] / piv
-        y[b] -= w * y[a] / piv
-        deg[b] -= 1
-        if deg[b] == 1:
-            stack.append(b)
+        order.append(a)
+        if deg[a]:  # else its last neighbour went first: a is what is left of a tree
+            deg[a] = 0
+            b = next(b for b in into[a] if deg[b])
+            deg[b] -= 1
+            if deg[b] == 1:
+                stack.append(b)
+    # every class not yet ordered has two or more such neighbours
+    order += [a for a in range(len(rep)) if deg[a]]
 
-    core = [a for a in range(len(rep)) if alive[a]]
-    rows = {i: {j: Fraction(into[j][i]) for j in into[i] if alive[j]} for i in core}
-    for i in core:
-        rows[i][i] = diag[i]
-    # once core class i is eliminated, rows[i] is its reduced row over the
-    # core classes after it, with its pivot put back at i
-    for i in core:
+    # rows[a][b] = N_ab; once a is eliminated, rows[a] is its reduced row
+    # over the classes after it, pivot included
+    rows = [{b: into[b][a] for b in row} for a, row in enumerate(into)]
+    for a, v in enumerate(rep):
+        rows[a][a] = Fraction(self_ints[v])
+    y = [Fraction(self_ints[v] + 2 - 2 * genera[v]) for v in rep]
+    for i in order:
         row = rows[i]
         piv = row.pop(i)
         if piv >= 0:
@@ -430,11 +420,11 @@ def _solve(g: DualGraph) -> None:
         row[i] = piv
 
     # y_i becomes x_i = (y_i - sum_k rows_ik x_k) / pivot_i
-    for i in reversed(core):
+    for i in reversed(order):
         piv = rows[i].pop(i)
-        y[i] = (y[i] - sum(u * y[k] for k, u in rows[i].items())) / piv
-    for a, b in reversed(peeled):
-        y[a] = (y[a] - into[b][a] * y[b]) / diag[a]
+        for k, u in rows[i].items():
+            y[i] -= u * y[k]
+        y[i] /= piv
     g._neg_def = True
     g._zk = tuple(map(y.__getitem__, col))
 
@@ -460,15 +450,16 @@ def canonical_qcycle(g: DualGraph) -> QCycle:
 
 
 def arithmetic_genus(g: DualGraph, z: Sequence[int]) -> int:
-    """p_a(z) = z.(z + K)/2 + 1 via the adjunction values of z . K."""
+    """p_a(z) = z.(z + K)/2 + 1, with ``z.(z+K) = sum_i z_i ((z.E_i) + K.E_i)``
+    over one walk of the edges and the adjunction values
+    ``K.E_i = -E_i^2 + 2 genus(E_i) - 2``."""
     _check_cycle(g, z)
     if not any(z):
         raise DomainError("arithmetic genus of the zero cycle is undefined")
-    zz = intersection_number(g, z, z)
-    zk = sum(
-        c * (-e + 2 * gen - 2) for c, e, gen in zip(z, g.self_ints, g.genera)
+    val = sum(
+        c * (p - e + 2 * gen - 2)
+        for c, p, e, gen in zip(z, cycle_products(g, z), g.self_ints, g.genera)
     )
-    val = zz + zk
     if not isinstance(val, int):
         raise DomainError(f"arithmetic genus needs an integral cycle; z.(z+K) = {val!r}")
     if val % 2 != 0:
