@@ -19,9 +19,9 @@ from itertools import accumulate, combinations_with_replacement
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from . import graph_lattice, ideal_oracle
+from . import ideal_oracle
 from .errors import ConsistencyError, ConstructionError, DomainError, InternalError
-from .graph_lattice import Cycle, DualGraph, QCycle
+from .graph_lattice import Cycle, DualGraph, QCycle, Quotient
 from .ideal_oracle import _validated
 
 __all__ = [
@@ -108,13 +108,6 @@ def _chain_coeffs(pre: Sequence[int], suf: Sequence[int], center: int, beyond: i
     return coeffs
 
 
-def _chain_pairings(chain: Sequence[int], center: int, coeffs: Sequence[int]) -> list[int]:
-    """Pairings of a cycle with the curves of one chain copy, center-outward:
-    lam_{v-1} - c_v lam_v + lam_{v+1}, with lam_0 = center and 0 past the tip."""
-    lam = (center, *coeffs, 0)
-    return [lam[v - 1] - c * lam[v] + lam[v + 1] for v, c in enumerate(chain, start=1)]
-
-
 @dataclass(frozen=True)
 class BCIInvariants:
     """Numeric invariants of an exponent tuple."""
@@ -155,13 +148,14 @@ class ChainFamily:
 class StarGraph:
     """Star-shaped resolution graph: central curve plus chain families.
 
-    ``cycles`` holds ``Z_0, Z^(1), ..., Z^(m), Z_K``, each compressed as
-    ``(center coefficient, one coefficient list per family)``;
-    ``assemble(*cycle)`` flattens one.  ``graph``, the flattened
-    :class:`DualGraph`, is built on first use by
-    :meth:`DualGraph.from_star`, whose vertex order ``tip_indices`` and
-    ``assemble`` rely on: the center at index 0, then each family's chain
-    copies center-outward.  Its classes are the chain positions.
+    ``quotient`` is the star's :class:`Quotient`, built on first use from
+    the fields: class 0 is the center, then each non-empty family's chain
+    positions center-outward.  ``cycles`` holds ``Z_0, Z^(1), ..., Z^(m),
+    Z_K`` as class vectors in that order; ``assemble(cycle)`` flattens one.
+    ``graph``, the flattened :class:`DualGraph`, is emitted on first use
+    from the same quotient, so the two share its cached results; its vertex
+    order, which ``tip_indices`` and ``assemble`` rely on, is the center at
+    index 0, then each family's chain copies center-outward.
     ``vertex_count`` is its size, read off the families; ``graph`` and
     ``assemble`` check it against ``LATTICE_BUDGET`` before they allocate.
     """
@@ -170,7 +164,7 @@ class StarGraph:
     c0: int
     branch_families: tuple[ChainFamily, ...]
     flags: tuple[str, ...]
-    cycles: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
+    cycles: tuple[Cycle, ...]
 
     @cached_property
     def vertex_count(self) -> int:
@@ -181,12 +175,16 @@ class StarGraph:
         ideal_oracle._check_budget(self.vertex_count, "the flattened star graph", "vertices")
 
     @cached_property
-    def graph(self) -> DualGraph:
-        self.check_flat_budget()
-        return DualGraph.from_star(
+    def quotient(self) -> Quotient:
+        return Quotient.star(
             (self.center_genus, -self.c0),
             [(fam.count, [-c for c in fam.chain]) for fam in self.branch_families],
         )
+
+    @cached_property
+    def graph(self) -> DualGraph:
+        self.check_flat_budget()
+        return DualGraph.from_star_quotient(self.quotient)
 
     @property
     def center_self_int(self) -> int:
@@ -202,13 +200,14 @@ class StarGraph:
         start = 1 + sum(f.count * len(f.chain) for f in fams[: w - 1])
         return tuple(range(start + s - 1, start + fam.count * s, s))
 
-    def assemble(self, center_coeff: int, fam_coeffs: Sequence[Sequence[int]]) -> Cycle:
-        """Cycle from a center coefficient and one coefficient list per family."""
+    def assemble(self, z: Sequence[int]) -> Cycle:
+        """The cycle on the flattened graph of the class vector z."""
         self.check_flat_budget()
-        coeffs = [center_coeff]
-        for fam, cc in zip(self.branch_families, fam_coeffs):
-            if fam.chain:
-                coeffs.extend(list(cc) * fam.count)
+        coeffs, a = [z[0]], 1
+        for fam in self.branch_families:
+            s = len(fam.chain)
+            coeffs += z[a : a + s] * fam.count
+            a += s
         return tuple(coeffs)
 
 
@@ -326,21 +325,17 @@ def _star_cached(a: tuple[int, ...]) -> StarGraph:
         raise ConstructionError(f"central weight c0 = {c0} is below 1")
 
     # Z_0 (center alpha, 0 past every tip), then Z^(1..m) (center lambda_i,
-    # 1 past each family-i tip): each chain is solved once, integrally
+    # 1 past each family-i tip), as class vectors: each chain is solved once,
+    # integrally
     cycles = []
     for i, center in enumerate((inv.alpha,) + inv.lambda_i):
-        fam_coeffs = tuple(
-            tuple(_chain_coeffs(pre, suf, center, 1 if w == i else 0))
-            for w, (pre, suf) in enumerate(solves, start=1)
-        )
-        cycles.append((center, fam_coeffs))
+        z = [center]
+        for w, (pre, suf) in enumerate(solves, start=1):
+            z += _chain_coeffs(pre, suf, center, 1 if w == i else 0)
+        cycles.append(tuple(z))
     # Z_K = 1 + k Z_0 - sum_w Z^(w), k = (m-2) ell/alpha, coefficientwise
     k = (inv.m - 2) * (inv.ell // inv.alpha)
-    centers, fams = zip(*cycles)
-    cycles.append((
-        1 + k * centers[0] - sum(centers[1:]),
-        tuple(tuple(1 + k * x0 - sum(xs) for x0, *xs in zip(*fam)) for fam in zip(*fams)),
-    ))
+    cycles.append(tuple(1 + k * x0 - sum(xs) for x0, *xs in zip(*cycles)))
 
     branch_count = sum(fam.count for fam in families if fam.chain)
     flags = (FLAG_NON_MINIMAL,) if c0 == 1 and center_genus == 0 and branch_count <= 2 else ()
@@ -351,30 +346,31 @@ def _star_cached(a: tuple[int, ...]) -> StarGraph:
 
     # Z_0 and Z^(i) pair to -1 at the tips they were solved for, 0 on other chain
     # curves, and at the center 0 if there are such tips, else -x ghat/ell; Z_K
-    # to 2 - c_v and 2 - 2g - c0 (adjunction).  One copy per family is paired;
-    # the center pairing is -c0 x + sum_w count_w lam_{w,1}.  A positive Z_0
-    # pairing below 0 at the center proves the connected star negative definite.
+    # to 2 - c_v and 2 - 2g - c0 (adjunction).  Each cycle is paired class-wise
+    # on the quotient of the built star; the center pairing is
+    # -c0 x + sum_w count_w lam_{w,1}.  A positive Z_0 pairing below 0 at the
+    # center proves the connected star negative definite.
     m = inv.m
     names = ["central-multiple cycle", *(f"divisor cycle {i}" for i in range(1, m + 1))]
     names.append("canonical cycle")
-    for i, (x, fam_coeffs) in enumerate(star.cycles):
-        at_center = -star.c0 * x
-        chains_ok = True
-        for w, (fam, cc) in enumerate(zip(star.branch_families, fam_coeffs), start=1):
-            if fam.chain:
-                at_center += fam.count * cc[0]
-                want = [0] * (len(fam.chain) - 1) + [-1 if w == i else 0]
-                if i > m:
-                    want = [2 - c for c in fam.chain]
-                chains_ok = chains_ok and _chain_pairings(fam.chain, x, cc) == want
-        low = min([x, *sum(fam_coeffs, ())])
-        if i == 0 and chains_ok and (at_center >= 0 or low < 1):
-            raise ConstructionError("Z_0 does not show the star graph negative definite")
-        tips = 0 < i <= m and star.branch_families[i - 1].chain
-        want_center = 0 if tips else -(x * inv.ghat // inv.ell)
+    quo = star.quotient
+    # ends[w]: the first class after family w's chain, and ends[0] = 1 after
+    # the center; family i's tip is class ends[i] - 1 when its chain is not empty
+    ends = list(accumulate((len(fam.chain) for fam in star.branch_families), initial=1))
+    for i, z in enumerate(star.cycles):
+        got = quo.products(z)
+        want = [0] * len(z)
         if i > m:
-            want_center = 2 - 2 * star.center_genus - star.c0
-        if not chains_ok or at_center != want_center:
+            want = [e + 2 - 2 * g for g, e in zip(quo.genera, quo.self_ints)]
+        elif 0 < i and ends[i] > ends[i - 1]:
+            want[ends[i] - 1] = -1
+        else:
+            want[0] = -(z[0] * inv.ghat // inv.ell)
+        chains_ok = got[1:] == want[1:]
+        low = min(z)
+        if i == 0 and chains_ok and (got[0] >= 0 or low < 1):
+            raise ConstructionError("Z_0 does not show the star graph negative definite")
+        if not chains_ok or got[0] != want[0]:
             raise ConstructionError(f"{names[i]} has the wrong intersection pattern")
         if i > m and low < 0 and FLAG_NON_MINIMAL not in flags:
             raise InternalError("canonical cycle formula produced a non-effective cycle")
@@ -395,21 +391,21 @@ def divisor_cycle(a: Sequence[int], i: int) -> Cycle:
     if not isinstance(i, int) or not 1 <= i <= m:
         raise DomainError(f"coordinate index {i!r} outside 1..{m}")
     star = _star_cached(a)
-    return star.assemble(*star.cycles[i])
+    return star.assemble(star.cycles[i])
 
 
 def maximal_ideal_cycle(a: Sequence[int]) -> Cycle:
     """Cycle cut out by a generic function of the maximal ideal (= last divisor cycle)."""
     a = _validated(a)
     star = _star_cached(a)
-    return star.assemble(*star.cycles[len(a)])
+    return star.assemble(star.cycles[len(a)])
 
 
 def central_multiple_cycle(a: Sequence[int]) -> Cycle:
     """Smallest anti-nef cycle pairing to zero against everything off the center;
     its center coefficient is alpha."""
     star = _star_cached(_validated(a))
-    return star.assemble(*star.cycles[0])
+    return star.assemble(star.cycles[0])
 
 
 def canonical_cycle_formula(a: Sequence[int]) -> QCycle:
@@ -423,8 +419,7 @@ def canonical_cycle_formula(a: Sequence[int]) -> QCycle:
     (-1)-curve is legitimate and allowed through.
     """
     star = _star_cached(_validated(a))
-    x, fam_coeffs = star.cycles[-1]
-    return star.assemble(Fraction(x), [[Fraction(v) for v in cc] for cc in fam_coeffs])
+    return star.assemble([Fraction(v) for v in star.cycles[-1]])
 
 
 class FundamentalGenus(NamedTuple):
@@ -455,9 +450,9 @@ def _pf_value(a: tuple[int, ...]) -> FundamentalGenus:
 @lru_cache(maxsize=4096)
 def _pf_verified(a: tuple[int, ...]) -> FundamentalGenus:
     pf = _pf_value(a)
-    star = _star_cached(a)
-    zf = graph_lattice.fundamental_cycle(star.graph)
-    pa = graph_lattice.arithmetic_genus(star.graph, zf)
+    # Laufer's sequence and p_a class by class, on the star's quotient
+    quo = _star_cached(a).quotient
+    pa = quo.arithmetic_genus(quo.fundamental_cycle())
     if pa != pf.value:
         raise ConsistencyError(
             f"closed-form fundamental genus {pf.value} of {a} disagrees with "
@@ -472,7 +467,8 @@ def fundamental_genus(a: Sequence[int]) -> FundamentalGenus:
     The fundamental cycle equals the central-multiple cycle when
     lambda_m >= alpha and the maximal-ideal cycle when lambda_m <= alpha;
     the returned selector records which case applied.  The value is always
-    cross-checked against the cycle computed on the graph itself.
+    cross-checked against p_a of the fundamental cycle that Laufer's
+    sequence computes on the star's classes, without flattening the star.
     """
     return _pf_verified(_validated(a))
 
@@ -574,8 +570,9 @@ def maximal_cycle_numbers(a: Sequence[int]) -> MaximalCycleNumbers:
     a = _validated(a)
     inv = _invariants_cached(a)
     star = _star_cached(a)
-    (x, fams), (zk_x, zk_fams) = star.cycles[len(a)], star.cycles[-1]
-    eta_m, z = (fams[-1][-1], zk_fams[-1][-1]) if fams[-1] else (x, zk_x)
+    # family m's tip is the last class, when family m is not empty
+    tip = -1 if star.branch_families[-1].chain else 0
+    eta_m, z = star.cycles[len(a)][tip], star.cycles[-1][tip]
     two_pa_minus_2 = inv.ghat_i[-1] * (z - eta_m)
     if two_pa_minus_2 % 2:
         raise InternalError("M_X.(M_X + K) is odd")
@@ -644,7 +641,7 @@ def classify_elliptic(m_max: int, a_max: int) -> list[tuple[int, ...]]:
     The box is scanned by the closed form, which reads the uncached lcm
     kernel with every consistency check; no invariant record is built and
     no cache is filled for a tuple that is not reported.  Every tuple
-    reported is cross-checked against Laufer's algorithm on its graph.
+    reported is cross-checked against Laufer's algorithm on its star's classes.
     """
     if not isinstance(m_max, int) or m_max < 3:
         raise DomainError("m_max must be an integer at least 3")

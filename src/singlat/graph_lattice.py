@@ -6,23 +6,16 @@ self-intersection number; edges record transverse intersection points
 vector in the fixed vertex order; a Q-cycle uses exact rationals.  All
 arithmetic is exact, with no floating point.
 
-Each graph object is eliminated once: an exact Gaussian elimination on
-Fractions yields both the definiteness verdict and, on a negative-definite
-graph (every resolution graph is one), the canonical Q-cycle Z_K.  It stops
-at the first pivot >= 0; Z_K and Laufer's Z_f are refused on any other
-graph.  Both the elimination and Laufer's computation sequence run on the
-quotient of the graph by its classes, which every graph holds from its
-construction.  A star built by ``DualGraph.from_star`` has its chain
-positions as its classes, so its identical chains cost one step; it is
-emitted in bulk from its families, quotient included, in O(classes).  Any
-other graph has one class per curve, and its quotient is the adjacency that
-its constructor builds for the connectivity check.  The elimination runs
-once, in one order: pendant classes as they become pendant, which creates
-no fill-in, then the classes left over, the 2-core, in index order.  A
-tree such as a star is ordered whole by the pendant rule.
-Laufer's sequence keeps a FIFO worklist of the classes of positive pairing.
-All three are cached on the graph, so repeated calls on one graph cost a
-lookup.  Pairings with every curve walk the edge list.
+Every graph holds, from its construction, its :class:`Quotient` by its
+classes: the chain positions of a star built by ``DualGraph.from_star``, so
+that its identical chains cost one class, and one class per curve on any
+other graph.  The definiteness verdict and Z_K, from one exact elimination,
+and Laufer's Z_f run on the quotient once and are cached there per class;
+the public functions expand them through the graph's class map.  A star's
+quotient is built from its families before any curve is emitted, so a star
+and its flattened graph share one, and ``brieskorn`` reads ``p_f`` off it
+with the class-wise pairing alone.  Pairings with every curve walk the edge
+list.
 """
 
 from __future__ import annotations
@@ -53,6 +46,198 @@ __all__ = [
 ]
 
 
+class Quotient:
+    """A dual graph's quotient by its classes, and what is computed on it.
+
+    ``genera[A]`` and ``self_ints[A]`` are those of every curve of class A,
+    ``sizes[A]`` is its number of curves ``|A|``, and ``into[A][B]`` the
+    number ``n_BA`` of edges from one curve of class B into class A, keyed
+    in increasing B.  The classes are equitable: every curve of A has the
+    same ``n_AB`` edges into each class B, and no edge joins two curves of
+    A.  A vector over the classes stands for the cycle that is ``z_A`` on
+    every curve of A.  The definiteness verdict, Z_K and Z_f are computed
+    on first use and cached here, one entry per class.
+    """
+
+    __slots__ = ("genera", "self_ints", "sizes", "into", "_neg_def", "_zk", "_zf")
+
+    def __init__(self, genera, self_ints, sizes, into: list[dict[int, int]]) -> None:
+        self.genera, self.self_ints, self.sizes, self.into = genera, self_ints, sizes, into
+        # the verdict, Z_K and Z_f, computed from the data above on first use;
+        # that data never changes
+        self._neg_def = self._zk = self._zf = None
+
+    @classmethod
+    def star(cls, center: tuple[int, int], families: Iterable[tuple[int, Sequence[int]]]):
+        """The quotient of the star that :meth:`DualGraph.from_star` flattens
+        from the same arguments, built from the families in O(classes): class
+        0 is the center, then each non-empty family's chain positions
+        center-outward, each of ``count`` curves.  The center and each family
+        are checked once, with the plain constructor's ``DomainError``
+        messages; ``count`` must be a positive ``int``."""
+        g0, c0 = center
+        _check_vertex(g0, c0)
+        self_ints, sizes, into = [c0], [1], [{}]
+        for count, chain in families:
+            if not isinstance(count, int) or count < 1:
+                raise DomainError(f"a family needs a positive integer count, got {count!r}")
+            chain = list(chain)
+            for e in chain:
+                _check_vertex(0, e)
+            if not chain:
+                continue
+            first, s = len(sizes), len(chain)
+            self_ints += chain
+            sizes += [count] * s
+            # the center sends count edges into the first position, and each
+            # position one edge to each neighbouring position
+            into[0][first] = 1
+            into.append({0: count})
+            into += [{a - 1: 1} for a in range(first + 1, first + s)]
+            for a in range(first, first + s - 1):
+                into[a][a + 1] = 1
+        return cls((g0,) + (0,) * (len(sizes) - 1), tuple(self_ints), tuple(sizes), into)
+
+    def products(self, z: Sequence) -> list:
+        """The class-wise pairing ``(N z)_A = E_A^2 z_A + sum_B n_AB z_B``:
+        what the cycle of class vector z pairs to with every curve of A."""
+        out = list(map(mul, self.self_ints, z))
+        for b, row in enumerate(self.into):
+            for a, w in row.items():
+                out[a] += w * z[b]
+        return out
+
+    def arithmetic_genus(self, z: Sequence[int]) -> int:
+        """:func:`arithmetic_genus` of the cycle of class vector z, class by
+        class: ``z.(z+K) = sum_A |A| z_A ((N z)_A - E_A^2 + 2 g_A - 2)``."""
+        return _genus(z, sum(
+            s * c * (p - e + 2 * g - 2)
+            for s, c, p, e, g in zip(self.sizes, z, self.products(z), self.self_ints, self.genera)
+        ))
+
+    def is_negative_definite(self) -> bool:
+        """The verdict of :func:`is_negative_definite`, from one elimination."""
+        if self._neg_def is None:
+            self._solve()
+        return self._neg_def
+
+    def fundamental_cycle(self) -> Cycle:
+        """Z_f as a class vector, by the classical computation sequence run
+        class by class; see :func:`fundamental_cycle`."""
+        if self._zf is not None:
+            return self._zf
+        if not self.is_negative_definite():
+            raise DomainError("fundamental cycle needs a negative-definite graph; "
+                              "the computation sequence may not terminate otherwise")
+        into = self.into
+        step = [-e for e in self.self_ints]  # c_A
+        d = self.products([1] * len(step))
+        z = [1] * len(step)
+        queued = [v > 0 for v in d]
+        work = deque(a for a, v in enumerate(d) if v > 0)
+        # a queued pairing only grows until its class is taken, so it is still
+        # positive then
+        while work:
+            a = work.popleft()
+            queued[a] = False
+            c = step[a]
+            k = -(-d[a] // c)
+            z[a] += k
+            d[a] -= k * c
+            for b, w in into[a].items():
+                db = d[b] + k * w
+                d[b] = db
+                if db > 0 and not queued[b]:
+                    queued[b] = True
+                    work.append(b)
+        self._zf = tuple(z)
+        return self._zf
+
+    def _solve(self) -> None:
+        """Eliminate the class system once against the adjunction right-hand
+        side and cache the definiteness verdict and, when the form is
+        negative definite, Z_K.
+
+        With ``N_AB = n_AB`` and ``N_AA = E_A^2``, a cycle constant on
+        classes pairs with every curve of A to ``(N z)_A``, so the class
+        system is ``N z = y`` with ``y_A = E_A^2 + 2 - 2 g_A``.  With one
+        class per curve this is the ordinary elimination.  It is sound on a
+        star's chain positions:
+
+        - Let ``D = diag(|A|)``.  ``DN`` is the form restricted to
+          class-constant cycles, and it is symmetric.  The pivots of N are
+          those of DN divided by ``|A|``, so they have the same signs in any
+          order.  Z_K is unique and constant on classes, so the class solve
+          gives Z_K.
+        - A cycle orthogonal to the class-constant ones is 0 at the center and
+          splits over the chain copies, so on it the form is a sum of chain
+          forms ``C_w``.  Class-constant cycles that live on family w only
+          give ``count_w C_w``.  So if the class-constant form is definite,
+          every ``C_w`` is definite, and so is the whole form: the verdict is
+          that of the flattened graph, in any order.
+
+        The form is negative definite exactly when every pivot is negative, so
+        the elimination stops at the first pivot >= 0 and every division
+        below is by a negative number.  Three steps:
+
+        - Order: a class with exactly one neighbouring class not yet ordered
+          is taken from a stack of such classes, which is refilled as
+          neighbours drop to one.  Eliminated in that order, it creates no
+          fill-in (Parter, "The use of linear graphs in Gauss elimination",
+          1961).  This orders every class of a star, or of any tree.  The
+          classes left over, the 2-core, follow in index order.
+        - Eliminate: one pass over that order on sparse rows.
+        - Back-substitute in reverse order.
+
+        Linear-time in the classes on trees.
+        """
+        into, self_ints = self.into, self.self_ints
+        # deg[a]: the neighbouring classes of a not yet ordered, 0 once a is; a
+        # one-class graph starts with its class on the stack
+        deg = [len(row) for row in into]
+        stack = [a for a in range(len(into) - 1, -1, -1) if deg[a] < 2]
+        order: list[int] = []
+        while stack:
+            a = stack.pop()
+            order.append(a)
+            if deg[a]:  # else its last neighbour went first: a is what is left of a tree
+                deg[a] = 0
+                b = next(b for b in into[a] if deg[b])
+                deg[b] -= 1
+                if deg[b] == 1:
+                    stack.append(b)
+        # every class not yet ordered has two or more such neighbours
+        order += [a for a in range(len(into)) if deg[a]]
+
+        # rows[a][b] = N_ab; once a is eliminated, rows[a] is its reduced row
+        # over the classes after it, pivot included
+        rows = [{b: into[b][a] for b in row} for a, row in enumerate(into)]
+        for a, e in enumerate(self_ints):
+            rows[a][a] = Fraction(e)
+        y = [Fraction(e + 2 - 2 * gen) for e, gen in zip(self_ints, self.genera)]
+        for i in order:
+            row = rows[i]
+            piv = row.pop(i)
+            if piv >= 0:
+                self._neg_def = False
+                return
+            for j in row:
+                f = rows[j].pop(i) / piv
+                for k, u in row.items():
+                    rows[j][k] = rows[j].get(k, 0) - f * u
+                y[j] -= f * y[i]
+            row[i] = piv
+
+        # y_i becomes x_i = (y_i - sum_k rows_ik x_k) / pivot_i
+        for i in reversed(order):
+            piv = rows[i].pop(i)
+            for k, u in rows[i].items():
+                y[i] -= u * y[k]
+            y[i] /= piv
+        self._neg_def = True
+        self._zk = tuple(y)
+
+
 class DualGraph:
     """Connected weighted dual graph with a fixed vertex order.
 
@@ -61,19 +246,15 @@ class DualGraph:
     multi-edge.  Negativity of self-intersections is deliberately not
     enforced here; it is the job of :func:`is_negative_definite`.
 
-    ``classes`` is ``None``, every curve its own class, except on a graph
+    ``quotient`` is the graph's :class:`Quotient` by its classes, which
+    holds the cached results.  ``classes`` maps each curve to its class:
+    ``None``, every curve its own class and the quotient the adjacency that
+    the constructor builds for its connectivity check, except on a graph
     built by :meth:`from_star`, where it gives each curve its chain
-    position.  The elimination and Laufer's sequence run class by class on
-    it.  Equality, hashing and ``to_json_dict`` ignore it.
-
-    Each graph keeps its quotient by the classes, as ``(col, rep, into)``:
-    ``col[v]`` is the class of curve v, ``rep[A]`` the last curve of class
-    A, which stands for it as any curve of it would, and ``into[A][B]`` the
-    number ``n_BA`` of edges from one curve of class B into class A, keyed
-    in increasing B.  With one class per curve, ``into`` is the adjacency.
+    position.  Equality, hashing and ``to_json_dict`` ignore both.
     """
 
-    __slots__ = ("genera", "self_ints", "edges", "classes", "_quo", "_neg_def", "_zk", "_zf")
+    __slots__ = ("genera", "self_ints", "edges", "classes", "quotient")
 
     def __init__(
         self,
@@ -120,25 +301,14 @@ class DualGraph:
                     stack.append(w)
         if count != n:
             raise DomainError("dual graph must be connected")
-        self._fill(tuple(genera), tuple(self_ints), tuple(norm), None, (range(n), range(n), adj))
+        genera, self_ints = tuple(genera), tuple(self_ints)
+        # with one class per curve, the quotient is the adjacency
+        quotient = Quotient(genera, self_ints, (1,) * n, adj)
+        self._fill(genera, self_ints, tuple(norm), None, quotient)
 
-    def _fill(
-        self,
-        genera: tuple[int, ...],
-        self_ints: tuple[int, ...],
-        edges: tuple[tuple[int, int], ...],
-        classes: tuple[int, ...] | None,
-        quo: tuple[Sequence[int], Sequence[int], list[dict[int, int]]],
-    ) -> None:
-        self.genera = genera
-        self.self_ints = self_ints
-        self.edges = edges
-        self.classes = classes
-        self._quo = quo
-        # results, computed from the data above on first use; that data never changes
-        self._neg_def: bool | None = None
-        self._zk: QCycle | None = None
-        self._zf: Cycle | None = None
+    def _fill(self, genera, self_ints, edges, classes, quotient: Quotient) -> None:
+        self.genera, self.self_ints, self.edges = genera, self_ints, edges
+        self.classes, self.quotient = classes, quotient
 
     @property
     def n(self) -> int:
@@ -169,67 +339,43 @@ class DualGraph:
         }
 
     @classmethod
-    def from_star(
-        cls,
-        center: tuple[int, int],
-        families: Iterable[tuple[int, Sequence[int]]],
-    ) -> "DualGraph":
+    def from_star(cls, center: tuple[int, int], families: Iterable) -> "DualGraph":
         """Flattened star: ``center`` is ``(genus, self_int)``, and each
         ``(count, chain)`` of ``families`` hangs ``count`` copies of the
         genus-0 chain ``chain``, self-intersections listed center-outward,
-        on the center.
+        on the center.  Its quotient, from :meth:`Quotient.star`, is built
+        and checked first; :meth:`from_star_quotient` emits the curves.
+        """
+        return cls.from_star_quotient(Quotient.star(center, families))
+
+    @classmethod
+    def from_star_quotient(cls, q: Quotient) -> "DualGraph":
+        """The star whose quotient :meth:`Quotient.star` built, curve by
+        curve, sharing that quotient.
 
         The vertex order is a contract: the center at index 0, then each
-        family's copies one after the other, each center-outward.  Each curve
-        gets its chain position as its class: 0 for the center, then one id
-        per family and position, shared by the family's copies.  The copies
-        of a position share one self-intersection and one edge to each
-        neighbouring position, so the classes are equitable, as
-        :func:`fundamental_cycle` and the elimination need.
-
-        The star is emitted in bulk from the families: one chain copy
-        repeated ``count`` times, the edges already normalized and sorted,
-        and the quotient by the classes built from the families in
-        O(classes).  The center and each family are checked once, with the
-        plain constructor's ``DomainError`` messages; ``count`` must be a
-        positive ``int``.  Each copy's first curve is joined to the center,
-        so the graph is connected by construction and needs no search.
+        family's copies one after the other, each center-outward.  Each
+        curve's class is its chain position.  The families are read off the
+        quotient: each starts at a class that meets the center and runs to
+        the next, with its size as the count.  One chain copy is repeated
+        ``count`` times and the edges come out normalized and sorted.  Each
+        copy's first curve is joined to the center, so the graph is connected
+        by construction and needs no search.
         """
-        g0, c0 = center
-        _check_vertex(g0, c0)
-        self_ints, classes, heads, keep = [c0], [0], [], []
-        rep: list[int] = [0]
-        into: list[dict[int, int]] = [{}]
-        for count, chain in families:
-            if not isinstance(count, int) or count < 1:
-                raise DomainError(f"a family needs a positive integer count, got {count!r}")
-            chain = list(chain)
-            for e in chain:
-                _check_vertex(0, e)
-            s = len(chain)
-            if not s:
-                continue
-            first, start = len(rep), len(self_ints)
-            last = start + (count - 1) * s  # first curve of the last copy
-            heads += range(start, last + 1, s)
-            self_ints += chain * count
-            classes += list(range(first, first + s)) * count
+        starts = [*q.into[0], len(q.sizes)]
+        self_ints, classes, heads, keep = [q.self_ints[0]], [0], [], []
+        for first, end in zip(starts, starts[1:]):
+            count, s, start = q.sizes[first], end - first, len(self_ints)
+            heads += range(start, start + count * s, s)
+            self_ints += q.self_ints[first:end] * count
+            classes += list(range(first, end)) * count
             # every curve of a copy but its last has an edge to the next one
             keep += ([True] * (s - 1) + [False]) * count
-            # the center sends count edges into the first position, and each
-            # position one edge to each neighbouring position
-            rep += range(last, last + s)
-            into[0][first] = 1
-            into.append({0: count})
-            into += [{a - 1: 1} for a in range(first + 1, first + s)]
-            for a in range(first, first + s - 1):
-                into[a][a + 1] = 1
         n = len(self_ints)
         edges = [(0, h) for h in heads]
         edges += [(v, v + 1) for v in compress(range(1, n), keep)]
-        cols = tuple(classes)
         g = cls.__new__(cls)
-        g._fill((g0,) + (0,) * (n - 1), tuple(self_ints), tuple(edges), cols, (cols, rep, into))
+        g._fill((q.genera[0],) + (0,) * (n - 1), tuple(self_ints), tuple(edges), tuple(classes), q)
         return g
 
     @classmethod
@@ -254,6 +400,11 @@ def _check_cycle(g: DualGraph, z: Sequence, name: str = "cycle") -> None:
         raise DimensionError(
             f"{name} has {len(z)} coefficients for a graph with {g.n} vertices"
         )
+
+
+def _expand(g: DualGraph, z: tuple) -> tuple:
+    """A class vector of g's quotient as one coefficient per curve."""
+    return z if g.classes is None else tuple(map(z.__getitem__, g.classes))
 
 
 def intersection_number(g: DualGraph, z1: Sequence, z2: Sequence):
@@ -288,152 +439,27 @@ def fundamental_cycle(g: DualGraph) -> Cycle:
     positions of a star built by :meth:`DualGraph.from_star`, and one class
     per curve on any other graph.
 
-    Starts at the reduced cycle.  A class is one curve or one chain position
-    across disjoint chain copies, so no edge joins two curves of a class.
-    With ``c_A = -E^2`` and ``n_AB`` the edges from one curve of class A into
-    class B, every curve of A pairs to ``d_A = -c_A z_A + sum_B n_AB z_B``
-    while the cycle is constant on classes.  A FIFO worklist holds the
-    classes with ``d_A > 0``, each queued at most once; a class taken from
-    it gets ``k = ceil(d_A / c_A)`` copies of every one of its curves, so
-    ``d_A`` falls by ``k c_A`` and each other class B gains ``k n_BA``.  Made
-    as k rounds that each add one copy of every curve of A in turn, every
-    single addition is at a curve of positive pairing: round t starts with
-    ``d_A - (t-1) c_A > 0`` on every curve of A, and a curve's pairing does
-    not move while the others of its class are added.  So the lifted run is
-    a Laufer sequence, and it ends at Z_f whatever the order (Laufer, "On
-    rational singularities", 1972).  ``c_A`` is positive because the form is
-    negative definite.  The result is cached on the graph.
+    Starts at the reduced cycle.  With ``c_A = -E^2`` and ``n_AB`` the edges
+    from one curve of class A into class B, every curve of A pairs to
+    ``d_A = -c_A z_A + sum_B n_AB z_B`` while the cycle is constant on
+    classes.  A FIFO worklist holds the classes with ``d_A > 0``, each
+    queued at most once; a class taken from it gets ``k = ceil(d_A / c_A)``
+    copies of every one of its curves, so ``d_A`` falls by ``k c_A`` and
+    each other class B gains ``k n_BA``.  Made as k rounds that each add one
+    copy of every curve of A in turn, every single addition is at a curve of
+    positive pairing: round t starts with ``d_A - (t-1) c_A > 0`` on every
+    curve of A, and a curve's pairing does not move while the others of its
+    class are added, since no edge joins them.  So the lifted run is a
+    Laufer sequence, and it ends at Z_f whatever the order (Laufer, "On
+    rational singularities", 1972).  ``c_A`` is positive because the form
+    is negative definite.  The result is cached on the quotient.
     """
-    if g._zf is not None:
-        return g._zf
-    if not is_negative_definite(g):
-        raise DomainError(
-            "fundamental cycle needs a negative-definite graph; "
-            "the computation sequence may not terminate otherwise"
-        )
-    self_ints = g.self_ints
-    col, rep, into = g._quo
-    # step[A] = c_A
-    step = [-self_ints[v] for v in rep]
-    # d_A at z = 1: E_A^2 plus the degree sum_B n_AB of a curve of A
-    d = [self_ints[v] for v in rep]
-    for row in into:
-        for b, w in row.items():
-            d[b] += w
-    z = [1] * len(rep)
-    queued = [v > 0 for v in d]
-    work = deque(a for a, v in enumerate(d) if v > 0)
-    # a queued pairing only grows until its class is taken, so it is still
-    # positive then
-    while work:
-        a = work.popleft()
-        queued[a] = False
-        c = step[a]
-        k = -(-d[a] // c)
-        z[a] += k
-        d[a] -= k * c
-        for b, w in into[a].items():
-            db = d[b] + k * w
-            d[b] = db
-            if db > 0 and not queued[b]:
-                queued[b] = True
-                work.append(b)
-    g._zf = tuple(map(z.__getitem__, col))
-    return g._zf
-
-
-def _solve(g: DualGraph) -> None:
-    """Eliminate g once against the adjunction right-hand side and cache on g
-    the definiteness verdict and, when the form is negative definite, Z_K.
-
-    The elimination runs on the quotient of g by its classes (see
-    :class:`DualGraph`), on Fractions:
-    with ``N_AB = n_AB``, the edges from one curve of class A into class B,
-    and ``N_AA = E_A^2``, a cycle constant on classes pairs with every curve
-    of A to ``(N z)_A``, so the class system is ``N z = y`` with ``y_A =
-    E_A^2 + 2 - 2 genus(E_A)``.  Graphs from the plain constructor have one class per
-    curve, so there this is the ordinary elimination.  It is sound on a
-    star's chain positions:
-
-    - Let ``D = diag(|A|)``.  ``DN`` is the form restricted to class-constant
-      cycles, and it is symmetric.  The pivots of N are those of DN divided
-      by ``|A|``, so they have the same signs in any order.  Z_K is unique and
-      constant on classes, so the class solve gives Z_K.
-    - A cycle orthogonal to the class-constant ones is 0 at the center and
-      splits over the chain copies, so on it the form is a sum of chain forms
-      ``C_w``.  Class-constant cycles that live on family w only give
-      ``count_w C_w``.  So if the class-constant form is definite, every
-      ``C_w`` is definite, and so is the whole form: the verdict is that of
-      the flattened graph, in any order.
-
-    The form is negative definite exactly when every pivot is negative, so
-    the elimination stops at the first pivot >= 0 and every division below is
-    by a negative number.  Three steps:
-
-    - Order: a class with exactly one neighbouring class not yet ordered is
-      taken from a stack of such classes, which is refilled as neighbours
-      drop to one.  Eliminated in that order, it creates no fill-in (Parter,
-      "The use of linear graphs in Gauss elimination", 1961).  This orders
-      every class of a star, or of any tree.  The classes left over, the
-      2-core, follow in index order.
-    - Eliminate: one pass over that order on sparse rows.
-    - Back-substitute in reverse order.
-
-    Linear-time in the classes on trees.
-    """
-    genera, self_ints = g.genera, g.self_ints
-    col, rep, into = g._quo
-    # deg[a]: the neighbouring classes of a not yet ordered, 0 once a is; a
-    # one-class graph starts with its class on the stack
-    deg = [len(row) for row in into]
-    stack = [a for a in range(len(rep) - 1, -1, -1) if deg[a] < 2]
-    order: list[int] = []
-    while stack:
-        a = stack.pop()
-        order.append(a)
-        if deg[a]:  # else its last neighbour went first: a is what is left of a tree
-            deg[a] = 0
-            b = next(b for b in into[a] if deg[b])
-            deg[b] -= 1
-            if deg[b] == 1:
-                stack.append(b)
-    # every class not yet ordered has two or more such neighbours
-    order += [a for a in range(len(rep)) if deg[a]]
-
-    # rows[a][b] = N_ab; once a is eliminated, rows[a] is its reduced row
-    # over the classes after it, pivot included
-    rows = [{b: into[b][a] for b in row} for a, row in enumerate(into)]
-    for a, v in enumerate(rep):
-        rows[a][a] = Fraction(self_ints[v])
-    y = [Fraction(self_ints[v] + 2 - 2 * genera[v]) for v in rep]
-    for i in order:
-        row = rows[i]
-        piv = row.pop(i)
-        if piv >= 0:
-            g._neg_def = False
-            return
-        for j in row:
-            f = rows[j].pop(i) / piv
-            for k, u in row.items():
-                rows[j][k] = rows[j].get(k, 0) - f * u
-            y[j] -= f * y[i]
-        row[i] = piv
-
-    # y_i becomes x_i = (y_i - sum_k rows_ik x_k) / pivot_i
-    for i in reversed(order):
-        piv = rows[i].pop(i)
-        for k, u in rows[i].items():
-            y[i] -= u * y[k]
-        y[i] /= piv
-    g._neg_def = True
-    g._zk = tuple(map(y.__getitem__, col))
+    return _expand(g, g.quotient.fundamental_cycle())
 
 
 def is_negative_definite(g: DualGraph) -> bool:
     """Exact definiteness test via symmetric elimination (all pivots < 0)."""
-    if g._neg_def is None:
-        _solve(g)
-    return g._neg_def
+    return g.quotient.is_negative_definite()
 
 
 def canonical_qcycle(g: DualGraph) -> QCycle:
@@ -446,7 +472,18 @@ def canonical_qcycle(g: DualGraph) -> QCycle:
     """
     if not is_negative_definite(g):
         raise DomainError("canonical cycle needs a negative-definite graph")
-    return g._zk
+    return _expand(g, g.quotient._zk)
+
+
+def _genus(z: Sequence, val) -> int:
+    """p_a(z) = z.(z+K)/2 + 1 from ``val = z.(z+K)``."""
+    if not any(z):
+        raise DomainError("arithmetic genus of the zero cycle is undefined")
+    if not isinstance(val, int):
+        raise DomainError(f"arithmetic genus needs an integral cycle; z.(z+K) = {val!r}")
+    if val % 2 != 0:
+        raise InternalError("z.(z+K) came out odd; the graph data is inconsistent")
+    return val // 2 + 1
 
 
 def arithmetic_genus(g: DualGraph, z: Sequence[int]) -> int:
@@ -454,19 +491,10 @@ def arithmetic_genus(g: DualGraph, z: Sequence[int]) -> int:
     over one walk of the edges and the adjunction values
     ``K.E_i = -E_i^2 + 2 genus(E_i) - 2``."""
     _check_cycle(g, z)
-    if not any(z):
-        raise DomainError("arithmetic genus of the zero cycle is undefined")
-    val = sum(
+    return _genus(z, sum(
         c * (p - e + 2 * gen - 2)
         for c, p, e, gen in zip(z, cycle_products(g, z), g.self_ints, g.genera)
-    )
-    if not isinstance(val, int):
-        raise DomainError(f"arithmetic genus needs an integral cycle; z.(z+K) = {val!r}")
-    if val % 2 != 0:
-        raise InternalError(
-            "z.(z+K) came out odd; the graph data is inconsistent"
-        )
-    return val // 2 + 1
+    ))
 
 
 def to_dot(g: DualGraph) -> str:

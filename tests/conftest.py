@@ -1,9 +1,71 @@
-"""Shared builders for small weighted dual graphs used across the tests."""
+"""Shared builders for small weighted dual graphs used across the tests,
+and the ``deadline`` marker that bounds a test's running time."""
+
+import signal
+import time
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import strategies as st
 
 from singlat import DualGraph, numeric_invariants
+from singlat.graph_lattice import Quotient
+
+
+class DeadlineExceeded(BaseException):
+    """Raised from inside the work when a deadline passes.  Not an
+    ``Exception``, so that neither the code under test nor Hypothesis, which
+    would shrink a failing example by running it again, catches it."""
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail the running test from inside the work once ``seconds`` have
+    passed, so that work that never ends (Laufer's sequence after a wrong
+    definiteness verdict) or a superlinear one fails instead of hanging.
+
+    Deadlines nest: one that would end after the deadline around it is not
+    set, and one that ends before it gives the outer deadline back what is
+    left of it.  Needs ``SIGALRM`` (POSIX); elsewhere the work runs to its
+    end."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+    outer, _ = signal.getitimer(signal.ITIMER_REAL)
+    if outer and outer <= seconds:
+        yield
+        return
+
+    def expire(signum, frame):
+        raise DeadlineExceeded(f"still running after {seconds} s")
+
+    start = time.monotonic()
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        if outer:
+            # an outer deadline already past fires at once
+            signal.setitimer(signal.ITIMER_REAL, max(outer - (time.monotonic() - start), 1e-3))
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "deadline(seconds): fail the test once it has run that long"
+    )
+
+
+@pytest.fixture(autouse=True)
+def _bounded_by_deadline_marker(request):
+    mark = request.node.get_closest_marker("deadline")
+    if mark is None:
+        yield
+        return
+    with deadline(*mark.args):
+        yield
 
 
 def chain(*weights, genera=None):
@@ -32,9 +94,10 @@ def star(center, arms):
 
 
 def reference_quotient(g):
-    """The quotient ``(col, rep, into)`` of g by its classes (see
-    ``DualGraph``), collapsed from a per-curve adjacency built from
-    ``g.edges``: the reference for the quotient every graph keeps."""
+    """The :class:`Quotient` of g by its classes (see ``DualGraph``),
+    collapsed from a per-curve adjacency built from ``g.edges``, each class
+    read off its last curve: the reference for the quotient every graph
+    keeps."""
     adj = [{} for _ in range(g.n)]
     for i, j in g.edges:
         adj[i][j] = adj[i].get(j, 0) + 1
@@ -47,14 +110,22 @@ def reference_quotient(g):
         for u, w in adj[v].items():
             a = col[u]
             into[a][b] = into[a].get(b, 0) + w
-    return col, rep, into
+    sizes = [0] * len(rep)
+    for a in col:
+        sizes[a] += 1
+    return Quotient([g.genera[v] for v in rep], [g.self_ints[v] for v in rep], sizes, into)
 
 
 def ordered_quotient(quo):
-    """A quotient ``(col, rep, into)`` with each ``into`` row as its list of
-    items, so that comparing two of them compares the key order too."""
-    col, rep, into = quo
-    return tuple(col), list(rep), [list(row.items()) for row in into]
+    """A quotient's data, with each ``into`` row as its list of items, so
+    that comparing two of them compares the key order too."""
+    return (tuple(quo.genera), tuple(quo.self_ints), tuple(quo.sizes),
+            [list(row.items()) for row in quo.into])
+
+
+def per_curve(g, z):
+    """The class vector z of g's quotient as one coefficient per curve."""
+    return tuple(map(z.__getitem__, g.classes)) if g.classes else tuple(z)
 
 
 def _vertex_bound(a):

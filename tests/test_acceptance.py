@@ -39,7 +39,7 @@ from singlat import (
     quotient_table,
 )
 from singlat.brieskorn import _pg_dense
-from conftest import ordered_quotient, reference_quotient, star
+from conftest import ordered_quotient, per_curve, reference_quotient, star
 
 SWEEP_M_MAX = 5
 SWEEP_A_MAX = 12
@@ -72,6 +72,8 @@ class Record(NamedTuple):
     alpha: int
     eta_m_is_tip: bool
     cycles_pair_as_solved: bool
+    class_pairings_match_graph: bool
+    class_genus_matches_graph: bool
     kept_quotient_matches_adjacency: bool
     zf_eq_z0: bool
     zf_eq_mx: bool
@@ -92,7 +94,7 @@ def sweep():
     records = {}
     for a in sweep_tuples():
         star_graph = dual_graph(a)
-        graph = star_graph.graph
+        graph, quo = star_graph.graph, star_graph.quotient
         inv = numeric_invariants(a)
         zf = fundamental_cycle(graph)
         pf, selector = fundamental_genus(a)
@@ -102,6 +104,11 @@ def sweep():
         mcn = maximal_cycle_numbers(a)
         nr = normal_reduction_number(a)
         q = q_sequence(a, nr + 2)
+        # Z_0, Z^(1..m) and Z_K on the flattened graph, by the edge walk
+        flat = [cycle_products(graph, z) for z in [
+            z0, *(divisor_cycle(a, i) for i in range(1, len(a) + 1)),
+            star_graph.assemble(star_graph.cycles[-1]),
+        ]]
         records[a] = Record(
             pf=pf,
             pf_graph=arithmetic_genus(graph, zf),
@@ -112,14 +119,18 @@ def sweep():
                 mx[t] == inv.eta_m for t in star_graph.tip_indices(len(a)) or (0,)
             ),
             cycles_pair_as_solved=all(
-                cycle_products(graph, z) == solved_pairings(star_graph, inv, i)
-                for i, z in enumerate(
-                    [z0] + [divisor_cycle(a, i) for i in range(1, len(a) + 1)]
-                )
+                p == solved_pairings(star_graph, inv, i) for i, p in enumerate(flat[:-1])
             ),
-            # the quotient from_star builds from the families, against the
+            # the class-wise pairings the star build checks its cycles with,
+            # and the class-wise p_a(Z_f) that verifies p_f
+            class_pairings_match_graph=graph.quotient is quo and all(
+                per_curve(graph, quo.products(z)) == p for z, p in zip(star_graph.cycles, flat)
+            ),
+            class_genus_matches_graph=quo.arithmetic_genus(quo.fundamental_cycle())
+            == arithmetic_genus(graph, zf),
+            # the quotient the star builds from its families, against the
             # one the adjacency gives, row keys in order
-            kept_quotient_matches_adjacency=ordered_quotient(graph._quo)
+            kept_quotient_matches_adjacency=ordered_quotient(quo)
             == ordered_quotient(reference_quotient(graph)),
             zf_eq_z0=zf == z0,
             zf_eq_mx=zf == mx,
@@ -205,11 +216,14 @@ def test_criterion_05_fundamental_genus_closed_form(sweep):
     cycle is the predicted distinguished cycle, the eta_m the closed
     form uses is the tip coefficient of Z^(m) on the graph, Z_0 and every
     Z^(i) pair against the flattened graph as they were solved for, the
-    p_a(M_X) read off the compressed cycles is the graph's, and the quotient
-    each star keeps from its families is the one its adjacency gives."""
+    p_a(M_X) read off the compressed cycles is the graph's, the quotient
+    each star keeps from its families is the one its adjacency gives, and
+    the class-wise pairings and p_a(Z_f) on it match the flattened graph's."""
     for a, r in sweep.items():
         assert r.pf == r.pf_graph, a
         assert r.kept_quotient_matches_adjacency, a
+        assert r.class_pairings_match_graph, a
+        assert r.class_genus_matches_graph, a
         assert r.pa_mx_matches_graph, a
         assert r.eta_m_is_tip, a
         assert r.cycles_pair_as_solved, a

@@ -47,7 +47,11 @@ from singlat import (
 )
 from singlat import brieskorn, graph_lattice
 from singlat.cli import _star_dot
-from conftest import wide_tuples
+from conftest import per_curve, wide_tuples
+
+# a wrong definiteness verdict would let Laufer's sequence loop forever;
+# every test here fails after two minutes instead
+pytestmark = pytest.mark.deadline(120)
 
 GAMMA1 = (3, 4, 6)
 GAMMA2 = (3, 4, 7)
@@ -277,9 +281,11 @@ def test_graph_is_negative_definite_sample():
 
 
 def test_assemble_layout():
-    star = dual_graph(GAMMA2)
-    z = star.assemble(9, [(1, 2), (3, 4, 5), (6, 7)])
-    assert z == (9, 1, 2, 3, 4, 5, 6, 7)
+    """A class vector lists the center, then each non-empty family's chain
+    center-outward; assemble repeats each family's part once per copy."""
+    assert dual_graph(GAMMA2).assemble((9, 1, 2, 3, 4, 5, 6, 7)) == (9, 1, 2, 3, 4, 5, 6, 7)
+    # GAMMA1: family 1 is empty, family 2 is three copies of one curve
+    assert dual_graph(GAMMA1).assemble((9, 5)) == (9, 5, 5, 5)
 
 
 @given(exponent_tuples | wide_tuples)
@@ -383,65 +389,145 @@ def test_chain_coeffs_closed_form_matches_recursion(chain, n, beyond, integral):
 
 
 def _count_flattening(monkeypatch):
-    """Record every DualGraph construction, _solve call and cycle_products
-    call from here on, as (name, argument) pairs in the returned list."""
+    """Record every DualGraph object made and every pairing on one from
+    here on, as (name, argument) pairs in the returned list.  The plain
+    constructor and the flattening of a star both fill a new graph's fields
+    through ``DualGraph._fill``, so counting it sees every graph."""
     calls = []
-    for owner, name in [
-        (graph_lattice.DualGraph, "__init__"),
-        (graph_lattice, "_solve"),
-        (graph_lattice, "cycle_products"),
-    ]:
-        real = getattr(owner, name)
+    real_fill, real_products = graph_lattice.DualGraph._fill, graph_lattice.cycle_products
 
-        def counted(*args, _real=real, _name=name, **kwargs):
-            calls.append((_name, args[1] if _name == "__init__" else args[0]))
-            return _real(*args, **kwargs)
+    def fill(g, *fields):
+        calls.append(("DualGraph", fields[1]))
+        return real_fill(g, *fields)
 
-        monkeypatch.setattr(owner, name, counted)
+    def products(g, z):
+        calls.append(("cycle_products", g))
+        return real_products(g, z)
+
+    monkeypatch.setattr(graph_lattice.DualGraph, "_fill", fill)
+    monkeypatch.setattr(graph_lattice, "cycle_products", products)
     return calls
+
+
+def test_the_flattening_count_sees_a_star_flattened(monkeypatch):
+    flat = _count_flattening(monkeypatch)
+    brieskorn._star_cached.cache_clear()
+    try:
+        dual_graph(GAMMA2).graph
+        assert [name for name, _ in flat] == ["DualGraph"]
+    finally:
+        brieskorn._star_cached.cache_clear()
 
 
 def test_star_solves_and_checks_its_cycles_once(monkeypatch):
     """A star build pairs each of its m + 2 distinguished cycles (Z_0, the
-    Z^(i) and Z_K) once per chain family, on the compressed cycles, and
-    neither builds nor eliminates the flattened graph nor pairs on it;
-    reading the cycles back from the cached star pairs none."""
+    Z^(i) and Z_K) once, class-wise on its quotient, and neither builds,
+    eliminates nor pairs on the flattened graph; reading the cycles back
+    from the cached star pairs none."""
     flat = _count_flattening(monkeypatch)
-    per_family, real_pairings = [], brieskorn._chain_pairings
+    paired, solved = [], []
+    real_products, real_solve = graph_lattice.Quotient.products, graph_lattice.Quotient._solve
 
-    def counted_pairings(chain, center, coeffs):
-        per_family.append(chain)
-        return real_pairings(chain, center, coeffs)
+    def products(q, z):
+        paired.append(z)
+        return real_products(q, z)
 
-    monkeypatch.setattr(brieskorn, "_chain_pairings", counted_pairings)
+    def solve(q):
+        solved.append(q)
+        return real_solve(q)
+
+    monkeypatch.setattr(graph_lattice.Quotient, "products", products)
+    monkeypatch.setattr(graph_lattice.Quotient, "_solve", solve)
     for a in [GAMMA2, (2, 3, 4, 5), (6, 10, 15), (11, 12, 12, 12, 12)]:
         brieskorn._star_cached.cache_clear()
         star = dual_graph(a)
-        families = sum(1 for fam in star.branch_families if fam.chain)
-        assert flat == []
-        assert len(per_family) == (len(a) + 2) * families
-        per_family.clear()
+        assert flat == [] and solved == []
+        assert paired == list(star.cycles) and len(paired) == len(a) + 2
+        paired.clear()
         for i in range(1, len(a) + 1):
             divisor_cycle(a, i)
         central_multiple_cycle(a)
         maximal_ideal_cycle(a)
         canonical_cycle_formula(a)
-        assert flat == [] and per_family == []
+        assert flat == [] and paired == [] and solved == []
     brieskorn._star_cached.cache_clear()
 
 
 def test_invariant_paths_build_no_flattened_graph(monkeypatch):
-    """dual_graph, q_sequence, maximal_cycle_numbers and
-    canonical_cycle_formula work on the compressed star alone."""
+    """dual_graph, q_sequence, maximal_cycle_numbers, canonical_cycle_formula
+    and every p_f path (fundamental_genus, is_elliptic, invariant_report,
+    classify_elliptic) work on the compressed star and its quotient alone."""
     flat = _count_flattening(monkeypatch)
-    for a in [GAMMA1, (2, 3, 5), (2, 2, 3), (6, 10, 15), (11, 12, 12, 12, 12)]:
+    caches = (brieskorn._star_cached, brieskorn._pf_verified)
+    try:
+        for a in [GAMMA1, (2, 3, 5), (2, 2, 3), (6, 10, 15), (11, 12, 12, 12, 12)]:
+            for cache in caches:
+                cache.cache_clear()
+            dual_graph(a)
+            q_sequence(a, normal_reduction_number(a) + 1)
+            maximal_cycle_numbers(a)
+            canonical_cycle_formula(a)
+            assert flat == [], a
+            fundamental_genus(a)
+            brieskorn._pf_verified.cache_clear()
+            is_elliptic(a)
+            brieskorn._pf_verified.cache_clear()
+            invariant_report(a)
+            assert flat == [], a
+        for cache in caches:
+            cache.cache_clear()
+        assert len(classify_elliptic(4, 9)) == 32
+        assert flat == []
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+
+
+def test_one_elimination_and_one_laufer_run_per_star(monkeypatch):
+    """p_f, verified on the star's quotient, and the verdict, Z_K and Z_f
+    of its flattened graph share one quotient: each star is eliminated once
+    and runs Laufer's sequence once, whichever path asks first."""
+    Quotient = graph_lattice.Quotient
+    solved, ran = [], []
+    real_solve, real_laufer = Quotient._solve, Quotient.fundamental_cycle
+
+    def solve(q):
+        solved.append(q)
+        return real_solve(q)
+
+    def laufer(q):
+        if q._zf is None:
+            ran.append(q)
+        return real_laufer(q)
+
+    monkeypatch.setattr(Quotient, "_solve", solve)
+    monkeypatch.setattr(Quotient, "fundamental_cycle", laufer)
+
+    def p_f_paths(a):
+        fundamental_genus(a)
+        is_elliptic(a)
+        invariant_report(a)
+
+    def graph_paths(a):
+        g = dual_graph(a).graph
+        is_negative_definite(g)
+        canonical_qcycle(g)
+        fundamental_cycle(g)
+
+    tuples = [GAMMA2, (2, 3, 4, 5), (11, 12, 12, 12, 12)]
+    try:
+        for first, then in ((p_f_paths, graph_paths), (graph_paths, p_f_paths)):
+            for a in tuples:
+                brieskorn._star_cached.cache_clear()
+                brieskorn._pf_verified.cache_clear()
+                first(a)
+                then(a)
+                assert solved == ran == [dual_graph(a).quotient], a
+                solved.clear()
+                ran.clear()
+    finally:
         brieskorn._star_cached.cache_clear()
-        dual_graph(a)
-        q_sequence(a, normal_reduction_number(a) + 1)
-        maximal_cycle_numbers(a)
-        canonical_cycle_formula(a)
-        assert flat == [], a
-    brieskorn._star_cached.cache_clear()
+        brieskorn._pf_verified.cache_clear()
 
 
 def test_star_build_rejects_a_wrong_cycle(monkeypatch):
@@ -493,23 +579,26 @@ def _build_with(monkeypatch, a, change):
         brieskorn._star_cached.cache_clear()
 
 
-def _with_cycle(fields, i, x, fams):
+def _with_cycle(fields, i, z):
     cycles = list(fields["cycles"])
-    cycles[i] = (x, tuple(fams))
+    cycles[i] = tuple(z)
     return {**fields, "cycles": tuple(cycles)}
 
 
 def test_star_build_rejects_a_wrong_canonical_cycle(monkeypatch):
-    """Z_K is paired with the other cycles: one chain entry or the center
-    coefficient raised by one fails the adjunction pattern."""
+    """Z_K is paired with the other cycles: the entry at family 2's first
+    curve or the center coefficient raised by one fails the adjunction
+    pattern."""
 
     def chain_entry(fields):
-        x, (f1, f2, *rest) = fields["cycles"][-1]
-        return _with_cycle(fields, -1, x, [f1, (f2[0] + 1, *f2[1:]), *rest])
+        z = list(fields["cycles"][-1])
+        z[1 + len(fields["branch_families"][0].chain)] += 1
+        return _with_cycle(fields, -1, z)
 
     def center(fields):
-        x, fams = fields["cycles"][-1]
-        return _with_cycle(fields, -1, x + 1, fams)
+        z = list(fields["cycles"][-1])
+        z[0] += 1
+        return _with_cycle(fields, -1, z)
 
     for change in (chain_entry, center):
         for a in [(2, 3, 5), GAMMA1, GAMMA2]:
@@ -523,8 +612,7 @@ def test_star_build_rejects_a_zero_central_cycle(monkeypatch):
     rejects it."""
 
     def zero(fields):
-        x, fams = fields["cycles"][0]
-        return _with_cycle(fields, 0, 0, [(0,) * len(cc) for cc in fams])
+        return _with_cycle(fields, 0, [0] * len(fields["cycles"][0]))
 
     for a in [(2, 3, 5), (2, 2, 2), GAMMA1]:
         with pytest.raises(ConstructionError, match="negative definite"):
@@ -549,6 +637,22 @@ def test_compressed_maximal_cycle_genus_matches_the_graph(a):
     pa = arithmetic_genus(star.graph, maximal_ideal_cycle(a))
     assert mcn.MY_sq + mcn.MY_K == 2 * pa - 2 - 2 * inv.delta * inv.ghat_i[-1]
     assert is_negative_definite(star.graph)
+
+
+@given(exponent_tuples | wide_tuples)
+@settings(max_examples=40, deadline=None)
+def test_class_wise_pairings_of_the_star_cycles_match_the_graph(a):
+    """The star and its flattened graph share one quotient.  Each of the
+    m + 2 star cycles, paired class-wise as the star build checks it and
+    expanded through the class map, is the edge walk's pairing of its
+    flattening, and the class-wise p_a(Z_f) that verifies p_f is
+    arithmetic_genus on the flattened graph."""
+    star = dual_graph(a)
+    g, q = star.graph, star.quotient
+    assert g.quotient is q
+    for z in star.cycles:
+        assert per_curve(g, q.products(z)) == cycle_products(g, star.assemble(z))
+    assert q.arithmetic_genus(q.fundamental_cycle()) == arithmetic_genus(g, fundamental_cycle(g))
 
 
 def test_divisor_cycle_e8_root(e8):

@@ -110,13 +110,15 @@ def test_invariants_step_checks_the_branch_counts(monkeypatch):
 
 def test_graph_step_reads_the_flattened_center(monkeypatch):
     """A flattened graph whose center is one lower than -c0 fails the graph
-    step, which compares the graph's own center with the star's data."""
-    real = graph_lattice.DualGraph.from_star
+    step, which compares the graph's own center with the star's data.  The
+    star's own quotient, which its build checked, is left as it was."""
+    real = graph_lattice.DualGraph.from_star_quotient
 
-    def lowered(center, families):
-        return real((center[0], center[1] - 1), families)
+    def lowered(q):
+        return real(graph_lattice.Quotient(
+            q.genera, (q.self_ints[0] - 1, *q.self_ints[1:]), q.sizes, q.into))
 
-    monkeypatch.setattr(graph_lattice.DualGraph, "from_star", staticmethod(lowered))
+    monkeypatch.setattr(graph_lattice.DualGraph, "from_star_quotient", staticmethod(lowered))
     brieskorn._star_cached.cache_clear()
     try:
         by_name = {r.name: r for r in run_tuple_checks((3, 4, 7))}

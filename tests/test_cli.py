@@ -75,19 +75,25 @@ def test_long_sequences_exit_4():
         assert what in err and "budget" in err
 
 
-def test_flattened_graph_budget_exits_4(monkeypatch):
-    """(23,24,24,24,24,24) passes the box, p_g-pair and dense-series budgets,
-    but its flattened graph would have 1 + 331,776 * 22 = 7,299,073 curves:
-    every command that flattens exits 4 before it builds a DualGraph, and
-    plain ``graph`` reads the count off the families."""
+def _refuse_dual_graphs(monkeypatch):
+    """Make building any DualGraph, by the plain constructor or by
+    flattening a star (both fill it through ``_fill``), raise."""
     from singlat import graph_lattice
 
     def refuse(self, *args):
         raise RuntimeError("a DualGraph was built for an over-budget star")
 
-    monkeypatch.setattr(graph_lattice.DualGraph, "__init__", refuse)
+    monkeypatch.setattr(graph_lattice.DualGraph, "_fill", refuse)
+
+
+def test_flattened_graph_budget_exits_4(monkeypatch):
+    """(23,24,24,24,24,24) passes the box, p_g-pair and dense-series budgets,
+    but its flattened graph would have 1 + 331,776 * 22 = 7,299,073 curves:
+    every command that flattens exits 4 before it builds a DualGraph, and
+    plain ``graph`` reads the count off the families."""
+    _refuse_dual_graphs(monkeypatch)
     a = ["23", "24", "24", "24", "24", "24"]
-    for cmd in (["check"], ["invariants"], ["cycles"], ["graph", "--json"]):
+    for cmd in (["check"], ["cycles"], ["graph", "--json"]):
         code, out, err = invoke(cmd + a)
         assert code == 4, cmd
         assert out == ""
@@ -95,6 +101,20 @@ def test_flattened_graph_budget_exits_4(monkeypatch):
     code, out, _ = invoke(["graph"] + a)
     assert code == 0
     assert out.splitlines()[0] == "vertices: 7299073"
+
+
+def test_invariants_of_a_star_too_large_to_flatten(monkeypatch):
+    """p_f of (23,24,24,24,24,24) is verified by Laufer's sequence on the
+    star's 23 classes, so invariants answers without a DualGraph, with the
+    closed-form p_f."""
+    from singlat import brieskorn
+
+    _refuse_dual_graphs(monkeypatch)
+    brieskorn._pf_verified.cache_clear()
+    code, out, _ = invoke(["invariants", "23", "24", "24", "24", "24", "24"])
+    assert code == 0
+    pf = brieskorn._pf_value((23, 24, 24, 24, 24, 24)).value
+    assert f"pf = {pf}\n" in out and pf == 14_148_865
 
 
 # -------------------------------------------------------------- frozen outputs
@@ -106,11 +126,11 @@ def test_check_exits_4_before_laufer(monkeypatch):
 
     calls = []
 
-    def refuse(g):
-        calls.append(g)
+    def refuse(q):
+        calls.append(q)
         raise RuntimeError("Laufer's sequence ran although the battery cannot finish")
 
-    monkeypatch.setattr(graph_lattice, "fundamental_cycle", refuse)
+    monkeypatch.setattr(graph_lattice.Quotient, "fundamental_cycle", refuse)
     code, out, err = invoke(["check", "97", "98", "99", "101"])
     assert calls == []
     assert code == 4
@@ -126,11 +146,11 @@ def test_invariants_exits_4_before_laufer(monkeypatch):
 
     calls = []
 
-    def refuse(g):
-        calls.append(g)
+    def refuse(q):
+        calls.append(q)
         raise RuntimeError("Laufer's sequence ran although p_g is refused")
 
-    monkeypatch.setattr(graph_lattice, "fundamental_cycle", refuse)
+    monkeypatch.setattr(graph_lattice.Quotient, "fundamental_cycle", refuse)
     code, out, err = invoke(["invariants", "2", "3", "1000001"])
     assert calls == []
     assert code == 4

@@ -5,7 +5,6 @@ import heapq
 import re
 import signal
 import time
-from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 from operator import mul
@@ -18,6 +17,7 @@ from singlat import (
     DimensionError,
     DomainError,
     DualGraph,
+    InternalError,
     arithmetic_genus,
     canonical_qcycle,
     cycle_products,
@@ -28,8 +28,15 @@ from singlat import (
     is_negative_definite,
     to_dot,
 )
-from singlat import graph_lattice
-from conftest import chain, ordered_quotient, reference_quotient, star, wide_tuples
+from singlat.graph_lattice import Quotient
+from conftest import (
+    DeadlineExceeded, chain, deadline, ordered_quotient, per_curve, reference_quotient, star,
+    wide_tuples,
+)
+
+# Laufer's sequence has no step bound, so a wrong definiteness verdict would
+# loop forever; every test here fails after two minutes instead
+pytestmark = pytest.mark.deadline(120)
 
 E8_ROOT = (6, 3, 4, 2, 5, 4, 3, 2)  # highest root in the (2,3,5) star layout
 
@@ -221,13 +228,13 @@ def test_singular_graph_raises_on_every_call():
 
 def test_one_elimination_per_graph(monkeypatch):
     calls = []
-    real = graph_lattice._solve
+    real = Quotient._solve
 
-    def counting(g):
-        calls.append(g)
-        return real(g)
+    def counting(q):
+        calls.append(q)
+        return real(q)
 
-    monkeypatch.setattr(graph_lattice, "_solve", counting)
+    monkeypatch.setattr(Quotient, "_solve", counting)
     good = star((0, -2), [[-2], [-2, -2], [-2, -2, -2, -2]])
     bad = chain(-1, -1)
     for _ in range(2):
@@ -240,7 +247,7 @@ def test_one_elimination_per_graph(monkeypatch):
         with pytest.raises(DomainError):
             fundamental_cycle(bad)
     assert len(calls) == 2
-    assert calls[0] is good and calls[1] is bad
+    assert calls[0] is good.quotient and calls[1] is bad.quotient
 
 
 @pytest.mark.parametrize("first", [fundamental_cycle, canonical_qcycle, is_negative_definite])
@@ -252,7 +259,7 @@ def test_one_quotient_per_graph(first):
     plain = star((0, -2), [[-2], [-2, -2], [-2, -2, -2, -2]])
     kept = DualGraph.from_star((0, -4), [(3, [-3]), (2, [-2, -2])])
     for g in (plain, kept):
-        quo = g._quo
+        quo = g.quotient
         assert quo is not None
         content = ordered_quotient(quo)
         entries = [first, is_negative_definite, canonical_qcycle, fundamental_cycle,
@@ -262,7 +269,7 @@ def test_one_quotient_per_graph(first):
                    lambda g: arithmetic_genus(g, (1,) * g.n)]
         for entry in entries * 2:
             entry(g)
-            assert g._quo is quo
+            assert g.quotient is quo
             assert ordered_quotient(quo) == content
 
 
@@ -310,6 +317,15 @@ def test_arithmetic_genus_fixtures(e8, a2):
     assert arithmetic_genus(elliptic, (1,)) == 1
     with pytest.raises(DomainError):
         arithmetic_genus(a2, (0, 0))
+
+
+def test_class_wise_genus_keeps_the_parity_check():
+    """Rows that disagree, one edge from class 1 into class 0 and none
+    back, make z.(z+K) odd: the class-wise p_a refuses it as the per-curve
+    one does."""
+    q = Quotient((0, 0), (-2, -2), (1, 1), [{1: 1}, {}])
+    with pytest.raises(InternalError, match="came out odd"):
+        q.arithmetic_genus((1, 1))
 
 
 def test_to_dot(e8):
@@ -516,7 +532,7 @@ def test_elimination_matches_dense_reference(g):
     mz = tuple(sum(map(mul, row, z)) for row in m)
     assert cycle_products(g, z) == mz
     assert intersection_number(g, z, z) == sum(map(mul, z, mz))
-    assert ordered_quotient(g._quo) == ordered_quotient(reference_quotient(g))
+    assert ordered_quotient(g.quotient) == ordered_quotient(reference_quotient(g))
     minors = [_det([row[:k] for row in m[:k]]) for k in range(1, g.n + 1)]
     definite = all((-1) ** k * d > 0 for k, d in enumerate(minors, start=1))
     assert is_negative_definite(g) == definite
@@ -603,7 +619,7 @@ def _fundamental_cycle_heap(g):
             "the computation sequence may not terminate otherwise"
         )
     # the per-curve adjacency: the quotient of g's plain twin
-    adj = DualGraph(zip(g.genera, g.self_ints), g.edges)._quo[2]
+    adj = DualGraph(zip(g.genera, g.self_ints), g.edges).quotient.into
     self_ints = g.self_ints
     z = [1] * g.n
     d = [e + sum(row.values()) for e, row in zip(self_ints, adj)]
@@ -652,26 +668,19 @@ def test_fundamental_cycle_is_the_least_anti_nef_cycle(g):
             assert all(a >= b for a, b in zip(z, zf)), (z, zf)
 
 
-@contextmanager
-def _deadline(seconds):
-    """Fail the test from inside the work once ``seconds`` have passed, so
-    that a superlinear elimination (a lost pendant-first order fills in the
-    comb below) fails instead of hanging.  Needs ``SIGALRM`` (POSIX);
-    elsewhere the work runs to its end."""
-    if not hasattr(signal, "SIGALRM"):
-        yield
-        return
-
-    def expire(signum, frame):
-        pytest.fail(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="deadlines need SIGALRM")
+def test_an_inner_deadline_gives_the_outer_one_back():
+    """The module's two-minute deadline survives a shorter one inside it,
+    whether that one passes or fires."""
+    outer, _ = signal.getitimer(signal.ITIMER_REAL)
+    assert 60 < outer <= 120
+    with deadline(60):
+        assert 0 < signal.getitimer(signal.ITIMER_REAL)[0] <= 60
+    assert 60 < signal.getitimer(signal.ITIMER_REAL)[0] <= outer
+    with pytest.raises(DeadlineExceeded):
+        with deadline(0.05):
+            time.sleep(5)
+    assert 60 < signal.getitimer(signal.ITIMER_REAL)[0] <= outer
 
 
 def test_long_chains_solve_in_near_linear_time():
@@ -687,9 +696,11 @@ def test_long_chains_solve_in_near_linear_time():
         DualGraph([(0, -3)] * half + [(0, -1)] * half,
                   path[: half - 1] + [(i, half + i) for i in range(half)]),
     ]
+    # a superlinear elimination (a lost pendant-first order fills in the
+    # comb) fails at the inner deadline instead of hanging
     for g in cases:
         start = time.perf_counter()
-        with _deadline(60):
+        with deadline(60):
             assert fundamental_cycle(g) == (1,) * n
         assert time.perf_counter() - start < 5.0
 
@@ -721,8 +732,8 @@ def _assert_built_as_its_plain_twin(g):
     assert g == twin and hash(g) == hash(twin)
     assert g.to_json_dict() == twin.to_json_dict()
     assert twin.classes is None
-    assert ordered_quotient(g._quo) == ordered_quotient(reference_quotient(g))
-    assert ordered_quotient(twin._quo) == ordered_quotient(reference_quotient(twin))
+    assert ordered_quotient(g.quotient) == ordered_quotient(reference_quotient(g))
+    assert ordered_quotient(twin.quotient) == ordered_quotient(reference_quotient(twin))
     return twin
 
 
@@ -745,7 +756,11 @@ def test_a_star_with_its_classes_matches_its_plain_twin(data):
                                     for count, chain in families for _ in range(count)])
     assert len(set(g.classes)) == 1 + sum(len(chain) for _, chain in families)
     assert canonical_qcycle(g) == canonical_qcycle(twin)
-    assert fundamental_cycle(g) == _fundamental_cycle_heap(twin)
+    zf = _fundamental_cycle_heap(twin)
+    assert fundamental_cycle(g) == zf
+    # p_a(Z_f) class by class, as p_f is verified, against the plain twin
+    q = g.quotient
+    assert q.arithmetic_genus(q.fundamental_cycle()) == arithmetic_genus(twin, zf)
 
 
 @given(weighted_stars())
@@ -755,6 +770,28 @@ def test_a_weighted_star_is_built_as_its_plain_twin(g):
     verdict still comes from the kept quotient."""
     twin = _assert_built_as_its_plain_twin(g)
     assert is_negative_definite(g) == is_negative_definite(twin)
+
+
+def _seifert_graph(data):
+    genus, c0, families = data
+    return DualGraph.from_star((genus, -c0), [(count, [-c for c in chain])
+                                              for count, chain in families])
+
+
+@given(weighted_stars() | seifert_stars().map(_seifert_graph), st.data())
+@settings(max_examples=300, deadline=None)
+def test_class_wise_pairing_and_genus_match_the_flattened_star(g, data):
+    """The class-wise pairing of a class vector, expanded through the class
+    map, is the edge walk's pairing of the expanded cycle, and its
+    class-wise p_a is ``arithmetic_genus`` on the flattened star, families
+    of several copies included."""
+    q = g.quotient
+    k = len(q.sizes)
+    z = data.draw(st.lists(st.integers(min_value=-6, max_value=6), min_size=k, max_size=k))
+    flat = per_curve(g, z)
+    assert per_curve(g, q.products(z)) == cycle_products(g, flat)
+    if any(z):
+        assert q.arithmetic_genus(z) == arithmetic_genus(g, flat)
 
 
 @pytest.mark.parametrize("count", [0, -1, 1.0])
