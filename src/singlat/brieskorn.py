@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations_with_replacement
@@ -108,8 +107,7 @@ def _chain_coeffs(pre: Sequence[int], suf: Sequence[int], center: int, beyond: i
     return coeffs
 
 
-@dataclass(frozen=True)
-class BCIInvariants:
+class BCIInvariants(NamedTuple):
     """Numeric invariants of an exponent tuple."""
 
     a: tuple[int, ...]
@@ -135,8 +133,7 @@ class BCIInvariants:
         return self.eta_i + (self.eta_m,)
 
 
-@dataclass(frozen=True)
-class ChainFamily:
+class ChainFamily(NamedTuple):
     """One family of identical chains: ghat_w copies of the same string of curves."""
 
     count: int
@@ -144,8 +141,15 @@ class ChainFamily:
     beta: int  # 0 when the family has no vertices
 
 
-@dataclass(frozen=True)
-class StarGraph:
+class _StarFields(NamedTuple):
+    center_genus: int
+    c0: int
+    branch_families: tuple[ChainFamily, ...]
+    flags: tuple[str, ...]
+    cycles: tuple[Cycle, ...]
+
+
+class StarGraph(_StarFields):
     """Star-shaped resolution graph: central curve plus chain families.
 
     ``quotient`` is the star's :class:`Quotient`, built on first use from
@@ -158,13 +162,13 @@ class StarGraph:
     index 0, then each family's chain copies center-outward.
     ``vertex_count`` is its size, read off the families; ``graph`` and
     ``assemble`` check it against ``LATTICE_BUDGET`` before they allocate.
-    """
 
-    center_genus: int
-    c0: int
-    branch_families: tuple[ChainFamily, ...]
-    flags: tuple[str, ...]
-    cycles: tuple[Cycle, ...]
+    The five fields are those of the immutable record ``_StarFields``, so
+    equality, hashing and ``repr`` see them alone.  This subclass declares
+    no ``__slots__``, so each star has a ``__dict__``, where the
+    ``cached_property`` values ``vertex_count``, ``quotient`` and ``graph``
+    are kept after their first use.
+    """
 
     @cached_property
     def vertex_count(self) -> int:
@@ -553,8 +557,7 @@ def geometric_genus(a: Sequence[int]) -> int:
     return _pg_cached(_validated(a))
 
 
-@dataclass(frozen=True)
-class MaximalCycleNumbers:
+class MaximalCycleNumbers(NamedTuple):
     """Self-intersection and canonical pairing of the maximal-ideal cycle pulled
     back to the normalized blowup: MY_sq = -multiplicity and
     MY_sq + MY_K = 2 p_a(M_X) - 2 - 2 delta ghat_m."""

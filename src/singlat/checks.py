@@ -9,8 +9,7 @@ per route; the CLI ``check`` subcommand is a thin wrapper around it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import brieskorn, cone_homogeneous, graph_lattice, ideal_oracle
 from .errors import ResourceError, SinglatError
@@ -19,8 +18,7 @@ from .ideal_oracle import _validated
 __all__ = ["CheckResult", "run_tuple_checks"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""

@@ -10,7 +10,6 @@ diagnostics to standard error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Sequence
 
@@ -46,6 +45,8 @@ def _jsonable(obj):
 
 
 def _dumps(doc) -> str:
+    import json  # only --json and cone print JSON; the other commands skip its import
+
     return json.dumps(_jsonable(doc), sort_keys=True)
 
 

@@ -11,8 +11,8 @@ bound is attained.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import brieskorn, ideal_oracle
 from .errors import DomainError
@@ -31,8 +31,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConeData:
+class _ConeFields(NamedTuple):
+    g: int
+    d: int
+    gon: int
+
+
+class ConeData(_ConeFields):
     """Exceptional-curve data of a cone-like singularity.
 
     g: genus of the exceptional curve; d: degree (= minus the
@@ -40,22 +45,21 @@ class ConeData:
     floor((g+3)/2).
     """
 
-    g: int
-    d: int
-    gon: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.g, int) or self.g < 0:
-            raise DomainError(f"genus must be a nonnegative integer, got {self.g!r}")
-        if not isinstance(self.d, int) or self.d < 1:
-            raise DomainError(f"degree must be a positive integer, got {self.d!r}")
-        if not isinstance(self.gon, int) or self.gon < 1:
-            raise DomainError(f"gonality must be a positive integer, got {self.gon!r}")
-        bound = gonality_upper(self.g)
-        if self.gon > bound:
+    def __new__(cls, g: int, d: int, gon: int) -> ConeData:
+        if not isinstance(g, int) or g < 0:
+            raise DomainError(f"genus must be a nonnegative integer, got {g!r}")
+        if not isinstance(d, int) or d < 1:
+            raise DomainError(f"degree must be a positive integer, got {d!r}")
+        if not isinstance(gon, int) or gon < 1:
+            raise DomainError(f"gonality must be a positive integer, got {gon!r}")
+        bound = gonality_upper(g)
+        if gon > bound:
             raise DomainError(
-                f"gonality {self.gon} exceeds the bound floor((g+3)/2) = {bound}"
+                f"gonality {gon} exceeds the bound floor((g+3)/2) = {bound}"
             )
+        return super().__new__(cls, g, d, gon)
 
 
 def _plane_degree(d) -> int:

@@ -15,10 +15,9 @@ any list, and raises ``ResourceError`` when it is too large.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DimensionError, DomainError, InternalError, ResourceError
 
@@ -87,8 +86,7 @@ def monomial_in_closure(a: Sequence[int], u: Sequence[int], n: int) -> bool:
     return a[m - 2] * s >= (n - u[m - 2] - u[m - 1]) * d
 
 
-@dataclass(frozen=True)
-class QuotientTable:
+class QuotientTable(NamedTuple):
     """p[n] for n = 0..n_stop, where n_stop is the first index with p = 0;
     p(n) stays 0 from there on.  n_stop equals the normal reduction number
     of the maximal ideal."""

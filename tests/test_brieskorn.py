@@ -3,7 +3,6 @@ distinguished cycles, genera, reduction numbers, the elliptic census."""
 
 import math
 import time
-from dataclasses import astuple
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, gcd, lcm, prod
@@ -161,7 +160,7 @@ def test_lcm_kernel_against_the_definitions(a):
     assert all(lam * x == ell for lam, x in zip(lams, a))
     assert ghat * ell == prod(a)
     inv = brieskorn._invariants_cached.__wrapped__(a)
-    assert astuple(inv)[1:11] == data
+    assert tuple(inv)[1:11] == data
 
 
 @pytest.mark.parametrize(

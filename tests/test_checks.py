@@ -3,7 +3,6 @@
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -100,7 +99,7 @@ def test_invariants_step_checks_the_branch_counts(monkeypatch):
 
     def raised(a):
         inv = real(a)
-        return replace(inv, ghat_i=(inv.ghat_i[0] + 1,) + inv.ghat_i[1:])
+        return inv._replace(ghat_i=(inv.ghat_i[0] + 1,) + inv.ghat_i[1:])
 
     monkeypatch.setattr(brieskorn, "numeric_invariants", raised)
     by_name = {r.name: r for r in run_tuple_checks((3, 4, 7))}

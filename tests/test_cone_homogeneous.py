@@ -2,6 +2,7 @@
 bracket, the gonality bound on the reduction number, and the degree-d
 homogeneous specialization."""
 
+import re
 from fractions import Fraction
 from math import ceil, floor
 
@@ -55,14 +56,16 @@ def test_round_up_strict_rejects_floats():
 
 def test_cone_data_validation():
     ConeData(g=2, d=5, gon=2)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=f"^{re.escape('gonality 3 exceeds the bound floor((g+3)/2) = 2')}$"):
         ConeData(g=2, d=5, gon=3)  # gonality above floor((g+3)/2)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^genus must be a nonnegative integer, got -1$"):
         ConeData(g=-1, d=5, gon=1)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^degree must be a positive integer, got 0$"):
         ConeData(g=2, d=0, gon=2)
-    with pytest.raises(DomainError):
-        ConeData(g=2, d=5, gon=0)
+    with pytest.raises(DomainError, match="^gonality must be a positive integer, got 0$"):
+        ConeData(2, 5, 0)
+    with pytest.raises(DomainError, match="^degree must be a positive integer, got '5'$"):
+        ConeData(g=2, d="5", gon=2)
 
 
 def test_plane_cone():

@@ -69,3 +69,23 @@ def test_readme_quick_start():
     result = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
     assert result.attempted > 0
     assert result.failed == 0
+
+
+@pytest.mark.parametrize("stmt", ["import singlat", "from singlat.cli import main"])
+def test_import_leaves_out_heavy_modules(stmt):
+    """Neither the package nor the command line loads ``dataclasses``,
+    ``inspect`` or ``json`` on import; the command line imports ``json``
+    only when it prints JSON.  ``-S`` keeps site hooks from loading them
+    first."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    code = (
+        f"import sys; {stmt}; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
