@@ -11,10 +11,10 @@ exact.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement, islice, repeat
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -489,7 +489,9 @@ def normal_reduction_number(a: Sequence[int]) -> int:
 
 def _pg_pairs_size(a: tuple[int, ...]) -> tuple[int, str]:
     """The (p, q) pairs the box-basis p_g walks, as ``(count, what)`` for
-    ``ideal_oracle._check_budget``; none below a negative a-invariant."""
+    ``ideal_oracle._check_budget``; none below a negative a-invariant.  The
+    count also bounds the rests B - lambda_{m-1} p - lambda_m q, one per
+    pair, that p_g holds in a list and sorts."""
     m = len(a)
     count = ((m - 2) * a[m - 2] + 1) * ((m - 2) * a[m - 1] + 1)
     return (count if _invariants_cached(a).a_invariant >= 0 else 0), f"the p_g pairs of {a}"
@@ -510,14 +512,19 @@ def _pg_cached(a: tuple[int, ...]) -> int:
         return 0
     # (1 - t^ell)/(1 - t^lambda_i) = sum_{u < a_i} t^(u lambda_i) for i <= m-2, so
     # p_g counts the (u, p, q) in box x N^2 with
-    # D(u) + lambda_{m-1} p + lambda_m q <= B, D(u) = sum u_i lambda_i
+    # D(u) + lambda_{m-1} p + lambda_m q <= B, D(u) = sum u_i lambda_i: the pairs
+    # of a box degree and a rest r = B - lambda_{m-1} p - lambda_m q with D(u) <= r,
+    # counted from the shorter side
     ideal_oracle._check_budget(*_pg_pairs_size(a))
-    degs = sorted(ideal_oracle._box_sums(a[: m - 2], lams[: m - 2], bound))
-    return sum(
-        bisect_right(degs, x)
-        for rest in range(bound, -1, -lams[m - 2])
-        for x in range(rest, -1, -lams[m - 1])
-    )
+    degs = ideal_oracle._box_degrees(a)
+    rests = [
+        x for rest in range(bound, -1, -lams[m - 2]) for x in range(rest, -1, -lams[m - 1])
+    ]
+    k = bisect_right(degs, bound)  # the degrees that can pair at all
+    if len(rests) <= k:
+        return sum(map(bisect_right, repeat(degs), rests))
+    rests.sort()
+    return k * len(rests) - sum(map(bisect_left, repeat(rests), islice(degs, k)))
 
 
 def _pg_dense(a: tuple[int, ...]) -> int:

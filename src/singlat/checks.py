@@ -64,6 +64,8 @@ def run_tuple_checks(a: Sequence[int]) -> list[CheckResult]:
 
     def assert_same(what: str, got, want) -> None:
         """got == want entrywise, or name the first vertex where they differ."""
+        if tuple(got) == tuple(want):
+            return
         bad = next((v for v, (x, y) in enumerate(zip(got, want)) if x != y), None)
         if bad is not None:
             raise AssertionError(

@@ -9,12 +9,15 @@ graph, so it doubles as a cross-check for the intersection-theoretic route.
 The box is prod_{i <= m-2} [0, a_i - 1].  Every route over it (the
 quotient table, the closure generators, and the box-basis count of p_g in
 ``brieskorn``) checks its size against ``LATTICE_BUDGET`` before building
-any list, and raises ``ResourceError`` when it is too large.
+any list, and raises ``ResourceError`` when it is too large.  The quotient
+table and p_g read one sorted list of the box degrees sum u_i lambda_i,
+built once per tuple: the table bisects it, p_g counts its pairs on it.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import product
 from typing import NamedTuple, Sequence
@@ -101,15 +104,24 @@ def _box_size(sizes: Sequence[int]) -> tuple[int, str]:
     return math.prod(sizes), f"the exponent box {tuple(sizes)}"
 
 
-def _box_sums(sizes: Sequence[int], weights: Sequence[int], bound: int) -> list[int]:
-    """sum u_i w_i over the box prod [0, size_i - 1] in lex order, keeping
-    only the sums <= bound.  The weights are positive, so a partial sum above
-    the bound is dropped before it is extended."""
+def _box_sums(sizes: Sequence[int], weights: Sequence[int]) -> list[int]:
+    """sum u_i w_i over the box prod [0, size_i - 1], in lex order."""
     _check_budget(*_box_size(sizes))
     sums = [0]
     for n, w in zip(sizes, weights):
-        sums = [x for s in sums for x in range(s, min(s + n * w, bound + 1), w)]
+        sums = [x for s in sums for x in range(s, s + n * w, w)]
     return sums
+
+
+@lru_cache(maxsize=1)
+def _box_degrees(a: tuple[int, ...]) -> tuple[int, ...]:
+    """The degrees D(u) = sum u_i lambda_i of the box points, sorted, with
+    lambda_i = ell / a_i and ell = lcm(a).  p_g and the quotient table of a
+    tuple are asked for back to back, so one entry serves both; a larger
+    cache would keep more box-sized lists alive."""
+    ell = math.lcm(*a)
+    sizes = a[: len(a) - 2]
+    return tuple(sorted(_box_sums(sizes, [ell // ai for ai in sizes])))
 
 
 def _score_weights(a: tuple[int, ...]) -> tuple[int, list[int]]:
@@ -122,34 +134,27 @@ def _score_weights(a: tuple[int, ...]) -> tuple[int, list[int]]:
 
 @lru_cache(maxsize=4096)
 def _table_cached(a: tuple[int, ...]) -> QuotientTable:
-    sizes = a[: len(a) - 2]
-    d, weights = _score_weights(a)
-    top = 0
-    hist: dict[int, int] = {}
-    # the score of every box point, the largest one included
-    for score in _box_sums(sizes, weights, sum((n - 1) * w for n, w in zip(sizes, weights))):
-        n_top = score // d - 1  # largest n with score >= (n+1) d
-        if n_top >= 0:
-            hist[n_top] = hist.get(n_top, 0) + 1
-            if n_top > top:
-                top = n_top
-    n_stop = top + 1 if hist else 0
-    p = [0] * (n_stop + 1)
-    running = 0
-    for n in range(n_stop - 1, -1, -1):
-        running += hist.get(n, 0)
-        p[n] = running
-    return QuotientTable(p=tuple(p), n_stop=n_stop)
+    degs = _box_degrees(a)
+    step = math.lcm(*a) // a[len(a) - 2]  # lambda_{m-1}
+    p = []  # p[n] counts the degrees >= (n + 1) lambda_{m-1}, up to the first 0
+    while not p or p[-1]:
+        p.append(len(degs) - bisect_left(degs, (len(p) + 1) * step))
+    return QuotientTable(p=tuple(p), n_stop=len(p) - 1)
 
 
 def quotient_table(a: Sequence[int]) -> QuotientTable:
-    """All quotient dimensions of the exponent tuple in one box sweep."""
+    """All quotient dimensions of the exponent tuple, read off the sorted
+    box degrees."""
     return _table_cached(_validated(a))
 
 
 def quotient_dimension(a: Sequence[int], n: int) -> int:
     """Number of box points u (over the first m-2 coordinates) with
-    a_{m-1} * sum u_i (D/a_i) >= (n+1) D; the n-th quotient dimension."""
+    a_{m-1} * sum u_i (D/a_i) >= (n+1) D; the n-th quotient dimension.
+
+    Multiplying by ell / (a_{m-1} D), with lambda_i = ell / a_i, turns the
+    condition into sum u_i lambda_i >= (n+1) lambda_{m-1}, so the table takes
+    one bisection of the sorted box degrees per n."""
     a = _validated(a)
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"index must be a nonnegative integer, got {n!r}")

@@ -3,6 +3,7 @@ maximal ideal, and the cross-checks built on them."""
 
 import math
 import time
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import product as iproduct
 from math import prod
@@ -18,15 +19,17 @@ from singlat import (
     QuotientTable,
     ResourceError,
     closure_monomials,
+    geometric_genus,
     monomial_in_closure,
     normal_reduction_number,
     nr_by_oracle,
     nr_pg_bound_check,
+    numeric_invariants,
     qp_consistency,
     quotient_dimension,
     quotient_table,
 )
-from singlat import ideal_oracle
+from singlat import brieskorn, ideal_oracle
 
 small_tuples = st.lists(
     st.integers(min_value=2, max_value=6), min_size=3, max_size=4
@@ -251,20 +254,110 @@ def test_closure_monomials_match_brute_force_on_large_boxes(a):
     assert closure_monomials(a, 2) == closure_antichain_naive(a, 2)
 
 
-# ----------------------------------------------------------------------- budget
+# ------------------------------------------------------- the shared sorted box
 
-def test_box_sums_prune_above_the_bound():
+def test_box_sums_enumerate_the_box_in_lex_order():
     sizes, weights = (3, 4, 5), (7, 3, 2)
-    full = [
+    assert ideal_oracle._box_sums(sizes, weights) == [
         sum(u * w for u, w in zip(point, weights))
         for point in iproduct(*map(range, sizes))
     ]
-    assert ideal_oracle._box_sums(sizes, weights, max(full)) == full
-    for bound in (0, 5, 13, 20):
-        assert ideal_oracle._box_sums(sizes, weights, bound) == [
-            s for s in full if s <= bound
-        ]
 
+
+def box_sums_pruned(sizes, weights, bound):
+    """The box enumeration the references below were written against: sums
+    above the bound are dropped before they are extended."""
+    sums = [0]
+    for n, w in zip(sizes, weights):
+        sums = [x for s in sums for x in range(s, min(s + n * w, bound + 1), w)]
+    return sums
+
+
+def table_by_histogram(a):
+    """The quotient table by a histogram of the box points' scores, one pass
+    over every point."""
+    sizes = a[: len(a) - 2]
+    d, weights = ideal_oracle._score_weights(a)
+    top = 0
+    hist = {}
+    for score in box_sums_pruned(sizes, weights, sum((n - 1) * w for n, w in zip(sizes, weights))):
+        n_top = score // d - 1  # largest n with score >= (n+1) d
+        if n_top >= 0:
+            hist[n_top] = hist.get(n_top, 0) + 1
+            if n_top > top:
+                top = n_top
+    n_stop = top + 1 if hist else 0
+    p = [0] * (n_stop + 1)
+    running = 0
+    for n in range(n_stop - 1, -1, -1):
+        running += hist.get(n, 0)
+        p[n] = running
+    return QuotientTable(p=tuple(p), n_stop=n_stop)
+
+
+def pg_by_rests(a):
+    """p_g by one bisection of the pruned, sorted box degrees per rest."""
+    inv = numeric_invariants(a)
+    m, lams = inv.m, inv.lambda_i
+    bound = inv.a_invariant
+    if bound < 0:
+        return 0
+    degs = sorted(box_sums_pruned(a[: m - 2], lams[: m - 2], bound))
+    return sum(
+        bisect_right(degs, x)
+        for rest in range(bound, -1, -lams[m - 2])
+        for x in range(rest, -1, -lams[m - 1])
+    )
+
+
+@given(small_tuples | wide_tuples)
+@settings(max_examples=80, deadline=None)
+def test_table_and_pg_match_the_references(a):
+    assert quotient_table(a) == table_by_histogram(a)
+    assert geometric_genus(a) == pg_by_rests(a)
+
+
+@pytest.mark.parametrize(
+    "a, rests_shorter",
+    [
+        ((28, 32, 33, 33, 39), True),  # 29,564 box degrees <= B, 5,320 rests
+        ((7, 13, 16, 34, 39), False),  # 1,455 box degrees <= B, 4,797 rests
+        ((7, 11, 13), False),  # m = 3: 5 box degrees <= B, 42 rests
+        ((2, 3, 5), None),  # a-invariant -1: p_g = 0 before any rest
+        ((2, 2, 7), None),  # a-invariant -2
+    ],
+)
+def test_table_and_pg_match_the_references_on_both_sides(a, rests_shorter):
+    inv = numeric_invariants(a)
+    bound, lams = inv.a_invariant, inv.lambda_i
+    if rests_shorter is None:
+        assert bound < 0
+    else:
+        rests = sum(r // lams[-1] + 1 for r in range(bound, -1, -lams[-2]))
+        k = bisect_right(ideal_oracle._box_degrees(a), bound)
+        assert (rests <= k) == rests_shorter
+    assert quotient_table(a) == table_by_histogram(a)
+    assert geometric_genus(a) == pg_by_rests(a)
+
+
+@pytest.mark.parametrize("pg_first", [True, False])
+def test_one_box_enumeration_per_tuple(monkeypatch, pg_first):
+    """p_g, the table and everything read off it share one sorted box."""
+    calls = []
+    box_sums = ideal_oracle._box_sums
+    monkeypatch.setattr(
+        ideal_oracle, "_box_sums", lambda *args: calls.append(args) or box_sums(*args)
+    )
+    for cache in (ideal_oracle._box_degrees, ideal_oracle._table_cached, brieskorn._pg_cached):
+        cache.cache_clear()
+    a = (7, 13, 16, 34, 39)
+    oracle = [quotient_table, nr_by_oracle, lambda t: quotient_dimension(t, 1)]
+    for route in [geometric_genus] + oracle if pg_first else oracle + [geometric_genus]:
+        route(a)
+    assert len(calls) == 1
+
+
+# ----------------------------------------------------------------------- budget
 
 def test_oversized_box_is_refused_before_allocation():
     a = (1000,) * 5
