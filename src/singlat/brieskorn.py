@@ -153,15 +153,16 @@ class StarGraph(_StarFields):
     """Star-shaped resolution graph: central curve plus chain families.
 
     ``quotient`` is the star's :class:`Quotient`, built on first use from
-    the fields: class 0 is the center, then each non-empty family's chain
-    positions center-outward.  ``cycles`` holds ``Z_0, Z^(1), ..., Z^(m),
-    Z_K`` as class vectors in that order; ``assemble(cycle)`` flattens one.
+    the fields: class 0 is the center, then each family's chain positions
+    center-outward, as its ``spans`` record.  ``cycles`` holds ``Z_0,
+    Z^(1), ..., Z^(m), Z_K`` as class vectors in that order;
+    ``assemble(cycle)`` flattens one with :meth:`Quotient.flatten`.
     ``graph``, the flattened :class:`DualGraph`, is emitted on first use
-    from the same quotient, so the two share its cached results; its vertex
-    order, which ``tip_indices`` and ``assemble`` rely on, is the center at
-    index 0, then each family's chain copies center-outward.
-    ``vertex_count`` is its size, read off the families; ``graph`` and
-    ``assemble`` check it against ``LATTICE_BUDGET`` before they allocate.
+    from the same quotient, so the two share its cached results; the
+    quotient alone knows its vertex order, and ``tip_indices`` asks it with
+    :meth:`Quotient.curves`.  ``vertex_count`` is its size, the sum of the
+    class sizes; ``graph`` and ``assemble`` check it against
+    ``LATTICE_BUDGET`` before they allocate.
 
     The five fields are those of the immutable record ``_StarFields``, so
     equality, hashing and ``repr`` see them alone.  This subclass declares
@@ -172,7 +173,7 @@ class StarGraph(_StarFields):
 
     @cached_property
     def vertex_count(self) -> int:
-        return 1 + sum(fam.count * len(fam.chain) for fam in self.branch_families)
+        return sum(self.quotient.sizes)
 
     def check_flat_budget(self) -> None:
         """Raise ``ResourceError`` when the flattened graph is too large."""
@@ -196,23 +197,13 @@ class StarGraph(_StarFields):
 
     def tip_indices(self, w: int) -> tuple[int, ...]:
         """Indices of the outer ends of family w's (1-based) chain copies."""
-        fams = self.branch_families
-        fam = fams[w - 1]
-        s = len(fam.chain)
-        if s == 0:
-            return ()
-        start = 1 + sum(f.count * len(f.chain) for f in fams[: w - 1])
-        return tuple(range(start + s - 1, start + fam.count * s, s))
+        first, end = self.quotient.spans[w - 1]
+        return tuple(self.quotient.curves(end - 1)) if first < end else ()
 
     def assemble(self, z: Sequence[int]) -> Cycle:
         """The cycle on the flattened graph of the class vector z."""
         self.check_flat_budget()
-        coeffs, a = [z[0]], 1
-        for fam in self.branch_families:
-            s = len(fam.chain)
-            coeffs += z[a : a + s] * fam.count
-            a += s
-        return tuple(coeffs)
+        return self.quotient.flatten(z)
 
 
 def _lcm_data(a: tuple[int, ...]) -> tuple:
@@ -358,16 +349,15 @@ def _star_cached(a: tuple[int, ...]) -> StarGraph:
     names = ["central-multiple cycle", *(f"divisor cycle {i}" for i in range(1, m + 1))]
     names.append("canonical cycle")
     quo = star.quotient
-    # ends[w]: the first class after family w's chain, and ends[0] = 1 after
-    # the center; family i's tip is class ends[i] - 1 when its chain is not empty
-    ends = list(accumulate((len(fam.chain) for fam in star.branch_families), initial=1))
     for i, z in enumerate(star.cycles):
         got = quo.products(z)
         want = [0] * len(z)
+        # family i's classes; its tip is the last one when there are any
+        first, end = quo.spans[i - 1] if 0 < i <= m else (0, 0)
         if i > m:
             want = [e + 2 - 2 * g for g, e in zip(quo.genera, quo.self_ints)]
-        elif 0 < i and ends[i] > ends[i - 1]:
-            want[ends[i] - 1] = -1
+        elif first < end:
+            want[end - 1] = -1
         else:
             want[0] = -(z[0] * inv.ghat // inv.ell)
         chains_ok = got[1:] == want[1:]
@@ -580,8 +570,9 @@ def maximal_cycle_numbers(a: Sequence[int]) -> MaximalCycleNumbers:
     a = _validated(a)
     inv = _invariants_cached(a)
     star = _star_cached(a)
-    # family m's tip is the last class, when family m is not empty
-    tip = -1 if star.branch_families[-1].chain else 0
+    # family m's tip class, or the center when family m is empty
+    first, end = star.quotient.spans[-1]
+    tip = end - 1 if first < end else 0
     eta_m, z = star.cycles[len(a)][tip], star.cycles[-1][tip]
     two_pa_minus_2 = inv.ghat_i[-1] * (z - eta_m)
     if two_pa_minus_2 % 2:
@@ -698,9 +689,9 @@ def invariant_report(a: Sequence[int]) -> dict:
     """JSON-ready summary: {"a","ell","alpha","ghat","lambda","eta","delta",
     "g","c0","pf","pg","nr","elliptic","flags"}."""
     a = _validated(a)
-    # p_g is refused on its budget before the star is built and Laufer's
-    # sequence runs on it
-    ideal_oracle._check_budget(*_pg_pairs_size(a))
+    # p_g first: a pair range or box over its budget is refused before the
+    # star is built and Laufer's sequence runs on it
+    pg = geometric_genus(a)
     inv = _invariants_cached(a)
     star = _star_cached(a)
     pf = _pf_verified(a)
@@ -715,7 +706,7 @@ def invariant_report(a: Sequence[int]) -> dict:
         "g": star.center_genus,
         "c0": star.c0,
         "pf": pf.value,
-        "pg": geometric_genus(a),
+        "pg": pg,
         "nr": normal_reduction_number(a),
         "elliptic": pf.value == 1,
         "flags": list(star.flags),

@@ -63,14 +63,15 @@ def run_tuple_checks(a: Sequence[int]) -> list[CheckResult]:
     star.check_flat_budget()
 
     def assert_same(what: str, got, want) -> None:
-        """got == want entrywise, or name the first vertex where they differ."""
-        if tuple(got) == tuple(want):
+        """got == want entrywise, or name both lengths when they differ, else
+        the first vertex where the entries do."""
+        got, want = tuple(got), tuple(want)
+        if got == want:
             return
-        bad = next((v for v, (x, y) in enumerate(zip(got, want)) if x != y), None)
-        if bad is not None:
-            raise AssertionError(
-                f"{what} {got[bad]} at vertex {bad}, expected {want[bad]}"
-            )
+        if len(got) != len(want):
+            raise AssertionError(f"{what} a vector of {len(got)} entries, expected {len(want)}")
+        bad = next(v for v, (x, y) in enumerate(zip(got, want)) if x != y)
+        raise AssertionError(f"{what} {got[bad]} at vertex {bad}, expected {want[bad]}")
 
     def assert_pairings(name: str, z, tips, at_center: int) -> None:
         """z is anti-nef and pairs to -1 at each of tips, to 0 on every other
@@ -190,15 +191,12 @@ def run_tuple_checks(a: Sequence[int]) -> list[CheckResult]:
 
     def nr_pg_bound() -> str:
         r = brieskorn.normal_reduction_number(a)
-        q = brieskorn.q_sequence(a, r)
+        bound = r * (r - 1) // 2 + brieskorn.q_sequence(a, r)[r]
         pg = brieskorn.geometric_genus(a)
         dense = brieskorn._pg_dense(a)
         _require(pg == dense, f"box-basis pg={pg} but the dense series gives pg={dense}")
-        _require(
-            ideal_oracle.nr_pg_bound_check(a),
-            f"r(r-1)/2 + q(r) = {r * (r - 1) // 2 + q[r]} > pg = {pg}",
-        )
-        return f"{r * (r - 1) // 2 + q[r]} <= pg={pg}"
+        _require(bound <= pg, f"r(r-1)/2 + q(r) = {bound} > pg = {pg}")
+        return f"{bound} <= pg={pg}"
 
     def rational_nr() -> str:
         pg = brieskorn.geometric_genus(a)

@@ -67,13 +67,14 @@ def _cmd_invariants(ns: argparse.Namespace) -> int:
 
 
 def _star_dot(star: brieskorn.StarGraph) -> str:
-    g = star.graph
-    # the curves in vertex order: the center, then family w's copy xi
-    # center-outward
-    names = [f"E0 [g={star.center_genus}]"]
-    for w, fam in enumerate(star.branch_families, start=1):
-        for xi in range(1, fam.count + 1):
-            names += (f"E_{{{w},{nu},{xi}}}" for nu in range(1, len(fam.chain) + 1))
+    g, q = star.graph, star.quotient
+    # E_{w,nu,xi} is the xi-th curve of family w's nu-th class; every curve
+    # but the center is named below
+    names = [f"E0 [g={star.center_genus}]"] * g.n
+    for w, (first, end) in enumerate(q.spans, start=1):
+        for nu, a in enumerate(range(first, end), start=1):
+            for xi, v in enumerate(q.curves(a), start=1):
+                names[v] = f"E_{{{w},{nu},{xi}}}"
     lines = ["graph star {"]
     for i, (name, e) in enumerate(zip(names, g.self_ints)):
         lines.append(f'  v{i} [label="{name} ({e})"];')

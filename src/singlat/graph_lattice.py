@@ -11,7 +11,7 @@ classes: the chain positions of a star built by ``DualGraph.from_star``, so
 that its identical chains cost one class, and one class per curve on any
 other graph.  The definiteness verdict and Z_K, from one exact elimination,
 and Laufer's Z_f run on the quotient once and are cached there per class;
-the public functions expand them through the graph's class map.  A star's
+the public functions expand them with :meth:`Quotient.flatten`.  A star's
 quotient is built from its families before any curve is emitted, so a star
 and its flattened graph share one, and ``brieskorn`` reads ``p_f`` off it
 with the class-wise pairing alone.  Pairings with every curve walk the edge
@@ -57,12 +57,19 @@ class Quotient:
     A.  A vector over the classes stands for the cycle that is ``z_A`` on
     every curve of A.  The definiteness verdict, Z_K and Z_f are computed
     on first use and cached here, one entry per class.
+
+    ``spans`` is ``None`` when every class is one curve, and on a star's
+    quotient, from :meth:`star`, family w's classes ``range(first, end)``
+    as ``spans[w] = (first, end)``, with ``first == end`` for an empty
+    family.  It fixes the star's curve layout, which :meth:`flatten` and
+    :meth:`curves` alone turn into curve indices.
     """
 
-    __slots__ = ("genera", "self_ints", "sizes", "into", "_neg_def", "_zk", "_zf")
+    __slots__ = ("genera", "self_ints", "sizes", "into", "spans", "_neg_def", "_zk", "_zf")
 
-    def __init__(self, genera, self_ints, sizes, into: list[dict[int, int]]) -> None:
+    def __init__(self, genera, self_ints, sizes, into: list[dict[int, int]], spans=None) -> None:
         self.genera, self.self_ints, self.sizes, self.into = genera, self_ints, sizes, into
+        self.spans = spans
         # the verdict, Z_K and Z_f, computed from the data above on first use;
         # that data never changes
         self._neg_def = self._zk = self._zf = None
@@ -71,22 +78,23 @@ class Quotient:
     def star(cls, center: tuple[int, int], families: Iterable[tuple[int, Sequence[int]]]):
         """The quotient of the star that :meth:`DualGraph.from_star` flattens
         from the same arguments, built from the families in O(classes): class
-        0 is the center, then each non-empty family's chain positions
-        center-outward, each of ``count`` curves.  The center and each family
-        are checked once, with the plain constructor's ``DomainError``
+        0 is the center, then each family's chain positions center-outward,
+        each of ``count`` curves, recorded in ``spans``.  The center and each
+        family are checked once, with the plain constructor's ``DomainError``
         messages; ``count`` must be a positive ``int``."""
         g0, c0 = center
         _check_vertex(g0, c0)
-        self_ints, sizes, into = [c0], [1], [{}]
+        self_ints, sizes, into, spans = [c0], [1], [{}], []
         for count, chain in families:
             if not isinstance(count, int) or count < 1:
                 raise DomainError(f"a family needs a positive integer count, got {count!r}")
             chain = list(chain)
             for e in chain:
                 _check_vertex(0, e)
+            first, s = len(sizes), len(chain)
+            spans.append((first, first + s))
             if not chain:
                 continue
-            first, s = len(sizes), len(chain)
             self_ints += chain
             sizes += [count] * s
             # the center sends count edges into the first position, and each
@@ -96,7 +104,32 @@ class Quotient:
             into += [{a - 1: 1} for a in range(first + 1, first + s)]
             for a in range(first, first + s - 1):
                 into[a][a + 1] = 1
-        return cls((g0,) + (0,) * (len(sizes) - 1), tuple(self_ints), tuple(sizes), into)
+        return cls((g0,) + (0,) * (len(sizes) - 1), tuple(self_ints), tuple(sizes), into,
+                   tuple(spans))
+
+    def flatten(self, z: Sequence) -> tuple:
+        """The class vector z as one coefficient per curve, in the vertex
+        order of the flattened graph.
+
+        That order is a contract: on a star, the center at index 0, then
+        each family's ``count`` chain copies one after the other, each
+        center-outward; with one class per curve, z itself."""
+        if self.spans is None:
+            return tuple(z)
+        out = [z[0]]
+        for first, end in self.spans:
+            if first < end:
+                out += z[first:end] * self.sizes[first]
+        return tuple(out)
+
+    def curves(self, a: int) -> range:
+        """The curves of class a, in the order of :meth:`flatten`: the
+        curves of the classes before a's family come first."""
+        for first, end in self.spans or ():
+            if first <= a < end:
+                s, start = end - first, sum(self.sizes[:first]) + a - first
+                return range(start, start + self.sizes[a] * s, s)
+        return range(a, a + 1)
 
     def products(self, z: Sequence) -> list:
         """The class-wise pairing ``(N z)_A = E_A^2 z_A + sum_B n_AB z_B``:
@@ -353,29 +386,19 @@ class DualGraph:
         """The star whose quotient :meth:`Quotient.star` built, curve by
         curve, sharing that quotient.
 
-        The vertex order is a contract: the center at index 0, then each
-        family's copies one after the other, each center-outward.  Each
-        curve's class is its chain position.  The families are read off the
-        quotient: each starts at a class that meets the center and runs to
-        the next, with its size as the count.  One chain copy is repeated
-        ``count`` times and the edges come out normalized and sorted.  Each
-        copy's first curve is joined to the center, so the graph is connected
-        by construction and needs no search.
+        The curves come in the order of :meth:`Quotient.flatten`, which
+        gives each its genus, self-intersection and class.  The center meets
+        every curve of each class next to it, and a curve of another class A
+        meets the next curve when A's chain goes on to class A + 1; so the
+        edges come out normalized and sorted, and the graph is connected by
+        construction and needs no search.
         """
-        starts = [*q.into[0], len(q.sizes)]
-        self_ints, classes, heads, keep = [q.self_ints[0]], [0], [], []
-        for first, end in zip(starts, starts[1:]):
-            count, s, start = q.sizes[first], end - first, len(self_ints)
-            heads += range(start, start + count * s, s)
-            self_ints += q.self_ints[first:end] * count
-            classes += list(range(first, end)) * count
-            # every curve of a copy but its last has an edge to the next one
-            keep += ([True] * (s - 1) + [False]) * count
-        n = len(self_ints)
-        edges = [(0, h) for h in heads]
-        edges += [(v, v + 1) for v in compress(range(1, n), keep)]
+        classes = q.flatten(list(range(len(q.sizes))))
+        goes_on = q.flatten([a and a + 1 in row for a, row in enumerate(q.into)])
+        edges = [(0, v) for b in q.into[0] for v in q.curves(b)]
+        edges += [(v, v + 1) for v in compress(range(len(classes)), goes_on)]
         g = cls.__new__(cls)
-        g._fill((q.genera[0],) + (0,) * (n - 1), tuple(self_ints), tuple(edges), tuple(classes), q)
+        g._fill(q.flatten(q.genera), q.flatten(q.self_ints), tuple(edges), classes, q)
         return g
 
     @classmethod
@@ -400,11 +423,6 @@ def _check_cycle(g: DualGraph, z: Sequence, name: str = "cycle") -> None:
         raise DimensionError(
             f"{name} has {len(z)} coefficients for a graph with {g.n} vertices"
         )
-
-
-def _expand(g: DualGraph, z: tuple) -> tuple:
-    """A class vector of g's quotient as one coefficient per curve."""
-    return z if g.classes is None else tuple(map(z.__getitem__, g.classes))
 
 
 def intersection_number(g: DualGraph, z1: Sequence, z2: Sequence):
@@ -454,7 +472,7 @@ def fundamental_cycle(g: DualGraph) -> Cycle:
     rational singularities", 1972).  ``c_A`` is positive because the form
     is negative definite.  The result is cached on the quotient.
     """
-    return _expand(g, g.quotient.fundamental_cycle())
+    return g.quotient.flatten(g.quotient.fundamental_cycle())
 
 
 def is_negative_definite(g: DualGraph) -> bool:
@@ -472,7 +490,7 @@ def canonical_qcycle(g: DualGraph) -> QCycle:
     """
     if not is_negative_definite(g):
         raise DomainError("canonical cycle needs a negative-definite graph")
-    return _expand(g, g.quotient._zk)
+    return g.quotient.flatten(g.quotient._zk)
 
 
 def _genus(z: Sequence, val) -> int:

@@ -6,12 +6,15 @@ inequality, and the lattice counts behind the colength sequence reduce to
 counting box points.  Everything here is independent of the resolution
 graph, so it doubles as a cross-check for the intersection-theoretic route.
 
-The box is prod_{i <= m-2} [0, a_i - 1].  Every route over it (the
-quotient table, the closure generators, and the box-basis count of p_g in
-``brieskorn``) checks its size against ``LATTICE_BUDGET`` before building
-any list, and raises ``ResourceError`` when it is too large.  The quotient
-table and p_g read one sorted list of the box degrees sum u_i lambda_i,
-built once per tuple: the table bisects it, p_g counts its pairs on it.
+The box is prod_{i <= m-2} [0, a_i - 1].  One degree states every
+condition on it: with lambda_i = ell / a_i and ell = lcm(a), a box point u
+has degree D(u) = sum u_i lambda_i, and x^(u, x, y) lies in the closure of
+the n-th power iff D(u) >= (n - x - y) lambda_{m-1}.  Every route over the
+box (the quotient table, the closure generators, and the box-basis count of
+p_g in ``brieskorn``) checks its size against ``LATTICE_BUDGET`` before
+building any list, and raises ``ResourceError`` when it is too large.  The
+quotient table and p_g read one sorted list of the box degrees, built once
+per tuple: the table bisects it, p_g counts its pairs on it.
 """
 
 from __future__ import annotations
@@ -73,7 +76,8 @@ def monomial_in_closure(a: Sequence[int], u: Sequence[int], n: int) -> bool:
 
     x^u lies in that closure iff
     sum_{i <= m-2} u_i / a_i  >=  (n - u_{m-1} - u_m) / a_{m-1},
-    evaluated here as an exact integer comparison.
+    that is, in the grading lambda_i = ell / a_i with ell = lcm(a), iff
+    sum_{i <= m-2} u_i lambda_i  >=  (n - u_{m-1} - u_m) lambda_{m-1}.
     """
     a = _validated(a)
     m = len(a)
@@ -84,9 +88,8 @@ def monomial_in_closure(a: Sequence[int], u: Sequence[int], n: int) -> bool:
         raise DomainError(f"monomial entries must be nonnegative integers, got {u}")
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"power must be a nonnegative integer, got {n!r}")
-    d = math.prod(a[: m - 2])
-    s = sum(ui * (d // ai) for ui, ai in zip(u[: m - 2], a[: m - 2]))
-    return a[m - 2] * s >= (n - u[m - 2] - u[m - 1]) * d
+    *lams, step = _lambdas(a)
+    return sum(ui * li for ui, li in zip(u, lams)) >= (n - u[m - 2] - u[m - 1]) * step
 
 
 class QuotientTable(NamedTuple):
@@ -113,29 +116,25 @@ def _box_sums(sizes: Sequence[int], weights: Sequence[int]) -> list[int]:
     return sums
 
 
+def _lambdas(a: tuple[int, ...]) -> list[int]:
+    """The degrees lambda_i = ell / a_i of x_1 .. x_{m-1}, ell = lcm(a)."""
+    ell = math.lcm(*a)
+    return [ell // ai for ai in a[: len(a) - 1]]
+
+
 @lru_cache(maxsize=1)
 def _box_degrees(a: tuple[int, ...]) -> tuple[int, ...]:
-    """The degrees D(u) = sum u_i lambda_i of the box points, sorted, with
-    lambda_i = ell / a_i and ell = lcm(a).  p_g and the quotient table of a
-    tuple are asked for back to back, so one entry serves both; a larger
-    cache would keep more box-sized lists alive."""
-    ell = math.lcm(*a)
-    sizes = a[: len(a) - 2]
-    return tuple(sorted(_box_sums(sizes, [ell // ai for ai in sizes])))
-
-
-def _score_weights(a: tuple[int, ...]) -> tuple[int, list[int]]:
-    """D = prod_{i <= m-2} a_i and the w_i = a_{m-1} D / a_i, so that the
-    score a_{m-1} * sum u_i (D/a_i) of a box point is sum u_i w_i."""
-    m = len(a)
-    d = math.prod(a[: m - 2])
-    return d, [a[m - 2] * (d // ai) for ai in a[: m - 2]]
+    """The degrees D(u) = sum u_i lambda_i of the box points, sorted.  p_g
+    and the quotient table of a tuple are asked for back to back, so one
+    entry serves both; a larger cache would keep more box-sized lists
+    alive."""
+    return tuple(sorted(_box_sums(a[: len(a) - 2], _lambdas(a))))
 
 
 @lru_cache(maxsize=4096)
 def _table_cached(a: tuple[int, ...]) -> QuotientTable:
     degs = _box_degrees(a)
-    step = math.lcm(*a) // a[len(a) - 2]  # lambda_{m-1}
+    step = _lambdas(a)[-1]  # lambda_{m-1}
     p = []  # p[n] counts the degrees >= (n + 1) lambda_{m-1}, up to the first 0
     while not p or p[-1]:
         p.append(len(degs) - bisect_left(degs, (len(p) + 1) * step))
@@ -150,11 +149,8 @@ def quotient_table(a: Sequence[int]) -> QuotientTable:
 
 def quotient_dimension(a: Sequence[int], n: int) -> int:
     """Number of box points u (over the first m-2 coordinates) with
-    a_{m-1} * sum u_i (D/a_i) >= (n+1) D; the n-th quotient dimension.
-
-    Multiplying by ell / (a_{m-1} D), with lambda_i = ell / a_i, turns the
-    condition into sum u_i lambda_i >= (n+1) lambda_{m-1}, so the table takes
-    one bisection of the sorted box degrees per n."""
+    sum u_i lambda_i >= (n+1) lambda_{m-1}; the n-th quotient dimension,
+    one bisection of the sorted box degrees."""
     a = _validated(a)
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"index must be a nonnegative integer, got {n!r}")
@@ -172,7 +168,7 @@ def closure_monomials(a: Sequence[int], k: int) -> list[Monomial]:
     lexicographically.  (0, ..., 0, k) is always among them.
 
     For a box point u (first m-2 coordinates) let
-    r(u) = max(0, k - floor(a_{m-1} s(u) / D)), s(u) = sum u_i (D/a_i):
+    r(u) = max(0, k - floor(D(u) / lambda_{m-1})), D(u) = sum u_i lambda_i:
     x^(u, x, y) is in the closure iff x + y >= r(u), and r does not increase
     along the box.  So (u, x, y) is a minimal generator exactly when
     x + y = r(u) and r(u - e_i) > r(u) for every i with u_i > 0.  Along each
@@ -185,22 +181,22 @@ def closure_monomials(a: Sequence[int], k: int) -> list[Monomial]:
         raise DomainError(f"power must be a positive integer, got {k!r}")
     m = len(a)
     sizes = a[: m - 2]
-    d, weights = _score_weights(a)
-    _check_budget(d * (k + 1), f"the closure generators of {a} at power {k}")
+    *weights, step = _lambdas(a)
+    _check_budget(math.prod(sizes) * (k + 1), f"the closure generators of {a} at power {k}")
     n, w = sizes[-1], weights[-1]
     minimal: list[Monomial] = []
     for head in product(*map(range, sizes[:-1])):
         base = sum(ui * wi for ui, wi in zip(head, weights))
         j = 0
         while j < n:
-            score = base + j * w
-            r = max(0, k - score // d)
-            if all(k - (score - wi) // d > r for ui, wi in zip(head, weights) if ui):
+            deg = base + j * w
+            r = max(0, k - deg // step)
+            if all(k - (deg - wi) // step > r for ui, wi in zip(head, weights) if ui):
                 u = head + (j,)
                 minimal.extend([u + (x, r - x) for x in range(r + 1)])
             if r == 0:
                 break
-            j = -((base - (score // d + 1) * d) // w)  # where floor(score / d) next grows
+            j = -((base - (deg // step + 1) * step) // w)  # where floor(deg / step) next grows
     top = (0,) * (m - 1) + (k,)
     if top not in minimal:
         raise InternalError(f"apex monomial {top} missing from the antichain")

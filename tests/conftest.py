@@ -1,9 +1,11 @@
 """Shared builders for small weighted dual graphs used across the tests,
-and the ``deadline`` marker that bounds a test's running time."""
+the references a star's curve layout is compared with, and the
+``deadline`` marker that bounds a test's running time."""
 
 import signal
 import time
 from contextlib import contextmanager
+from itertools import accumulate, compress
 
 import pytest
 from hypothesis import strategies as st
@@ -126,6 +128,76 @@ def ordered_quotient(quo):
 def per_curve(g, z):
     """The class vector z of g's quotient as one coefficient per curve."""
     return tuple(map(z.__getitem__, g.classes)) if g.classes else tuple(z)
+
+
+def star_layout_reference(q):
+    """A star's flattened layout ``(genera, self_ints, edges, classes)`` as
+    ``DualGraph.from_star_quotient`` once computed it, with the families
+    read off the center's row of the quotient: the reference for
+    ``Quotient.flatten`` and ``Quotient.curves`` and the graph emitted from
+    them."""
+    starts = [*q.into[0], len(q.sizes)]
+    self_ints, classes, heads, keep = [q.self_ints[0]], [0], [], []
+    for first, end in zip(starts, starts[1:]):
+        count, s, start = q.sizes[first], end - first, len(self_ints)
+        heads += range(start, start + count * s, s)
+        self_ints += q.self_ints[first:end] * count
+        classes += list(range(first, end)) * count
+        # every curve of a copy but its last has an edge to the next one
+        keep += ([True] * (s - 1) + [False]) * count
+    n = len(self_ints)
+    edges = [(0, h) for h in heads]
+    edges += [(v, v + 1) for v in compress(range(1, n), keep)]
+    return (q.genera[0],) + (0,) * (n - 1), tuple(self_ints), tuple(edges), tuple(classes)
+
+
+def assemble_reference(fams, z):
+    """``StarGraph.assemble`` as it once read the families, less the budget
+    check."""
+    coeffs, a = [z[0]], 1
+    for fam in fams:
+        s = len(fam.chain)
+        coeffs += z[a : a + s] * fam.count
+        a += s
+    return tuple(coeffs)
+
+
+def tip_indices_reference(fams, w):
+    """``StarGraph.tip_indices`` as it once read the families."""
+    fam = fams[w - 1]
+    s = len(fam.chain)
+    if s == 0:
+        return ()
+    start = 1 + sum(f.count * len(f.chain) for f in fams[: w - 1])
+    return tuple(range(start + s - 1, start + fam.count * s, s))
+
+
+def star_layout_mismatches(star_graph):
+    """What of a ``StarGraph``'s curve layout differs from the references
+    above, by name: the spans of its quotient (family w's classes follow the
+    center and the families before it, an empty family included), the
+    emitted graph, ``vertex_count``, ``flatten`` and ``assemble`` of a tuple
+    and of a list, ``curves`` of every class and ``tip_indices`` of every
+    family.  Empty when all match."""
+    q, fams = star_graph.quotient, star_graph.branch_families
+    genera, self_ints, edges, classes = star_layout_reference(q)
+    g = star_graph.graph
+    ends = list(accumulate((len(fam.chain) for fam in fams), initial=1))
+    z = tuple(range(7, 7 + len(q.sizes)))
+    by_class = [[] for _ in q.sizes]
+    for v, a in enumerate(classes):
+        by_class[a].append(v)
+    checks = {
+        "spans": q.spans == tuple(zip(ends, ends[1:])),
+        "graph": (g.genera, g.self_ints, g.edges, g.classes) == (genera, self_ints, edges, classes),
+        "vertex_count": star_graph.vertex_count == len(self_ints),
+        "flatten": q.flatten(z) == q.flatten(list(z)) == assemble_reference(fams, z),
+        "assemble": star_graph.assemble(list(z)) == assemble_reference(fams, z),
+        "curves": [list(q.curves(a)) for a in range(len(q.sizes))] == by_class,
+        "tip_indices": all(star_graph.tip_indices(w) == tip_indices_reference(fams, w)
+                           for w in range(1, len(fams) + 1)),
+    }
+    return [name for name, ok in checks.items() if not ok]
 
 
 def _vertex_bound(a):

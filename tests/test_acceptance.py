@@ -39,7 +39,9 @@ from singlat import (
     quotient_table,
 )
 from singlat.brieskorn import _pg_dense
-from conftest import ordered_quotient, per_curve, reference_quotient, star
+from conftest import (
+    ordered_quotient, per_curve, reference_quotient, star, star_layout_mismatches,
+)
 
 SWEEP_M_MAX = 5
 SWEEP_A_MAX = 12
@@ -75,6 +77,7 @@ class Record(NamedTuple):
     class_pairings_match_graph: bool
     class_genus_matches_graph: bool
     kept_quotient_matches_adjacency: bool
+    layout_mismatches: list
     zf_eq_z0: bool
     zf_eq_mx: bool
     pa_mx_matches_graph: bool
@@ -132,6 +135,7 @@ def sweep():
             # one the adjacency gives, row keys in order
             kept_quotient_matches_adjacency=ordered_quotient(quo)
             == ordered_quotient(reference_quotient(graph)),
+            layout_mismatches=star_layout_mismatches(star_graph),
             zf_eq_z0=zf == z0,
             zf_eq_mx=zf == mx,
             # maximal_cycle_numbers reads p_a(M_X) off the compressed cycles:
@@ -217,11 +221,13 @@ def test_criterion_05_fundamental_genus_closed_form(sweep):
     form uses is the tip coefficient of Z^(m) on the graph, Z_0 and every
     Z^(i) pair against the flattened graph as they were solved for, the
     p_a(M_X) read off the compressed cycles is the graph's, the quotient
-    each star keeps from its families is the one its adjacency gives, and
-    the class-wise pairings and p_a(Z_f) on it match the flattened graph's."""
+    each star keeps from its families is the one its adjacency gives and
+    lays the star out as its families once did, and the class-wise
+    pairings and p_a(Z_f) on it match the flattened graph's."""
     for a, r in sweep.items():
         assert r.pf == r.pf_graph, a
         assert r.kept_quotient_matches_adjacency, a
+        assert r.layout_mismatches == [], a
         assert r.class_pairings_match_graph, a
         assert r.class_genus_matches_graph, a
         assert r.pa_mx_matches_graph, a

@@ -80,6 +80,16 @@ def test_nr_pg_bound_compares_the_dense_series(monkeypatch):
     assert sum(not r.passed for r in by_name.values()) == 1
 
 
+def test_nr_pg_bound_fails_above_pg(monkeypatch):
+    """q raised by 10 everywhere keeps its differences, so only the bound
+    r(r-1)/2 + q(r) at r = nr = 2 of (3,4,7) fails, above p_g = 3."""
+    real = brieskorn.q_sequence
+    monkeypatch.setattr(brieskorn, "q_sequence", lambda a, n: tuple(v + 10 for v in real(a, n)))
+    by_name = {r.name: r for r in run_tuple_checks((3, 4, 7))}
+    assert by_name["nr-pg-bound"] == ("nr-pg-bound", False, "r(r-1)/2 + q(r) = 13 > pg = 3")
+    assert sum(not r.passed for r in by_name.values()) == 1
+
+
 def test_canonical_cycle_step_compares_the_formula_with_the_solve(monkeypatch):
     """An adjunction solve of all 7s on the flattened graph of (3,4,6): the
     formula's Z_K = (4, 2, 2, 2) still meets adjunction there, so only the
@@ -89,6 +99,22 @@ def test_canonical_cycle_step_compares_the_formula_with_the_solve(monkeypatch):
     by_name = {r.name: r for r in run_tuple_checks((3, 4, 6))}
     assert not by_name["canonical-cycle"].passed
     assert by_name["canonical-cycle"].detail == "Z_K formula is 4 at vertex 0, expected 7"
+    assert sum(not r.passed for r in by_name.values()) == 1
+
+
+@pytest.mark.parametrize("change, detail", [
+    (lambda zk: zk + (Fraction(0),), "Z_K formula is a vector of 8 entries, expected 9"),
+    (lambda zk: zk[:-1], "Z_K formula is a vector of 8 entries, expected 7"),
+], ids=["one-more", "one-fewer"])
+def test_canonical_cycle_step_compares_the_lengths(monkeypatch, change, detail):
+    """A solve with one coefficient more or one fewer than the flattened
+    graph of (3,4,7) has curves fails the comparison, naming both
+    lengths, though every coefficient it shares with the formula agrees."""
+    real = graph_lattice.canonical_qcycle
+    monkeypatch.setattr(graph_lattice, "canonical_qcycle", lambda g: change(real(g)))
+    by_name = {r.name: r for r in run_tuple_checks((3, 4, 7))}
+    assert not by_name["canonical-cycle"].passed
+    assert by_name["canonical-cycle"].detail == detail
     assert sum(not r.passed for r in by_name.values()) == 1
 
 
@@ -115,7 +141,7 @@ def test_graph_step_reads_the_flattened_center(monkeypatch):
 
     def lowered(q):
         return real(graph_lattice.Quotient(
-            q.genera, (q.self_ints[0] - 1, *q.self_ints[1:]), q.sizes, q.into))
+            q.genera, (q.self_ints[0] - 1, *q.self_ints[1:]), q.sizes, q.into, q.spans))
 
     monkeypatch.setattr(graph_lattice.DualGraph, "from_star_quotient", staticmethod(lowered))
     brieskorn._star_cached.cache_clear()

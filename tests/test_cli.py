@@ -62,6 +62,24 @@ def test_resource_budget_exits_4():
         assert "budget" in err
 
 
+@pytest.mark.deadline(5)
+@pytest.mark.parametrize("args", [
+    "invariants 101 102 103 105 107",
+    "qseq 101 102 103 105 107 -N 2",
+    "nr 101 102 103 105 107 --oracle",
+    "check 101 102 103 105 107",
+    "invariants 2 3 1000001",
+])
+def test_a_box_or_pair_range_over_budget_is_refused_before_the_star(args):
+    """The box of (101,102,103,105,107) has 1,061,106 points, its p_g pairs
+    fit; (2,3,1000001) has 4,000,008 p_g pairs.  Each command exits 4
+    before Laufer's sequence runs on the star, which would take minutes."""
+    code, out, err = invoke(args.split())
+    assert code == 4, args
+    assert out == ""
+    assert "budget" in err
+
+
 def test_long_sequences_exit_4():
     """A q-sequence q(0..10^6) or a degree-10^6 cone report would list
     10^6 + 1 entries, one above the budget."""

@@ -28,10 +28,11 @@ from singlat import (
     is_negative_definite,
     to_dot,
 )
+from singlat.brieskorn import ChainFamily, StarGraph
 from singlat.graph_lattice import Quotient
 from conftest import (
     DeadlineExceeded, chain, deadline, ordered_quotient, per_curve, reference_quotient, star,
-    wide_tuples,
+    star_layout_mismatches, wide_tuples,
 )
 
 # Laufer's sequence has no step bound, so a wrong definiteness verdict would
@@ -507,18 +508,24 @@ def _det(m):
 
 
 @st.composite
-def weighted_stars(draw):
-    """A star from ``DualGraph.from_star``, with its chain-position classes:
-    1-3 families of 1-4 copies of a chain of 0-3 curves with
-    self-intersections 0..-5, on a center of self-intersection 0..-8, so
-    that definite, indefinite and singular forms all occur."""
+def weighted_star_data(draw):
+    """``(center, families)`` for ``DualGraph.from_star``: 1-3 families of
+    1-4 copies of a chain of 0-3 curves with self-intersections 0..-5, on a
+    center of self-intersection 0..-8, so that definite, indefinite and
+    singular forms all occur."""
     families = draw(st.lists(
         st.tuples(st.integers(min_value=1, max_value=4),
                   st.lists(st.integers(min_value=-5, max_value=0), max_size=3)),
         min_size=1, max_size=3))
     center = (draw(st.integers(min_value=0, max_value=2)),
               draw(st.integers(min_value=-8, max_value=0)))
-    return DualGraph.from_star(center, families)
+    return center, families
+
+
+def weighted_stars():
+    """A star from ``DualGraph.from_star`` on :func:`weighted_star_data`,
+    with its chain-position classes."""
+    return weighted_star_data().map(lambda data: DualGraph.from_star(*data))
 
 
 @given(cyclic_graphs() | pendant_graphs() | weighted_stars())
@@ -772,10 +779,14 @@ def test_a_weighted_star_is_built_as_its_plain_twin(g):
     assert is_negative_definite(g) == is_negative_definite(twin)
 
 
-def _seifert_graph(data):
+def _seifert_data(data):
+    """Seifert data as the ``(center, families)`` of ``DualGraph.from_star``."""
     genus, c0, families = data
-    return DualGraph.from_star((genus, -c0), [(count, [-c for c in chain])
-                                              for count, chain in families])
+    return (genus, -c0), [(count, [-c for c in chain]) for count, chain in families]
+
+
+def _seifert_graph(data):
+    return DualGraph.from_star(*_seifert_data(data))
 
 
 @given(weighted_stars() | seifert_stars().map(_seifert_graph), st.data())
@@ -792,6 +803,30 @@ def test_class_wise_pairing_and_genus_match_the_flattened_star(g, data):
     assert per_curve(g, q.products(z)) == cycle_products(g, flat)
     if any(z):
         assert q.arithmetic_genus(z) == arithmetic_genus(g, flat)
+
+
+@given(weighted_star_data() | seifert_stars().map(_seifert_data))
+@settings(max_examples=300, deadline=None)
+def test_the_quotient_lays_out_the_star_as_the_references_do(data):
+    """``Quotient.flatten`` and ``Quotient.curves``, and every reader of
+    them (the emitted graph, ``StarGraph.assemble``, ``tip_indices`` and
+    ``vertex_count``), against the layout the families once gave, empty
+    families included."""
+    (genus, e0), families = data
+    star_graph = StarGraph(
+        center_genus=genus, c0=-e0, flags=(), cycles=(),
+        branch_families=tuple(ChainFamily(count, tuple(-e for e in chain), 0)
+                              for count, chain in families),
+    )
+    assert star_layout_mismatches(star_graph) == []
+    assert star_graph.graph == DualGraph.from_star((genus, e0), families)
+
+
+def test_a_plain_quotient_has_one_curve_per_class(e8):
+    q = e8.quotient
+    assert q.spans is None
+    assert q.flatten(E8_ROOT) == E8_ROOT
+    assert [q.curves(a) for a in range(e8.n)] == [range(a, a + 1) for a in range(e8.n)]
 
 
 @pytest.mark.parametrize("count", [0, -1, 1.0])

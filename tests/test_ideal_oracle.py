@@ -16,6 +16,7 @@ from singlat import (
     LATTICE_BUDGET,
     DimensionError,
     DomainError,
+    InternalError,
     QuotientTable,
     ResourceError,
     closure_monomials,
@@ -254,6 +255,75 @@ def test_closure_monomials_match_brute_force_on_large_boxes(a):
     assert closure_monomials(a, 2) == closure_antichain_naive(a, 2)
 
 
+def _score_weights(a):
+    """D = prod_{i <= m-2} a_i and the w_i = a_{m-1} D / a_i, so that the
+    score a_{m-1} * sum u_i (D/a_i) of a box point is sum u_i w_i."""
+    m = len(a)
+    d = math.prod(a[: m - 2])
+    return d, [a[m - 2] * (d // ai) for ai in a[: m - 2]]
+
+
+def monomial_in_closure_by_score(a, u, n):
+    """``monomial_in_closure`` as it once compared scores scaled by D: the
+    reference for the comparison of degrees."""
+    a = ideal_oracle._validated(a)
+    m = len(a)
+    u = tuple(u)
+    if len(u) != m:
+        raise DimensionError(f"monomial has {len(u)} entries, expected {m}")
+    if any(not isinstance(v, int) or v < 0 for v in u):
+        raise DomainError(f"monomial entries must be nonnegative integers, got {u}")
+    if not isinstance(n, int) or n < 0:
+        raise DomainError(f"power must be a nonnegative integer, got {n!r}")
+    d = math.prod(a[: m - 2])
+    s = sum(ui * (d // ai) for ui, ai in zip(u[: m - 2], a[: m - 2]))
+    return a[m - 2] * s >= (n - u[m - 2] - u[m - 1]) * d
+
+
+def closure_monomials_by_score(a, k):
+    """``closure_monomials`` as it once walked the scores scaled by D."""
+    a = ideal_oracle._validated(a)
+    if not isinstance(k, int) or k < 1:
+        raise DomainError(f"power must be a positive integer, got {k!r}")
+    m = len(a)
+    sizes = a[: m - 2]
+    d, weights = _score_weights(a)
+    ideal_oracle._check_budget(d * (k + 1), f"the closure generators of {a} at power {k}")
+    n, w = sizes[-1], weights[-1]
+    minimal = []
+    for head in iproduct(*map(range, sizes[:-1])):
+        base = sum(ui * wi for ui, wi in zip(head, weights))
+        j = 0
+        while j < n:
+            score = base + j * w
+            r = max(0, k - score // d)
+            if all(k - (score - wi) // d > r for ui, wi in zip(head, weights) if ui):
+                u = head + (j,)
+                minimal.extend([u + (x, r - x) for x in range(r + 1)])
+            if r == 0:
+                break
+            j = -((base - (score // d + 1) * d) // w)  # where floor(score / d) next grows
+    top = (0,) * (m - 1) + (k,)
+    if top not in minimal:
+        raise InternalError(f"apex monomial {top} missing from the antichain")
+    return sorted(minimal)
+
+
+@given(small_tuples | wide_tuples, st.data())
+@settings(max_examples=100, deadline=None)
+def test_the_closure_matches_the_score_references(a, data):
+    """Membership and the generators in the degree lambda against the
+    score-scale references, powers 1-4 and monomials around the apex."""
+    m = len(a)
+    for k in range(1, 5):
+        assert closure_monomials(a, k) == closure_monomials_by_score(a, k)
+    for _ in range(20):
+        u = tuple(data.draw(st.integers(min_value=0, max_value=ai - 1)) for ai in a[: m - 2])
+        u += tuple(data.draw(st.integers(min_value=0, max_value=4)) for _ in range(2))
+        n = data.draw(st.integers(min_value=0, max_value=12))
+        assert monomial_in_closure(a, u, n) == monomial_in_closure_by_score(a, u, n)
+
+
 # ------------------------------------------------------- the shared sorted box
 
 def test_box_sums_enumerate_the_box_in_lex_order():
@@ -275,9 +345,12 @@ def box_sums_pruned(sizes, weights, bound):
 
 def table_by_histogram(a):
     """The quotient table by a histogram of the box points' scores, one pass
-    over every point."""
-    sizes = a[: len(a) - 2]
-    d, weights = ideal_oracle._score_weights(a)
+    over every point.  The score of u is a_{m-1} sum u_i (D/a_i) with
+    D = prod_{i <= m-2} a_i, and u counts for p(n) when it is >= (n+1) D."""
+    m = len(a)
+    sizes = a[: m - 2]
+    d = math.prod(sizes)
+    weights = [a[m - 2] * (d // ai) for ai in sizes]
     top = 0
     hist = {}
     for score in box_sums_pruned(sizes, weights, sum((n - 1) * w for n, w in zip(sizes, weights))):
