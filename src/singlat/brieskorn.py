@@ -14,9 +14,11 @@ import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, combinations_with_replacement, islice, repeat
-from operator import mul
-from typing import NamedTuple, Sequence
+from itertools import (
+    accumulate, chain, combinations_with_replacement, compress, count, islice, repeat,
+)
+from operator import add, and_, eq, floordiv, ge, lt, mod, mul, ne, neg, sub
+from typing import Iterator, NamedTuple, Sequence
 
 from . import ideal_oracle
 from .errors import ConsistencyError, ConstructionError, DomainError, InternalError
@@ -213,8 +215,10 @@ def _lcm_data(a: tuple[int, ...]) -> tuple:
 
     ``ell_i`` is the lcm of the prefix lcm before ``a_i`` and the suffix lcm
     after it, so the lcms take O(m) calls.  The five consistency checks of
-    the data run here, so the record and the elliptic scans share them; a
-    failure raises ``InternalError``.
+    the data run here; a failure raises ``InternalError``.  This is the
+    record's kernel, for one tuple; the elliptic scans run the same checks
+    on a box through :func:`_lcm_columns`, and the tests compare the two
+    tuple by tuple.
     """
     lcm = math.lcm
     suf = list(accumulate(a[:0:-1], lcm, initial=1))  # lcm(a[m-j:]), j = 0..m-1
@@ -253,11 +257,68 @@ def _lcm_data(a: tuple[int, ...]) -> tuple:
     return ell, ell_i, alphas, alpha, ghat, tuple(ghats), lams, tuple(eta), eta_m, delta
 
 
+def _first(flags) -> int | None:
+    """Index of the first true flag, or None."""
+    return next(compress(count(), flags), None)
+
+
+def _lcm_columns(cols: Sequence[Sequence[int]]) -> tuple:
+    """:func:`_lcm_data` on a chunk of tuples held in columns, ``cols[i]``
+    the ``a_i`` of each tuple: the same ten fields in their order, a scalar
+    field as one column and an indexed field as a list of columns.
+
+    Each quantity is one ``map`` over the chunk and each of the five checks
+    one pass of ``any`` or :func:`_first`, so the per-tuple work runs in C.
+    A failure raises the message of :func:`_lcm_data`, naming the values of
+    the first tuple in the chunk that fails that check.
+    """
+    lcm = math.lcm
+    # suf[i] = lcm(a[i+1:]) for i = 0..m-2 and pre[i] = lcm(a[:i+1]); an
+    # lcm with 1 is left out
+    suf = [cols[-1]]
+    for c in cols[-2:0:-1]:
+        suf.append(list(map(lcm, suf[-1], c)))
+    suf.reverse()
+    pre = [cols[0]]
+    for c in cols[1:-1]:
+        pre.append(list(map(lcm, pre[-1], c)))
+    ell = list(map(lcm, cols[0], suf[0]))
+    ell_i = [suf[0], *(list(map(lcm, p, s)) for p, s in zip(pre, suf[1:])), pre[-1]]
+    alphas = [list(map(floordiv, ell, li)) for li in ell_i]
+    alpha = alphas[0]
+    for al in alphas[1:]:
+        alpha = map(mul, alpha, al)
+    alpha = list(alpha)
+    if (k := _first(map(mod, ell, alpha))) is not None:
+        raise InternalError(f"alpha = {alpha[k]} does not divide ell = {ell[k]}")
+    prod_a = cols[0]
+    for c in cols[1:]:
+        prod_a = map(mul, prod_a, c)
+    ghat = list(map(floordiv, prod_a, ell))
+    nums = [list(map(mul, ghat, al)) for al in alphas]
+    if any(map(mod, chain(*nums), chain(*cols))):
+        raise InternalError("branch count ghat_i is not integral")
+    ghats = [list(map(floordiv, num, c)) for num, c in zip(nums, cols)]
+    lams = [list(map(floordiv, ell, c)) for c in cols]
+    if any(map(ne, map(math.gcd, chain(*lams), chain(*alphas)), repeat(1))):
+        raise InternalError("lambda_w and alpha_w are not coprime")
+    alpha_m = alphas[-1]
+    if any(map(mod, chain(*lams[:-1]), alpha_m * (len(cols) - 1))):
+        raise InternalError("lambda_i / alpha_m is not integral")
+    eta = [list(map(floordiv, lam, alpha_m)) for lam in lams[:-1]]
+    # the round-up of lambda_m/alpha_m, as in _lcm_data
+    eta_m = list(map(neg, map(floordiv, map(neg, lams[-1]), alpha_m)))
+    delta = list(map(sub, eta[-1], eta_m))
+    if (k := _first(map(lt, delta, repeat(0)))) is not None:
+        raise InternalError(f"delta = {delta[k]} is negative")
+    return ell, ell_i, alphas, alpha, ghat, ghats, lams, eta, eta_m, delta
+
+
 @lru_cache(maxsize=2048)
 def _invariants_cached(a: tuple[int, ...]) -> BCIInvariants:
     """The record of ``a``: the lcm data of :func:`_lcm_data`, checked there,
     plus the a-invariant and the multiplicity.  Cached for the per-tuple
-    paths; the elliptic scans read the kernel and build no record."""
+    paths; the elliptic scans read :func:`_lcm_columns` and build no record."""
     m = len(a)
     data = _lcm_data(a)
     ell, lams = data[0], data[6]
@@ -439,6 +500,34 @@ def _pf_value(a: tuple[int, ...]) -> FundamentalGenus:
     if num % (2 * ell):
         raise InternalError(f"fundamental genus 1 + {num}/{2 * ell} is not an integer")
     return FundamentalGenus(1 + num // (2 * ell), sel)
+
+
+def _pf_columns(cols: Sequence[Sequence[int]]) -> list[int]:
+    """The values of :func:`_pf_value` on a chunk of tuples in columns, as
+    one column, from the data of :func:`_lcm_columns`; each step is one
+    ``map`` over the chunk, and the two checks of :func:`_pf_value` raise its
+    messages, naming the first tuple that fails."""
+    ell, ell_i, _, alpha, ghat, ghat_i, lams, _, eta_m, _ = _lcm_columns(cols)
+    ghat_m, lam_m = ghat_i[-1], lams[-1]
+    head = map(mul, map(mul, ghat, ell), repeat(len(cols) - 2))
+    for g, li in zip(ghat_i[:-1], ell_i[:-1]):
+        head = map(sub, head, map(mul, g, li))
+    head = list(head)
+    # z0 = alpha (head - ghat_m ell_m - (alpha - 1) ghat)
+    z0 = map(sub, head, map(mul, ghat_m, ell_i[-1]))
+    z0 = map(sub, z0, map(sub, map(mul, alpha, ghat), ghat))
+    z0 = list(map(mul, alpha, z0))
+    # mx = lam_m head - (2 eta_m - 1) ghat_m ell
+    mx = map(mul, map(sub, map(add, eta_m, eta_m), repeat(1)), map(mul, ghat_m, ell))
+    mx = list(map(sub, map(mul, lam_m, head), mx))
+    if any(map(and_, map(eq, lam_m, alpha), map(ne, z0, mx))):
+        raise InternalError("the two fundamental-genus formulas disagree at lambda_m = alpha")
+    # z0 where lambda_m >= alpha, else mx
+    num = list(map(add, mx, map(mul, map(ge, lam_m, alpha), map(sub, z0, mx))))
+    two_ell = list(map(add, ell, ell))
+    if (k := _first(map(mod, num, two_ell))) is not None:
+        raise InternalError(f"fundamental genus 1 + {num[k]}/{two_ell[k]} is not an integer")
+    return list(map(add, map(floordiv, num, two_ell), repeat(1)))
 
 
 @lru_cache(maxsize=4096)
@@ -636,27 +725,48 @@ def is_elliptic(a: Sequence[int]) -> bool:
     return _pf_verified(_validated(a)).value == 1
 
 
+_SCAN_CHUNK = 1024  # tuples per chunk; larger chunks cost memory for no speed
+
+
+def _scan_box(m_max: int, a_max: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """``(a, p_f)`` for every tuple of the box 3 <= m <= m_max, a_m <= a_max,
+    m by m and in ``combinations_with_replacement`` order.  The box is read
+    in chunks of ``_SCAN_CHUNK`` tuples, and ``p_f`` comes from the columnar
+    kernel :func:`_pf_columns` with every check of the record's; no record
+    is built and no cache is filled."""
+    for m in range(3, m_max + 1):
+        box = combinations_with_replacement(range(2, a_max + 1), m)
+        while chunk := list(islice(box, _SCAN_CHUNK)):
+            yield from zip(chunk, _pf_columns(list(zip(*chunk))))
+
+
+def _laufer_checked(found: list[tuple[tuple[int, ...], int]]) -> list[tuple[int, ...]]:
+    """The tuples of the scanned ``(a, p_f)`` pairs in lex order, after each
+    ``p_f`` has been compared with the one that Laufer's algorithm verifies
+    on the star's classes."""
+    for a, pf in found:
+        laufer = _pf_verified(a).value
+        if pf != laufer:
+            raise ConsistencyError(
+                f"scanned fundamental genus {pf} of {a} disagrees with the Laufer value {laufer}"
+            )
+    return sorted(a for a, _ in found)
+
+
 def classify_elliptic(m_max: int, a_max: int) -> list[tuple[int, ...]]:
     """All elliptic exponent tuples with m <= m_max and a_m <= a_max, in lex order.
 
-    The box is scanned by the closed form, which reads the uncached lcm
-    kernel with every consistency check; no invariant record is built and
-    no cache is filled for a tuple that is not reported.  Every tuple
-    reported is cross-checked against Laufer's algorithm on its star's classes.
+    The box is scanned in columns by :func:`_scan_box`, whose closed form
+    runs every consistency check of the record's kernel; no invariant
+    record is built and no cache is filled for a tuple that is not
+    reported.  Every tuple reported has its scanned p_f compared with the
+    one Laufer's algorithm verifies on its star's classes.
     """
     if not isinstance(m_max, int) or m_max < 3:
         raise DomainError("m_max must be an integer at least 3")
     if not isinstance(a_max, int) or a_max < 2:
         raise DomainError("a_max must be an integer at least 2")
-    found = [
-        t
-        for m in range(3, m_max + 1)
-        for t in combinations_with_replacement(range(2, a_max + 1), m)
-        if _pf_value(t).value == 1
-    ]
-    for t in found:
-        _pf_verified(t)
-    return sorted(found)
+    return _laufer_checked([(a, pf) for a, pf in _scan_box(m_max, a_max) if pf == 1])
 
 
 def br2_exceptions() -> list[tuple[int, int, int]]:
@@ -664,25 +774,19 @@ def br2_exceptions() -> list[tuple[int, int, int]]:
     ideal has normal reduction number two while p_f != 1 and p_g = 3, in lex
     order.
 
-    The list is derived by scanning that box with the closed forms for nr and
-    p_f and the box-basis p_g; every tuple reported has its p_f cross-checked
-    against Laufer's algorithm.  p_f reads the uncached lcm kernel with every
-    consistency check, so only the tuples with nr = 2 and p_f != 1 reach
-    the invariant record and the p_g cache.  The scan finds (3, 4, 6) and
-    (3, 4, 7), both with p_f = 2.  Other non-elliptic tuples do reach nr = 2
-    with a different p_g, e.g. (2, 5, 10) with p_f = 2 and p_g = 4.
+    The list is derived by scanning that box with :func:`_scan_box` for
+    p_f, the closed form for nr and the box-basis p_g; every tuple reported
+    has its scanned p_f compared with the one Laufer's algorithm verifies.
+    The scan builds no record, so only the tuples with nr = 2 and p_f != 1
+    reach the invariant record and the p_g cache.  The scan finds (3, 4, 6)
+    and (3, 4, 7), both with p_f = 2.  Other non-elliptic tuples do reach
+    nr = 2 with a different p_g, e.g. (2, 5, 10) with p_f = 2 and p_g = 4.
     """
-    found = [
-        t
-        for m in range(3, 6)
-        for t in combinations_with_replacement(range(2, 13), m)
-        if normal_reduction_number(t) == 2
-        and _pf_value(t).value != 1
-        and _pg_cached(t) == 3
-    ]
-    for t in found:
-        _pf_verified(t)
-    return sorted(found)
+    return _laufer_checked([
+        (a, pf)
+        for a, pf in _scan_box(5, 12)
+        if pf != 1 and normal_reduction_number(a) == 2 and _pg_cached(a) == 3
+    ])
 
 
 def invariant_report(a: Sequence[int]) -> dict:

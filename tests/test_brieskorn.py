@@ -3,6 +3,7 @@ distinguished cycles, genera, reduction numbers, the elliptic census."""
 
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, gcd, lcm, prod
@@ -163,6 +164,11 @@ def test_lcm_kernel_against_the_definitions(a):
     assert tuple(inv)[1:11] == data
 
 
+def _columns(a):
+    """The columns of a chunk that holds the one tuple ``a``."""
+    return [(x,) for x in a]
+
+
 @pytest.mark.parametrize(
     "a, fake, message",
     [
@@ -178,45 +184,103 @@ def test_lcm_kernel_against_the_definitions(a):
 )
 def test_every_kernel_check_can_fire(monkeypatch, a, fake, message):
     """Each consistency check of the lcm data raises, with its message, on
-    the record's path and on the elliptic scan's."""
+    the record's path and on the elliptic scan's columnar kernel."""
     real = {name: getattr(math, name) for name in ("lcm", "gcd", "prod")}
     monkeypatch.setattr(brieskorn, "math", SimpleNamespace(**{**real, **fake}))
     for route in (
-        brieskorn._lcm_data, brieskorn._invariants_cached.__wrapped__, brieskorn._pf_value
+        brieskorn._lcm_data, brieskorn._invariants_cached.__wrapped__, brieskorn._pf_value,
+        lambda a: brieskorn._lcm_columns(_columns(a)),
+        lambda a: brieskorn._pf_columns(_columns(a)),
     ):
         with pytest.raises(InternalError) as err:
             route(a)
         assert str(err.value) == message
 
 
-def _with_kernel(monkeypatch, field, change):
-    """Let the scan read the lcm data with one field changed."""
-    real = brieskorn._lcm_data
+def test_a_column_check_names_the_first_tuple_that_fails(monkeypatch):
+    """On a chunk, a failed check names the values of its first failing tuple."""
+    real = {name: getattr(math, name) for name in ("lcm", "gcd", "prod")}
+    monkeypatch.setattr(brieskorn, "math", SimpleNamespace(**{**real, "lcm": max}))
+    # (2, 3, 4) and (2, 3, 6) pass the alpha check under this lcm; (2, 3, 7)
+    # and (2, 4, 9) fail it
+    cols = list(zip((2, 3, 4), (2, 3, 6), (2, 3, 7), (2, 4, 9)))
+    with pytest.raises(InternalError, match="^alpha = 2 does not divide ell = 7$"):
+        brieskorn._lcm_columns(cols)
 
-    def changed(a):
-        data = list(real(a))
-        data[field] = change(data[field])
+
+def _pf_with_changed_kernel(monkeypatch, scan, a, field, change):
+    """p_f of ``a`` with one field of its lcm data changed: on the record's
+    route, or on the scan's with ``a`` as a one-tuple chunk."""
+    if not scan:
+        real = brieskorn._lcm_data
+
+        def changed(a):
+            data = list(real(a))
+            data[field] = change(data[field])
+            return tuple(data)
+
+        monkeypatch.setattr(brieskorn, "_lcm_data", changed)
+        return brieskorn._pf_value(a).value
+    real_cols = brieskorn._lcm_columns
+
+    def changed_cols(cols):
+        data = list(real_cols(cols))
+        value = data[field]
+        if isinstance(value[0], int):  # one column
+            data[field] = [change(value[0])]
+        else:  # one column per index
+            data[field] = [[x] for x in change(tuple(c[0] for c in value))]
         return tuple(data)
 
-    monkeypatch.setattr(brieskorn, "_lcm_data", changed)
+    monkeypatch.setattr(brieskorn, "_lcm_columns", changed_cols)
+    return brieskorn._pf_columns(_columns(a))[0]
 
 
 def test_pf_formulas_must_agree_at_lambda_m_equal_alpha(monkeypatch):
     assert brieskorn._pf_value((2, 3, 6)).cycle == "both"
-    _with_kernel(monkeypatch, 8, lambda eta_m: eta_m + 1)
-    with pytest.raises(
-        InternalError,
-        match="^the two fundamental-genus formulas disagree at lambda_m = alpha$",
-    ):
-        brieskorn._pf_value((2, 3, 6))
+    for scan in (False, True):
+        with pytest.raises(
+            InternalError,
+            match="^the two fundamental-genus formulas disagree at lambda_m = alpha$",
+        ):
+            _pf_with_changed_kernel(monkeypatch, scan, (2, 3, 6), 8, lambda eta_m: eta_m + 1)
 
 
 def test_pf_must_be_an_integer(monkeypatch):
-    _with_kernel(monkeypatch, 5, lambda ghat_i: (ghat_i[0] + 1, *ghat_i[1:]))
-    with pytest.raises(
-        InternalError, match=r"^fundamental genus 1 \+ -\d+/84 is not an integer$"
-    ):
-        brieskorn._pf_value((2, 3, 7))
+    for scan in (False, True):
+        with pytest.raises(
+            InternalError, match=r"^fundamental genus 1 \+ -\d+/84 is not an integer$"
+        ):
+            _pf_with_changed_kernel(
+                monkeypatch, scan, (2, 3, 7), 5, lambda ghat_i: (ghat_i[0] + 1, *ghat_i[1:])
+            )
+
+
+def test_the_column_kernel_matches_the_record_kernel():
+    """Every field of the columnar lcm data, read back tuple by tuple,
+    equals the record kernel's on every tuple of m = 3..6, a_m <= 12."""
+    for m in range(3, 7):
+        box = list(combinations_with_replacement(range(2, 13), m))
+        data = brieskorn._lcm_columns(list(zip(*box)))
+        fields = [f if isinstance(f[0], int) else list(zip(*f)) for f in data]
+        assert list(zip(*fields)) == [brieskorn._lcm_data(a) for a in box]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk-1", "chunk-7", "default"])
+def test_the_box_scan_matches_the_record_kernel(monkeypatch, chunk):
+    """The scan's p_f equals the record kernel's on every tuple of two boxes,
+    in the order of the boxes; the default chunk is larger than the m = 3
+    box and ends part-way through the larger ones."""
+    if chunk:
+        monkeypatch.setattr(brieskorn, "_SCAN_CHUNK", chunk)
+    for m_min, m_max, a_max in ((3, 5, 16), (6, 6, 10)):
+        got = [(a, pf) for a, pf in brieskorn._scan_box(m_max, a_max) if len(a) >= m_min]
+        want = [
+            (a, brieskorn._pf_value(a).value)
+            for m in range(m_min, m_max + 1)
+            for a in combinations_with_replacement(range(2, a_max + 1), m)
+        ]
+        assert got == want
 
 
 # ----------------------------------------------------------- resolution graphs
@@ -965,22 +1029,52 @@ def test_non_integer_arguments_raise_domain_error(func, args):
         func(*args)
 
 
+def _with_scanned_pf(monkeypatch, a, value):
+    """Let the box scan report ``value`` as the p_f of ``a``."""
+    real = brieskorn._pf_columns
+
+    def patched(cols):
+        return [value if t == a else pf for t, pf in zip(zip(*cols), real(cols))]
+
+    monkeypatch.setattr(brieskorn, "_pf_columns", patched)
+
+
 def test_classify_elliptic_verifies_what_it_reports(monkeypatch):
-    """A closed form that wrongly calls (2, 3, 5) elliptic is caught by the
+    """A scan that wrongly calls (2, 3, 5) elliptic is caught by the
     Laufer cross-check instead of being reported."""
-    real = brieskorn._pf_value
+    _with_scanned_pf(monkeypatch, (2, 3, 5), 1)
+    with pytest.raises(
+        ConsistencyError,
+        match=r"^scanned fundamental genus 1 of \(2, 3, 5\) disagrees with the Laufer value 0$",
+    ):
+        classify_elliptic(3, 5)
 
-    def patched(a):
-        pf = real(a)
-        return pf._replace(value=1) if a == (2, 3, 5) else pf
 
-    brieskorn._pf_verified.cache_clear()
-    monkeypatch.setattr(brieskorn, "_pf_value", patched)
+def test_br2_exceptions_verifies_what_it_reports(monkeypatch):
+    """A wrong scanned p_f of a reported tuple is caught by the Laufer
+    cross-check."""
+    _with_scanned_pf(monkeypatch, GAMMA1, 3)
+    with pytest.raises(
+        ConsistencyError,
+        match=r"^scanned fundamental genus 3 of \(3, 4, 6\) disagrees with the Laufer value 2$",
+    ):
+        br2_exceptions()
+
+
+def test_classify_elliptic_scans_the_box_in_chunks():
+    """The census holds one chunk's columns at a time: its tracemalloc peak
+    on the 8,463 tuples of m <= 5, a_m <= 14 stays below a bound that the
+    columns of the whole m = 5 box (6,188 tuples) exceed."""
+    for cache in (brieskorn._pf_verified, brieskorn._star_cached, brieskorn._invariants_cached):
+        cache.cache_clear()
+    tracemalloc.start()
     try:
-        with pytest.raises(ConsistencyError, match="Laufer value 0"):
-            classify_elliptic(3, 5)
+        found = classify_elliptic(5, 14)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
-        brieskorn._pf_verified.cache_clear()
+        tracemalloc.stop()
+    assert len(found) == 52
+    assert peak < 2_000_000
 
 
 def test_classify_elliptic_builds_records_only_for_what_it_reports():
