@@ -199,6 +199,9 @@ class StarGraph(_StarFields):
 
     def tip_indices(self, w: int) -> tuple[int, ...]:
         """Indices of the outer ends of family w's (1-based) chain copies."""
+        m = len(self.branch_families)
+        if not isinstance(w, int) or not 1 <= w <= m:
+            raise DomainError(f"family index {w!r} outside 1..{m}")
         first, end = self.quotient.spans[w - 1]
         return tuple(self.quotient.curves(end - 1)) if first < end else ()
 
@@ -483,7 +486,8 @@ class FundamentalGenus(NamedTuple):
 
 
 def _pf_value(a: tuple[int, ...]) -> FundamentalGenus:
-    ell, ell_i, _, alpha, ghat, ghat_i, lams, _, eta_m, _ = _lcm_data(a)
+    # the record holds the fields of _lcm_data after a, in their order
+    _, ell, ell_i, _, alpha, ghat, ghat_i, lams, _, eta_m, *_ = _invariants_cached(a)
     ghat_m, lam_m = ghat_i[-1], lams[-1]
     # each branch gives 2 ell (p_f - 1) in integers, using ell / alpha_w = ell_w
     head = (len(a) - 2) * ghat * ell - sum(map(mul, ghat_i[:-1], ell_i[:-1]))

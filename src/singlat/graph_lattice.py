@@ -11,7 +11,12 @@ classes: the chain positions of a star built by ``DualGraph.from_star``, so
 that its identical chains cost one class, and one class per curve on any
 other graph.  The definiteness verdict and Z_K, from one exact elimination,
 and Laufer's Z_f run on the quotient once and are cached there per class;
-the public functions expand them with :meth:`Quotient.flatten`.  A star's
+the public functions expand them with :meth:`Quotient.flatten`.  The
+elimination runs in integers on the classes that a pendant order reaches,
+every class of a star: each keeps its pivot and right-hand side as one
+gcd-reduced triple over a common positive denominator, one gcd per step.
+``Fraction``s remain for the 2-core of a graph with cycles and for the
+entries of Z_K, one per class.  A star's
 quotient is built from its families before any curve is emitted, so a star
 and its flattened graph share one, and ``brieskorn`` reads ``p_f`` off it
 with the class-wise pairing alone.  Pairings with every curve walk the edge
@@ -23,6 +28,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from itertools import compress
+from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -210,45 +216,81 @@ class Quotient:
           that of the flattened graph, in any order.
 
         The form is negative definite exactly when every pivot is negative, so
-        the elimination stops at the first pivot >= 0 and every division
-        below is by a negative number.  Three steps:
+        the elimination stops at the first pivot >= 0.  Three steps:
 
         - Order: a class with exactly one neighbouring class not yet ordered
           is taken from a stack of such classes, which is refilled as
-          neighbours drop to one.  Eliminated in that order, it creates no
-          fill-in (Parter, "The use of linear graphs in Gauss elimination",
-          1961).  This orders every class of a star, or of any tree.  The
-          classes left over, the 2-core, follow in index order.
-        - Eliminate: one pass over that order on sparse rows.
-        - Back-substitute in reverse order.
+          neighbours drop to one; that neighbour is its later one.
+          Eliminated in that order, it creates no fill-in (Parter, "The use
+          of linear graphs in Gauss elimination", 1961).  This orders every
+          class of a star, or of any tree.  The classes left over, the
+          2-core, follow in index order.
+        - Eliminate.  A pendant class i changes only its later neighbour j,
+          and there only j's pivot and right-hand side, so these stay
+          integers, as in Bareiss's integer-preserving elimination
+          ("Sylvester's identity and multistep integer-preserving Gaussian
+          elimination", 1968): class a holds the triple ``(P_a, Y_a, S_a)``
+          for the pivot ``P_a / S_a`` and the right-hand side ``Y_a / S_a``,
+          with ``S_a > 0``, so the pivot is negative when ``P_a`` is.  With
+          ``q = -P_i`` the fold is ``P_j <- q P_j + N_ji N_ij S_i S_j``,
+          ``Y_j <- q Y_j + N_ji Y_i S_j`` and ``S_j <- q S_j``, and one gcd
+          divides all three.  The 2-core, which no star has, is then
+          eliminated with its fill-in on sparse rows of ``Fraction``s,
+          seeded from the triples.
+        - Back-substitute in reverse order: the 2-core in ``Fraction``s, then
+          each pendant class as ``x_i = (Y_i - N_ij S_i x_j) / P_i``, kept as
+          a pair ``X_i / D_i`` in lowest terms with ``D_i > 0``.  As ``X_j``
+          and ``D_j`` are coprime, two gcds reduce it, each against a number
+          of class i's own, ``N_ij S_i`` and ``P_i``, as in Henrici's rule
+          for adding fractions (Knuth, TAOCP vol. 2, 4.5.1).  Z_K's
+          ``Fraction``s are made from these pairs, one per class, and on a
+          tree they are the only ones.
 
         Linear-time in the classes on trees.
         """
         into, self_ints = self.into, self.self_ints
+        n = len(into)
         # deg[a]: the neighbouring classes of a not yet ordered, 0 once a is; a
         # one-class graph starts with its class on the stack
         deg = [len(row) for row in into]
-        stack = [a for a in range(len(into) - 1, -1, -1) if deg[a] < 2]
-        order: list[int] = []
+        stack = [a for a in range(n - 1, -1, -1) if deg[a] < 2]
+        pendant: list[int] = []
+        later = [-1] * n  # a pendant class's later neighbour, -1 for a tree's last
         while stack:
             a = stack.pop()
-            order.append(a)
+            pendant.append(a)
             if deg[a]:  # else its last neighbour went first: a is what is left of a tree
                 deg[a] = 0
-                b = next(b for b in into[a] if deg[b])
+                b = later[a] = next(b for b in into[a] if deg[b])
                 deg[b] -= 1
                 if deg[b] == 1:
                     stack.append(b)
         # every class not yet ordered has two or more such neighbours
-        order += [a for a in range(len(into)) if deg[a]]
+        core = [a for a in range(n) if deg[a]]
 
-        # rows[a][b] = N_ab; once a is eliminated, rows[a] is its reduced row
-        # over the classes after it, pivot included
-        rows = [{b: into[b][a] for b in row} for a, row in enumerate(into)]
-        for a, e in enumerate(self_ints):
-            rows[a][a] = Fraction(e)
-        y = [Fraction(e + 2 - 2 * gen) for e, gen in zip(self_ints, self.genera)]
-        for i in order:
+        P = list(self_ints)
+        Y = [e + 2 - 2 * gen for e, gen in zip(self_ints, self.genera)]
+        S = [1] * n
+        for i in pendant:
+            q = -P[i]
+            if q <= 0:
+                self._neg_def = False
+                return
+            j = later[i]
+            if j >= 0:
+                s, n_ji = S[j], into[i][j]
+                p = q * P[j] + n_ji * into[j][i] * S[i] * s
+                y = q * Y[j] + n_ji * Y[i] * s
+                s *= q
+                g = gcd(p, y, s)
+                P[j], Y[j], S[j] = p // g, y // g, s // g
+
+        # rows[a][b] = N_ab over the 2-core; once a is eliminated, rows[a] is
+        # its reduced row over the classes after it, pivot included
+        rows = {a: {b: into[b][a] for b in into[a] if deg[b]} | {a: Fraction(P[a], S[a])}
+                for a in core}
+        x = {a: Fraction(Y[a], S[a]) for a in core}
+        for i in core:
             row = rows[i]
             piv = row.pop(i)
             if piv >= 0:
@@ -258,17 +300,33 @@ class Quotient:
                 f = rows[j].pop(i) / piv
                 for k, u in row.items():
                     rows[j][k] = rows[j].get(k, 0) - f * u
-                y[j] -= f * y[i]
+                x[j] -= f * x[i]
             row[i] = piv
 
-        # y_i becomes x_i = (y_i - sum_k rows_ik x_k) / pivot_i
-        for i in reversed(order):
+        # x_i = (y_i - sum_k rows_ik x_k) / pivot_i on the 2-core, then the
+        # pendant classes as pairs X_i / D_i
+        X, D = [0] * n, [1] * n
+        for i in reversed(core):
             piv = rows[i].pop(i)
             for k, u in rows[i].items():
-                y[i] -= u * y[k]
-            y[i] /= piv
+                x[i] -= u * x[k]
+            x[i] /= piv
+            X[i], D[i] = x[i].numerator, x[i].denominator
+        for i in reversed(pendant):
+            j, num, d = later[i], Y[i], 1
+            if j >= 0:
+                # x_i = (Y_i D_j - c X_j) / (P_i D_j) with c = N_ij S_i.  As
+                # X_j and D_j are coprime, the numerator shares h = gcd(c, D_j)
+                # with D_j, and once divided by h, nothing with D_j / h
+                c = into[j][i] * S[i]
+                h = gcd(c, D[j])
+                d = D[j] // h
+                num = num * d - c // h * X[j]
+            # any other common factor divides P_i, which is negative
+            g = -gcd(num, P[i])
+            X[i], D[i] = num // g, P[i] // g * d
         self._neg_def = True
-        self._zk = tuple(y)
+        self._zk = tuple(map(Fraction, X, D))
 
 
 class DualGraph:

@@ -187,8 +187,11 @@ def test_every_kernel_check_can_fire(monkeypatch, a, fake, message):
     the record's path and on the elliptic scan's columnar kernel."""
     real = {name: getattr(math, name) for name in ("lcm", "gcd", "prod")}
     monkeypatch.setattr(brieskorn, "math", SimpleNamespace(**{**real, **fake}))
+    # _pf_value reads the record, so it must not find one cached before the fake
+    record = brieskorn._invariants_cached.__wrapped__
+    monkeypatch.setattr(brieskorn, "_invariants_cached", record)
     for route in (
-        brieskorn._lcm_data, brieskorn._invariants_cached.__wrapped__, brieskorn._pf_value,
+        brieskorn._lcm_data, record, brieskorn._pf_value,
         lambda a: brieskorn._lcm_columns(_columns(a)),
         lambda a: brieskorn._pf_columns(_columns(a)),
     ):
@@ -220,6 +223,9 @@ def _pf_with_changed_kernel(monkeypatch, scan, a, field, change):
             return tuple(data)
 
         monkeypatch.setattr(brieskorn, "_lcm_data", changed)
+        # the record that _pf_value reads, built from the changed data and not cached
+        record = brieskorn._invariants_cached.__wrapped__
+        monkeypatch.setattr(brieskorn, "_invariants_cached", record)
         return brieskorn._pf_value(a).value
     real_cols = brieskorn._lcm_columns
 
@@ -734,6 +740,16 @@ def test_divisor_cycle_index_range():
         divisor_cycle((2, 3, 5), 0)
     with pytest.raises(DomainError):
         divisor_cycle((2, 3, 5), 4)
+
+
+@pytest.mark.parametrize("w", [0, -1, 4])
+def test_tip_indices_index_range(w):
+    """A family index outside 1..m is refused, not read from the end of the
+    layout: on (2, 3, 7), 0 and -1 once gave family 3's and family 2's tips."""
+    star = dual_graph((2, 3, 7))
+    assert [star.tip_indices(i) for i in (1, 2, 3)] == [(1,), (2,), (3,)]
+    with pytest.raises(DomainError, match=rf"^family index {w} outside 1\.\.3$"):
+        star.tip_indices(w)
 
 
 @given(exponent_tuples | wide_tuples)

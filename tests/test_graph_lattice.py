@@ -2,12 +2,14 @@
 anti-nef cycles, Laufer's algorithm, adjunction, definiteness."""
 
 import heapq
+import json
 import re
 import signal
 import time
 from fractions import Fraction
 from itertools import product
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -40,6 +42,7 @@ from conftest import (
 pytestmark = pytest.mark.deadline(120)
 
 E8_ROOT = (6, 3, 4, 2, 5, 4, 3, 2)  # highest root in the (2,3,5) star layout
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 # ---------------------------------------------------------------- construction
@@ -866,3 +869,117 @@ def test_the_largest_sweep_star_has_few_classes():
     g = dual_graph(a).graph
     assert g.n == 25_001
     assert len(set(g.classes)) == _chain_positions(a)
+
+
+# ------------------------------------- the elimination against its Fraction form
+
+def _solve_in_fractions(q):
+    """``Quotient._solve`` as it ran wholly in ``Fraction``s, kept verbatim
+    as the reference for the integer folds: the verdict of the quotient q
+    and, when it is negative definite, Z_K (else None)."""
+    into, self_ints = q.into, q.self_ints
+    # deg[a]: the neighbouring classes of a not yet ordered, 0 once a is; a
+    # one-class graph starts with its class on the stack
+    deg = [len(row) for row in into]
+    stack = [a for a in range(len(into) - 1, -1, -1) if deg[a] < 2]
+    order: list[int] = []
+    while stack:
+        a = stack.pop()
+        order.append(a)
+        if deg[a]:  # else its last neighbour went first: a is what is left of a tree
+            deg[a] = 0
+            b = next(b for b in into[a] if deg[b])
+            deg[b] -= 1
+            if deg[b] == 1:
+                stack.append(b)
+    # every class not yet ordered has two or more such neighbours
+    order += [a for a in range(len(into)) if deg[a]]
+
+    # rows[a][b] = N_ab; once a is eliminated, rows[a] is its reduced row
+    # over the classes after it, pivot included
+    rows = [{b: into[b][a] for b in row} for a, row in enumerate(into)]
+    for a, e in enumerate(self_ints):
+        rows[a][a] = Fraction(e)
+    y = [Fraction(e + 2 - 2 * gen) for e, gen in zip(self_ints, q.genera)]
+    for i in order:
+        row = rows[i]
+        piv = row.pop(i)
+        if piv >= 0:
+            return False, None
+        for j in row:
+            f = rows[j].pop(i) / piv
+            for k, u in row.items():
+                rows[j][k] = rows[j].get(k, 0) - f * u
+            y[j] -= f * y[i]
+        row[i] = piv
+
+    # y_i becomes x_i = (y_i - sum_k rows_ik x_k) / pivot_i
+    for i in reversed(order):
+        piv = rows[i].pop(i)
+        for k, u in rows[i].items():
+            y[i] -= u * y[k]
+        y[i] /= piv
+    return True, tuple(y)
+
+
+def _solve_counting_fractions(q):
+    """Solve a fresh copy of the quotient q; return it with the arguments of
+    every ``Fraction`` made meanwhile, by construction or by arithmetic."""
+    made, new = [], Fraction.__dict__["__new__"]
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new.__func__(cls, *args, **kwargs)
+
+    q = Quotient(q.genera, q.self_ints, q.sizes, q.into, q.spans)
+    Fraction.__new__ = staticmethod(counting)
+    try:
+        q.is_negative_definite()
+    finally:
+        Fraction.__new__ = new
+    return q, made
+
+
+def _assert_solved_as_in_fractions(q):
+    """The verdict, Z_K and the type of each entry against the reference.
+    On a tree the solve makes one ``Fraction`` per class, for Z_K, from a
+    pair in lowest terms with a positive denominator, and none when it
+    stops."""
+    solved, made = _solve_counting_fractions(q)
+    definite, zk = _solve_in_fractions(q)
+    assert solved.is_negative_definite() == definite
+    assert solved._zk == zk
+    if definite:
+        assert all(type(x) is Fraction for x in solved._zk)
+    # a tree: each of its k - 1 neighbouring pairs of classes counted twice
+    if sum(map(len, q.into)) == 2 * (len(q.into) - 1):
+        assert made == [(x.numerator, x.denominator) for x in solved._zk or ()]
+
+
+@given(cyclic_graphs() | pendant_graphs() | weighted_stars() | seifert_stars().map(_seifert_graph))
+@settings(max_examples=400, deadline=None)
+def test_the_integer_folds_solve_as_the_fraction_elimination(g):
+    """Trees, stars with families of several copies (``N_AB != N_BA``), the
+    2-core seeded from the folds, and singular and indefinite forms, where
+    both stop at the same pivot."""
+    _assert_solved_as_in_fractions(g.quotient)
+
+
+def test_every_sweep_quotient_solves_as_the_fraction_elimination():
+    """The 4290 stars of the benchmark's acceptance sweep (m <= 5, a_m <= 12)."""
+    pins = json.loads((PERFBENCH / "pins" / "sweep.json").read_text())
+    keys = [key for group in pins["groups"].values() for key in group]
+    assert len(keys) == 4290
+    for key in keys:
+        _assert_solved_as_in_fractions(dual_graph(tuple(map(int, key.split(",")))).quotient)
+
+
+def test_the_forward_loop_makes_no_fraction():
+    """A star whose last pivot, the center's, is the first one >= 0: the
+    solve stops there, at the end of the forward loop, with no ``Fraction``
+    made."""
+    q = Quotient.star((0, -1), [(2, [-2]), (1, [-3])])
+    solved, made = _solve_counting_fractions(q)
+    assert not solved.is_negative_definite()
+    assert made == []
+    assert _solve_in_fractions(q) == (False, None)
