@@ -11,6 +11,7 @@ exact.
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -562,7 +563,10 @@ def fundamental_genus(a: Sequence[int]) -> FundamentalGenus:
 
 def normal_reduction_number(a: Sequence[int]) -> int:
     """nr of the maximal ideal: floor(a_{m-1} * sum_{i<=m-2} (a_i - 1)/a_i)."""
-    a = _validated(a)
+    return _nr_value(_validated(a))
+
+
+def _nr_value(a: tuple[int, ...]) -> int:
     m = len(a)
     inner = a[: m - 2]
     d = math.prod(inner)
@@ -660,7 +664,10 @@ def maximal_cycle_numbers(a: Sequence[int]) -> MaximalCycleNumbers:
     """MY_sq and MY_K from the checked patterns: M_X = Z^(m) pairs to -1 at
     the ghat_m family-m tips (-ghat_m at the center if there are none), where
     M_X and Z_K have coefficients eta_m and z, so p_a(M_X) = 1 + ghat_m (z - eta_m)/2."""
-    a = _validated(a)
+    return _mcn_value(_validated(a))
+
+
+def _mcn_value(a: tuple[int, ...]) -> MaximalCycleNumbers:
     inv = _invariants_cached(a)
     star = _star_cached(a)
     # family m's tip class, or the center when family m is empty
@@ -687,13 +694,15 @@ def q_sequence(a: Sequence[int], n_max: int) -> tuple[int, ...]:
     if not isinstance(n_max, int) or n_max < 0:
         raise DomainError("q-sequence length must be a nonnegative integer")
     ideal_oracle._check_budget(n_max + 1, f"the q-sequence q(0..{n_max}) of {a}")
-    pg = geometric_genus(a)
-    mcn = maximal_cycle_numbers(a)
+    # a is validated: read the cached values behind geometric_genus,
+    # maximal_cycle_numbers, quotient_table and normal_reduction_number
+    pg = _pg_cached(a)
+    mcn = _mcn_value(a)
     diff = mcn.MY_sq - mcn.MY_K
     if diff % 2:
         raise InternalError("my_sq - my_k is odd")
     half = diff // 2
-    table = ideal_oracle.quotient_table(a)
+    table = ideal_oracle._table_cached(a)
 
     def p(i: int) -> int:
         return table.p[i - 1] if i - 1 < len(table.p) else 0
@@ -704,7 +713,7 @@ def q_sequence(a: Sequence[int], n_max: int) -> tuple[int, ...]:
         run += p(n)
         q.append(q[-1] + half + run)
 
-    nr = normal_reduction_number(a)
+    nr = _nr_value(a)
     if any(v < 0 for v in q):
         raise ConsistencyError(f"q-sequence of {a} has a negative entry: {q}")
     if any(x > y for x, y in zip(q[1:], q)):
@@ -730,18 +739,126 @@ def is_elliptic(a: Sequence[int]) -> bool:
 
 
 _SCAN_CHUNK = 1024  # tuples per chunk; larger chunks cost memory for no speed
+# the census box is split over at most this many worker processes, and only
+# from this many tuples on: starting a worker costs tens of milliseconds,
+# about what two workers save on a box of 10^4 tuples
+_SPLIT_WORKERS = 2
+_SPLIT_MIN = 1 << 16
+
+
+def _scan_range(
+    a_max: int, m: int, start: int = 0, stop: int | None = None
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """``(a, p_f)`` for the tuples ``start:stop`` of the m-box a_m <= a_max,
+    in ``combinations_with_replacement`` order.  The range is read in chunks
+    of ``_SCAN_CHUNK`` tuples, and ``p_f`` comes from the columnar kernel
+    :func:`_pf_columns` with every check of the record's; no record is built
+    and no cache is filled."""
+    box = islice(combinations_with_replacement(range(2, a_max + 1), m), start, stop)
+    while chunk := list(islice(box, _SCAN_CHUNK)):
+        yield from zip(chunk, _pf_columns(list(zip(*chunk))))
 
 
 def _scan_box(m_max: int, a_max: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """``(a, p_f)`` for every tuple of the box 3 <= m <= m_max, a_m <= a_max,
-    m by m and in ``combinations_with_replacement`` order.  The box is read
-    in chunks of ``_SCAN_CHUNK`` tuples, and ``p_f`` comes from the columnar
-    kernel :func:`_pf_columns` with every check of the record's; no record
-    is built and no cache is filled."""
+    """:func:`_scan_range` over the whole box 3 <= m <= m_max, a_m <= a_max,
+    m by m."""
     for m in range(3, m_max + 1):
-        box = combinations_with_replacement(range(2, a_max + 1), m)
-        while chunk := list(islice(box, _SCAN_CHUNK)):
-            yield from zip(chunk, _pf_columns(list(zip(*chunk))))
+        yield from _scan_range(a_max, m)
+
+
+def _elliptic_ranges(a_max: int, ranges) -> Iterator[list[tuple[tuple[int, ...], int]]]:
+    """For each ``(m, start, stop)`` of ``ranges`` in turn, the ``(a, 1)``
+    pairs of the elliptic tuples that :func:`_scan_range` finds there."""
+    for m, start, stop in ranges:
+        yield [(a, pf) for a, pf in _scan_range(a_max, m, start, stop) if pf == 1]
+
+
+def _census_worker(conn, a_max: int, ranges) -> None:
+    """Worker process of the split census: sends ``(kept, error)``, the lists
+    of :func:`_elliptic_ranges` that it completed and the exception that
+    ended the scan, or None."""
+    kept, error = [], None
+    try:
+        kept.extend(_elliptic_ranges(a_max, ranges))
+    except Exception as exc:
+        error = exc
+    conn.send((kept, error))
+    conn.close()
+
+
+def _split_workers(size: int) -> int:
+    """How many worker processes scan a census box of ``size`` tuples: 1
+    (in-process) below ``_SPLIT_MIN``, with fewer than two CPUs or in a
+    daemonic process, which may not start any."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    if size < _SPLIT_MIN or cpus < 2:
+        return 1
+    import multiprocessing
+
+    return 1 if multiprocessing.current_process().daemon else _SPLIT_WORKERS
+
+
+def _in_workers(target, jobs: list[tuple]) -> list:
+    """``target(conn, *args)`` for each ``args`` of ``jobs``, each in a worker
+    process of the default start method, and what each sends on ``conn``, in
+    the order of ``jobs``.  Every worker has ended when this returns or
+    raises."""
+    import multiprocessing
+
+    ctx = multiprocessing.get_context()
+    procs, conns = [], []
+    try:
+        for args in jobs:
+            recv, send = ctx.Pipe(duplex=False)
+            conns.append(recv)
+            proc = ctx.Process(target=target, args=(send, *args))
+            proc.start()
+            procs.append(proc)
+            # the worker holds the only send end, so its death ends recv
+            send.close()
+        return [conn.recv() for conn in conns]
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for proc in procs:
+            proc.join()
+            proc.close()
+        for conn in conns:
+            conn.close()
+
+
+def _scan_census(m_max: int, a_max: int) -> list[tuple[tuple[int, ...], int]]:
+    """The ``(a, 1)`` pairs of the elliptic tuples of the box, in box order,
+    scanned in-process or split by :func:`_split_workers`.  Each m-box is
+    split into one contiguous run of whole chunks per worker, so every chunk
+    is the one the in-process scan reads; a worker stops at its first kernel
+    error, and the first error in box order is raised, as in-process."""
+    sizes = {m: math.comb(a_max + m - 2, m) for m in range(3, m_max + 1)}
+    workers = _split_workers(sum(sizes.values()))
+    jobs = []
+    for k in range(workers):
+        ranges = []
+        for m, size in sizes.items():
+            chunks = -(-size // _SCAN_CHUNK)
+            start, stop = (chunks * j // workers * _SCAN_CHUNK for j in (k, k + 1))
+            ranges.append((m, start, min(stop, size)))
+        jobs.append((a_max, ranges))
+    if workers == 1:
+        results = [(list(_elliptic_ranges(*jobs[0])), None)]
+    else:
+        results = _in_workers(_census_worker, jobs)
+    found = []
+    for i in range(len(sizes)):
+        for kept, error in results:
+            if i == len(kept):
+                raise error
+            found += kept[i]
+    return found
 
 
 def _laufer_checked(found: list[tuple[tuple[int, ...], int]]) -> list[tuple[int, ...]]:
@@ -760,17 +877,25 @@ def _laufer_checked(found: list[tuple[tuple[int, ...], int]]) -> list[tuple[int,
 def classify_elliptic(m_max: int, a_max: int) -> list[tuple[int, ...]]:
     """All elliptic exponent tuples with m <= m_max and a_m <= a_max, in lex order.
 
-    The box is scanned in columns by :func:`_scan_box`, whose closed form
+    The box is scanned in columns by :func:`_scan_range`, whose closed form
     runs every consistency check of the record's kernel; no invariant
     record is built and no cache is filled for a tuple that is not
-    reported.  Every tuple reported has its scanned p_f compared with the
-    one Laufer's algorithm verifies on its star's classes.
+    reported.  Every tuple reported has its scanned p_f compared, in this
+    process, with the one Laufer's algorithm verifies on its star's classes.
+
+    A box of at least 2^16 tuples (``_SPLIT_MIN``; m <= 5, a_m <= 30 has
+    277,791) is scanned in two worker processes, each on one contiguous
+    half of every m's box, with the kernel and p_f checks; they are started
+    by the default start method and have ended when this returns or raises.
+    The scan stays in-process on a smaller box, with fewer than two CPUs in
+    this process's affinity mask, or in a daemonic process.  There is no
+    option for this: the result, and any error, is the in-process scan's.
     """
     if not isinstance(m_max, int) or m_max < 3:
         raise DomainError("m_max must be an integer at least 3")
     if not isinstance(a_max, int) or a_max < 2:
         raise DomainError("a_max must be an integer at least 2")
-    return _laufer_checked([(a, pf) for a, pf in _scan_box(m_max, a_max) if pf == 1])
+    return _laufer_checked(_scan_census(m_max, a_max))
 
 
 def br2_exceptions() -> list[tuple[int, int, int]]:

@@ -168,7 +168,8 @@ class Quotient:
         if not self.is_negative_definite():
             raise DomainError("fundamental cycle needs a negative-definite graph; "
                               "the computation sequence may not terminate otherwise")
-        into = self.into
+        # each class's (B, n_BA) pairs, as tuples built once per call
+        nbrs = [tuple(row.items()) for row in self.into]
         step = [-e for e in self.self_ints]  # c_A
         d = self.products([1] * len(step))
         z = [1] * len(step)
@@ -183,7 +184,7 @@ class Quotient:
             k = -(-d[a] // c)
             z[a] += k
             d[a] -= k * c
-            for b, w in into[a].items():
+            for b, w in nbrs[a]:
                 db = d[b] + k * w
                 d[b] = db
                 if db > 0 and not queued[b]:

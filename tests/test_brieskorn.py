@@ -2,6 +2,8 @@
 distinguished cycles, genera, reduction numbers, the elliptic census."""
 
 import math
+import multiprocessing
+import os
 import time
 import tracemalloc
 from fractions import Fraction
@@ -45,7 +47,7 @@ from singlat import (
     q_sequence,
     quotient_dimension,
 )
-from singlat import brieskorn, graph_lattice
+from singlat import brieskorn, graph_lattice, ideal_oracle
 from singlat.cli import _star_dot
 from conftest import per_curve, wide_tuples
 
@@ -979,6 +981,22 @@ def test_q_sequence_fixtures():
         q_sequence(GAMMA1, -1)
 
 
+def test_q_sequence_validates_once(monkeypatch):
+    """q_sequence validates its tuple once and reads p_g, M_X, the quotient
+    table and nr without validating it again."""
+    calls = []
+    real = brieskorn._validated
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    for module in (brieskorn, ideal_oracle):
+        monkeypatch.setattr(module, "_validated", counted)
+    assert q_sequence([3, 4, 6], 4) == (3, 2, 2, 2, 2)
+    assert calls == [[3, 4, 6]]
+
+
 @given(exponent_tuples, st.integers(min_value=0, max_value=6))
 @settings(max_examples=60, deadline=None)
 def test_q_sequence_shape(a, extra):
@@ -1101,6 +1119,119 @@ def test_classify_elliptic_builds_records_only_for_what_it_reports():
     found = classify_elliptic(4, 12)
     assert len(found) < 100 < comb(13, 3) + comb(14, 4)
     assert brieskorn._invariants_cached.cache_info().misses == len(found)
+
+
+@pytest.fixture
+def split_scan(monkeypatch):
+    """Let every census box take the split path on two CPUs, with 7-tuple
+    chunks, and record the jobs handed to the workers."""
+    monkeypatch.setattr(brieskorn, "_SPLIT_MIN", 0)
+    monkeypatch.setattr(brieskorn, "_SCAN_CHUNK", 7)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    jobs = []
+    real = brieskorn._in_workers
+
+    def recorded(target, args):
+        jobs.append(args)
+        return real(target, args)
+
+    monkeypatch.setattr(brieskorn, "_in_workers", recorded)
+    yield jobs
+    assert multiprocessing.active_children() == []
+
+
+def _in_process_census(m_max, a_max):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(brieskorn, "_SPLIT_MIN", math.inf)
+        return brieskorn._scan_census(m_max, a_max)
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_the_split_scan_matches_the_in_process_scan(split_scan, method):
+    """Under either start method, the two workers find what the in-process
+    scan finds, in box order: on a box of one tuple, fewer than the workers,
+    and on boxes whose halves end in partial chunks.  Under ``spawn`` the
+    worker is imported afresh, so it must be importable and its arguments
+    picklable."""
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method here")
+    before = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(method, force=True)
+    try:
+        for box in ((3, 2), (4, 9), (5, 8)):
+            found = brieskorn._scan_census(*box)
+            assert found == _in_process_census(*box)
+            assert sorted(a for a, _ in found) == classify_elliptic(*box)
+    finally:
+        multiprocessing.set_start_method(before, force=True)
+    # per box, two workers on adjacent runs of whole 7-tuple chunks of each m-box
+    assert split_scan[0] == [(2, [(3, 0, 0)]), (2, [(3, 0, 1)])]
+    assert len(split_scan) == 6
+    for (a_max, first), (_, second) in split_scan:
+        for (m, start, mid), (m2, mid2, stop) in zip(first, second):
+            assert (m2, start, mid2, stop) == (m, 0, mid, comb(a_max + m - 2, m))
+            assert mid % 7 == 0
+
+
+def test_a_kernel_error_in_a_worker_reaches_the_caller(split_scan, monkeypatch):
+    """A kernel check that fails in a worker raises its InternalError, with
+    its message, in the caller, as the in-process scan does."""
+    monkeypatch.setattr(brieskorn, "math", SimpleNamespace(**{**vars(math), "lcm": max}))
+    with pytest.raises(InternalError) as serial:
+        _in_process_census(4, 9)
+    with pytest.raises(InternalError) as split:
+        brieskorn._scan_census(4, 9)
+    assert str(split.value) == str(serial.value) == "alpha = 2 does not divide ell = 5"
+    assert split_scan
+
+
+def test_the_split_scan_raises_the_first_error_in_box_order(split_scan, monkeypatch):
+    """Worker 0 fails in the m = 5 box and worker 1 earlier, in the second
+    half of the m = 4 box: the caller gets worker 1's error, the one the
+    in-process scan meets first."""
+    real = brieskorn._pf_columns
+    bad = {(2, 2, 2, 2, 2), (6, 7, 8, 9)}
+
+    def failing(cols):
+        for a in zip(*cols):
+            if a in bad:
+                raise InternalError(f"fault at {a}")
+        return real(cols)
+
+    monkeypatch.setattr(brieskorn, "_pf_columns", failing)
+    for scan in (_in_process_census, brieskorn._scan_census):
+        with pytest.raises(InternalError, match=r"^fault at \(6, 7, 8, 9\)$"):
+            scan(5, 9)
+    assert split_scan
+
+
+def _census_in_a_daemon(conn):
+    try:
+        conn.send(classify_elliptic(4, 9))
+    except Exception as exc:
+        conn.send(repr(exc))
+    conn.close()
+
+
+def test_the_scan_stays_in_process_on_one_cpu_or_in_a_daemon(split_scan, monkeypatch):
+    """One CPU, or a daemonic caller, which may start no process, scans
+    in-process."""
+    want = _in_process_census(4, 9)
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    daemon = ctx.Process(target=_census_in_a_daemon, args=(send,), daemon=True)
+    daemon.start()
+    send.close()
+    try:
+        assert recv.recv() == sorted(a for a, _ in want)
+    finally:
+        daemon.join()
+        recv.close()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert brieskorn._split_workers(10**6) == 1
+    assert brieskorn._scan_census(4, 9) == want
+    assert split_scan == []
 
 
 def test_br2_exceptions():

@@ -74,14 +74,16 @@ def test_readme_quick_start():
 @pytest.mark.parametrize("stmt", ["import singlat", "from singlat.cli import main"])
 def test_import_leaves_out_heavy_modules(stmt):
     """Neither the package nor the command line loads ``dataclasses``,
-    ``inspect`` or ``json`` on import; the command line imports ``json``
-    only when it prints JSON.  ``-S`` keeps site hooks from loading them
-    first."""
+    ``inspect``, ``json``, ``multiprocessing`` or ``concurrent.futures`` on
+    import; the command line imports ``json`` only when it prints JSON, and
+    the census imports ``multiprocessing`` only when it splits a box over
+    worker processes.  ``-S`` keeps site hooks from loading them first."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src")
     code = (
         f"import sys; {stmt}; "
-        "print(' '.join(m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules))"
+        "heavy = ('dataclasses', 'inspect', 'json', 'multiprocessing', 'concurrent.futures'); "
+        "print(' '.join(m for m in heavy if m in sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env,
