@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -740,10 +741,18 @@ def is_elliptic(a: Sequence[int]) -> bool:
 
 _SCAN_CHUNK = 1024  # tuples per chunk; larger chunks cost memory for no speed
 # the census box is split over at most this many worker processes, and only
-# from this many tuples on: starting a worker costs tens of milliseconds,
-# about what two workers save on a box of 10^4 tuples
+# from this many tuples on.  Starting the workers costs tens of milliseconds:
+# one-off timings found the split slower on 8,463 tuples and faster on
+# 40,455, and no box between was measured.  2^16 lies above that crossing
+# and need only part the command line's small boxes (at most 660 tuples in
+# the benchmark's pins) from the census box m <= 5, a_m <= 30 (277,791)
 _SPLIT_WORKERS = 2
 _SPLIT_MIN = 1 << 16
+# workers are forked: a forked worker re-imports nothing, so a caller's
+# script without a ``__main__`` guard is not run again in it, as it would be
+# under spawn or forkserver (the default on macOS, Windows and, from Python
+# 3.14, Linux)
+_START_METHOD = "fork"
 
 
 def _scan_range(
@@ -788,27 +797,35 @@ def _census_worker(conn, a_max: int, ranges) -> None:
 
 def _split_workers(size: int) -> int:
     """How many worker processes scan a census box of ``size`` tuples: 1
-    (in-process) below ``_SPLIT_MIN``, with fewer than two CPUs or in a
-    daemonic process, which may not start any."""
+    (in-process) below ``_SPLIT_MIN``, with fewer than two CPUs, in a
+    process that runs other threads (a fork copies none of them, nor
+    releases the locks they hold), where ``_START_METHOD`` is not available
+    (no fork on Windows) or in a daemonic process, which may not start any."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:  # no affinity masks on this platform
         cpus = os.cpu_count() or 1
     if size < _SPLIT_MIN or cpus < 2:
         return 1
+    # no thread runs but the main one unless threading has been imported
+    threading = sys.modules.get("threading")
+    if threading is not None and threading.active_count() > 1:
+        return 1
     import multiprocessing
 
+    if _START_METHOD not in multiprocessing.get_all_start_methods():
+        return 1
     return 1 if multiprocessing.current_process().daemon else _SPLIT_WORKERS
 
 
 def _in_workers(target, jobs: list[tuple]) -> list:
     """``target(conn, *args)`` for each ``args`` of ``jobs``, each in a worker
-    process of the default start method, and what each sends on ``conn``, in
+    process started by ``_START_METHOD``, and what each sends on ``conn``, in
     the order of ``jobs``.  Every worker has ended when this returns or
     raises."""
     import multiprocessing
 
-    ctx = multiprocessing.get_context()
+    ctx = multiprocessing.get_context(_START_METHOD)
     procs, conns = [], []
     try:
         for args in jobs:
@@ -885,11 +902,13 @@ def classify_elliptic(m_max: int, a_max: int) -> list[tuple[int, ...]]:
 
     A box of at least 2^16 tuples (``_SPLIT_MIN``; m <= 5, a_m <= 30 has
     277,791) is scanned in two worker processes, each on one contiguous
-    half of every m's box, with the kernel and p_f checks; they are started
-    by the default start method and have ended when this returns or raises.
-    The scan stays in-process on a smaller box, with fewer than two CPUs in
-    this process's affinity mask, or in a daemonic process.  There is no
-    option for this: the result, and any error, is the in-process scan's.
+    half of every m's box, with the kernel and p_f checks; they are forked,
+    whatever the default start method, so a calling script needs no
+    ``__main__`` guard, and have ended when this returns or raises.  The
+    scan stays in-process on a smaller box, with fewer than two CPUs in this
+    process's affinity mask, while another thread runs, where fork is not
+    available, or in a daemonic process.  There is no option for this: the
+    result, and any error, is the in-process scan's.
     """
     if not isinstance(m_max, int) or m_max < 3:
         raise DomainError("m_max must be an integer at least 3")

@@ -4,6 +4,9 @@ distinguished cycles, genera, reduction numbers, the elliptic census."""
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -1124,7 +1127,10 @@ def test_classify_elliptic_builds_records_only_for_what_it_reports():
 @pytest.fixture
 def split_scan(monkeypatch):
     """Let every census box take the split path on two CPUs, with 7-tuple
-    chunks, and record the jobs handed to the workers."""
+    chunks, and record the jobs handed to the workers.  The workers are
+    forked, so they see the caller's patches."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no fork start method here: the census never splits")
     monkeypatch.setattr(brieskorn, "_SPLIT_MIN", 0)
     monkeypatch.setattr(brieskorn, "_SCAN_CHUNK", 7)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -1147,23 +1153,19 @@ def _in_process_census(m_max, a_max):
 
 
 @pytest.mark.parametrize("method", ["fork", "spawn"])
-def test_the_split_scan_matches_the_in_process_scan(split_scan, method):
-    """Under either start method, the two workers find what the in-process
-    scan finds, in box order: on a box of one tuple, fewer than the workers,
-    and on boxes whose halves end in partial chunks.  Under ``spawn`` the
-    worker is imported afresh, so it must be importable and its arguments
-    picklable."""
+def test_the_split_scan_matches_the_in_process_scan(split_scan, monkeypatch, method):
+    """The two workers find what the in-process scan finds, in box order: on
+    a box of one tuple, fewer than the workers, and on boxes whose halves end
+    in partial chunks.  The census forks its workers; under ``spawn`` the
+    worker is imported afresh, which checks that it is importable and its
+    arguments picklable."""
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"no {method} start method here")
-    before = multiprocessing.get_start_method(allow_none=True)
-    multiprocessing.set_start_method(method, force=True)
-    try:
-        for box in ((3, 2), (4, 9), (5, 8)):
-            found = brieskorn._scan_census(*box)
-            assert found == _in_process_census(*box)
-            assert sorted(a for a, _ in found) == classify_elliptic(*box)
-    finally:
-        multiprocessing.set_start_method(before, force=True)
+    monkeypatch.setattr(brieskorn, "_START_METHOD", method)
+    for box in ((3, 2), (4, 9), (5, 8)):
+        found = brieskorn._scan_census(*box)
+        assert found == _in_process_census(*box)
+        assert sorted(a for a, _ in found) == classify_elliptic(*box)
     # per box, two workers on adjacent runs of whole 7-tuple chunks of each m-box
     assert split_scan[0] == [(2, [(3, 0, 0)]), (2, [(3, 0, 1)])]
     assert len(split_scan) == 6
@@ -1205,6 +1207,54 @@ def test_the_split_scan_raises_the_first_error_in_box_order(split_scan, monkeypa
     assert split_scan
 
 
+_UNGUARDED_SCRIPT = """\
+import multiprocessing
+import os
+import sys
+
+from singlat import brieskorn
+
+if sys.argv[1:]:
+    multiprocessing.set_start_method(sys.argv[1])
+brieskorn._SPLIT_MIN = 0
+os.sched_getaffinity = lambda pid: {0, 1}
+in_workers = brieskorn._in_workers
+
+
+def counted(target, jobs):
+    print("workers:", len(jobs))
+    return in_workers(target, jobs)
+
+
+brieskorn._in_workers = counted
+print(brieskorn.classify_elliptic(4, 9))
+"""
+
+
+@pytest.mark.parametrize("method", [None, "spawn", "forkserver"])
+def test_a_script_without_a_main_guard_can_split_the_census(tmp_path, method):
+    """A script that splits the census at top level, with no ``__main__``
+    guard, prints the in-process result under the default or any other
+    start method: the forked workers do not run the script again, as
+    spawned ones would."""
+    methods = multiprocessing.get_all_start_methods()
+    if "fork" not in methods:
+        pytest.skip("no fork start method here: the census never splits")
+    if method is not None and method not in methods:
+        pytest.skip(f"no {method} start method here")
+    script = tmp_path / "census.py"
+    script.write_text(_UNGUARDED_SCRIPT)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", str(script)] + ([method] if method else []),
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout == f"workers: 2\n{classify_elliptic(4, 9)}\n"
+
+
 def _census_in_a_daemon(conn):
     try:
         conn.send(classify_elliptic(4, 9))
@@ -1213,10 +1263,22 @@ def _census_in_a_daemon(conn):
     conn.close()
 
 
-def test_the_scan_stays_in_process_on_one_cpu_or_in_a_daemon(split_scan, monkeypatch):
-    """One CPU, or a daemonic caller, which may start no process, scans
+def test_the_scan_stays_in_process_on_one_cpu_beside_a_thread_or_in_a_daemon(
+    split_scan, monkeypatch
+):
+    """One CPU, a caller running another thread, which a fork would not
+    copy, or a daemonic caller, which may start no process, scans
     in-process."""
     want = _in_process_census(4, 9)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert brieskorn._scan_census(4, 9) == want
+    finally:
+        stop.set()
+        thread.join()
+    assert split_scan == []
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
     daemon = ctx.Process(target=_census_in_a_daemon, args=(send,), daemon=True)
