@@ -15,12 +15,12 @@ import os
 import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import (
     accumulate, chain, combinations_with_replacement, compress, count, islice, repeat,
 )
-from operator import add, and_, eq, floordiv, ge, lt, mod, mul, ne, neg, sub
-from typing import Iterator, NamedTuple, Sequence
+from operator import add, eq, floordiv, lt, mod, mul, ne, neg, sub
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import ideal_oracle
 from .errors import ConsistencyError, ConstructionError, DomainError, InternalError
@@ -213,119 +213,106 @@ class StarGraph(_StarFields):
         return self.quotient.flatten(z)
 
 
-def _lcm_data(a: tuple[int, ...]) -> tuple:
+class _Arith(NamedTuple):
+    """The arithmetic that :func:`_lcm_fields` and :func:`_closed_pf` are
+    written in.  ``_ONE`` applies the C-level scalar ops to the ints of one
+    tuple; ``_CHUNK`` lifts each of them to ``list(map(op, *columns))`` on a
+    chunk of tuples held in columns.  ``const`` makes an operand of an int,
+    ``flat`` chains the entries of an indexed field for one pass of a check,
+    and ``check`` raises ``InternalError`` with ``template`` filled in with
+    the values of the first tuple whose flag is set."""
+
+    lcm: Callable
+    floordiv: Callable
+    mod: Callable
+    mul: Callable
+    add: Callable
+    sub: Callable
+    neg: Callable
+    lt: Callable
+    eq: Callable
+    const: Callable
+    flat: Callable
+    check: Callable
+
+
+def _check_one(flag, template: str, *values) -> None:
+    if flag:
+        raise InternalError(template.format(*values))
+
+
+def _check_chunk(flags, template: str, *columns) -> None:
+    k = next(compress(count(), flags), None)
+    if k is not None:
+        raise InternalError(template.format(*(c[k] for c in columns)))
+
+
+def _lifted(op):
+    return lambda *cols: list(map(op, *cols))
+
+
+# for one tuple, int and iter leave an int and an indexed field as they are
+_ONE = _Arith(math.lcm, floordiv, mod, mul, add, sub, neg, lt, eq, int, iter, _check_one)
+_CHUNK = _Arith(*map(_lifted, _ONE[:9]), repeat, chain.from_iterable, _check_chunk)
+
+
+def _lcm_fields(ar: _Arith, a: Sequence) -> tuple:
     """The lcm data of ``a``: ``(ell, ell_i, alpha_i, alpha, ghat, ghat_i,
     lambda_i, eta_i, eta_m, delta)``, the fields of :class:`BCIInvariants`
-    after ``a`` in their order, as a plain tuple and uncached.
+    after ``a`` in their order, uncached.  Under ``_ONE``, ``a`` is one tuple;
+    under ``_CHUNK``, ``a[i]`` is the column of the ``a_i`` of a chunk, and
+    every int below is a column.
 
     ``ell_i`` is the lcm of the prefix lcm before ``a_i`` and the suffix lcm
     after it, so the lcms take O(m) calls.  The five consistency checks of
-    the data run here; a failure raises ``InternalError``.  This is the
-    record's kernel, for one tuple; the elliptic scans run the same checks
-    on a box through :func:`_lcm_columns`, and the tests compare the two
-    tuple by tuple.
+    the data run here; a failure raises ``InternalError``, naming the values
+    of the first tuple that fails.
     """
-    lcm = math.lcm
-    suf = list(accumulate(a[:0:-1], lcm, initial=1))  # lcm(a[m-j:]), j = 0..m-1
-    suf.reverse()  # now suf[i] = lcm(a[i+1:])
+    lcm, div, times = ar.lcm, ar.floordiv, ar.mul
+    # suf[i] = lcm(a[i+1:]) for i = 0..m-2 and pre[i] = lcm(a[:i+1]); an
+    # lcm with 1 is left out
+    suf = [a[-1]]
+    for x in a[-2:0:-1]:
+        suf.append(lcm(suf[-1], x))
+    suf.reverse()
+    pre = [a[0]]
+    for x in a[1:-1]:
+        pre.append(lcm(pre[-1], x))
     ell = lcm(a[0], suf[0])
-    # the prefix lcms lcm(a[:i]), i = 0..m-1, meet the suffixes one by one
-    ell_i = tuple(map(lcm, accumulate(a[:-1], lcm, initial=1), suf))
-    alphas = tuple([ell // li for li in ell_i])
-    alpha = math.prod(alphas)
-    if ell % alpha:
-        raise InternalError(f"alpha = {alpha} does not divide ell = {ell}")
-    ghat = math.prod(a) // ell
-    ghats = []
-    for ai, al in zip(a, alphas):
-        num = ghat * al
-        if num % ai:
-            raise InternalError("branch count ghat_i is not integral")
-        ghats.append(num // ai)
-    lams = tuple([ell // ai for ai in a])
-    for lw, aw in zip(lams, alphas):
-        if math.gcd(lw, aw) != 1:
-            raise InternalError("lambda_w and alpha_w are not coprime")
+    ell_i = (suf[0], *map(lcm, pre, suf[1:]), pre[-1])
+    alphas = tuple(map(div, repeat(ell), ell_i))
+    alpha = reduce(times, alphas)
+    ar.check(ar.mod(ell, alpha), "alpha = {} does not divide ell = {}", alpha, ell)
+    ghat = div(reduce(times, a), ell)
+    nums = list(map(times, repeat(ghat), alphas))
+    # each check over an indexed field is one pass over its chained entries
+    if any(map(mod, ar.flat(nums), ar.flat(a))):
+        raise InternalError("branch count ghat_i is not integral")
+    ghats = tuple(map(div, nums, a))
+    lams = tuple(map(div, repeat(ell), a))
+    if any(map(ne, map(math.gcd, ar.flat(lams), ar.flat(alphas)), repeat(1))):
+        raise InternalError("lambda_w and alpha_w are not coprime")
     alpha_m = alphas[-1]
-    eta = []
-    for lam in lams[:-1]:
-        if lam % alpha_m:
-            raise InternalError("lambda_i / alpha_m is not integral")
-        eta.append(lam // alpha_m)
+    if any(map(mod, ar.flat(lams[:-1]), ar.flat([alpha_m] * (len(a) - 1)))):
+        raise InternalError("lambda_i / alpha_m is not integral")
+    eta = tuple(map(div, lams[:-1], repeat(alpha_m)))
     # tip coefficient of Z^(m): (lambda_m + beta')/alpha_m with
     # beta' = -lambda_m mod alpha_m, i.e. the round-up of lambda_m/alpha_m
     # (the central coefficient lambda_m itself when family m is empty)
-    eta_m = -(-lams[-1] // alpha_m)
-    delta = eta[-1] - eta_m
-    if delta < 0:
-        raise InternalError(f"delta = {delta} is negative")
-    return ell, ell_i, alphas, alpha, ghat, tuple(ghats), lams, tuple(eta), eta_m, delta
-
-
-def _first(flags) -> int | None:
-    """Index of the first true flag, or None."""
-    return next(compress(count(), flags), None)
-
-
-def _lcm_columns(cols: Sequence[Sequence[int]]) -> tuple:
-    """:func:`_lcm_data` on a chunk of tuples held in columns, ``cols[i]``
-    the ``a_i`` of each tuple: the same ten fields in their order, a scalar
-    field as one column and an indexed field as a list of columns.
-
-    Each quantity is one ``map`` over the chunk and each of the five checks
-    one pass of ``any`` or :func:`_first`, so the per-tuple work runs in C.
-    A failure raises the message of :func:`_lcm_data`, naming the values of
-    the first tuple in the chunk that fails that check.
-    """
-    lcm = math.lcm
-    # suf[i] = lcm(a[i+1:]) for i = 0..m-2 and pre[i] = lcm(a[:i+1]); an
-    # lcm with 1 is left out
-    suf = [cols[-1]]
-    for c in cols[-2:0:-1]:
-        suf.append(list(map(lcm, suf[-1], c)))
-    suf.reverse()
-    pre = [cols[0]]
-    for c in cols[1:-1]:
-        pre.append(list(map(lcm, pre[-1], c)))
-    ell = list(map(lcm, cols[0], suf[0]))
-    ell_i = [suf[0], *(list(map(lcm, p, s)) for p, s in zip(pre, suf[1:])), pre[-1]]
-    alphas = [list(map(floordiv, ell, li)) for li in ell_i]
-    alpha = alphas[0]
-    for al in alphas[1:]:
-        alpha = map(mul, alpha, al)
-    alpha = list(alpha)
-    if (k := _first(map(mod, ell, alpha))) is not None:
-        raise InternalError(f"alpha = {alpha[k]} does not divide ell = {ell[k]}")
-    prod_a = cols[0]
-    for c in cols[1:]:
-        prod_a = map(mul, prod_a, c)
-    ghat = list(map(floordiv, prod_a, ell))
-    nums = [list(map(mul, ghat, al)) for al in alphas]
-    if any(map(mod, chain(*nums), chain(*cols))):
-        raise InternalError("branch count ghat_i is not integral")
-    ghats = [list(map(floordiv, num, c)) for num, c in zip(nums, cols)]
-    lams = [list(map(floordiv, ell, c)) for c in cols]
-    if any(map(ne, map(math.gcd, chain(*lams), chain(*alphas)), repeat(1))):
-        raise InternalError("lambda_w and alpha_w are not coprime")
-    alpha_m = alphas[-1]
-    if any(map(mod, chain(*lams[:-1]), alpha_m * (len(cols) - 1))):
-        raise InternalError("lambda_i / alpha_m is not integral")
-    eta = [list(map(floordiv, lam, alpha_m)) for lam in lams[:-1]]
-    # the round-up of lambda_m/alpha_m, as in _lcm_data
-    eta_m = list(map(neg, map(floordiv, map(neg, lams[-1]), alpha_m)))
-    delta = list(map(sub, eta[-1], eta_m))
-    if (k := _first(map(lt, delta, repeat(0)))) is not None:
-        raise InternalError(f"delta = {delta[k]} is negative")
+    eta_m = ar.neg(div(ar.neg(lams[-1]), alpha_m))
+    delta = ar.sub(eta[-1], eta_m)
+    ar.check(ar.lt(delta, ar.const(0)), "delta = {} is negative", delta)
     return ell, ell_i, alphas, alpha, ghat, ghats, lams, eta, eta_m, delta
 
 
 @lru_cache(maxsize=2048)
 def _invariants_cached(a: tuple[int, ...]) -> BCIInvariants:
-    """The record of ``a``: the lcm data of :func:`_lcm_data`, checked there,
-    plus the a-invariant and the multiplicity.  Cached for the per-tuple
-    paths; the elliptic scans read :func:`_lcm_columns` and build no record."""
+    """The record of ``a``: the lcm data of :func:`_lcm_fields`, checked
+    there, plus the a-invariant and the multiplicity.  Cached for the
+    per-tuple paths; the elliptic scans read the same kernel on chunks and
+    build no record."""
     m = len(a)
-    data = _lcm_data(a)
+    data = _lcm_fields(_ONE, a)
     ell, lams = data[0], data[6]
     return BCIInvariants(
         a, *data,
@@ -487,53 +474,44 @@ class FundamentalGenus(NamedTuple):
     cycle: str  # which minimal cycle realizes it: "Z0", "MX", or "both"
 
 
-def _pf_value(a: tuple[int, ...]) -> FundamentalGenus:
-    # the record holds the fields of _lcm_data after a, in their order
-    _, ell, ell_i, _, alpha, ghat, ghat_i, lams, _, eta_m, *_ = _invariants_cached(a)
+def _closed_pf(ar: _Arith, m: int, data: tuple):
+    """The closed p_f on the lcm data ``data`` of :func:`_lcm_fields` of
+    exponent tuples of length ``m``, in the arithmetic ``ar``: from the
+    central-multiple cycle where lambda_m >= alpha, else from the
+    maximal-ideal cycle.  Its two checks raise ``InternalError``, naming the
+    values of the first tuple that fails."""
+    ell, ell_i, _, alpha, ghat, ghat_i, lams, _, eta_m, _ = data
+    times, sub = ar.mul, ar.sub
     ghat_m, lam_m = ghat_i[-1], lams[-1]
     # each branch gives 2 ell (p_f - 1) in integers, using ell / alpha_w = ell_w
-    head = (len(a) - 2) * ghat * ell - sum(map(mul, ghat_i[:-1], ell_i[:-1]))
-    z0 = alpha * (head - ghat_m * ell_i[-1] - (alpha - 1) * ghat)
-    mx = lam_m * head - (2 * eta_m - 1) * ghat_m * ell
-    if lam_m > alpha:
-        num, sel = z0, "Z0"
-    elif lam_m < alpha:
-        num, sel = mx, "MX"
-    else:
-        num, sel = z0, "both"
-        if num != mx:
-            raise InternalError("the two fundamental-genus formulas disagree at lambda_m = alpha")
-    if num % (2 * ell):
-        raise InternalError(f"fundamental genus 1 + {num}/{2 * ell} is not an integer")
-    return FundamentalGenus(1 + num // (2 * ell), sel)
-
-
-def _pf_columns(cols: Sequence[Sequence[int]]) -> list[int]:
-    """The values of :func:`_pf_value` on a chunk of tuples in columns, as
-    one column, from the data of :func:`_lcm_columns`; each step is one
-    ``map`` over the chunk, and the two checks of :func:`_pf_value` raise its
-    messages, naming the first tuple that fails."""
-    ell, ell_i, _, alpha, ghat, ghat_i, lams, _, eta_m, _ = _lcm_columns(cols)
-    ghat_m, lam_m = ghat_i[-1], lams[-1]
-    head = map(mul, map(mul, ghat, ell), repeat(len(cols) - 2))
-    for g, li in zip(ghat_i[:-1], ell_i[:-1]):
-        head = map(sub, head, map(mul, g, li))
-    head = list(head)
+    head = times(times(ghat, ell), ar.const(m - 2))
+    head = reduce(sub, map(times, ghat_i[:-1], ell_i[:-1]), head)
     # z0 = alpha (head - ghat_m ell_m - (alpha - 1) ghat)
-    z0 = map(sub, head, map(mul, ghat_m, ell_i[-1]))
-    z0 = map(sub, z0, map(sub, map(mul, alpha, ghat), ghat))
-    z0 = list(map(mul, alpha, z0))
+    z0 = sub(sub(head, times(ghat_m, ell_i[-1])), sub(times(alpha, ghat), ghat))
+    z0 = times(alpha, z0)
     # mx = lam_m head - (2 eta_m - 1) ghat_m ell
-    mx = map(mul, map(sub, map(add, eta_m, eta_m), repeat(1)), map(mul, ghat_m, ell))
-    mx = list(map(sub, map(mul, lam_m, head), mx))
-    if any(map(and_, map(eq, lam_m, alpha), map(ne, z0, mx))):
-        raise InternalError("the two fundamental-genus formulas disagree at lambda_m = alpha")
+    mx = times(sub(ar.add(eta_m, eta_m), ar.const(1)), times(ghat_m, ell))
+    mx = sub(times(lam_m, head), mx)
+    gap = sub(z0, mx)
+    ar.check(
+        times(ar.eq(lam_m, alpha), gap),
+        "the two fundamental-genus formulas disagree at lambda_m = alpha",
+    )
     # z0 where lambda_m >= alpha, else mx
-    num = list(map(add, mx, map(mul, map(ge, lam_m, alpha), map(sub, z0, mx))))
-    two_ell = list(map(add, ell, ell))
-    if (k := _first(map(mod, num, two_ell))) is not None:
-        raise InternalError(f"fundamental genus 1 + {num[k]}/{two_ell[k]} is not an integer")
-    return list(map(add, map(floordiv, num, two_ell), repeat(1)))
+    num = sub(z0, times(ar.lt(lam_m, alpha), gap))
+    two_ell = ar.add(ell, ell)
+    ar.check(
+        ar.mod(num, two_ell), "fundamental genus 1 + {}/{} is not an integer", num, two_ell
+    )
+    return ar.add(ar.floordiv(num, two_ell), ar.const(1))
+
+
+def _pf_value(a: tuple[int, ...]) -> FundamentalGenus:
+    inv = _invariants_cached(a)
+    lam_m, alpha = inv.lambda_i[-1], inv.alpha
+    sel = "Z0" if lam_m > alpha else "MX" if lam_m < alpha else "both"
+    # the record holds the fields of _lcm_fields after a, in their order
+    return FundamentalGenus(_closed_pf(_ONE, len(a), inv[1:11]), sel)
 
 
 @lru_cache(maxsize=4096)
@@ -760,12 +738,12 @@ def _scan_range(
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """``(a, p_f)`` for the tuples ``start:stop`` of the m-box a_m <= a_max,
     in ``combinations_with_replacement`` order.  The range is read in chunks
-    of ``_SCAN_CHUNK`` tuples, and ``p_f`` comes from the columnar kernel
-    :func:`_pf_columns` with every check of the record's; no record is built
-    and no cache is filled."""
+    of ``_SCAN_CHUNK`` tuples, and ``p_f`` comes from the record's kernel and
+    closed form, with all their checks, run on each chunk's columns; no
+    record is built and no cache is filled."""
     box = islice(combinations_with_replacement(range(2, a_max + 1), m), start, stop)
     while chunk := list(islice(box, _SCAN_CHUNK)):
-        yield from zip(chunk, _pf_columns(list(zip(*chunk))))
+        yield from zip(chunk, _closed_pf(_CHUNK, m, _lcm_fields(_CHUNK, list(zip(*chunk)))))
 
 
 def _scan_box(m_max: int, a_max: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -854,9 +832,18 @@ def _scan_census(m_max: int, a_max: int) -> list[tuple[tuple[int, ...], int]]:
     scanned in-process or split by :func:`_split_workers`.  Each m-box is
     split into one contiguous run of whole chunks per worker, so every chunk
     is the one the in-process scan reads; a worker stops at its first kernel
-    error, and the first error in box order is raised, as in-process."""
+    error, and the first error in box order is raised, as in-process.  A box
+    of more than ``LATTICE_BUDGET`` tuples raises ``ResourceError`` before
+    any is scanned."""
+    # counted m by m, up to the first m-box that takes the count past the budget
+    total = 0
+    for m in range(3, m_max + 1):
+        total += math.comb(a_max + m - 2, m)
+        if total > ideal_oracle.LATTICE_BUDGET:
+            break
+    ideal_oracle._check_budget(total, f"the census box m <= {m}, a_m <= {a_max}", "tuples")
     sizes = {m: math.comb(a_max + m - 2, m) for m in range(3, m_max + 1)}
-    workers = _split_workers(sum(sizes.values()))
+    workers = _split_workers(total)
     jobs = []
     for k in range(workers):
         ranges = []
@@ -908,7 +895,8 @@ def classify_elliptic(m_max: int, a_max: int) -> list[tuple[int, ...]]:
     scan stays in-process on a smaller box, with fewer than two CPUs in this
     process's affinity mask, while another thread runs, where fork is not
     available, or in a daemonic process.  There is no option for this: the
-    result, and any error, is the in-process scan's.
+    result, and any error, is the in-process scan's.  A box of more than
+    ``LATTICE_BUDGET`` tuples raises ``ResourceError`` before the scan.
     """
     if not isinstance(m_max, int) or m_max < 3:
         raise DomainError("m_max must be an integer at least 3")
@@ -933,7 +921,7 @@ def br2_exceptions() -> list[tuple[int, int, int]]:
     return _laufer_checked([
         (a, pf)
         for a, pf in _scan_box(5, 12)
-        if pf != 1 and normal_reduction_number(a) == 2 and _pg_cached(a) == 3
+        if pf != 1 and _nr_value(a) == 2 and _pg_cached(a) == 3
     ])
 
 

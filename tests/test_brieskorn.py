@@ -10,9 +10,9 @@ import threading
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from math import comb, gcd, lcm, prod
-from types import SimpleNamespace
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -152,14 +152,79 @@ def test_invariant_identities(a):
         assert zm[t] == inv.eta_m
 
 
+def _lcm_data(a: tuple[int, ...]) -> tuple:
+    """The reference lcm kernel for one tuple, kept as it stood before the
+    record and the census scan shared one kernel: ``(ell, ell_i, alpha_i,
+    alpha, ghat, ghat_i, lambda_i, eta_i, eta_m, delta)``, with the five
+    checks and messages of ``brieskorn._lcm_fields``."""
+    lcm = math.lcm
+    suf = list(accumulate(a[:0:-1], lcm, initial=1))  # lcm(a[m-j:]), j = 0..m-1
+    suf.reverse()  # now suf[i] = lcm(a[i+1:])
+    ell = lcm(a[0], suf[0])
+    # the prefix lcms lcm(a[:i]), i = 0..m-1, meet the suffixes one by one
+    ell_i = tuple(map(lcm, accumulate(a[:-1], lcm, initial=1), suf))
+    alphas = tuple([ell // li for li in ell_i])
+    alpha = math.prod(alphas)
+    if ell % alpha:
+        raise InternalError(f"alpha = {alpha} does not divide ell = {ell}")
+    ghat = math.prod(a) // ell
+    ghats = []
+    for ai, al in zip(a, alphas):
+        num = ghat * al
+        if num % ai:
+            raise InternalError("branch count ghat_i is not integral")
+        ghats.append(num // ai)
+    lams = tuple([ell // ai for ai in a])
+    for lw, aw in zip(lams, alphas):
+        if math.gcd(lw, aw) != 1:
+            raise InternalError("lambda_w and alpha_w are not coprime")
+    alpha_m = alphas[-1]
+    eta = []
+    for lam in lams[:-1]:
+        if lam % alpha_m:
+            raise InternalError("lambda_i / alpha_m is not integral")
+        eta.append(lam // alpha_m)
+    # tip coefficient of Z^(m): (lambda_m + beta')/alpha_m with
+    # beta' = -lambda_m mod alpha_m, i.e. the round-up of lambda_m/alpha_m
+    # (the central coefficient lambda_m itself when family m is empty)
+    eta_m = -(-lams[-1] // alpha_m)
+    delta = eta[-1] - eta_m
+    if delta < 0:
+        raise InternalError(f"delta = {delta} is negative")
+    return ell, ell_i, alphas, alpha, ghat, tuple(ghats), lams, tuple(eta), eta_m, delta
+
+
+def _pf_value(a: tuple[int, ...]) -> brieskorn.FundamentalGenus:
+    """The reference closed p_f for one tuple, as it stood before the one
+    kernel, on the lcm data of the reference :func:`_lcm_data`."""
+    _, ell, ell_i, _, alpha, ghat, ghat_i, lams, _, eta_m, *_ = (a, *_lcm_data(a))
+    ghat_m, lam_m = ghat_i[-1], lams[-1]
+    # each branch gives 2 ell (p_f - 1) in integers, using ell / alpha_w = ell_w
+    head = (len(a) - 2) * ghat * ell - sum(map(mul, ghat_i[:-1], ell_i[:-1]))
+    z0 = alpha * (head - ghat_m * ell_i[-1] - (alpha - 1) * ghat)
+    mx = lam_m * head - (2 * eta_m - 1) * ghat_m * ell
+    if lam_m > alpha:
+        num, sel = z0, "Z0"
+    elif lam_m < alpha:
+        num, sel = mx, "MX"
+    else:
+        num, sel = z0, "both"
+        if num != mx:
+            raise InternalError("the two fundamental-genus formulas disagree at lambda_m = alpha")
+    if num % (2 * ell):
+        raise InternalError(f"fundamental genus 1 + {num}/{2 * ell} is not an integer")
+    return brieskorn.FundamentalGenus(1 + num // (2 * ell), sel)
+
+
 @given(
     st.lists(st.integers(min_value=2, max_value=300), min_size=3, max_size=7)
     .map(lambda xs: tuple(sorted(xs)))
 )
 @settings(max_examples=200, deadline=None)
 def test_lcm_kernel_against_the_definitions(a):
-    """The prefix-suffix lcms against lcm of all the other exponents."""
-    data = brieskorn._lcm_data(a)
+    """The prefix-suffix lcms against lcm of all the other exponents, and
+    the record's lcm data against the reference kernel."""
+    data = _lcm_data(a)
     ell, ell_i, alpha_i, alpha, ghat, ghat_i, lams, eta_i, eta_m, delta = data
     assert ell == lcm(*a)
     assert ell_i == tuple(lcm(*(a[:i] + a[i + 1 :])) for i in range(len(a)))
@@ -169,9 +234,19 @@ def test_lcm_kernel_against_the_definitions(a):
     assert tuple(inv)[1:11] == data
 
 
-def _columns(a):
-    """The columns of a chunk that holds the one tuple ``a``."""
-    return [(x,) for x in a]
+def _scan_chunk(monkeypatch, chunk):
+    """The p_f that ``_scan_range`` finds for the tuples of ``chunk``, read
+    as one chunk of a box that holds them alone, in their order."""
+    monkeypatch.setattr(brieskorn, "combinations_with_replacement", lambda pool, m: iter(chunk))
+    return [pf for _, pf in brieskorn._scan_range(0, len(chunk[0]))]
+
+
+def _fake_ops(monkeypatch, **ops):
+    """Replace scalar ops of the kernel's arithmetic, for one tuple and,
+    lifted to columns, for a chunk."""
+    lifted = {name: brieskorn._lifted(op) for name, op in ops.items()}
+    monkeypatch.setattr(brieskorn, "_ONE", brieskorn._ONE._replace(**ops))
+    monkeypatch.setattr(brieskorn, "_CHUNK", brieskorn._CHUNK._replace(**lifted))
 
 
 @pytest.mark.parametrize(
@@ -189,17 +264,12 @@ def _columns(a):
 )
 def test_every_kernel_check_can_fire(monkeypatch, a, fake, message):
     """Each consistency check of the lcm data raises, with its message, on
-    the record's path and on the elliptic scan's columnar kernel."""
-    real = {name: getattr(math, name) for name in ("lcm", "gcd", "prod")}
-    monkeypatch.setattr(brieskorn, "math", SimpleNamespace(**{**real, **fake}))
+    the record's route and on the elliptic scan's, with ``a`` in a chunk."""
+    _fake_ops(monkeypatch, **fake)
     # _pf_value reads the record, so it must not find one cached before the fake
     record = brieskorn._invariants_cached.__wrapped__
     monkeypatch.setattr(brieskorn, "_invariants_cached", record)
-    for route in (
-        brieskorn._lcm_data, record, brieskorn._pf_value,
-        lambda a: brieskorn._lcm_columns(_columns(a)),
-        lambda a: brieskorn._pf_columns(_columns(a)),
-    ):
+    for route in (record, brieskorn._pf_value, lambda a: _scan_chunk(monkeypatch, [a])):
         with pytest.raises(InternalError) as err:
             route(a)
         assert str(err.value) == message
@@ -207,87 +277,126 @@ def test_every_kernel_check_can_fire(monkeypatch, a, fake, message):
 
 def test_a_column_check_names_the_first_tuple_that_fails(monkeypatch):
     """On a chunk, a failed check names the values of its first failing tuple."""
-    real = {name: getattr(math, name) for name in ("lcm", "gcd", "prod")}
-    monkeypatch.setattr(brieskorn, "math", SimpleNamespace(**{**real, "lcm": max}))
+    # the unsorted (2, 5, 3) and (2, 7, 3) have delta -2 and -3
+    with pytest.raises(InternalError, match="^delta = -2 is negative$"):
+        _scan_chunk(monkeypatch, [(2, 3, 4), (2, 5, 3), (2, 7, 3)])
+    _fake_ops(monkeypatch, lcm=max)
     # (2, 3, 4) and (2, 3, 6) pass the alpha check under this lcm; (2, 3, 7)
     # and (2, 4, 9) fail it
-    cols = list(zip((2, 3, 4), (2, 3, 6), (2, 3, 7), (2, 4, 9)))
     with pytest.raises(InternalError, match="^alpha = 2 does not divide ell = 7$"):
-        brieskorn._lcm_columns(cols)
+        _scan_chunk(monkeypatch, [(2, 3, 4), (2, 3, 6), (2, 3, 7), (2, 4, 9)])
 
 
-def _pf_with_changed_kernel(monkeypatch, scan, a, field, change):
+def _pf_with_changed_kernel(scan, a, field, change):
     """p_f of ``a`` with one field of its lcm data changed: on the record's
     route, or on the scan's with ``a`` as a one-tuple chunk."""
-    if not scan:
-        real = brieskorn._lcm_data
+    real = brieskorn._lcm_fields
 
-        def changed(a):
-            data = list(real(a))
-            data[field] = change(data[field])
-            return tuple(data)
-
-        monkeypatch.setattr(brieskorn, "_lcm_data", changed)
-        # the record that _pf_value reads, built from the changed data and not cached
-        record = brieskorn._invariants_cached.__wrapped__
-        monkeypatch.setattr(brieskorn, "_invariants_cached", record)
-        return brieskorn._pf_value(a).value
-    real_cols = brieskorn._lcm_columns
-
-    def changed_cols(cols):
-        data = list(real_cols(cols))
+    def changed(ar, a):
+        data = list(real(ar, a))
         value = data[field]
-        if isinstance(value[0], int):  # one column
+        if isinstance(data[0], int):  # one tuple
+            data[field] = change(value)
+        elif isinstance(value, list):  # one column
             data[field] = [change(value[0])]
         else:  # one column per index
-            data[field] = [[x] for x in change(tuple(c[0] for c in value))]
+            data[field] = tuple([x] for x in change(tuple(c[0] for c in value)))
         return tuple(data)
 
-    monkeypatch.setattr(brieskorn, "_lcm_columns", changed_cols)
-    return brieskorn._pf_columns(_columns(a))[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(brieskorn, "_lcm_fields", changed)
+        if scan:
+            return _scan_chunk(mp, [a])[0]
+        # the record that _pf_value reads, built from the changed data and not cached
+        mp.setattr(brieskorn, "_invariants_cached", brieskorn._invariants_cached.__wrapped__)
+        return brieskorn._pf_value(a).value
 
 
-def test_pf_formulas_must_agree_at_lambda_m_equal_alpha(monkeypatch):
+def test_pf_formulas_must_agree_at_lambda_m_equal_alpha():
     assert brieskorn._pf_value((2, 3, 6)).cycle == "both"
     for scan in (False, True):
         with pytest.raises(
             InternalError,
             match="^the two fundamental-genus formulas disagree at lambda_m = alpha$",
         ):
-            _pf_with_changed_kernel(monkeypatch, scan, (2, 3, 6), 8, lambda eta_m: eta_m + 1)
+            _pf_with_changed_kernel(scan, (2, 3, 6), 8, lambda eta_m: eta_m + 1)
 
 
-def test_pf_must_be_an_integer(monkeypatch):
+def test_pf_must_be_an_integer():
     for scan in (False, True):
         with pytest.raises(
             InternalError, match=r"^fundamental genus 1 \+ -\d+/84 is not an integer$"
         ):
             _pf_with_changed_kernel(
-                monkeypatch, scan, (2, 3, 7), 5, lambda ghat_i: (ghat_i[0] + 1, *ghat_i[1:])
+                scan, (2, 3, 7), 5, lambda ghat_i: (ghat_i[0] + 1, *ghat_i[1:])
             )
 
 
+def _entry(field, k):
+    """Entry ``k`` of a field of the chunk kernel's data: of its column, or
+    of each of its columns."""
+    return field[k] if isinstance(field, list) else tuple(c[k] for c in field)
+
+
+def test_the_record_matches_the_reference_kernel():
+    """The record's lcm data and closed p_f equal the reference kernel's on
+    every tuple of m = 3..6, a_m <= 12."""
+    for m in range(3, 7):
+        for a in combinations_with_replacement(range(2, 13), m):
+            assert brieskorn._invariants_cached.__wrapped__(a)[1:11] == _lcm_data(a)
+            assert brieskorn._pf_value(a) == _pf_value(a)
+
+
 def test_the_column_kernel_matches_the_record_kernel():
-    """Every field of the columnar lcm data, read back tuple by tuple,
-    equals the record kernel's on every tuple of m = 3..6, a_m <= 12."""
+    """Every field of the kernel's lcm data on a chunk, read back tuple by
+    tuple, equals the reference kernel's on every tuple of m = 3..6,
+    a_m <= 12, each m-box read as one chunk."""
     for m in range(3, 7):
         box = list(combinations_with_replacement(range(2, 13), m))
-        data = brieskorn._lcm_columns(list(zip(*box)))
-        fields = [f if isinstance(f[0], int) else list(zip(*f)) for f in data]
-        assert list(zip(*fields)) == [brieskorn._lcm_data(a) for a in box]
+        data = brieskorn._lcm_fields(brieskorn._CHUNK, list(zip(*box)))
+        got = [tuple(_entry(f, k) for f in data) for k in range(len(box))]
+        assert got == [_lcm_data(a) for a in box]
+
+
+@given(
+    st.integers(min_value=3, max_value=6).flatmap(
+        lambda m: st.tuples(
+            st.lists(st.integers(2, 60), min_size=m, max_size=m).map(sorted).map(tuple),
+            st.lists(
+                st.lists(st.integers(2, 60), min_size=m, max_size=m).map(sorted).map(tuple),
+                max_size=12,
+            ),
+        )
+    ),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=200, deadline=None)
+def test_the_kernel_reads_a_tuple_alike_alone_and_in_a_chunk(case, rnd):
+    """Every field of the lcm data and the closed p_f of a tuple read alone
+    equal its entries when it sits at a random position of a chunk of
+    random sorted tuples."""
+    a, others = case
+    k = rnd.randint(0, len(others))
+    chunk = others[:k] + [a] + others[k:]
+    alone = brieskorn._lcm_fields(brieskorn._ONE, a)
+    data = brieskorn._lcm_fields(brieskorn._CHUNK, list(zip(*chunk)))
+    assert tuple(_entry(f, k) for f in data) == alone
+    m = len(a)
+    pf = brieskorn._closed_pf(brieskorn._CHUNK, m, data)
+    assert pf[k] == brieskorn._closed_pf(brieskorn._ONE, m, alone)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk-1", "chunk-7", "default"])
 def test_the_box_scan_matches_the_record_kernel(monkeypatch, chunk):
-    """The scan's p_f equals the record kernel's on every tuple of two boxes,
-    in the order of the boxes; the default chunk is larger than the m = 3
-    box and ends part-way through the larger ones."""
+    """The scan's p_f equals the reference kernel's on every tuple of two
+    boxes, in the order of the boxes; the default chunk is larger than the
+    m = 3 box and ends part-way through the larger ones."""
     if chunk:
         monkeypatch.setattr(brieskorn, "_SCAN_CHUNK", chunk)
     for m_min, m_max, a_max in ((3, 5, 16), (6, 6, 10)):
         got = [(a, pf) for a, pf in brieskorn._scan_box(m_max, a_max) if len(a) >= m_min]
         want = [
-            (a, brieskorn._pf_value(a).value)
+            (a, _pf_value(a).value)
             for m in range(m_min, m_max + 1)
             for a in combinations_with_replacement(range(2, a_max + 1), m)
         ]
@@ -1051,6 +1160,19 @@ def test_classify_elliptic_validation():
         classify_elliptic(3, 1)
 
 
+@pytest.mark.deadline(5)
+def test_a_census_box_over_the_budget_is_refused_before_the_scan():
+    """The box is counted m by m, and refused at the first m that takes the
+    count past LATTICE_BUDGET, before any list is built for it."""
+    with pytest.raises(ResourceError, match="^the census box m <= 1413, a_m <= 3 needs 1000399 "):
+        classify_elliptic(10**8, 3)
+    # the whole box, comb(a_max - 1 + m_max, m_max) - a_max - comb(a_max, 2) tuples
+    assert comb(44, 5) - 40 - comb(40, 2) == 1_085_188 > ideal_oracle.LATTICE_BUDGET
+    with pytest.raises(ResourceError, match="^the census box m <= 5, a_m <= 40 needs 1085188 "):
+        classify_elliptic(5, 40)
+    assert comb(34, 5) - 30 - comb(30, 2) == 277_791 < ideal_oracle.LATTICE_BUDGET
+
+
 @pytest.mark.parametrize(
     "func, args",
     [
@@ -1068,12 +1190,12 @@ def test_non_integer_arguments_raise_domain_error(func, args):
 
 def _with_scanned_pf(monkeypatch, a, value):
     """Let the box scan report ``value`` as the p_f of ``a``."""
-    real = brieskorn._pf_columns
+    real = brieskorn._scan_range
 
-    def patched(cols):
-        return [value if t == a else pf for t, pf in zip(zip(*cols), real(cols))]
+    def patched(*args):
+        return ((t, value if t == a else pf) for t, pf in real(*args))
 
-    monkeypatch.setattr(brieskorn, "_pf_columns", patched)
+    monkeypatch.setattr(brieskorn, "_scan_range", patched)
 
 
 def test_classify_elliptic_verifies_what_it_reports(monkeypatch):
@@ -1178,7 +1300,7 @@ def test_the_split_scan_matches_the_in_process_scan(split_scan, monkeypatch, met
 def test_a_kernel_error_in_a_worker_reaches_the_caller(split_scan, monkeypatch):
     """A kernel check that fails in a worker raises its InternalError, with
     its message, in the caller, as the in-process scan does."""
-    monkeypatch.setattr(brieskorn, "math", SimpleNamespace(**{**vars(math), "lcm": max}))
+    _fake_ops(monkeypatch, lcm=max)
     with pytest.raises(InternalError) as serial:
         _in_process_census(4, 9)
     with pytest.raises(InternalError) as split:
@@ -1191,16 +1313,16 @@ def test_the_split_scan_raises_the_first_error_in_box_order(split_scan, monkeypa
     """Worker 0 fails in the m = 5 box and worker 1 earlier, in the second
     half of the m = 4 box: the caller gets worker 1's error, the one the
     in-process scan meets first."""
-    real = brieskorn._pf_columns
+    real = brieskorn._lcm_fields
     bad = {(2, 2, 2, 2, 2), (6, 7, 8, 9)}
 
-    def failing(cols):
+    def failing(ar, cols):
         for a in zip(*cols):
             if a in bad:
                 raise InternalError(f"fault at {a}")
-        return real(cols)
+        return real(ar, cols)
 
-    monkeypatch.setattr(brieskorn, "_pf_columns", failing)
+    monkeypatch.setattr(brieskorn, "_lcm_fields", failing)
     for scan in (_in_process_census, brieskorn._scan_census):
         with pytest.raises(InternalError, match=r"^fault at \(6, 7, 8, 9\)$"):
             scan(5, 9)
@@ -1304,6 +1426,22 @@ def test_br2_exceptions():
         assert geometric_genus(a) == 3
         assert normal_reduction_number(a) == 2
         assert not is_elliptic(a)
+
+
+def test_br2_exceptions_validates_nothing(monkeypatch):
+    """The scanned tuples come from the box, so br2_exceptions reads nr and
+    p_g of each without validating it."""
+    calls = []
+    real = brieskorn._validated
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    for module in (brieskorn, ideal_oracle):
+        monkeypatch.setattr(module, "_validated", counted)
+    assert br2_exceptions() == [GAMMA1, GAMMA2]
+    assert calls == []
 
 
 def test_br2_scan_of_the_census_box():

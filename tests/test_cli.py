@@ -64,6 +64,19 @@ def test_resource_budget_exits_4():
 
 @pytest.mark.deadline(5)
 @pytest.mark.parametrize("args", [
+    "elliptic --max-exp 3 --max-codim 100000000",
+    "elliptic --max-exp 40 --max-codim 3",
+])
+def test_a_census_box_over_budget_exits_4_before_the_scan(args):
+    code, out, err = invoke(args.split())
+    assert code == 4, args
+    assert out == ""
+    assert err.startswith("error: the census box m <= ")
+    assert err.endswith(" tuples, above the budget of 1000000\n")
+
+
+@pytest.mark.deadline(5)
+@pytest.mark.parametrize("args", [
     "invariants 101 102 103 105 107",
     "qseq 101 102 103 105 107 -N 2",
     "nr 101 102 103 105 107 --oracle",
