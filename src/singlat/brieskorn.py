@@ -258,10 +258,10 @@ _CHUNK = _Arith(*map(_lifted, _ONE[:9]), repeat, chain.from_iterable, _check_chu
 
 def _lcm_fields(ar: _Arith, a: Sequence) -> tuple:
     """The lcm data of ``a``: ``(ell, ell_i, alpha_i, alpha, ghat, ghat_i,
-    lambda_i, eta_i, eta_m, delta)``, the fields of :class:`BCIInvariants`
-    after ``a`` in their order, uncached.  Under ``_ONE``, ``a`` is one tuple;
-    under ``_CHUNK``, ``a[i]`` is the column of the ``a_i`` of a chunk, and
-    every int below is a column.
+    lambda_i, eta_i, eta_m, delta, a_invariant)``, the fields of
+    :class:`BCIInvariants` after ``a`` in their order, uncached.  Under
+    ``_ONE``, ``a`` is one tuple; under ``_CHUNK``, ``a[i]`` is the column
+    of the ``a_i`` of a chunk, and every int below is a column.
 
     ``ell_i`` is the lcm of the prefix lcm before ``a_i`` and the suffix lcm
     after it, so the lcms take O(m) calls.  The five consistency checks of
@@ -302,23 +302,17 @@ def _lcm_fields(ar: _Arith, a: Sequence) -> tuple:
     eta_m = ar.neg(div(ar.neg(lams[-1]), alpha_m))
     delta = ar.sub(eta[-1], eta_m)
     ar.check(ar.lt(delta, ar.const(0)), "delta = {} is negative", delta)
-    return ell, ell_i, alphas, alpha, ghat, ghats, lams, eta, eta_m, delta
+    # the a-invariant B = (m-2) ell - sum lambda_i
+    b = reduce(ar.sub, lams, times(ell, ar.const(len(a) - 2)))
+    return ell, ell_i, alphas, alpha, ghat, ghats, lams, eta, eta_m, delta, b
 
 
 @lru_cache(maxsize=2048)
 def _invariants_cached(a: tuple[int, ...]) -> BCIInvariants:
     """The record of ``a``: the lcm data of :func:`_lcm_fields`, checked
-    there, plus the a-invariant and the multiplicity.  Cached for the
-    per-tuple paths; the elliptic scans read the same kernel on chunks and
-    build no record."""
-    m = len(a)
-    data = _lcm_fields(_ONE, a)
-    ell, lams = data[0], data[6]
-    return BCIInvariants(
-        a, *data,
-        a_invariant=(m - 2) * ell - sum(lams),
-        multiplicity=math.prod(a[: m - 2]),
-    )
+    there, plus the multiplicity.  Cached for the per-tuple paths; the
+    elliptic scans read the same kernel on chunks and build no record."""
+    return BCIInvariants(a, *_lcm_fields(_ONE, a), multiplicity=math.prod(a[:-2]))
 
 
 def numeric_invariants(a: Sequence[int]) -> BCIInvariants:
@@ -474,24 +468,30 @@ class FundamentalGenus(NamedTuple):
     cycle: str  # which minimal cycle realizes it: "Z0", "MX", or "both"
 
 
-def _closed_pf(ar: _Arith, m: int, data: tuple):
-    """The closed p_f on the lcm data ``data`` of :func:`_lcm_fields` of
-    exponent tuples of length ``m``, in the arithmetic ``ar``: from the
-    central-multiple cycle where lambda_m >= alpha, else from the
-    maximal-ideal cycle.  Its two checks raise ``InternalError``, naming the
-    values of the first tuple that fails."""
-    ell, ell_i, _, alpha, ghat, ghat_i, lams, _, eta_m, _ = data
+def _genus_numerators(ar: _Arith, data: tuple) -> tuple:
+    """``2 ell (p_a - 1)`` of the central-multiple cycle Z_0 and of the
+    maximal-ideal cycle M_X, on the lcm data ``data`` of :func:`_lcm_fields`
+    in the arithmetic ``ar``.  Each is ``ghat x (B + x - c)``, B the
+    a-invariant, with ``(x, c) = (alpha, 2 alpha - 1)`` for Z_0 and
+    ``(lambda_m, (2 eta_m - 1) alpha_m)`` for M_X, x the center
+    coefficient."""
+    _, _, alphas, alpha, ghat, _, lams, _, eta_m, _, b = data
+    times, sub, add, one = ar.mul, ar.sub, ar.add, ar.const(1)
+    # (x, c) of each cycle
+    of_z0 = alpha, sub(add(alpha, alpha), one)
+    of_mx = lams[-1], times(sub(add(eta_m, eta_m), one), alphas[-1])
+    return tuple(times(times(ghat, x), sub(add(b, x), c)) for x, c in (of_z0, of_mx))
+
+
+def _closed_pf(ar: _Arith, data: tuple):
+    """The closed p_f on the lcm data ``data`` of :func:`_lcm_fields`, in the
+    arithmetic ``ar``: p_a of the central-multiple cycle where
+    lambda_m >= alpha, else of the maximal-ideal cycle.  Its two checks
+    raise ``InternalError``, naming the values of the first tuple that
+    fails."""
+    ell, alpha, lam_m = data[0], data[3], data[6][-1]
     times, sub = ar.mul, ar.sub
-    ghat_m, lam_m = ghat_i[-1], lams[-1]
-    # each branch gives 2 ell (p_f - 1) in integers, using ell / alpha_w = ell_w
-    head = times(times(ghat, ell), ar.const(m - 2))
-    head = reduce(sub, map(times, ghat_i[:-1], ell_i[:-1]), head)
-    # z0 = alpha (head - ghat_m ell_m - (alpha - 1) ghat)
-    z0 = sub(sub(head, times(ghat_m, ell_i[-1])), sub(times(alpha, ghat), ghat))
-    z0 = times(alpha, z0)
-    # mx = lam_m head - (2 eta_m - 1) ghat_m ell
-    mx = times(sub(ar.add(eta_m, eta_m), ar.const(1)), times(ghat_m, ell))
-    mx = sub(times(lam_m, head), mx)
+    z0, mx = _genus_numerators(ar, data)
     gap = sub(z0, mx)
     ar.check(
         times(ar.eq(lam_m, alpha), gap),
@@ -510,8 +510,8 @@ def _pf_value(a: tuple[int, ...]) -> FundamentalGenus:
     inv = _invariants_cached(a)
     lam_m, alpha = inv.lambda_i[-1], inv.alpha
     sel = "Z0" if lam_m > alpha else "MX" if lam_m < alpha else "both"
-    # the record holds the fields of _lcm_fields after a, in their order
-    return FundamentalGenus(_closed_pf(_ONE, len(a), inv[1:11]), sel)
+    # the record holds the fields of _lcm_fields between a and the multiplicity
+    return FundamentalGenus(_closed_pf(_ONE, inv[1:-1]), sel)
 
 
 @lru_cache(maxsize=4096)
@@ -640,24 +640,22 @@ class MaximalCycleNumbers(NamedTuple):
 
 
 def maximal_cycle_numbers(a: Sequence[int]) -> MaximalCycleNumbers:
-    """MY_sq and MY_K from the checked patterns: M_X = Z^(m) pairs to -1 at
-    the ghat_m family-m tips (-ghat_m at the center if there are none), where
-    M_X and Z_K have coefficients eta_m and z, so p_a(M_X) = 1 + ghat_m (z - eta_m)/2."""
+    """MY_sq and MY_K in closed form: MY_sq = -multiplicity, and
+    M_X.(M_X + K) = 2 p_a(M_X) - 2 from the numerator
+    2 ell (p_a(M_X) - 1) = ghat lambda_m (B + lambda_m - (2 eta_m - 1) alpha_m)
+    that the closed p_f shares.  No star is built; ``singlat check``
+    compares the sum with p_a(M_X) on the flattened graph."""
     return _mcn_value(_validated(a))
 
 
 def _mcn_value(a: tuple[int, ...]) -> MaximalCycleNumbers:
     inv = _invariants_cached(a)
-    star = _star_cached(a)
-    # family m's tip class, or the center when family m is empty
-    first, end = star.quotient.spans[-1]
-    tip = end - 1 if first < end else 0
-    eta_m, z = star.cycles[len(a)][tip], star.cycles[-1][tip]
-    two_pa_minus_2 = inv.ghat_i[-1] * (z - eta_m)
-    if two_pa_minus_2 % 2:
+    # mx = 2 ell (p_a(M_X) - 1) = ell M_X.(M_X + K)
+    mx = _genus_numerators(_ONE, inv[1:-1])[1]
+    if mx % (2 * inv.ell):
         raise InternalError("M_X.(M_X + K) is odd")
     my_sq = -inv.multiplicity
-    my_k = two_pa_minus_2 - 2 * inv.delta * inv.ghat_i[-1] - my_sq
+    my_k = mx // inv.ell - 2 * inv.delta * inv.ghat_i[-1] - my_sq
     return MaximalCycleNumbers(MY_sq=my_sq, MY_K=my_k)
 
 
@@ -666,8 +664,10 @@ def q_sequence(a: Sequence[int], n_max: int) -> tuple[int, ...]:
 
     q(0) is the geometric genus; the increments are
     q(n) - q(n-1) = (my_sq - my_k)/2 + sum_{i<=n} p(i) with p(i) the lattice
-    quotient dimensions.  Postconditions enforced: q >= 0, non-increasing,
-    first repeat exactly at the normal reduction number, constant afterwards.
+    quotient dimensions and my_sq, my_k the closed forms of
+    :func:`maximal_cycle_numbers`, so no star is built.  Postconditions
+    enforced: q >= 0, non-increasing, first repeat exactly at the normal
+    reduction number, constant afterwards.
     """
     a = _validated(a)
     if not isinstance(n_max, int) or n_max < 0:
@@ -743,7 +743,7 @@ def _scan_range(
     record is built and no cache is filled."""
     box = islice(combinations_with_replacement(range(2, a_max + 1), m), start, stop)
     while chunk := list(islice(box, _SCAN_CHUNK)):
-        yield from zip(chunk, _closed_pf(_CHUNK, m, _lcm_fields(_CHUNK, list(zip(*chunk)))))
+        yield from zip(chunk, _closed_pf(_CHUNK, _lcm_fields(_CHUNK, list(zip(*chunk)))))
 
 
 def _scan_box(m_max: int, a_max: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -931,7 +931,7 @@ def invariant_report(a: Sequence[int]) -> dict:
     a = _validated(a)
     # p_g first: a pair range or box over its budget is refused before the
     # star is built and Laufer's sequence runs on it
-    pg = geometric_genus(a)
+    pg = _pg_cached(a)
     inv = _invariants_cached(a)
     star = _star_cached(a)
     pf = _pf_verified(a)
@@ -947,7 +947,7 @@ def invariant_report(a: Sequence[int]) -> dict:
         "c0": star.c0,
         "pf": pf.value,
         "pg": pg,
-        "nr": normal_reduction_number(a),
+        "nr": _nr_value(a),
         "elliptic": pf.value == 1,
         "flags": list(star.flags),
     }

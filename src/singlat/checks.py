@@ -178,7 +178,7 @@ def run_tuple_checks(a: Sequence[int]) -> list[CheckResult]:
         table = ideal_oracle.quotient_table(a)
         p = [table.p[n] if n < len(table.p) else 0 for n in range(n_max)]
         _require(ideal_oracle.qp_consistency(q, p), "q/p second-difference identity")
-        # the one input of q read off the star's cycles, checked on the flat graph
+        # the one input of q from the closed p_a(M_X), checked on the flat graph
         mcn = brieskorn.maximal_cycle_numbers(a)
         pa_mx = graph_lattice.arithmetic_genus(star.graph, brieskorn.maximal_ideal_cycle(a))
         want = 2 * pa_mx - 2 - 2 * inv.delta * inv.ghat_i[-1]

@@ -38,7 +38,7 @@ from singlat import (
     qp_consistency,
     quotient_table,
 )
-from singlat.brieskorn import _pg_dense
+from singlat.brieskorn import _ONE, _genus_numerators, _pg_dense
 from conftest import (
     ordered_quotient, per_curve, reference_quotient, star, star_layout_mismatches,
 )
@@ -81,6 +81,7 @@ class Record(NamedTuple):
     zf_eq_z0: bool
     zf_eq_mx: bool
     pa_mx_matches_graph: bool
+    closed_genera_match_classes: bool
     zk_matches_adjunction: bool
     zk_integral: bool
     zk_effective: bool
@@ -138,10 +139,16 @@ def sweep():
             layout_mismatches=star_layout_mismatches(star_graph),
             zf_eq_z0=zf == z0,
             zf_eq_mx=zf == mx,
-            # maximal_cycle_numbers reads p_a(M_X) off the compressed cycles:
-            # MY_sq + MY_K = 2 p_a(M_X) - 2 - 2 delta ghat_m
+            # maximal_cycle_numbers reads the closed p_a(M_X), which no star
+            # cycle enters: MY_sq + MY_K = 2 p_a(M_X) - 2 - 2 delta ghat_m
             pa_mx_matches_graph=mcn.MY_sq + mcn.MY_K
             == 2 * arithmetic_genus(graph, mx) - 2 - 2 * inv.delta * inv.ghat_i[-1],
+            # the closed 2 ell (p_a - 1) of Z_0 and of M_X, against p_a of the
+            # star's cycles class by class; Z_0 is not Z_f where lambda_m < alpha
+            closed_genera_match_classes=_genus_numerators(_ONE, inv[1:-1]) == tuple(
+                2 * inv.ell * (quo.arithmetic_genus(star_graph.cycles[i]) - 1)
+                for i in (0, len(a))
+            ),
             zk_matches_adjunction=zk == canonical_qcycle(graph),
             zk_integral=all(c.denominator == 1 for c in zk),
             zk_effective=all(c >= 0 for c in zk),
@@ -220,10 +227,11 @@ def test_criterion_05_fundamental_genus_closed_form(sweep):
     cycle is the predicted distinguished cycle, the eta_m the closed
     form uses is the tip coefficient of Z^(m) on the graph, Z_0 and every
     Z^(i) pair against the flattened graph as they were solved for, the
-    p_a(M_X) read off the compressed cycles is the graph's, the quotient
-    each star keeps from its families is the one its adjacency gives and
-    lays the star out as its families once did, and the class-wise
-    pairings and p_a(Z_f) on it match the flattened graph's."""
+    closed p_a(M_X) is the graph's, the closed p_a of Z_0 and of M_X are
+    those of the star's cycles class by class, the quotient each star
+    keeps from its families is the one its adjacency gives and lays the
+    star out as its families once did, and the class-wise pairings and
+    p_a(Z_f) on it match the flattened graph's."""
     for a, r in sweep.items():
         assert r.pf == r.pf_graph, a
         assert r.kept_quotient_matches_adjacency, a
@@ -231,6 +239,7 @@ def test_criterion_05_fundamental_genus_closed_form(sweep):
         assert r.class_pairings_match_graph, a
         assert r.class_genus_matches_graph, a
         assert r.pa_mx_matches_graph, a
+        assert r.closed_genera_match_classes, a
         assert r.eta_m_is_tip, a
         assert r.cycles_pair_as_solved, a
         if r.lam_m >= r.alpha:

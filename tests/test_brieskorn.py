@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
 from math import comb, gcd, lcm, prod
@@ -156,7 +157,8 @@ def _lcm_data(a: tuple[int, ...]) -> tuple:
     """The reference lcm kernel for one tuple, kept as it stood before the
     record and the census scan shared one kernel: ``(ell, ell_i, alpha_i,
     alpha, ghat, ghat_i, lambda_i, eta_i, eta_m, delta)``, with the five
-    checks and messages of ``brieskorn._lcm_fields``."""
+    checks and messages of ``brieskorn._lcm_fields``, and then the
+    a-invariant, as the record once added it."""
     lcm = math.lcm
     suf = list(accumulate(a[:0:-1], lcm, initial=1))  # lcm(a[m-j:]), j = 0..m-1
     suf.reverse()  # now suf[i] = lcm(a[i+1:])
@@ -191,7 +193,8 @@ def _lcm_data(a: tuple[int, ...]) -> tuple:
     delta = eta[-1] - eta_m
     if delta < 0:
         raise InternalError(f"delta = {delta} is negative")
-    return ell, ell_i, alphas, alpha, ghat, tuple(ghats), lams, tuple(eta), eta_m, delta
+    b = (len(a) - 2) * ell - sum(lams)
+    return ell, ell_i, alphas, alpha, ghat, tuple(ghats), lams, tuple(eta), eta_m, delta, b
 
 
 def _pf_value(a: tuple[int, ...]) -> brieskorn.FundamentalGenus:
@@ -225,13 +228,13 @@ def test_lcm_kernel_against_the_definitions(a):
     """The prefix-suffix lcms against lcm of all the other exponents, and
     the record's lcm data against the reference kernel."""
     data = _lcm_data(a)
-    ell, ell_i, alpha_i, alpha, ghat, ghat_i, lams, eta_i, eta_m, delta = data
+    ell, ell_i, alpha_i, alpha, ghat, ghat_i, lams, eta_i, eta_m, delta, b = data
     assert ell == lcm(*a)
     assert ell_i == tuple(lcm(*(a[:i] + a[i + 1 :])) for i in range(len(a)))
     assert all(lam * x == ell for lam, x in zip(lams, a))
     assert ghat * ell == prod(a)
     inv = brieskorn._invariants_cached.__wrapped__(a)
-    assert tuple(inv)[1:11] == data
+    assert tuple(inv)[1:-1] == data
 
 
 def _scan_chunk(monkeypatch, chunk):
@@ -287,9 +290,12 @@ def test_a_column_check_names_the_first_tuple_that_fails(monkeypatch):
         _scan_chunk(monkeypatch, [(2, 3, 4), (2, 3, 6), (2, 3, 7), (2, 4, 9)])
 
 
-def _pf_with_changed_kernel(scan, a, field, change):
-    """p_f of ``a`` with one field of its lcm data changed: on the record's
-    route, or on the scan's with ``a`` as a one-tuple chunk."""
+@contextmanager
+def _changed_kernel(field, change):
+    """A ``MonkeyPatch`` under which the kernel changes one field of its
+    lcm data, of one tuple or of a one-tuple chunk, and the record that
+    ``_pf_value`` and ``_mcn_value`` read is built from the changed data
+    and not cached."""
     real = brieskorn._lcm_fields
 
     def changed(ar, a):
@@ -305,11 +311,15 @@ def _pf_with_changed_kernel(scan, a, field, change):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(brieskorn, "_lcm_fields", changed)
-        if scan:
-            return _scan_chunk(mp, [a])[0]
-        # the record that _pf_value reads, built from the changed data and not cached
         mp.setattr(brieskorn, "_invariants_cached", brieskorn._invariants_cached.__wrapped__)
-        return brieskorn._pf_value(a).value
+        yield mp
+
+
+def _pf_with_changed_kernel(scan, a, field, change):
+    """p_f of ``a`` with one field of its lcm data changed: on the record's
+    route, or on the scan's with ``a`` as a one-tuple chunk."""
+    with _changed_kernel(field, change) as mp:
+        return _scan_chunk(mp, [a])[0] if scan else brieskorn._pf_value(a).value
 
 
 def test_pf_formulas_must_agree_at_lambda_m_equal_alpha():
@@ -323,13 +333,21 @@ def test_pf_formulas_must_agree_at_lambda_m_equal_alpha():
 
 
 def test_pf_must_be_an_integer():
+    """The a-invariant one too low on (2, 3, 7) moves 2 ell (p_f - 1) from
+    0 to -ghat lambda_m = -6, which 2 ell = 84 does not divide."""
     for scan in (False, True):
         with pytest.raises(
-            InternalError, match=r"^fundamental genus 1 \+ -\d+/84 is not an integer$"
+            InternalError, match=r"^fundamental genus 1 \+ -6/84 is not an integer$"
         ):
-            _pf_with_changed_kernel(
-                scan, (2, 3, 7), 5, lambda ghat_i: (ghat_i[0] + 1, *ghat_i[1:])
-            )
+            _pf_with_changed_kernel(scan, (2, 3, 7), 10, lambda b: b - 1)
+
+
+def test_maximal_cycle_genus_must_be_an_integer():
+    """The a-invariant one too high on (2, 3, 7) moves ell M_X.(M_X + K)
+    from 0 to ghat lambda_m = 6, which 2 ell = 84 does not divide."""
+    with _changed_kernel(10, lambda b: b + 1):
+        with pytest.raises(InternalError, match=r"^M_X\.\(M_X \+ K\) is odd$"):
+            maximal_cycle_numbers((2, 3, 7))
 
 
 def _entry(field, k):
@@ -343,7 +361,7 @@ def test_the_record_matches_the_reference_kernel():
     every tuple of m = 3..6, a_m <= 12."""
     for m in range(3, 7):
         for a in combinations_with_replacement(range(2, 13), m):
-            assert brieskorn._invariants_cached.__wrapped__(a)[1:11] == _lcm_data(a)
+            assert brieskorn._invariants_cached.__wrapped__(a)[1:-1] == _lcm_data(a)
             assert brieskorn._pf_value(a) == _pf_value(a)
 
 
@@ -381,9 +399,8 @@ def test_the_kernel_reads_a_tuple_alike_alone_and_in_a_chunk(case, rnd):
     alone = brieskorn._lcm_fields(brieskorn._ONE, a)
     data = brieskorn._lcm_fields(brieskorn._CHUNK, list(zip(*chunk)))
     assert tuple(_entry(f, k) for f in data) == alone
-    m = len(a)
-    pf = brieskorn._closed_pf(brieskorn._CHUNK, m, data)
-    assert pf[k] == brieskorn._closed_pf(brieskorn._ONE, m, alone)
+    pf = brieskorn._closed_pf(brieskorn._CHUNK, data)
+    assert pf[k] == brieskorn._closed_pf(brieskorn._ONE, alone)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk-1", "chunk-7", "default"])
@@ -813,9 +830,9 @@ def test_star_build_rejects_an_indefinite_star(monkeypatch):
 @given(exponent_tuples | wide_tuples)
 @settings(max_examples=40, deadline=None)
 def test_compressed_maximal_cycle_genus_matches_the_graph(a):
-    """p_a(M_X) read off the compressed patterns of M_X and Z_K, as
-    maximal_cycle_numbers uses it, equals arithmetic_genus on the flattened
-    graph, which the elimination finds negative definite."""
+    """The closed p_a(M_X) that maximal_cycle_numbers uses equals
+    arithmetic_genus on the flattened graph, which the elimination finds
+    negative definite."""
     inv, star, mcn = numeric_invariants(a), dual_graph(a), maximal_cycle_numbers(a)
     pa = arithmetic_genus(star.graph, maximal_ideal_cycle(a))
     assert mcn.MY_sq + mcn.MY_K == 2 * pa - 2 - 2 * inv.delta * inv.ghat_i[-1]
@@ -1093,9 +1110,8 @@ def test_q_sequence_fixtures():
         q_sequence(GAMMA1, -1)
 
 
-def test_q_sequence_validates_once(monkeypatch):
-    """q_sequence validates its tuple once and reads p_g, M_X, the quotient
-    table and nr without validating it again."""
+def _count_validations(monkeypatch) -> list:
+    """The list that each later ``_validated`` call appends its argument to."""
     calls = []
     real = brieskorn._validated
 
@@ -1105,8 +1121,40 @@ def test_q_sequence_validates_once(monkeypatch):
 
     for module in (brieskorn, ideal_oracle):
         monkeypatch.setattr(module, "_validated", counted)
+    return calls
+
+
+def test_q_sequence_validates_once(monkeypatch):
+    """q_sequence validates its tuple once and reads p_g, M_X, the quotient
+    table and nr without validating it again."""
+    calls = _count_validations(monkeypatch)
     assert q_sequence([3, 4, 6], 4) == (3, 2, 2, 2, 2)
     assert calls == [[3, 4, 6]]
+
+
+def test_invariant_report_validates_once(monkeypatch):
+    """invariant_report validates its tuple once and reads p_g and nr
+    without validating it again."""
+    calls = _count_validations(monkeypatch)
+    assert invariant_report([3, 4, 6])["nr"] == 2
+    assert calls == [[3, 4, 6]]
+
+
+def test_q_sequence_and_maximal_cycle_numbers_build_no_star(monkeypatch):
+    """Both read M_X's genus in closed form, also where family m is empty,
+    as on (2, 2, 2) and (2, 3, 6): a star build would raise here."""
+
+    def no_star(a):
+        raise AssertionError(f"the star of {a} was built")
+
+    monkeypatch.setattr(brieskorn, "_star_cached", no_star)
+    for a, q, mcn in [
+        ((2, 2, 2), (0, 0, 0), (-2, 0)), ((2, 3, 6), (1, 1, 1), (-2, 0)),
+        (GAMMA1, (3, 2, 2), (-3, 3)), ((2, 3, 7), (1, 1, 1), (-2, 0)),
+        ((4, 4, 4), (4, 1, 0), (-4, 8)),
+    ]:
+        assert q_sequence(a, 2) == q
+        assert maximal_cycle_numbers(a) == mcn
 
 
 @given(exponent_tuples, st.integers(min_value=0, max_value=6))
@@ -1431,15 +1479,7 @@ def test_br2_exceptions():
 def test_br2_exceptions_validates_nothing(monkeypatch):
     """The scanned tuples come from the box, so br2_exceptions reads nr and
     p_g of each without validating it."""
-    calls = []
-    real = brieskorn._validated
-
-    def counted(a):
-        calls.append(a)
-        return real(a)
-
-    for module in (brieskorn, ideal_oracle):
-        monkeypatch.setattr(module, "_validated", counted)
+    calls = _count_validations(monkeypatch)
     assert br2_exceptions() == [GAMMA1, GAMMA2]
     assert calls == []
 
