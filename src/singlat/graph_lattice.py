@@ -12,11 +12,9 @@ that its identical chains cost one class, and one class per curve on any
 other graph.  The definiteness verdict and Z_K, from one exact elimination,
 and Laufer's Z_f run on the quotient once and are cached there per class;
 the public functions expand them with :meth:`Quotient.flatten`.  The
-elimination runs in integers on the classes that a pendant order reaches,
-every class of a star: each keeps its pivot and right-hand side as one
-gcd-reduced triple over a common positive denominator, one gcd per step.
-``Fraction``s remain for the 2-core of a graph with cycles and for the
-entries of Z_K, one per class.  A star's
+elimination runs in integers, on sparse rows that one gcd reduces per
+fold, pendant classes first, then the 2-core of a graph with cycles; the
+only ``Fraction``s it makes are the entries of Z_K, one per class.  A star's
 quotient is built from its families before any curve is emitted, so a star
 and its flattened graph share one, and ``brieskorn`` reads ``p_f`` off it
 with the class-wise pairing alone.  Pairings with every curve walk the edge
@@ -221,33 +219,28 @@ class Quotient:
 
         - Order: a class with exactly one neighbouring class not yet ordered
           is taken from a stack of such classes, which is refilled as
-          neighbours drop to one; that neighbour is its later one.
-          Eliminated in that order, it creates no fill-in (Parter, "The use
-          of linear graphs in Gauss elimination", 1961).  This orders every
-          class of a star, or of any tree.  The classes left over, the
-          2-core, follow in index order.
-        - Eliminate.  A pendant class i changes only its later neighbour j,
-          and there only j's pivot and right-hand side, so these stay
-          integers, as in Bareiss's integer-preserving elimination
+          neighbours drop to one.  Eliminated in that order, it creates no
+          fill-in (Parter, "The use of linear graphs in Gauss elimination",
+          1961).  This orders every class of a star, or of any tree.  The
+          classes left over, the 2-core, follow in index order.
+        - Fold, in integers, as Bareiss's fraction-free elimination does
           ("Sylvester's identity and multistep integer-preserving Gaussian
-          elimination", 1968): class a holds the triple ``(P_a, Y_a, S_a)``
-          for the pivot ``P_a / S_a`` and the right-hand side ``Y_a / S_a``,
-          with ``S_a > 0``, so the pivot is negative when ``P_a`` is.  With
-          ``q = -P_i`` the fold is ``P_j <- q P_j + N_ji N_ij S_i S_j``,
-          ``Y_j <- q Y_j + N_ji Y_i S_j`` and ``S_j <- q S_j``, and one gcd
-          divides all three.  The 2-core, which no star has, is then
-          eliminated with its fill-in on sparse rows of ``Fraction``s,
-          seeded from the triples.
-        - Back-substitute in reverse order: the 2-core in ``Fraction``s, then
-          each pendant class as ``x_i = (Y_i - N_ij S_i x_j) / P_i``, kept as
-          a pair ``X_i / D_i`` in lowest terms with ``D_i > 0``.  As ``X_j``
-          and ``D_j`` are coprime, two gcds reduce it, each against a number
-          of class i's own, ``N_ij S_i`` and ``P_i``, as in Henrici's rule
-          for adding fractions (Knuth, TAOCP vol. 2, 4.5.1).  Z_K's
-          ``Fraction``s are made from these pairs, one per class, and on a
-          tree they are the only ones.
+          elimination", 1968): class a keeps a sparse row ``R_a`` over the
+          classes not yet eliminated, pivot included, and ``y_a``, both the
+          true ones times one positive number, so no denominator is kept.
+          With ``q = -R_ii``, class i folds into each later class j of its
+          row as ``R_j <- q R_j + R_ji R_i`` and ``y_j <- q y_j + R_ji y_i``,
+          and one gcd reduces the new row and ``y_j``.  A pendant class has
+          one later class, so on a tree no row gains an entry.
+        - Back-substitute in reverse order: ``x_i = (y_i - sum_k R_ik x_k) /
+          R_ii`` as a pair ``X_i / D_i`` in lowest terms with ``D_i > 0``,
+          each term reduced by ``gcd(R_ik, D_k)`` and added by Henrici's
+          rule (Knuth, TAOCP vol. 2, 4.5.1).  Z_K's ``Fraction``s, one per
+          class, are made from these pairs, and they are the only ones.
 
-        Linear-time in the classes on trees.
+        Linear-time in the classes on trees of bounded degree.  Each fold
+        scales the whole row it folds into, so a class with d neighbours
+        costs O(d^2), as the center of a flattened star with many chains.
         """
         into, self_ints = self.into, self.self_ints
         n = len(into)
@@ -255,77 +248,65 @@ class Quotient:
         # one-class graph starts with its class on the stack
         deg = [len(row) for row in into]
         stack = [a for a in range(n - 1, -1, -1) if deg[a] < 2]
-        pendant: list[int] = []
-        later = [-1] * n  # a pendant class's later neighbour, -1 for a tree's last
+        order: list[int] = []
         while stack:
             a = stack.pop()
-            pendant.append(a)
+            order.append(a)
             if deg[a]:  # else its last neighbour went first: a is what is left of a tree
                 deg[a] = 0
-                b = later[a] = next(b for b in into[a] if deg[b])
+                for b in into[a]:
+                    if deg[b]:
+                        break
                 deg[b] -= 1
                 if deg[b] == 1:
                     stack.append(b)
         # every class not yet ordered has two or more such neighbours
-        core = [a for a in range(n) if deg[a]]
+        order += [a for a in range(n) if deg[a]]
 
-        P = list(self_ints)
-        Y = [e + 2 - 2 * gen for e, gen in zip(self_ints, self.genera)]
-        S = [1] * n
-        for i in pendant:
-            q = -P[i]
+        # rows[a][b] = N_ab times a positive number, as is y[a]; once a is
+        # eliminated, rows[a] is its reduced row over the classes after it,
+        # pivot included
+        rows = [{a: e} for a, e in enumerate(self_ints)]
+        for b, row in enumerate(into):
+            for a, w in row.items():
+                rows[a][b] = w
+        y = [e + 2 - 2 * gen for e, gen in zip(self_ints, self.genera)]
+        for i in order:
+            row = rows[i]
+            q = -row.pop(i)
             if q <= 0:
                 self._neg_def = False
                 return
-            j = later[i]
-            if j >= 0:
-                s, n_ji = S[j], into[i][j]
-                p = q * P[j] + n_ji * into[j][i] * S[i] * s
-                y = q * Y[j] + n_ji * Y[i] * s
-                s *= q
-                g = gcd(p, y, s)
-                P[j], Y[j], S[j] = p // g, y // g, s // g
-
-        # rows[a][b] = N_ab over the 2-core; once a is eliminated, rows[a] is
-        # its reduced row over the classes after it, pivot included
-        rows = {a: {b: into[b][a] for b in into[a] if deg[b]} | {a: Fraction(P[a], S[a])}
-                for a in core}
-        x = {a: Fraction(Y[a], S[a]) for a in core}
-        for i in core:
-            row = rows[i]
-            piv = row.pop(i)
-            if piv >= 0:
-                self._neg_def = False
-                return
             for j in row:
-                f = rows[j].pop(i) / piv
+                rj = rows[j]
+                r = rj.pop(i)
+                for k in rj:
+                    rj[k] *= q
                 for k, u in row.items():
-                    rows[j][k] = rows[j].get(k, 0) - f * u
-                x[j] -= f * x[i]
-            row[i] = piv
+                    rj[k] = rj.get(k, 0) + r * u
+                y[j] = q * y[j] + r * y[i]
+                g = gcd(y[j], *rj.values())
+                if g > 1:
+                    for k in rj:
+                        rj[k] //= g
+                    y[j] //= g
+            row[i] = -q
 
-        # x_i = (y_i - sum_k rows_ik x_k) / pivot_i on the 2-core, then the
-        # pendant classes as pairs X_i / D_i
         X, D = [0] * n, [1] * n
-        for i in reversed(core):
-            piv = rows[i].pop(i)
+        for i in reversed(order):
+            p = rows[i].pop(i)
+            num, den = y[i], 1
             for k, u in rows[i].items():
-                x[i] -= u * x[k]
-            x[i] /= piv
-            X[i], D[i] = x[i].numerator, x[i].denominator
-        for i in reversed(pendant):
-            j, num, d = later[i], Y[i], 1
-            if j >= 0:
-                # x_i = (Y_i D_j - c X_j) / (P_i D_j) with c = N_ij S_i.  As
-                # X_j and D_j are coprime, the numerator shares h = gcd(c, D_j)
-                # with D_j, and once divided by h, nothing with D_j / h
-                c = into[j][i] * S[i]
-                h = gcd(c, D[j])
-                d = D[j] // h
-                num = num * d - c // h * X[j]
-            # any other common factor divides P_i, which is negative
-            g = -gcd(num, P[i])
-            X[i], D[i] = num // g, P[i] // g * d
+                # num / den minus u X_k / D_k, both brought to lowest terms
+                h = gcd(u, D[k])
+                u, d = u // h * X[k], D[k] // h
+                d1 = gcd(den, d)
+                t = num * (d // d1) - u * (den // d1)
+                d2 = gcd(t, d1)
+                num, den = t // d2, den // d1 * (d // d2)
+            # num is prime to den, so only a factor of the negative p is common
+            g = -gcd(num, p)
+            X[i], D[i] = num // g, p // g * den
         self._neg_def = True
         self._zk = tuple(map(Fraction, X, D))
 

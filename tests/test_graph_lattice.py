@@ -12,7 +12,7 @@ from operator import mul
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from singlat import (
@@ -942,26 +942,39 @@ def _solve_counting_fractions(q):
 
 def _assert_solved_as_in_fractions(q):
     """The verdict, Z_K and the type of each entry against the reference.
-    On a tree the solve makes one ``Fraction`` per class, for Z_K, from a
-    pair in lowest terms with a positive denominator, and none when it
-    stops."""
+    The solve makes one ``Fraction`` per class, for Z_K, from a pair in
+    lowest terms with a positive denominator, and none when it stops."""
     solved, made = _solve_counting_fractions(q)
     definite, zk = _solve_in_fractions(q)
     assert solved.is_negative_definite() == definite
     assert solved._zk == zk
     if definite:
         assert all(type(x) is Fraction for x in solved._zk)
-    # a tree: each of its k - 1 neighbouring pairs of classes counted twice
-    if sum(map(len, q.into)) == 2 * (len(q.into) - 1):
-        assert made == [(x.numerator, x.denominator) for x in solved._zk or ()]
+    assert made == [(x.numerator, x.denominator) for x in solved._zk or ()]
+
+
+def _grid(k, center=-5):
+    """A k x k grid of -5 curves, its row-major neighbours joined, with the
+    first edge doubled, a genus-1 curve at index 1 and self-intersection
+    ``center`` at the middle curve: a 2-core of k^2 classes with fill-in."""
+    edges = [(v, v + 1) for v in range(k * k) if (v + 1) % k]
+    edges += [(v, v + k) for v in range(k * k - k)]
+    vertices = [(0, -5)] * (k * k)
+    vertices[1] = (1, -5)
+    vertices[k * k // 2 + k // 2] = (0, center)
+    return DualGraph(vertices, edges + edges[:1])
 
 
 @given(cyclic_graphs() | pendant_graphs() | weighted_stars() | seifert_stars().map(_seifert_graph))
+@example(_grid(12))
+@example(_grid(12, center=0))
 @settings(max_examples=400, deadline=None)
 def test_the_integer_folds_solve_as_the_fraction_elimination(g):
     """Trees, stars with families of several copies (``N_AB != N_BA``), the
-    2-core seeded from the folds, and singular and indefinite forms, where
-    both stop at the same pivot."""
+    2-core after the pendant classes, and singular and indefinite forms,
+    where both stop at the same pivot.  The grids have a definite 2-core of
+    144 classes, and one whose middle curve of self-intersection 0 gives
+    the first pivot >= 0, midway through the core."""
     _assert_solved_as_in_fractions(g.quotient)
 
 
