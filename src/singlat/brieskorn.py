@@ -753,24 +753,12 @@ def _scan_box(m_max: int, a_max: int) -> Iterator[tuple[tuple[int, ...], int]]:
         yield from _scan_range(a_max, m)
 
 
-def _elliptic_ranges(a_max: int, ranges) -> Iterator[list[tuple[tuple[int, ...], int]]]:
-    """For each ``(m, start, stop)`` of ``ranges`` in turn, the ``(a, 1)``
-    pairs of the elliptic tuples that :func:`_scan_range` finds there."""
-    for m, start, stop in ranges:
-        yield [(a, pf) for a, pf in _scan_range(a_max, m, start, stop) if pf == 1]
-
-
-def _census_worker(conn, a_max: int, ranges) -> None:
-    """Worker process of the split census: sends ``(kept, error)``, the lists
-    of :func:`_elliptic_ranges` that it completed and the exception that
-    ended the scan, or None."""
-    kept, error = [], None
-    try:
-        kept.extend(_elliptic_ranges(a_max, ranges))
-    except Exception as exc:
-        error = exc
-    conn.send((kept, error))
-    conn.close()
+def _elliptic_range(
+    a_max: int, m: int, start: int, stop: int
+) -> list[tuple[tuple[int, ...], int]]:
+    """The ``(a, 1)`` pairs of the elliptic tuples that :func:`_scan_range`
+    finds among the tuples ``start:stop`` of the m-box."""
+    return [(a, pf) for a, pf in _scan_range(a_max, m, start, stop) if pf == 1]
 
 
 def _split_workers(size: int) -> int:
@@ -796,45 +784,23 @@ def _split_workers(size: int) -> int:
     return 1 if multiprocessing.current_process().daemon else _SPLIT_WORKERS
 
 
-def _in_workers(target, jobs: list[tuple]) -> list:
-    """``target(conn, *args)`` for each ``args`` of ``jobs``, each in a worker
-    process started by ``_START_METHOD``, and what each sends on ``conn``, in
-    the order of ``jobs``.  Every worker has ended when this returns or
-    raises."""
-    import multiprocessing
-
-    ctx = multiprocessing.get_context(_START_METHOD)
-    procs, conns = [], []
-    try:
-        for args in jobs:
-            recv, send = ctx.Pipe(duplex=False)
-            conns.append(recv)
-            proc = ctx.Process(target=target, args=(send, *args))
-            proc.start()
-            procs.append(proc)
-            # the worker holds the only send end, so its death ends recv
-            send.close()
-        return [conn.recv() for conn in conns]
-    except BaseException:
-        for proc in procs:
-            proc.terminate()
-        raise
-    finally:
-        for proc in procs:
-            proc.join()
-            proc.close()
-        for conn in conns:
-            conn.close()
-
-
 def _scan_census(m_max: int, a_max: int) -> list[tuple[tuple[int, ...], int]]:
-    """The ``(a, 1)`` pairs of the elliptic tuples of the box, in box order,
-    scanned in-process or split by :func:`_split_workers`.  Each m-box is
-    split into one contiguous run of whole chunks per worker, so every chunk
-    is the one the in-process scan reads; a worker stops at its first kernel
-    error, and the first error in box order is raised, as in-process.  A box
-    of more than ``LATTICE_BUDGET`` tuples raises ``ResourceError`` before
-    any is scanned."""
+    """The ``(a, 1)`` pairs of the elliptic tuples of the box, in box order.
+
+    The box is listed as runs ``(m, start, stop)``, m by m: each m-box is
+    cut into one contiguous run of whole chunks per worker of
+    :func:`_split_workers`, so every chunk is the one the in-process scan
+    reads.  With one worker, the builtin ``map`` runs
+    :func:`_elliptic_range` over the runs in-process; with two,
+    ``ProcessPoolExecutor.map`` does, in processes that ``_START_METHOD``
+    starts, and ``multiprocessing`` and ``concurrent.futures`` are imported
+    only then.  Either map returns the results, and raises the first error,
+    in the order of the runs, which is box order, so the split scan returns
+    and raises what the in-process scan does (``multiprocessing.Pool.map``
+    would raise the first error to arrive).  The pool's processes have
+    ended when this returns or raises.  A box of more than
+    ``LATTICE_BUDGET`` tuples raises ``ResourceError`` before any is
+    scanned."""
     # counted m by m, up to the first m-box that takes the count past the budget
     total = 0
     for m in range(3, m_max + 1):
@@ -842,27 +808,21 @@ def _scan_census(m_max: int, a_max: int) -> list[tuple[tuple[int, ...], int]]:
         if total > ideal_oracle.LATTICE_BUDGET:
             break
     ideal_oracle._check_budget(total, f"the census box m <= {m}, a_m <= {a_max}", "tuples")
-    sizes = {m: math.comb(a_max + m - 2, m) for m in range(3, m_max + 1)}
     workers = _split_workers(total)
-    jobs = []
-    for k in range(workers):
-        ranges = []
-        for m, size in sizes.items():
-            chunks = -(-size // _SCAN_CHUNK)
-            start, stop = (chunks * j // workers * _SCAN_CHUNK for j in (k, k + 1))
-            ranges.append((m, start, min(stop, size)))
-        jobs.append((a_max, ranges))
+    runs = []
+    for m in range(3, m_max + 1):
+        size = math.comb(a_max + m - 2, m)
+        chunks = -(-size // _SCAN_CHUNK)
+        cuts = [min(chunks * k // workers * _SCAN_CHUNK, size) for k in range(workers + 1)]
+        runs += [(m, start, stop) for start, stop in zip(cuts, cuts[1:])]
+    columns = (repeat(a_max), *zip(*runs))
     if workers == 1:
-        results = [(list(_elliptic_ranges(*jobs[0])), None)]
-    else:
-        results = _in_workers(_census_worker, jobs)
-    found = []
-    for i in range(len(sizes)):
-        for kept, error in results:
-            if i == len(kept):
-                raise error
-            found += kept[i]
-    return found
+        return list(chain.from_iterable(map(_elliptic_range, *columns)))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, multiprocessing.get_context(_START_METHOD)) as pool:
+        return list(chain.from_iterable(pool.map(_elliptic_range, *columns)))
 
 
 def _laufer_checked(found: list[tuple[tuple[int, ...], int]]) -> list[tuple[int, ...]]:
@@ -888,14 +848,18 @@ def classify_elliptic(m_max: int, a_max: int) -> list[tuple[int, ...]]:
     process, with the one Laufer's algorithm verifies on its star's classes.
 
     A box of at least 2^16 tuples (``_SPLIT_MIN``; m <= 5, a_m <= 30 has
-    277,791) is scanned in two worker processes, each on one contiguous
-    half of every m's box, with the kernel and p_f checks; they are forked,
-    whatever the default start method, so a calling script needs no
+    277,791) is scanned by a standard ``ProcessPoolExecutor`` of two
+    processes, with the kernel and p_f checks: each m's box is cut into two
+    runs of whole chunks, listed in box order, and each process takes the
+    next run as it becomes free; ``multiprocessing`` and
+    ``concurrent.futures`` are imported only then.  The processes are
+    forked, whatever the default start method, so a calling script needs no
     ``__main__`` guard, and have ended when this returns or raises.  The
-    scan stays in-process on a smaller box, with fewer than two CPUs in this
-    process's affinity mask, while another thread runs, where fork is not
-    available, or in a daemonic process.  There is no option for this: the
-    result, and any error, is the in-process scan's.  A box of more than
+    pool's ``map`` returns the runs' results, and raises the first error,
+    in box order, so the result, and any error, is the in-process scan's.  The scan stays in-process on a
+    smaller box, with fewer than two CPUs in this process's affinity mask,
+    while another thread runs, where fork is not available, or in a
+    daemonic process.  There is no option for this.  A box of more than
     ``LATTICE_BUDGET`` tuples raises ``ResourceError`` before the scan.
     """
     if not isinstance(m_max, int) or m_max < 3:

@@ -2,14 +2,16 @@
 
 Subcommands: invariants, graph, cycles, nr, qseq, elliptic, cone, check.
 Exit codes: 0 success, 1 usage error, 2 domain/construction error,
-3 consistency failure, 4 input over a resource budget.  All output is
-byte-deterministic for a fixed argv; results go to standard out,
-diagnostics to standard error.
+3 consistency failure, 4 input over a resource budget, 141 standard out
+closed before all output was written (128 + SIGPIPE, as a shell reports a
+process that the signal ends).  All output is byte-deterministic for a
+fixed argv; results go to standard out, diagnostics to standard error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
@@ -260,4 +262,12 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed standard out; point it at devnull, so that the
+        # flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)

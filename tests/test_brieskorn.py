@@ -1,6 +1,7 @@
 """Brieskorn complete intersections: numeric invariants, resolution graphs,
 distinguished cycles, genera, reduction numbers, the elliptic census."""
 
+import concurrent.futures
 import math
 import multiprocessing
 import os
@@ -1297,23 +1298,48 @@ def test_classify_elliptic_builds_records_only_for_what_it_reports():
 @pytest.fixture
 def split_scan(monkeypatch):
     """Let every census box take the split path on two CPUs, with 7-tuple
-    chunks, and record the jobs handed to the workers.  The workers are
-    forked, so they see the caller's patches."""
+    chunks, and record the worker count of each standard process pool and
+    the runs ``(a_max, m, start, stop)`` that it maps.  The workers are
+    forked, so they see the caller's patches.  No worker process and no
+    thread of the pool outlives the test, whether the scan returned or
+    raised."""
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("no fork start method here: the census never splits")
     monkeypatch.setattr(brieskorn, "_SPLIT_MIN", 0)
     monkeypatch.setattr(brieskorn, "_SCAN_CHUNK", 7)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    jobs = []
-    real = brieskorn._in_workers
+    pools = []
 
-    def recorded(target, args):
-        jobs.append(args)
-        return real(target, args)
+    class Recorded(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            super().__init__(max_workers, *args, **kwargs)
+            pools.append((max_workers, []))
 
-    monkeypatch.setattr(brieskorn, "_in_workers", recorded)
-    yield jobs
+        def map(self, fn, *iterables, **kwargs):
+            runs = list(zip(*iterables))
+            pools[-1][1].extend(runs)
+            return super().map(fn, *zip(*runs), **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    threads = threading.active_count()
+    yield pools
     assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
+
+
+def _assert_box_ordered_runs(pools, boxes):
+    """Each pool mapped the runs of one box of ``boxes``: m by m, two
+    adjacent runs per m-box that cover it and meet on a whole 7-tuple
+    chunk."""
+    assert len(pools) == len(boxes)
+    for (workers, runs), (m_max, a_max) in zip(pools, boxes):
+        assert workers == 2
+        assert [run[:2] for run in runs] == [
+            (a_max, m) for m in range(3, m_max + 1) for _ in range(2)
+        ]
+        for (_, m, start, mid), (_, _, mid2, stop) in zip(runs[::2], runs[1::2]):
+            assert (start, mid2, stop) == (0, mid, comb(a_max + m - 2, m))
+            assert mid % 7 == 0
 
 
 def _in_process_census(m_max, a_max):
@@ -1332,17 +1358,15 @@ def test_the_split_scan_matches_the_in_process_scan(split_scan, monkeypatch, met
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"no {method} start method here")
     monkeypatch.setattr(brieskorn, "_START_METHOD", method)
-    for box in ((3, 2), (4, 9), (5, 8)):
+    boxes = ((3, 2), (4, 9), (5, 8))
+    for box in boxes:
         found = brieskorn._scan_census(*box)
         assert found == _in_process_census(*box)
         assert sorted(a for a, _ in found) == classify_elliptic(*box)
-    # per box, two workers on adjacent runs of whole 7-tuple chunks of each m-box
-    assert split_scan[0] == [(2, [(3, 0, 0)]), (2, [(3, 0, 1)])]
-    assert len(split_scan) == 6
-    for (a_max, first), (_, second) in split_scan:
-        for (m, start, mid), (m2, mid2, stop) in zip(first, second):
-            assert (m2, start, mid2, stop) == (m, 0, mid, comb(a_max + m - 2, m))
-            assert mid % 7 == 0
+    # per box, one pool on two adjacent runs of whole 7-tuple chunks of each m-box
+    assert split_scan[0] == (2, [(2, 3, 0, 0), (2, 3, 0, 1)])
+    # the scan and classify_elliptic split each box
+    _assert_box_ordered_runs(split_scan, [box for box in boxes for _ in range(2)])
 
 
 def test_a_kernel_error_in_a_worker_reaches_the_caller(split_scan, monkeypatch):
@@ -1354,19 +1378,22 @@ def test_a_kernel_error_in_a_worker_reaches_the_caller(split_scan, monkeypatch):
     with pytest.raises(InternalError) as split:
         brieskorn._scan_census(4, 9)
     assert str(split.value) == str(serial.value) == "alpha = 2 does not divide ell = 5"
-    assert split_scan
+    _assert_box_ordered_runs(split_scan, [(4, 9)])
 
 
 def test_the_split_scan_raises_the_first_error_in_box_order(split_scan, monkeypatch):
-    """Worker 0 fails in the m = 5 box and worker 1 earlier, in the second
-    half of the m = 4 box: the caller gets worker 1's error, the one the
-    in-process scan meets first."""
+    """The first run of the m = 5 box fails at its first tuple, and the
+    second run of the m = 4 box, earlier in box order, fails at
+    (6, 7, 8, 9), but half a second later: the caller gets the m = 4
+    error, the one the in-process scan meets first, although the other
+    error arrives first."""
     real = brieskorn._lcm_fields
-    bad = {(2, 2, 2, 2, 2), (6, 7, 8, 9)}
 
     def failing(ar, cols):
         for a in zip(*cols):
-            if a in bad:
+            if a == (6, 7, 8, 9):
+                time.sleep(0.5)
+            if a in {(2, 2, 2, 2, 2), (6, 7, 8, 9)}:
                 raise InternalError(f"fault at {a}")
         return real(ar, cols)
 
@@ -1374,10 +1401,11 @@ def test_the_split_scan_raises_the_first_error_in_box_order(split_scan, monkeypa
     for scan in (_in_process_census, brieskorn._scan_census):
         with pytest.raises(InternalError, match=r"^fault at \(6, 7, 8, 9\)$"):
             scan(5, 9)
-    assert split_scan
+    _assert_box_ordered_runs(split_scan, [(5, 9)])
 
 
 _UNGUARDED_SCRIPT = """\
+import concurrent.futures
 import multiprocessing
 import os
 import sys
@@ -1388,15 +1416,20 @@ if sys.argv[1:]:
     multiprocessing.set_start_method(sys.argv[1])
 brieskorn._SPLIT_MIN = 0
 os.sched_getaffinity = lambda pid: {0, 1}
-in_workers = brieskorn._in_workers
 
 
-def counted(target, jobs):
-    print("workers:", len(jobs))
-    return in_workers(target, jobs)
+class Recorded(concurrent.futures.ProcessPoolExecutor):
+    def __init__(self, max_workers, *args, **kwargs):
+        print("workers:", max_workers)
+        super().__init__(max_workers, *args, **kwargs)
+
+    def map(self, fn, *iterables, **kwargs):
+        runs = list(zip(*iterables))
+        print("runs:", runs)
+        return super().map(fn, *zip(*runs), **kwargs)
 
 
-brieskorn._in_workers = counted
+concurrent.futures.ProcessPoolExecutor = Recorded
 print(brieskorn.classify_elliptic(4, 9))
 """
 
@@ -1422,7 +1455,9 @@ def test_a_script_without_a_main_guard_can_split_the_census(tmp_path, method):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
-    assert proc.stdout == f"workers: 2\n{classify_elliptic(4, 9)}\n"
+    # one run of 1024-tuple chunks per worker and m-box: each m-box is one chunk
+    runs = [(9, 3, 0, 0), (9, 3, 0, 120), (9, 4, 0, 0), (9, 4, 0, 330)]
+    assert proc.stdout == f"workers: 2\nruns: {runs}\n{classify_elliptic(4, 9)}\n"
 
 
 def _census_in_a_daemon(conn):

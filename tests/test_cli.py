@@ -349,13 +349,34 @@ def test_installed_script():
     assert proc.stdout == "nr=2 oracle=2 agree\n"
 
 
-def test_python_dash_m():
+def _src_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_python_dash_m():
     proc = subprocess.run(
         [sys.executable, "-m", "singlat", "nr", "3", "4", "6", "--oracle"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_src_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == "nr=2 oracle=2 agree\n"
+
+
+def test_a_closed_stdout_exits_141_without_a_traceback():
+    """A reader that closes standard out after the first line of
+    ``graph --dot`` on a 1.35 MB graph, far more than a pipe buffers, ends
+    the command with exit 141, as a shell reports a process that SIGPIPE
+    ends, and nothing on standard error."""
+    argv = [sys.executable, "-X", "dev", "-m", "singlat", "graph", "50", "60", "70", "80", "90"]
+    with subprocess.Popen(
+        argv + ["--dot"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env()
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert first == b"graph star {\n"
+    assert (code, err) == (141, b"")
