@@ -11,8 +11,6 @@ exact.
 from __future__ import annotations
 
 import math
-import os
-import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
@@ -718,30 +716,15 @@ def is_elliptic(a: Sequence[int]) -> bool:
 
 
 _SCAN_CHUNK = 1024  # tuples per chunk; larger chunks cost memory for no speed
-# the census box is split over at most this many worker processes, and only
-# from this many tuples on.  Starting the workers costs tens of milliseconds:
-# one-off timings found the split slower on 8,463 tuples and faster on
-# 40,455, and no box between was measured.  2^16 lies above that crossing
-# and need only part the command line's small boxes (at most 660 tuples in
-# the benchmark's pins) from the census box m <= 5, a_m <= 30 (277,791)
-_SPLIT_WORKERS = 2
-_SPLIT_MIN = 1 << 16
-# workers are forked: a forked worker re-imports nothing, so a caller's
-# script without a ``__main__`` guard is not run again in it, as it would be
-# under spawn or forkserver (the default on macOS, Windows and, from Python
-# 3.14, Linux)
-_START_METHOD = "fork"
 
 
-def _scan_range(
-    a_max: int, m: int, start: int = 0, stop: int | None = None
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """``(a, p_f)`` for the tuples ``start:stop`` of the m-box a_m <= a_max,
-    in ``combinations_with_replacement`` order.  The range is read in chunks
-    of ``_SCAN_CHUNK`` tuples, and ``p_f`` comes from the record's kernel and
+def _scan_range(a_max: int, m: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """``(a, p_f)`` for the tuples of the m-box a_m <= a_max, in
+    ``combinations_with_replacement`` order.  The box is read in chunks of
+    ``_SCAN_CHUNK`` tuples, and ``p_f`` comes from the record's kernel and
     closed form, with all their checks, run on each chunk's columns; no
     record is built and no cache is filled."""
-    box = islice(combinations_with_replacement(range(2, a_max + 1), m), start, stop)
+    box = combinations_with_replacement(range(2, a_max + 1), m)
     while chunk := list(islice(box, _SCAN_CHUNK)):
         yield from zip(chunk, _closed_pf(_CHUNK, _lcm_fields(_CHUNK, list(zip(*chunk)))))
 
@@ -753,76 +736,60 @@ def _scan_box(m_max: int, a_max: int) -> Iterator[tuple[tuple[int, ...], int]]:
         yield from _scan_range(a_max, m)
 
 
-def _elliptic_range(
-    a_max: int, m: int, start: int, stop: int
-) -> list[tuple[tuple[int, ...], int]]:
-    """The ``(a, 1)`` pairs of the elliptic tuples that :func:`_scan_range`
-    finds among the tuples ``start:stop`` of the m-box."""
-    return [(a, pf) for a, pf in _scan_range(a_max, m, start, stop) if pf == 1]
+# (E) fails on every tuple with m >= 6: its left side is largest at
+# a = (2, ..., 2), where it is (m - 1)/2 + 2/2 + 1/2 = (m + 2)/2 <= m - 2
+_ELLIPTIC_M_MAX = 5
 
 
-def _split_workers(size: int) -> int:
-    """How many worker processes scan a census box of ``size`` tuples: 1
-    (in-process) below ``_SPLIT_MIN``, with fewer than two CPUs, in a
-    process that runs other threads (a fork copies none of them, nor
-    releases the locks they hold), where ``_START_METHOD`` is not available
-    (no fork on Windows) or in a daemonic process, which may not start any."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:  # no affinity masks on this platform
-        cpus = os.cpu_count() or 1
-    if size < _SPLIT_MIN or cpus < 2:
-        return 1
-    # no thread runs but the main one unless threading has been imported
-    threading = sys.modules.get("threading")
-    if threading is not None and threading.active_count() > 1:
-        return 1
-    import multiprocessing
-
-    if _START_METHOD not in multiprocessing.get_all_start_methods():
-        return 1
-    return 1 if multiprocessing.current_process().daemon else _SPLIT_WORKERS
-
-
-def _scan_census(m_max: int, a_max: int) -> list[tuple[tuple[int, ...], int]]:
-    """The ``(a, 1)`` pairs of the elliptic tuples of the box, in box order.
-
-    The box is listed as runs ``(m, start, stop)``, m by m: each m-box is
-    cut into one contiguous run of whole chunks per worker of
-    :func:`_split_workers`, so every chunk is the one the in-process scan
-    reads.  With one worker, the builtin ``map`` runs
-    :func:`_elliptic_range` over the runs in-process; with two,
-    ``ProcessPoolExecutor.map`` does, in processes that ``_START_METHOD``
-    starts, and ``multiprocessing`` and ``concurrent.futures`` are imported
-    only then.  Either map returns the results, and raises the first error,
-    in the order of the runs, which is box order, so the split scan returns
-    and raises what the in-process scan does (``multiprocessing.Pool.map``
-    would raise the first error to arrive).  The pool's processes have
-    ended when this returns or raises.  A box of more than
-    ``LATTICE_BUDGET`` tuples raises ``ResourceError`` before any is
-    scanned."""
-    # counted m by m, up to the first m-box that takes the count past the budget
-    total = 0
-    for m in range(3, m_max + 1):
-        total += math.comb(a_max + m - 2, m)
-        if total > ideal_oracle.LATTICE_BUDGET:
+def _census_prefixes(
+    m: int, a_max: int, prefix: tuple[int, ...] = (), s: Fraction = Fraction(0)
+) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+    """The sorted prefixes ``(a_1, ..., a_{m-1})``, entries at most
+    ``a_max``, that some last entry may complete to a tuple satisfying (E)
+    of :func:`classify_elliptic`, each with ``s`` the sum of its ``1/a_i``.
+    Depth first: after ``k`` entries summing to ``s``, the next entry ``x``
+    is kept while ``s + (m + 2 - k)/x > m - 2``, the left side of (E) when
+    every later entry equals ``x`` and ``ell_m = a_{m-1}``, which bounds it
+    from above; the bound falls as ``x`` grows, so the level stops at its
+    first failure."""
+    k = len(prefix)
+    if k == m - 1:
+        yield prefix, s
+        return
+    for x in range(prefix[-1] if prefix else 2, a_max + 1):
+        if s + Fraction(m + 2 - k, x) <= m - 2:
             break
-    ideal_oracle._check_budget(total, f"the census box m <= {m}, a_m <= {a_max}", "tuples")
-    workers = _split_workers(total)
-    runs = []
-    for m in range(3, m_max + 1):
-        size = math.comb(a_max + m - 2, m)
-        chunks = -(-size // _SCAN_CHUNK)
-        cuts = [min(chunks * k // workers * _SCAN_CHUNK, size) for k in range(workers + 1)]
-        runs += [(m, start, stop) for start, stop in zip(cuts, cuts[1:])]
-    columns = (repeat(a_max), *zip(*runs))
-    if workers == 1:
-        return list(chain.from_iterable(map(_elliptic_range, *columns)))
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+        yield from _census_prefixes(m, a_max, prefix + (x,), s + Fraction(1, x))
 
-    with ProcessPoolExecutor(workers, multiprocessing.get_context(_START_METHOD)) as pool:
-        return list(chain.from_iterable(pool.map(_elliptic_range, *columns)))
+
+def _walk_census(m_max: int, a_max: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """``(a, p_f)`` for every tuple with m <= m_max and a_m <= a_max that
+    satisfies (E) of :func:`classify_elliptic`, m by m, each prefix of
+    :func:`_census_prefixes` followed by its last entries in increasing
+    order.  ``p_f`` comes from the record's kernel and closed form, with
+    all their checks; no record is built and no cache is filled.
+
+    The last entries of a prefix with ``1/a_1 + ... + 1/a_{m-1} = s`` are
+    the ``x`` from ``a_{m-1}`` to ``a_max`` with ``2/x > r``,
+    ``r = m - 2 - s - 1/ell_m``: all of them when ``r <= 0``, else those
+    with ``x r < 2``.  So every prefix's count is known before any tuple
+    is listed, and more than ``LATTICE_BUDGET`` candidates in all raise
+    ``ResourceError`` before the first kernel call."""
+    runs = []
+    for m in range(3, min(m_max, _ELLIPTIC_M_MAX) + 1):
+        for prefix, s in _census_prefixes(m, a_max):
+            r = m - 2 - s - Fraction(1, math.lcm(*prefix))
+            hi = a_max if r <= 0 else min(a_max, (2 * r.denominator - 1) // r.numerator)
+            if prefix[-1] <= hi:
+                runs.append((prefix, range(prefix[-1], hi + 1)))
+    ideal_oracle._check_budget(
+        sum(len(last) for _, last in runs),
+        f"the elliptic candidates of m <= {m_max}, a_m <= {a_max}", "tuples",
+    )
+    for prefix, last in runs:
+        for x in last:
+            a = prefix + (x,)
+            yield a, _closed_pf(_ONE, _lcm_fields(_ONE, a))
 
 
 def _laufer_checked(found: list[tuple[tuple[int, ...], int]]) -> list[tuple[int, ...]]:
@@ -841,32 +808,58 @@ def _laufer_checked(found: list[tuple[tuple[int, ...], int]]) -> list[tuple[int,
 def classify_elliptic(m_max: int, a_max: int) -> list[tuple[int, ...]]:
     """All elliptic exponent tuples with m <= m_max and a_m <= a_max, in lex order.
 
-    The box is scanned in columns by :func:`_scan_range`, whose closed form
-    runs every consistency check of the record's kernel; no invariant
-    record is built and no cache is filled for a tuple that is not
-    reported.  Every tuple reported has its scanned p_f compared, in this
-    process, with the one Laufer's algorithm verifies on its star's classes.
+    Every elliptic tuple satisfies
 
-    A box of at least 2^16 tuples (``_SPLIT_MIN``; m <= 5, a_m <= 30 has
-    277,791) is scanned by a standard ``ProcessPoolExecutor`` of two
-    processes, with the kernel and p_f checks: each m's box is cut into two
-    runs of whole chunks, listed in box order, and each process takes the
-    next run as it becomes free; ``multiprocessing`` and
-    ``concurrent.futures`` are imported only then.  The processes are
-    forked, whatever the default start method, so a calling script needs no
-    ``__main__`` guard, and have ended when this returns or raises.  The
-    pool's ``map`` returns the runs' results, and raises the first error,
-    in box order, so the result, and any error, is the in-process scan's.  The scan stays in-process on a
-    smaller box, with fewer than two CPUs in this process's affinity mask,
-    while another thread runs, where fork is not available, or in a
-    daemonic process.  There is no option for this.  A box of more than
-    ``LATTICE_BUDGET`` tuples raises ``ResourceError`` before the scan.
+        (E)  1/a_1 + ... + 1/a_{m-1} + 2/a_m + 1/ell_m > m - 2,
+
+    ``ell_m = lcm(a_1, ..., a_{m-1})``.  By :func:`_genus_numerators`,
+    ``2 ell (p_f - 1) = ghat x (B + x - c)`` with ``ghat x > 0``, so p_f = 1
+    exactly when ``B = c - x``, and then ``B < lambda_m + alpha_m``:
+
+    - Z_0 case, lambda_m >= alpha: ``B = alpha - 1 < lambda_m``;
+    - M_X case, lambda_m < alpha: ``eta_m < lambda_m / alpha_m + 1``, so
+      ``B = (2 eta_m - 1) alpha_m - lambda_m < lambda_m + alpha_m``.
+
+    With ``B = ell (m - 2 - sum_i 1/a_i)``, ``lambda_m = ell / a_m`` and
+    ``alpha_m = ell / ell_m``, dividing by ell gives (E).  No tuple with
+    m >= 6 satisfies it, so m runs from 3 to ``min(m_max, 5)``.
+
+    :func:`_walk_census` lists the tuples that satisfy (E), 161 of them for
+    m <= 5, a_m <= 30, and reads each p_f from the record's kernel and
+    closed form, with every consistency check; no invariant record is
+    built and no cache is filled for a tuple that is not reported.  Every
+    tuple reported has that p_f compared with the one Laufer's algorithm
+    verifies on its star's classes.  More than ``LATTICE_BUDGET``
+    candidates raise ``ResourceError`` before the first is read.
+    :func:`_verify_census_box` checks the walk against a scan of the
+    whole box.
     """
     if not isinstance(m_max, int) or m_max < 3:
         raise DomainError("m_max must be an integer at least 3")
     if not isinstance(a_max, int) or a_max < 2:
         raise DomainError("a_max must be an integer at least 2")
-    return _laufer_checked(_scan_census(m_max, a_max))
+    return _laufer_checked([(a, pf) for a, pf in _walk_census(m_max, a_max) if pf == 1])
+
+
+def _verify_census_box(m_max: int, a_max: int) -> list[tuple[int, ...]]:
+    """The elliptic tuples of the box 3 <= m <= m_max, a_m <= a_max, found
+    by scanning every tuple of it in columns with :func:`_scan_box`, with
+    all kernel and p_f checks.  Raises ``ConsistencyError``, naming the
+    tuple, if one outside the candidates of :func:`_walk_census` has
+    p_f = 1, which would break (E), or if the tuples with p_f = 1 are not
+    those :func:`classify_elliptic` reports.  Not budgeted: the box m <= 5,
+    a_m <= 30 (277,791 tuples) takes about a second."""
+    found = sorted(a for a, pf in _scan_box(m_max, a_max) if pf == 1)
+    candidates = {a for a, _ in _walk_census(m_max, a_max)}
+    for a in found:
+        if a not in candidates:
+            raise ConsistencyError(f"{a} has p_f = 1 but is not a census candidate")
+    reported = classify_elliptic(m_max, a_max)
+    if found != reported:
+        a = min(set(found) ^ set(reported))
+        where = "census" if a in reported else "box scan"
+        raise ConsistencyError(f"only the {where} finds the elliptic tuple {a}")
+    return found
 
 
 def br2_exceptions() -> list[tuple[int, int, int]]:

@@ -226,21 +226,24 @@ class Quotient:
         - Fold, in integers, as Bareiss's fraction-free elimination does
           ("Sylvester's identity and multistep integer-preserving Gaussian
           elimination", 1968): class a keeps a sparse row ``R_a`` over the
-          classes not yet eliminated, pivot included, and ``y_a``, both the
-          true ones times one positive number, so no denominator is kept.
-          With ``q = -R_ii``, class i folds into each later class j of its
-          row as ``R_j <- q R_j + R_ji R_i`` and ``y_j <- q y_j + R_ji y_i``,
-          and one gcd reduces the new row and ``y_j``.  A pendant class has
-          one later class, so on a tree no row gains an entry.
+          classes not yet eliminated, its pivot and ``y_a``, all the true
+          ones times one positive number, so no denominator is kept.  With
+          ``q = -R_ii``, class i folds into each later class j of its row as
+          ``R_j <- q R_j + R_ji R_i`` and ``y_j <- q y_j + R_ji y_i``, and
+          one gcd reduces the new row and ``y_j``.  A pendant class has one
+          later class, so on a tree no row gains an entry, and its fold
+          changes only j's pivot and ``y_j``: the rest of ``R_j`` is scaled
+          by q through one multiplier per row, which the gcd of the pivot,
+          ``y_j`` and the multiplier reduces, and which the next fold of
+          more than one entry, or j's own elimination, applies.
         - Back-substitute in reverse order: ``x_i = (y_i - sum_k R_ik x_k) /
           R_ii`` as a pair ``X_i / D_i`` in lowest terms with ``D_i > 0``,
           each term reduced by ``gcd(R_ik, D_k)`` and added by Henrici's
           rule (Knuth, TAOCP vol. 2, 4.5.1).  Z_K's ``Fraction``s, one per
           class, are made from these pairs, and they are the only ones.
 
-        Linear-time in the classes on trees of bounded degree.  Each fold
-        scales the whole row it folds into, so a class with d neighbours
-        costs O(d^2), as the center of a flattened star with many chains.
+        Linear-time in the classes on trees, whatever their degrees: the d
+        pendant folds into a class with d neighbours cost O(d).
         """
         into, self_ints = self.into, self.self_ints
         n = len(into)
@@ -263,38 +266,58 @@ class Quotient:
         # every class not yet ordered has two or more such neighbours
         order += [a for a in range(n) if deg[a]]
 
-        # rows[a][b] = N_ab times a positive number, as is y[a]; once a is
-        # eliminated, rows[a] is its reduced row over the classes after it,
-        # pivot included
-        rows = [{a: e} for a, e in enumerate(self_ints)]
+        # rows[a][b] times mult[a] for b != a, pivot[a] and y[a] are N_ab,
+        # N_aa and y_a times one positive number; once a is eliminated,
+        # rows[a] is its reduced row over the classes after it, with mult[a]
+        # applied
+        rows: list[dict[int, int]] = [{} for _ in range(n)]
         for b, row in enumerate(into):
             for a, w in row.items():
                 rows[a][b] = w
+        mult = [1] * n
+        pivot = list(self_ints)
         y = [e + 2 - 2 * gen for e, gen in zip(self_ints, self.genera)]
         for i in order:
-            row = rows[i]
-            q = -row.pop(i)
+            q = -pivot[i]
             if q <= 0:
                 self._neg_def = False
                 return
-            for j in row:
+            row = rows[i]
+            if mult[i] > 1:
+                for k in row:
+                    row[k] *= mult[i]
+            for j, u in row.items():
                 rj = rows[j]
-                r = rj.pop(i)
-                for k in rj:
-                    rj[k] *= q
-                for k, u in row.items():
-                    rj[k] = rj.get(k, 0) + r * u
+                r = rj.pop(i) * mult[j]
+                pivot[j] = q * pivot[j] + r * u
                 y[j] = q * y[j] + r * y[i]
-                g = gcd(y[j], *rj.values())
-                if g > 1:
+                if len(row) == 1:
+                    # a pendant fold scales the rest of j's row by q: only
+                    # its multiplier changes, so a class with d pendant
+                    # neighbours costs O(d)
+                    mult[j] *= q
+                    g = gcd(y[j], pivot[j], mult[j])
+                    if g > 1:
+                        mult[j] //= g
+                else:
+                    s = q * mult[j]
+                    mult[j] = 1
                     for k in rj:
-                        rj[k] //= g
+                        rj[k] *= s
+                    for k, v in row.items():
+                        if k != j:
+                            rj[k] = rj.get(k, 0) + r * v
+                    g = gcd(y[j], pivot[j], *rj.values())
+                    if g > 1:
+                        for k in rj:
+                            rj[k] //= g
+                if g > 1:
+                    pivot[j] //= g
                     y[j] //= g
-            row[i] = -q
 
         X, D = [0] * n, [1] * n
         for i in reversed(order):
-            p = rows[i].pop(i)
+            p = pivot[i]
             num, den = y[i], 1
             for k, u in rows[i].items():
                 # num / den minus u X_k / D_k, both brought to lowest terms

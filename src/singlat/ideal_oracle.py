@@ -45,10 +45,9 @@ Monomial = tuple[int, ...]
 # Most lattice points one route may enumerate: the box points prod_{i<=m-2} a_i,
 # the closure generators box * (k + 1), the p_g pairs ((m-2) a_{m-1} + 1)
 # ((m-2) a_m + 1), the N + 1 entries of q(0..N) or d + 1 of a cone report, the
-# curves 1 + sum count * len(chain) of a flattened star graph, the tuples of an
-# elliptic census box.  A million ints is tens of MB.  The tests, demos and
-# benchmark pools stay below 10^5 of each, except the census box m <= 5,
-# a_m <= 30 (277,791 tuples), which the scan reads in chunks.
+# curves 1 + sum count * len(chain) of a flattened star graph, the candidates
+# of an elliptic census.  A million ints is tens of MB.  The tests, demos and
+# benchmark pools stay below 10^5 of each.
 LATTICE_BUDGET = 1_000_000
 
 

@@ -1,13 +1,7 @@
 """Brieskorn complete intersections: numeric invariants, resolution graphs,
 distinguished cycles, genera, reduction numbers, the elliptic census."""
 
-import concurrent.futures
 import math
-import multiprocessing
-import os
-import subprocess
-import sys
-import threading
 import time
 import tracemalloc
 from contextlib import contextmanager
@@ -1210,16 +1204,105 @@ def test_classify_elliptic_validation():
 
 
 @pytest.mark.deadline(5)
-def test_a_census_box_over_the_budget_is_refused_before_the_scan():
-    """The box is counted m by m, and refused at the first m that takes the
-    count past LATTICE_BUDGET, before any list is built for it."""
-    with pytest.raises(ResourceError, match="^the census box m <= 1413, a_m <= 3 needs 1000399 "):
-        classify_elliptic(10**8, 3)
-    # the whole box, comb(a_max - 1 + m_max, m_max) - a_max - comb(a_max, 2) tuples
-    assert comb(44, 5) - 40 - comb(40, 2) == 1_085_188 > ideal_oracle.LATTICE_BUDGET
-    with pytest.raises(ResourceError, match="^the census box m <= 5, a_m <= 40 needs 1085188 "):
-        classify_elliptic(5, 40)
-    assert comb(34, 5) - 30 - comb(30, 2) == 277_791 < ideal_oracle.LATTICE_BUDGET
+def test_a_census_box_over_the_budget_is_refused_before_the_scan(monkeypatch):
+    """The budget counts the walk's candidates, each prefix's last entries
+    at once, and refuses more than LATTICE_BUDGET of them before any
+    kernel call: (2, 2, x), (2, 3, x), (2, 4, x) and (3, 3, x) satisfy (E)
+    for every x, so a_m <= 10^6 has 4,000,009 candidates with m = 3."""
+    kernel_calls = []
+    real = brieskorn._lcm_fields
+    monkeypatch.setattr(
+        brieskorn, "_lcm_fields", lambda ar, a: kernel_calls.append(a) or real(ar, a)
+    )
+    with pytest.raises(
+        ResourceError, match="^the elliptic candidates of m <= 3, a_m <= 1000000 needs 4000009 "
+    ):
+        classify_elliptic(3, 10**6)
+    assert kernel_calls == []
+    # boxes of 1,000,399 and 1,085,188 tuples, which a budget on the box
+    # size refused, have 9 and 211 candidates
+    assert classify_elliptic(10**8, 3) == [(2, 2, 2, 2), (2, 2, 2, 3), (3, 3, 3)]
+    assert len(list(brieskorn._walk_census(10**8, 3))) == 9
+    assert len(classify_elliptic(5, 40)) == 156
+    assert len(list(brieskorn._walk_census(5, 40))) == 211
+
+
+def _satisfies_bound(a):
+    """(E) of classify_elliptic, in Fractions:
+    sum_{i<m} 1/a_i + 2/a_m + 1/lcm(a_1..a_{m-1}) > m - 2."""
+    *head, last = a
+    left = sum(Fraction(1, x) for x in head) + Fraction(2, last) + Fraction(1, lcm(*head))
+    return left > len(a) - 2
+
+
+@pytest.mark.parametrize("box", [(6, 14), (8, 6), (3, 60)])
+def test_the_walk_lists_exactly_the_tuples_that_satisfy_the_bound(box):
+    """The census walk lists each tuple of the box that satisfies (E) once,
+    and no other: its cuts lose nothing, its exponent count included."""
+    m_max, a_max = box
+    walked = [a for a, _ in brieskorn._walk_census(m_max, a_max)]
+    want = [
+        a for m in range(3, m_max + 1)
+        for a in combinations_with_replacement(range(2, a_max + 1), m)
+        if _satisfies_bound(a)
+    ]
+    assert sorted(walked) == sorted(want)
+    assert ((2, 2, 2, 2, 2) in walked) == (m_max >= 5)
+
+
+def test_no_tuple_with_six_or_more_exponents_satisfies_the_bound():
+    """Each term of (E) is largest at a_i = 2, where the left side is
+    (m + 2)/2, at most m - 2 from m = 6 on; so the walk stops at m = 5,
+    where only (2, 2, 2, 2, 2) and (2, 2, 2, 2, 3) pass, both with p_f = 5."""
+    assert brieskorn._ELLIPTIC_M_MAX == 5
+    assert _satisfies_bound((2,) * 5)
+    for m in range(6, 40):
+        assert Fraction(m + 2, 2) <= m - 2
+        assert not _satisfies_bound((2,) * m)
+    five = [(a, pf) for a, pf in brieskorn._walk_census(40, 30) if len(a) == 5]
+    assert five == [((2, 2, 2, 2, 2), 5), ((2, 2, 2, 2, 3), 5)]
+    assert len(list(brieskorn._walk_census(5, 30))) == 161
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(min_value=2, max_value=6), min_size=2, max_size=4),
+    st.integers(min_value=2, max_value=5000),
+)
+def test_every_elliptic_tuple_satisfies_the_bound(head, last):
+    """p_f = 1 forces (E): small leading exponents and one free last one
+    reach the elliptic families and their neighbours."""
+    a = tuple(sorted(head + [last]))
+    if brieskorn._closed_pf(brieskorn._ONE, brieskorn._lcm_fields(brieskorn._ONE, a)) == 1:
+        assert _satisfies_bound(a), a
+
+
+@pytest.mark.parametrize("box", [(5, 30), (6, 16), (7, 10), (8, 7)])
+def test_the_census_walk_matches_the_box_scan(box):
+    """The verification pass scans the whole box in columns: no tuple
+    outside the walk's candidates has p_f = 1, and the census reports
+    exactly the box's tuples with p_f = 1."""
+    found = brieskorn._verify_census_box(*box)
+    assert found == classify_elliptic(*box)
+    assert found == sorted(a for a, pf in brieskorn._scan_box(*box) if pf == 1)
+
+
+def test_the_verification_pass_names_what_the_walk_misses(monkeypatch):
+    real_walk, real_census = brieskorn._walk_census, brieskorn.classify_elliptic
+    monkeypatch.setattr(
+        brieskorn, "_walk_census",
+        lambda *box: ((a, pf) for a, pf in real_walk(*box) if a != (2, 3, 7)),
+    )
+    with pytest.raises(
+        ConsistencyError, match=r"^\(2, 3, 7\) has p_f = 1 but is not a census candidate$"
+    ):
+        brieskorn._verify_census_box(3, 8)
+    monkeypatch.setattr(brieskorn, "_walk_census", real_walk)
+    monkeypatch.setattr(brieskorn, "classify_elliptic", lambda *box: real_census(*box)[1:])
+    with pytest.raises(
+        ConsistencyError, match=r"^only the box scan finds the elliptic tuple \(2, 3, 6\)$"
+    ):
+        brieskorn._verify_census_box(3, 8)
 
 
 @pytest.mark.parametrize(
@@ -1237,20 +1320,21 @@ def test_non_integer_arguments_raise_domain_error(func, args):
         func(*args)
 
 
-def _with_scanned_pf(monkeypatch, a, value):
-    """Let the box scan report ``value`` as the p_f of ``a``."""
-    real = brieskorn._scan_range
+def _with_scanned_pf(monkeypatch, scan, a, value):
+    """Let the scan ``brieskorn.<scan>`` report ``value`` as the p_f of ``a``."""
+    real = getattr(brieskorn, scan)
 
     def patched(*args):
         return ((t, value if t == a else pf) for t, pf in real(*args))
 
-    monkeypatch.setattr(brieskorn, "_scan_range", patched)
+    monkeypatch.setattr(brieskorn, scan, patched)
 
 
 def test_classify_elliptic_verifies_what_it_reports(monkeypatch):
-    """A scan that wrongly calls (2, 3, 5) elliptic is caught by the
-    Laufer cross-check instead of being reported."""
-    _with_scanned_pf(monkeypatch, (2, 3, 5), 1)
+    """A walk that wrongly calls its candidate (2, 3, 5) elliptic is caught
+    by the Laufer cross-check instead of being reported."""
+    assert (2, 3, 5) in dict(brieskorn._walk_census(3, 5))
+    _with_scanned_pf(monkeypatch, "_walk_census", (2, 3, 5), 1)
     with pytest.raises(
         ConsistencyError,
         match=r"^scanned fundamental genus 1 of \(2, 3, 5\) disagrees with the Laufer value 0$",
@@ -1261,7 +1345,7 @@ def test_classify_elliptic_verifies_what_it_reports(monkeypatch):
 def test_br2_exceptions_verifies_what_it_reports(monkeypatch):
     """A wrong scanned p_f of a reported tuple is caught by the Laufer
     cross-check."""
-    _with_scanned_pf(monkeypatch, GAMMA1, 3)
+    _with_scanned_pf(monkeypatch, "_scan_range", GAMMA1, 3)
     with pytest.raises(
         ConsistencyError,
         match=r"^scanned fundamental genus 3 of \(3, 4, 6\) disagrees with the Laufer value 2$",
@@ -1270,9 +1354,9 @@ def test_br2_exceptions_verifies_what_it_reports(monkeypatch):
 
 
 def test_classify_elliptic_scans_the_box_in_chunks():
-    """The census holds one chunk's columns at a time: its tracemalloc peak
-    on the 8,463 tuples of m <= 5, a_m <= 14 stays below a bound that the
-    columns of the whole m = 5 box (6,188 tuples) exceed."""
+    """The census holds no box: its tracemalloc peak on m <= 5,
+    a_m <= 14 (8,463 tuples) stays below a bound that the columns of the
+    whole m = 5 box (6,188 tuples) exceed."""
     for cache in (brieskorn._pf_verified, brieskorn._star_cached, brieskorn._invariants_cached):
         cache.cache_clear()
     tracemalloc.start()
@@ -1293,212 +1377,6 @@ def test_classify_elliptic_builds_records_only_for_what_it_reports():
     found = classify_elliptic(4, 12)
     assert len(found) < 100 < comb(13, 3) + comb(14, 4)
     assert brieskorn._invariants_cached.cache_info().misses == len(found)
-
-
-@pytest.fixture
-def split_scan(monkeypatch):
-    """Let every census box take the split path on two CPUs, with 7-tuple
-    chunks, and record the worker count of each standard process pool and
-    the runs ``(a_max, m, start, stop)`` that it maps.  The workers are
-    forked, so they see the caller's patches.  No worker process and no
-    thread of the pool outlives the test, whether the scan returned or
-    raised."""
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("no fork start method here: the census never splits")
-    monkeypatch.setattr(brieskorn, "_SPLIT_MIN", 0)
-    monkeypatch.setattr(brieskorn, "_SCAN_CHUNK", 7)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    pools = []
-
-    class Recorded(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, *args, **kwargs):
-            super().__init__(max_workers, *args, **kwargs)
-            pools.append((max_workers, []))
-
-        def map(self, fn, *iterables, **kwargs):
-            runs = list(zip(*iterables))
-            pools[-1][1].extend(runs)
-            return super().map(fn, *zip(*runs), **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
-    threads = threading.active_count()
-    yield pools
-    assert multiprocessing.active_children() == []
-    assert threading.active_count() == threads
-
-
-def _assert_box_ordered_runs(pools, boxes):
-    """Each pool mapped the runs of one box of ``boxes``: m by m, two
-    adjacent runs per m-box that cover it and meet on a whole 7-tuple
-    chunk."""
-    assert len(pools) == len(boxes)
-    for (workers, runs), (m_max, a_max) in zip(pools, boxes):
-        assert workers == 2
-        assert [run[:2] for run in runs] == [
-            (a_max, m) for m in range(3, m_max + 1) for _ in range(2)
-        ]
-        for (_, m, start, mid), (_, _, mid2, stop) in zip(runs[::2], runs[1::2]):
-            assert (start, mid2, stop) == (0, mid, comb(a_max + m - 2, m))
-            assert mid % 7 == 0
-
-
-def _in_process_census(m_max, a_max):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(brieskorn, "_SPLIT_MIN", math.inf)
-        return brieskorn._scan_census(m_max, a_max)
-
-
-@pytest.mark.parametrize("method", ["fork", "spawn"])
-def test_the_split_scan_matches_the_in_process_scan(split_scan, monkeypatch, method):
-    """The two workers find what the in-process scan finds, in box order: on
-    a box of one tuple, fewer than the workers, and on boxes whose halves end
-    in partial chunks.  The census forks its workers; under ``spawn`` the
-    worker is imported afresh, which checks that it is importable and its
-    arguments picklable."""
-    if method not in multiprocessing.get_all_start_methods():
-        pytest.skip(f"no {method} start method here")
-    monkeypatch.setattr(brieskorn, "_START_METHOD", method)
-    boxes = ((3, 2), (4, 9), (5, 8))
-    for box in boxes:
-        found = brieskorn._scan_census(*box)
-        assert found == _in_process_census(*box)
-        assert sorted(a for a, _ in found) == classify_elliptic(*box)
-    # per box, one pool on two adjacent runs of whole 7-tuple chunks of each m-box
-    assert split_scan[0] == (2, [(2, 3, 0, 0), (2, 3, 0, 1)])
-    # the scan and classify_elliptic split each box
-    _assert_box_ordered_runs(split_scan, [box for box in boxes for _ in range(2)])
-
-
-def test_a_kernel_error_in_a_worker_reaches_the_caller(split_scan, monkeypatch):
-    """A kernel check that fails in a worker raises its InternalError, with
-    its message, in the caller, as the in-process scan does."""
-    _fake_ops(monkeypatch, lcm=max)
-    with pytest.raises(InternalError) as serial:
-        _in_process_census(4, 9)
-    with pytest.raises(InternalError) as split:
-        brieskorn._scan_census(4, 9)
-    assert str(split.value) == str(serial.value) == "alpha = 2 does not divide ell = 5"
-    _assert_box_ordered_runs(split_scan, [(4, 9)])
-
-
-def test_the_split_scan_raises_the_first_error_in_box_order(split_scan, monkeypatch):
-    """The first run of the m = 5 box fails at its first tuple, and the
-    second run of the m = 4 box, earlier in box order, fails at
-    (6, 7, 8, 9), but half a second later: the caller gets the m = 4
-    error, the one the in-process scan meets first, although the other
-    error arrives first."""
-    real = brieskorn._lcm_fields
-
-    def failing(ar, cols):
-        for a in zip(*cols):
-            if a == (6, 7, 8, 9):
-                time.sleep(0.5)
-            if a in {(2, 2, 2, 2, 2), (6, 7, 8, 9)}:
-                raise InternalError(f"fault at {a}")
-        return real(ar, cols)
-
-    monkeypatch.setattr(brieskorn, "_lcm_fields", failing)
-    for scan in (_in_process_census, brieskorn._scan_census):
-        with pytest.raises(InternalError, match=r"^fault at \(6, 7, 8, 9\)$"):
-            scan(5, 9)
-    _assert_box_ordered_runs(split_scan, [(5, 9)])
-
-
-_UNGUARDED_SCRIPT = """\
-import concurrent.futures
-import multiprocessing
-import os
-import sys
-
-from singlat import brieskorn
-
-if sys.argv[1:]:
-    multiprocessing.set_start_method(sys.argv[1])
-brieskorn._SPLIT_MIN = 0
-os.sched_getaffinity = lambda pid: {0, 1}
-
-
-class Recorded(concurrent.futures.ProcessPoolExecutor):
-    def __init__(self, max_workers, *args, **kwargs):
-        print("workers:", max_workers)
-        super().__init__(max_workers, *args, **kwargs)
-
-    def map(self, fn, *iterables, **kwargs):
-        runs = list(zip(*iterables))
-        print("runs:", runs)
-        return super().map(fn, *zip(*runs), **kwargs)
-
-
-concurrent.futures.ProcessPoolExecutor = Recorded
-print(brieskorn.classify_elliptic(4, 9))
-"""
-
-
-@pytest.mark.parametrize("method", [None, "spawn", "forkserver"])
-def test_a_script_without_a_main_guard_can_split_the_census(tmp_path, method):
-    """A script that splits the census at top level, with no ``__main__``
-    guard, prints the in-process result under the default or any other
-    start method: the forked workers do not run the script again, as
-    spawned ones would."""
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" not in methods:
-        pytest.skip("no fork start method here: the census never splits")
-    if method is not None and method not in methods:
-        pytest.skip(f"no {method} start method here")
-    script = tmp_path / "census.py"
-    script.write_text(_UNGUARDED_SCRIPT)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    proc = subprocess.run(
-        [sys.executable, "-X", "dev", "-W", "error", str(script)] + ([method] if method else []),
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
-    # one run of 1024-tuple chunks per worker and m-box: each m-box is one chunk
-    runs = [(9, 3, 0, 0), (9, 3, 0, 120), (9, 4, 0, 0), (9, 4, 0, 330)]
-    assert proc.stdout == f"workers: 2\nruns: {runs}\n{classify_elliptic(4, 9)}\n"
-
-
-def _census_in_a_daemon(conn):
-    try:
-        conn.send(classify_elliptic(4, 9))
-    except Exception as exc:
-        conn.send(repr(exc))
-    conn.close()
-
-
-def test_the_scan_stays_in_process_on_one_cpu_beside_a_thread_or_in_a_daemon(
-    split_scan, monkeypatch
-):
-    """One CPU, a caller running another thread, which a fork would not
-    copy, or a daemonic caller, which may start no process, scans
-    in-process."""
-    want = _in_process_census(4, 9)
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    thread.start()
-    try:
-        assert brieskorn._scan_census(4, 9) == want
-    finally:
-        stop.set()
-        thread.join()
-    assert split_scan == []
-    ctx = multiprocessing.get_context("fork")
-    recv, send = ctx.Pipe(duplex=False)
-    daemon = ctx.Process(target=_census_in_a_daemon, args=(send,), daemon=True)
-    daemon.start()
-    send.close()
-    try:
-        assert recv.recv() == sorted(a for a, _ in want)
-    finally:
-        daemon.join()
-        recv.close()
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert brieskorn._split_workers(10**6) == 1
-    assert brieskorn._scan_census(4, 9) == want
-    assert split_scan == []
 
 
 def test_br2_exceptions():

@@ -63,16 +63,29 @@ def test_resource_budget_exits_4():
 
 
 @pytest.mark.deadline(5)
-@pytest.mark.parametrize("args", [
-    "elliptic --max-exp 3 --max-codim 100000000",
-    "elliptic --max-exp 40 --max-codim 3",
-])
-def test_a_census_box_over_budget_exits_4_before_the_scan(args):
+@pytest.mark.parametrize("args, count, last", [
+    ("elliptic --max-exp 3 --max-codim 100000000", 3, "3 3 3"),
+    ("elliptic --max-exp 40 --max-codim 3", 156, "3 4 5"),
+], ids=["max-codim 100000000", "max-exp 40"])
+def test_a_census_past_the_old_box_budget_answers_at_once(args, count, last):
+    """Boxes of 1,000,399 and 1,085,188 tuples: the census reads only the
+    9 and 211 that satisfy its bound."""
     code, out, err = invoke(args.split())
-    assert code == 4, args
+    assert (code, err) == (0, ""), args
+    assert len(out.splitlines()) == count
+    assert out.splitlines()[-1] == last
+
+
+@pytest.mark.deadline(5)
+def test_a_census_over_the_candidate_budget_exits_4_before_the_walk():
+    """m = 3, a_m <= 10^6 has 4,000,009 candidates, counted before any is read."""
+    code, out, err = invoke("elliptic --max-exp 1000000 --max-codim 1".split())
+    assert code == 4
     assert out == ""
-    assert err.startswith("error: the census box m <= ")
-    assert err.endswith(" tuples, above the budget of 1000000\n")
+    assert err == (
+        "error: the elliptic candidates of m <= 3, a_m <= 1000000 needs 4000009 tuples, "
+        "above the budget of 1000000\n"
+    )
 
 
 @pytest.mark.deadline(5)

@@ -3,6 +3,7 @@ anti-nef cycles, Laufer's algorithm, adjunction, definiteness."""
 
 import heapq
 import json
+import math
 import re
 import signal
 import time
@@ -715,7 +716,25 @@ def test_long_chains_solve_in_near_linear_time():
         assert time.perf_counter() - start < 5.0
 
 
-# ------------------------------------------ stars built with their classes
+def test_a_hub_solves_in_near_linear_time():
+    """The elimination on one -(d/2 + 1) hub with d pendant -2 curves, one
+    class per curve: each pendant fold into the hub changes only its pivot,
+    its right-hand side and one multiplier, so four times the curves cost
+    about four times the time, not sixteen."""
+    def best_solve(d):
+        best = math.inf
+        for _ in range(3):
+            g = DualGraph([(0, -(d // 2 + 1))] + [(0, -2)] * d,
+                          [(0, v) for v in range(1, d + 1)])
+            start = time.perf_counter()
+            with deadline(60):
+                assert is_negative_definite(g)
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    small, large = best_solve(5_000), best_solve(20_000)
+    assert large < 2.0
+    assert large < 8 * small
 
 @st.composite
 def seifert_stars(draw):
