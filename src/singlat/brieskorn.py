@@ -13,12 +13,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
-from itertools import (
-    accumulate, chain, combinations_with_replacement, compress, count, islice, repeat,
-)
-from operator import add, eq, floordiv, lt, mod, mul, ne, neg, sub
-from typing import Callable, Iterator, NamedTuple, Sequence
+from functools import cached_property, lru_cache
+from itertools import accumulate, combinations_with_replacement, islice, repeat
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import ideal_oracle
 from .errors import ConsistencyError, ConstructionError, DomainError, InternalError
@@ -211,106 +208,63 @@ class StarGraph(_StarFields):
         return self.quotient.flatten(z)
 
 
-class _Arith(NamedTuple):
-    """The arithmetic that :func:`_lcm_fields` and :func:`_closed_pf` are
-    written in.  ``_ONE`` applies the C-level scalar ops to the ints of one
-    tuple; ``_CHUNK`` lifts each of them to ``list(map(op, *columns))`` on a
-    chunk of tuples held in columns.  ``const`` makes an operand of an int,
-    ``flat`` chains the entries of an indexed field for one pass of a check,
-    and ``check`` raises ``InternalError`` with ``template`` filled in with
-    the values of the first tuple whose flag is set."""
-
-    lcm: Callable
-    floordiv: Callable
-    mod: Callable
-    mul: Callable
-    add: Callable
-    sub: Callable
-    neg: Callable
-    lt: Callable
-    eq: Callable
-    const: Callable
-    flat: Callable
-    check: Callable
-
-
-def _check_one(flag, template: str, *values) -> None:
-    if flag:
-        raise InternalError(template.format(*values))
-
-
-def _check_chunk(flags, template: str, *columns) -> None:
-    k = next(compress(count(), flags), None)
-    if k is not None:
-        raise InternalError(template.format(*(c[k] for c in columns)))
-
-
-def _lifted(op):
-    return lambda *cols: list(map(op, *cols))
-
-
-# for one tuple, int and iter leave an int and an indexed field as they are
-_ONE = _Arith(math.lcm, floordiv, mod, mul, add, sub, neg, lt, eq, int, iter, _check_one)
-_CHUNK = _Arith(*map(_lifted, _ONE[:9]), repeat, chain.from_iterable, _check_chunk)
-
-
-def _lcm_fields(ar: _Arith, a: Sequence) -> tuple:
+def _lcm_fields(a: Sequence[int]) -> tuple:
     """The lcm data of ``a``: ``(ell, ell_i, alpha_i, alpha, ghat, ghat_i,
     lambda_i, eta_i, eta_m, delta, a_invariant)``, the fields of
-    :class:`BCIInvariants` after ``a`` in their order, uncached.  Under
-    ``_ONE``, ``a`` is one tuple; under ``_CHUNK``, ``a[i]`` is the column
-    of the ``a_i`` of a chunk, and every int below is a column.
+    :class:`BCIInvariants` after ``a`` in their order, uncached.
 
     ``ell_i`` is the lcm of the prefix lcm before ``a_i`` and the suffix lcm
     after it, so the lcms take O(m) calls.  The five consistency checks of
-    the data run here; a failure raises ``InternalError``, naming the values
-    of the first tuple that fails.
+    the data run here; a failure raises ``InternalError``.
     """
-    lcm, div, times = ar.lcm, ar.floordiv, ar.mul
+    lcm = math.lcm
     # suf[i] = lcm(a[i+1:]) for i = 0..m-2 and pre[i] = lcm(a[:i+1]); an
     # lcm with 1 is left out
-    suf = [a[-1]]
-    for x in a[-2:0:-1]:
-        suf.append(lcm(suf[-1], x))
+    suf = list(accumulate(a[:0:-1], lcm))
     suf.reverse()
-    pre = [a[0]]
-    for x in a[1:-1]:
-        pre.append(lcm(pre[-1], x))
+    pre = list(accumulate(a[:-1], lcm))
     ell = lcm(a[0], suf[0])
     ell_i = (suf[0], *map(lcm, pre, suf[1:]), pre[-1])
-    alphas = tuple(map(div, repeat(ell), ell_i))
-    alpha = reduce(times, alphas)
-    ar.check(ar.mod(ell, alpha), "alpha = {} does not divide ell = {}", alpha, ell)
-    ghat = div(reduce(times, a), ell)
-    nums = list(map(times, repeat(ghat), alphas))
-    # each check over an indexed field is one pass over its chained entries
-    if any(map(mod, ar.flat(nums), ar.flat(a))):
-        raise InternalError("branch count ghat_i is not integral")
-    ghats = tuple(map(div, nums, a))
-    lams = tuple(map(div, repeat(ell), a))
-    if any(map(ne, map(math.gcd, ar.flat(lams), ar.flat(alphas)), repeat(1))):
-        raise InternalError("lambda_w and alpha_w are not coprime")
+    alphas = tuple([ell // li for li in ell_i])
+    alpha = math.prod(alphas)
+    if ell % alpha:
+        raise InternalError(f"alpha = {alpha} does not divide ell = {ell}")
+    ghat = math.prod(a) // ell
+    ghats = []
+    for x, al in zip(a, alphas):
+        num = ghat * al
+        if num % x:
+            raise InternalError("branch count ghat_i is not integral")
+        ghats.append(num // x)
+    lams = tuple([ell // x for x in a])
+    for lam, al in zip(lams, alphas):
+        if math.gcd(lam, al) != 1:
+            raise InternalError("lambda_w and alpha_w are not coprime")
     alpha_m = alphas[-1]
-    if any(map(mod, ar.flat(lams[:-1]), ar.flat([alpha_m] * (len(a) - 1)))):
-        raise InternalError("lambda_i / alpha_m is not integral")
-    eta = tuple(map(div, lams[:-1], repeat(alpha_m)))
+    eta = []
+    for lam in lams[:-1]:
+        if lam % alpha_m:
+            raise InternalError("lambda_i / alpha_m is not integral")
+        eta.append(lam // alpha_m)
     # tip coefficient of Z^(m): (lambda_m + beta')/alpha_m with
     # beta' = -lambda_m mod alpha_m, i.e. the round-up of lambda_m/alpha_m
     # (the central coefficient lambda_m itself when family m is empty)
-    eta_m = ar.neg(div(ar.neg(lams[-1]), alpha_m))
-    delta = ar.sub(eta[-1], eta_m)
-    ar.check(ar.lt(delta, ar.const(0)), "delta = {} is negative", delta)
+    eta_m = -(-lams[-1] // alpha_m)
+    delta = eta[-1] - eta_m
+    if delta < 0:
+        raise InternalError(f"delta = {delta} is negative")
     # the a-invariant B = (m-2) ell - sum lambda_i
-    b = reduce(ar.sub, lams, times(ell, ar.const(len(a) - 2)))
-    return ell, ell_i, alphas, alpha, ghat, ghats, lams, eta, eta_m, delta, b
+    b = (len(a) - 2) * ell - sum(lams)
+    return ell, ell_i, alphas, alpha, ghat, tuple(ghats), lams, tuple(eta), eta_m, delta, b
 
 
 @lru_cache(maxsize=2048)
 def _invariants_cached(a: tuple[int, ...]) -> BCIInvariants:
     """The record of ``a``: the lcm data of :func:`_lcm_fields`, checked
     there, plus the multiplicity.  Cached for the per-tuple paths; the
-    elliptic scans read the same kernel on chunks and build no record."""
-    return BCIInvariants(a, *_lcm_fields(_ONE, a), multiplicity=math.prod(a[:-2]))
+    elliptic walk and the box scans read the same kernel tuple by tuple and
+    build no record."""
+    return BCIInvariants(a, *_lcm_fields(a), multiplicity=math.prod(a[:-2]))
 
 
 def numeric_invariants(a: Sequence[int]) -> BCIInvariants:
@@ -466,42 +420,33 @@ class FundamentalGenus(NamedTuple):
     cycle: str  # which minimal cycle realizes it: "Z0", "MX", or "both"
 
 
-def _genus_numerators(ar: _Arith, data: tuple) -> tuple:
+def _genus_numerators(data: tuple) -> tuple[int, int]:
     """``2 ell (p_a - 1)`` of the central-multiple cycle Z_0 and of the
-    maximal-ideal cycle M_X, on the lcm data ``data`` of :func:`_lcm_fields`
-    in the arithmetic ``ar``.  Each is ``ghat x (B + x - c)``, B the
-    a-invariant, with ``(x, c) = (alpha, 2 alpha - 1)`` for Z_0 and
+    maximal-ideal cycle M_X, on the lcm data ``data`` of :func:`_lcm_fields`.
+    Each is ``ghat x (B + x - c)``, B the a-invariant, with
+    ``(x, c) = (alpha, 2 alpha - 1)`` for Z_0 and
     ``(lambda_m, (2 eta_m - 1) alpha_m)`` for M_X, x the center
     coefficient."""
     _, _, alphas, alpha, ghat, _, lams, _, eta_m, _, b = data
-    times, sub, add, one = ar.mul, ar.sub, ar.add, ar.const(1)
-    # (x, c) of each cycle
-    of_z0 = alpha, sub(add(alpha, alpha), one)
-    of_mx = lams[-1], times(sub(add(eta_m, eta_m), one), alphas[-1])
-    return tuple(times(times(ghat, x), sub(add(b, x), c)) for x, c in (of_z0, of_mx))
+    lam_m = lams[-1]
+    return (
+        ghat * alpha * (b + alpha - (2 * alpha - 1)),
+        ghat * lam_m * (b + lam_m - (2 * eta_m - 1) * alphas[-1]),
+    )
 
 
-def _closed_pf(ar: _Arith, data: tuple):
-    """The closed p_f on the lcm data ``data`` of :func:`_lcm_fields`, in the
-    arithmetic ``ar``: p_a of the central-multiple cycle where
-    lambda_m >= alpha, else of the maximal-ideal cycle.  Its two checks
-    raise ``InternalError``, naming the values of the first tuple that
-    fails."""
+def _closed_pf(data: tuple) -> int:
+    """The closed p_f on the lcm data ``data`` of :func:`_lcm_fields`: p_a of
+    the central-multiple cycle where lambda_m >= alpha, else of the
+    maximal-ideal cycle.  Its two checks raise ``InternalError``."""
     ell, alpha, lam_m = data[0], data[3], data[6][-1]
-    times, sub = ar.mul, ar.sub
-    z0, mx = _genus_numerators(ar, data)
-    gap = sub(z0, mx)
-    ar.check(
-        times(ar.eq(lam_m, alpha), gap),
-        "the two fundamental-genus formulas disagree at lambda_m = alpha",
-    )
-    # z0 where lambda_m >= alpha, else mx
-    num = sub(z0, times(ar.lt(lam_m, alpha), gap))
-    two_ell = ar.add(ell, ell)
-    ar.check(
-        ar.mod(num, two_ell), "fundamental genus 1 + {}/{} is not an integer", num, two_ell
-    )
-    return ar.add(ar.floordiv(num, two_ell), ar.const(1))
+    z0, mx = _genus_numerators(data)
+    if lam_m == alpha and z0 != mx:
+        raise InternalError("the two fundamental-genus formulas disagree at lambda_m = alpha")
+    num = z0 if lam_m >= alpha else mx
+    if num % (2 * ell):
+        raise InternalError(f"fundamental genus 1 + {num}/{2 * ell} is not an integer")
+    return num // (2 * ell) + 1
 
 
 def _pf_value(a: tuple[int, ...]) -> FundamentalGenus:
@@ -509,7 +454,7 @@ def _pf_value(a: tuple[int, ...]) -> FundamentalGenus:
     lam_m, alpha = inv.lambda_i[-1], inv.alpha
     sel = "Z0" if lam_m > alpha else "MX" if lam_m < alpha else "both"
     # the record holds the fields of _lcm_fields between a and the multiplicity
-    return FundamentalGenus(_closed_pf(_ONE, inv[1:-1]), sel)
+    return FundamentalGenus(_closed_pf(inv[1:-1]), sel)
 
 
 @lru_cache(maxsize=4096)
@@ -649,7 +594,7 @@ def maximal_cycle_numbers(a: Sequence[int]) -> MaximalCycleNumbers:
 def _mcn_value(a: tuple[int, ...]) -> MaximalCycleNumbers:
     inv = _invariants_cached(a)
     # mx = 2 ell (p_a(M_X) - 1) = ell M_X.(M_X + K)
-    mx = _genus_numerators(_ONE, inv[1:-1])[1]
+    mx = _genus_numerators(inv[1:-1])[1]
     if mx % (2 * inv.ell):
         raise InternalError("M_X.(M_X + K) is odd")
     my_sq = -inv.multiplicity
@@ -715,25 +660,25 @@ def is_elliptic(a: Sequence[int]) -> bool:
     return _pf_verified(_validated(a)).value == 1
 
 
-_SCAN_CHUNK = 1024  # tuples per chunk; larger chunks cost memory for no speed
+def _with_closed_pf(tuples: Iterable[tuple[int, ...]]) -> Iterator[tuple[tuple[int, ...], int]]:
+    """``(a, p_f)`` for each tuple ``a`` of ``tuples``, ``p_f`` from the
+    record's kernel and closed form, with all their checks; no record is
+    built and no cache is filled."""
+    for a in tuples:
+        yield a, _closed_pf(_lcm_fields(a))
 
 
-def _scan_range(a_max: int, m: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """``(a, p_f)`` for the tuples of the m-box a_m <= a_max, in
-    ``combinations_with_replacement`` order.  The box is read in chunks of
-    ``_SCAN_CHUNK`` tuples, and ``p_f`` comes from the record's kernel and
-    closed form, with all their checks, run on each chunk's columns; no
-    record is built and no cache is filled."""
-    box = combinations_with_replacement(range(2, a_max + 1), m)
-    while chunk := list(islice(box, _SCAN_CHUNK)):
-        yield from zip(chunk, _closed_pf(_CHUNK, _lcm_fields(_CHUNK, list(zip(*chunk)))))
+def _box(m_max: int, a_max: int) -> Iterator[tuple[int, ...]]:
+    """The tuples of the box 3 <= m <= m_max, a_m <= a_max, m by m, each m
+    in ``combinations_with_replacement`` order."""
+    for m in range(3, m_max + 1):
+        yield from combinations_with_replacement(range(2, a_max + 1), m)
 
 
 def _scan_box(m_max: int, a_max: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """:func:`_scan_range` over the whole box 3 <= m <= m_max, a_m <= a_max,
-    m by m."""
-    for m in range(3, m_max + 1):
-        yield from _scan_range(a_max, m)
+    """``(a, p_f)`` for every tuple of :func:`_box`, by
+    :func:`_with_closed_pf`."""
+    return _with_closed_pf(_box(m_max, a_max))
 
 
 # (E) fails on every tuple with m >= 6: its left side is largest at
@@ -786,10 +731,7 @@ def _walk_census(m_max: int, a_max: int) -> Iterator[tuple[tuple[int, ...], int]
         sum(len(last) for _, last in runs),
         f"the elliptic candidates of m <= {m_max}, a_m <= {a_max}", "tuples",
     )
-    for prefix, last in runs:
-        for x in last:
-            a = prefix + (x,)
-            yield a, _closed_pf(_ONE, _lcm_fields(_ONE, a))
+    yield from _with_closed_pf(prefix + (x,) for prefix, last in runs for x in last)
 
 
 def _laufer_checked(found: list[tuple[tuple[int, ...], int]]) -> list[tuple[int, ...]]:
@@ -843,12 +785,12 @@ def classify_elliptic(m_max: int, a_max: int) -> list[tuple[int, ...]]:
 
 def _verify_census_box(m_max: int, a_max: int) -> list[tuple[int, ...]]:
     """The elliptic tuples of the box 3 <= m <= m_max, a_m <= a_max, found
-    by scanning every tuple of it in columns with :func:`_scan_box`, with
-    all kernel and p_f checks.  Raises ``ConsistencyError``, naming the
+    by scanning every tuple of it with :func:`_scan_box`, with all kernel
+    and p_f checks.  Raises ``ConsistencyError``, naming the
     tuple, if one outside the candidates of :func:`_walk_census` has
     p_f = 1, which would break (E), or if the tuples with p_f = 1 are not
     those :func:`classify_elliptic` reports.  Not budgeted: the box m <= 5,
-    a_m <= 30 (277,791 tuples) takes about a second."""
+    a_m <= 30 (277,791 tuples) takes about two seconds."""
     found = sorted(a for a, pf in _scan_box(m_max, a_max) if pf == 1)
     candidates = {a for a, _ in _walk_census(m_max, a_max)}
     for a in found:
@@ -867,19 +809,19 @@ def br2_exceptions() -> list[tuple[int, int, int]]:
     ideal has normal reduction number two while p_f != 1 and p_g = 3, in lex
     order.
 
-    The list is derived by scanning that box with :func:`_scan_box` for
-    p_f, the closed form for nr and the box-basis p_g; every tuple reported
-    has its scanned p_f compared with the one Laufer's algorithm verifies.
-    The scan builds no record, so only the tuples with nr = 2 and p_f != 1
-    reach the invariant record and the p_g cache.  The scan finds (3, 4, 6)
-    and (3, 4, 7), both with p_f = 2.  Other non-elliptic tuples do reach
-    nr = 2 with a different p_g, e.g. (2, 5, 10) with p_f = 2 and p_g = 4.
+    The list is derived from the closed form for nr on every tuple of that
+    box; only the 47 tuples with nr = 2 reach the closed p_f of
+    :func:`_with_closed_pf`, which builds no record, and only those with
+    p_f != 1 reach the invariant record and the box-basis p_g.  Every tuple
+    reported has its scanned p_f compared with the one Laufer's algorithm
+    verifies.  The filter finds (3, 4, 6) and (3, 4, 7), both with p_f = 2.
+    Other non-elliptic tuples do reach nr = 2 with a different p_g, e.g.
+    (2, 5, 10) with p_f = 2 and p_g = 4.
     """
-    return _laufer_checked([
-        (a, pf)
-        for a, pf in _scan_box(5, 12)
-        if pf != 1 and _nr_value(a) == 2 and _pg_cached(a) == 3
-    ])
+    nr_two = (a for a in _box(5, 12) if _nr_value(a) == 2)
+    return _laufer_checked(
+        [(a, pf) for a, pf in _with_closed_pf(nr_two) if pf != 1 and _pg_cached(a) == 3]
+    )
 
 
 def invariant_report(a: Sequence[int]) -> dict:

@@ -9,6 +9,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
 from math import comb, gcd, lcm, prod
 from operator import mul
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -232,19 +233,12 @@ def test_lcm_kernel_against_the_definitions(a):
     assert tuple(inv)[1:-1] == data
 
 
-def _scan_chunk(monkeypatch, chunk):
-    """The p_f that ``_scan_range`` finds for the tuples of ``chunk``, read
-    as one chunk of a box that holds them alone, in their order."""
-    monkeypatch.setattr(brieskorn, "combinations_with_replacement", lambda pool, m: iter(chunk))
-    return [pf for _, pf in brieskorn._scan_range(0, len(chunk[0]))]
-
-
-def _fake_ops(monkeypatch, **ops):
-    """Replace scalar ops of the kernel's arithmetic, for one tuple and,
-    lifted to columns, for a chunk."""
-    lifted = {name: brieskorn._lifted(op) for name, op in ops.items()}
-    monkeypatch.setattr(brieskorn, "_ONE", brieskorn._ONE._replace(**ops))
-    monkeypatch.setattr(brieskorn, "_CHUNK", brieskorn._CHUNK._replace(**lifted))
+def _scanned_pf(monkeypatch, a):
+    """The p_f that ``_scan_box`` finds for ``a``, read as the one tuple of
+    a box that holds it alone."""
+    monkeypatch.setattr(brieskorn, "combinations_with_replacement", lambda pool, m: iter([a]))
+    [(_, pf)] = brieskorn._scan_box(3, 0)
+    return pf
 
 
 @pytest.mark.parametrize(
@@ -262,46 +256,28 @@ def _fake_ops(monkeypatch, **ops):
 )
 def test_every_kernel_check_can_fire(monkeypatch, a, fake, message):
     """Each consistency check of the lcm data raises, with its message, on
-    the record's route and on the elliptic scan's, with ``a`` in a chunk."""
-    _fake_ops(monkeypatch, **fake)
+    the record's route, on ``_pf_value``'s and on the box scan's; the fake
+    lcm is seen by ``brieskorn`` alone."""
+    monkeypatch.setattr(brieskorn, "math", SimpleNamespace(**{**vars(math), **fake}))
     # _pf_value reads the record, so it must not find one cached before the fake
     record = brieskorn._invariants_cached.__wrapped__
     monkeypatch.setattr(brieskorn, "_invariants_cached", record)
-    for route in (record, brieskorn._pf_value, lambda a: _scan_chunk(monkeypatch, [a])):
+    for route in (record, brieskorn._pf_value, lambda a: _scanned_pf(monkeypatch, a)):
         with pytest.raises(InternalError) as err:
             route(a)
         assert str(err.value) == message
 
 
-def test_a_column_check_names_the_first_tuple_that_fails(monkeypatch):
-    """On a chunk, a failed check names the values of its first failing tuple."""
-    # the unsorted (2, 5, 3) and (2, 7, 3) have delta -2 and -3
-    with pytest.raises(InternalError, match="^delta = -2 is negative$"):
-        _scan_chunk(monkeypatch, [(2, 3, 4), (2, 5, 3), (2, 7, 3)])
-    _fake_ops(monkeypatch, lcm=max)
-    # (2, 3, 4) and (2, 3, 6) pass the alpha check under this lcm; (2, 3, 7)
-    # and (2, 4, 9) fail it
-    with pytest.raises(InternalError, match="^alpha = 2 does not divide ell = 7$"):
-        _scan_chunk(monkeypatch, [(2, 3, 4), (2, 3, 6), (2, 3, 7), (2, 4, 9)])
-
-
 @contextmanager
 def _changed_kernel(field, change):
     """A ``MonkeyPatch`` under which the kernel changes one field of its
-    lcm data, of one tuple or of a one-tuple chunk, and the record that
-    ``_pf_value`` and ``_mcn_value`` read is built from the changed data
-    and not cached."""
+    lcm data, and the record that ``_pf_value`` and ``_mcn_value`` read is
+    built from the changed data and not cached."""
     real = brieskorn._lcm_fields
 
-    def changed(ar, a):
-        data = list(real(ar, a))
-        value = data[field]
-        if isinstance(data[0], int):  # one tuple
-            data[field] = change(value)
-        elif isinstance(value, list):  # one column
-            data[field] = [change(value[0])]
-        else:  # one column per index
-            data[field] = tuple([x] for x in change(tuple(c[0] for c in value)))
+    def changed(a):
+        data = list(real(a))
+        data[field] = change(data[field])
         return tuple(data)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -312,9 +288,9 @@ def _changed_kernel(field, change):
 
 def _pf_with_changed_kernel(scan, a, field, change):
     """p_f of ``a`` with one field of its lcm data changed: on the record's
-    route, or on the scan's with ``a`` as a one-tuple chunk."""
+    route, or on the box scan's with ``a`` the one tuple of its box."""
     with _changed_kernel(field, change) as mp:
-        return _scan_chunk(mp, [a])[0] if scan else brieskorn._pf_value(a).value
+        return _scanned_pf(mp, a) if scan else brieskorn._pf_value(a).value
 
 
 def test_pf_formulas_must_agree_at_lambda_m_equal_alpha():
@@ -345,12 +321,6 @@ def test_maximal_cycle_genus_must_be_an_integer():
             maximal_cycle_numbers((2, 3, 7))
 
 
-def _entry(field, k):
-    """Entry ``k`` of a field of the chunk kernel's data: of its column, or
-    of each of its columns."""
-    return field[k] if isinstance(field, list) else tuple(c[k] for c in field)
-
-
 def test_the_record_matches_the_reference_kernel():
     """The record's lcm data and closed p_f equal the reference kernel's on
     every tuple of m = 3..6, a_m <= 12."""
@@ -360,51 +330,9 @@ def test_the_record_matches_the_reference_kernel():
             assert brieskorn._pf_value(a) == _pf_value(a)
 
 
-def test_the_column_kernel_matches_the_record_kernel():
-    """Every field of the kernel's lcm data on a chunk, read back tuple by
-    tuple, equals the reference kernel's on every tuple of m = 3..6,
-    a_m <= 12, each m-box read as one chunk."""
-    for m in range(3, 7):
-        box = list(combinations_with_replacement(range(2, 13), m))
-        data = brieskorn._lcm_fields(brieskorn._CHUNK, list(zip(*box)))
-        got = [tuple(_entry(f, k) for f in data) for k in range(len(box))]
-        assert got == [_lcm_data(a) for a in box]
-
-
-@given(
-    st.integers(min_value=3, max_value=6).flatmap(
-        lambda m: st.tuples(
-            st.lists(st.integers(2, 60), min_size=m, max_size=m).map(sorted).map(tuple),
-            st.lists(
-                st.lists(st.integers(2, 60), min_size=m, max_size=m).map(sorted).map(tuple),
-                max_size=12,
-            ),
-        )
-    ),
-    st.randoms(use_true_random=False),
-)
-@settings(max_examples=200, deadline=None)
-def test_the_kernel_reads_a_tuple_alike_alone_and_in_a_chunk(case, rnd):
-    """Every field of the lcm data and the closed p_f of a tuple read alone
-    equal its entries when it sits at a random position of a chunk of
-    random sorted tuples."""
-    a, others = case
-    k = rnd.randint(0, len(others))
-    chunk = others[:k] + [a] + others[k:]
-    alone = brieskorn._lcm_fields(brieskorn._ONE, a)
-    data = brieskorn._lcm_fields(brieskorn._CHUNK, list(zip(*chunk)))
-    assert tuple(_entry(f, k) for f in data) == alone
-    pf = brieskorn._closed_pf(brieskorn._CHUNK, data)
-    assert pf[k] == brieskorn._closed_pf(brieskorn._ONE, alone)
-
-
-@pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk-1", "chunk-7", "default"])
-def test_the_box_scan_matches_the_record_kernel(monkeypatch, chunk):
+def test_the_box_scan_matches_the_record_kernel():
     """The scan's p_f equals the reference kernel's on every tuple of two
-    boxes, in the order of the boxes; the default chunk is larger than the
-    m = 3 box and ends part-way through the larger ones."""
-    if chunk:
-        monkeypatch.setattr(brieskorn, "_SCAN_CHUNK", chunk)
+    boxes, in the order of the boxes."""
     for m_min, m_max, a_max in ((3, 5, 16), (6, 6, 10)):
         got = [(a, pf) for a, pf in brieskorn._scan_box(m_max, a_max) if len(a) >= m_min]
         want = [
@@ -1212,7 +1140,7 @@ def test_a_census_box_over_the_budget_is_refused_before_the_scan(monkeypatch):
     kernel_calls = []
     real = brieskorn._lcm_fields
     monkeypatch.setattr(
-        brieskorn, "_lcm_fields", lambda ar, a: kernel_calls.append(a) or real(ar, a)
+        brieskorn, "_lcm_fields", lambda a: kernel_calls.append(a) or real(a)
     )
     with pytest.raises(
         ResourceError, match="^the elliptic candidates of m <= 3, a_m <= 1000000 needs 4000009 "
@@ -1273,18 +1201,25 @@ def test_every_elliptic_tuple_satisfies_the_bound(head, last):
     """p_f = 1 forces (E): small leading exponents and one free last one
     reach the elliptic families and their neighbours."""
     a = tuple(sorted(head + [last]))
-    if brieskorn._closed_pf(brieskorn._ONE, brieskorn._lcm_fields(brieskorn._ONE, a)) == 1:
+    if brieskorn._closed_pf(brieskorn._lcm_fields(a)) == 1:
         assert _satisfies_bound(a), a
 
 
 @pytest.mark.parametrize("box", [(5, 30), (6, 16), (7, 10), (8, 7)])
 def test_the_census_walk_matches_the_box_scan(box):
-    """The verification pass scans the whole box in columns: no tuple
-    outside the walk's candidates has p_f = 1, and the census reports
-    exactly the box's tuples with p_f = 1."""
+    """The verification pass scans the whole box: no tuple outside the
+    walk's candidates has p_f = 1, and the census reports exactly the box's
+    tuples with p_f = 1.  On the three smaller boxes its list is also
+    checked against the reference p_f on every tuple of the box."""
     found = brieskorn._verify_census_box(*box)
     assert found == classify_elliptic(*box)
-    assert found == sorted(a for a, pf in brieskorn._scan_box(*box) if pf == 1)
+    m_max, a_max = box
+    if box != (5, 30):
+        assert found == sorted(
+            a for m in range(3, m_max + 1)
+            for a in combinations_with_replacement(range(2, a_max + 1), m)
+            if _pf_value(a).value == 1
+        )
 
 
 def test_the_verification_pass_names_what_the_walk_misses(monkeypatch):
@@ -1345,7 +1280,7 @@ def test_classify_elliptic_verifies_what_it_reports(monkeypatch):
 def test_br2_exceptions_verifies_what_it_reports(monkeypatch):
     """A wrong scanned p_f of a reported tuple is caught by the Laufer
     cross-check."""
-    _with_scanned_pf(monkeypatch, "_scan_range", GAMMA1, 3)
+    _with_scanned_pf(monkeypatch, "_with_closed_pf", GAMMA1, 3)
     with pytest.raises(
         ConsistencyError,
         match=r"^scanned fundamental genus 3 of \(3, 4, 6\) disagrees with the Laufer value 2$",
@@ -1353,10 +1288,9 @@ def test_br2_exceptions_verifies_what_it_reports(monkeypatch):
         br2_exceptions()
 
 
-def test_classify_elliptic_scans_the_box_in_chunks():
-    """The census holds no box: its tracemalloc peak on m <= 5,
-    a_m <= 14 (8,463 tuples) stays below a bound that the columns of the
-    whole m = 5 box (6,188 tuples) exceed."""
+def test_classify_elliptic_walks_and_holds_no_box():
+    """The census walks its candidates and holds no box: its tracemalloc
+    peak on m <= 5, a_m <= 14 (8,463 tuples) stays below 2 MB."""
     for cache in (brieskorn._pf_verified, brieskorn._star_cached, brieskorn._invariants_cached):
         cache.cache_clear()
     tracemalloc.start()
@@ -1395,6 +1329,22 @@ def test_br2_exceptions_validates_nothing(monkeypatch):
     calls = _count_validations(monkeypatch)
     assert br2_exceptions() == [GAMMA1, GAMMA2]
     assert calls == []
+
+
+def test_br2_exceptions_reads_p_f_only_where_nr_is_two(monkeypatch):
+    """The closed nr filters the 4290 tuples of the box first: only the 47
+    with nr = 2, all with m <= 4, reach the kernel's p_f."""
+    real, seen = brieskorn._with_closed_pf, []
+
+    def recorded(tuples):
+        tuples = list(tuples)
+        seen.extend(tuples)
+        return real(tuples)
+
+    monkeypatch.setattr(brieskorn, "_with_closed_pf", recorded)
+    assert br2_exceptions() == [GAMMA1, GAMMA2]
+    assert len(seen) == 47 and max(map(len, seen)) == 4
+    assert all(normal_reduction_number(a) == 2 for a in seen)
 
 
 def test_br2_scan_of_the_census_box():
