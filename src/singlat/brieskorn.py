@@ -786,10 +786,10 @@ def classify_elliptic(m_max: int, a_max: int) -> list[tuple[int, ...]]:
 def _verify_census_box(m_max: int, a_max: int) -> list[tuple[int, ...]]:
     """The elliptic tuples of the box 3 <= m <= m_max, a_m <= a_max, found
     by scanning every tuple of it with :func:`_scan_box`, with all kernel
-    and p_f checks.  Raises ``ConsistencyError``, naming the
-    tuple, if one outside the candidates of :func:`_walk_census` has
-    p_f = 1, which would break (E), or if the tuples with p_f = 1 are not
-    those :func:`classify_elliptic` reports.  Not budgeted: the box m <= 5,
+    and p_f checks.  Raises ``ConsistencyError``, naming the tuple, if one
+    outside the candidates of :func:`_walk_census` has p_f = 1, which would
+    break (E), or if the tuples with p_f = 1 are not those
+    :func:`classify_elliptic` reports.  Not budgeted: the box m <= 5,
     a_m <= 30 (277,791 tuples) takes about two seconds."""
     found = sorted(a for a, pf in _scan_box(m_max, a_max) if pf == 1)
     candidates = {a for a, _ in _walk_census(m_max, a_max)}
