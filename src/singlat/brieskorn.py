@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import ideal_oracle
 from .errors import ConsistencyError, ConstructionError, DomainError, InternalError
-from .graph_lattice import Cycle, DualGraph, QCycle, Quotient
+from .graph_lattice import Cycle, DualGraph, QCycle, Quotient, _continuants
 from .ideal_oracle import _validated
 
 __all__ = [
@@ -71,15 +71,6 @@ def _neg_cont_frac_len(p: int, q: int) -> int:
             length += p // q - 1
         p, q = q, p % q
     return length + (k + 1) // 2
-
-
-def _continuants(chain: Sequence[int]) -> list[int]:
-    """Continuants K(c_1..c_v) for v = 0..s: K() = 1 and
-    K(c_1..c_v) = c_v K(c_1..c_{v-1}) - K(c_1..c_{v-2})."""
-    ks = [0, 1]
-    for c in chain:
-        ks.append(c * ks[-1] - ks[-2])
-    return ks[1:]
 
 
 def _chain_coeffs(pre: Sequence[int], suf: Sequence[int], center: int, beyond: int) -> list[int]:
@@ -151,9 +142,11 @@ class _StarFields(NamedTuple):
 class StarGraph(_StarFields):
     """Star-shaped resolution graph: central curve plus chain families.
 
-    ``quotient`` is the star's :class:`Quotient`, built on first use from
-    the fields: class 0 is the center, then each family's chain positions
-    center-outward, as its ``spans`` record.  ``cycles`` holds ``Z_0,
+    ``quotient`` is the star's :class:`Quotient`: class 0 is the center,
+    then each family's chain positions center-outward, as its ``spans``
+    record.  A star from :func:`dual_graph` shares the quotient of its
+    Seifert data, on which the p_f paths search for Z_f; any other is built
+    on first use from the fields.  ``cycles`` holds ``Z_0,
     Z^(1), ..., Z^(m), Z_K`` as class vectors in that order;
     ``assemble(cycle)`` flattens one with :meth:`Quotient.flatten`.
     ``graph``, the flattened :class:`DualGraph`, is emitted on first use
@@ -272,32 +265,37 @@ def numeric_invariants(a: Sequence[int]) -> BCIInvariants:
     return _invariants_cached(_validated(a))
 
 
-@lru_cache(maxsize=64)
-def _star_cached(a: tuple[int, ...]) -> StarGraph:
+class _Seifert(NamedTuple):
+    """The checked Seifert data of a tuple's star and its quotient, with no
+    cycle: what the p_f paths read."""
+
+    center_genus: int
+    c0: int
+    branch_families: tuple[ChainFamily, ...]
+    flags: tuple[str, ...]
+    quotient: Quotient
+
+
+@lru_cache(maxsize=256)
+def _seifert_cached(a: tuple[int, ...]) -> _Seifert:
+    """The Seifert step of the star build: the chains, the center and the
+    quotient, with every check that needs no cycle."""
     inv = _invariants_cached(a)
     # beta_w = 0 and the chain is empty where alpha_w = 1
     betas = [
         (-pow(lam_w, -1, alpha_w)) % alpha_w
         for alpha_w, lam_w in zip(inv.alpha_i, inv.lambda_i)
     ]
-    # each of the m + 2 cycles solved below holds one coefficient list per
+    # each of the m + 2 cycles of the star holds one coefficient list per
     # family; counted before any chain is expanded
     ideal_oracle._check_budget(
         (inv.m + 2) * sum(map(_neg_cont_frac_len, inv.alpha_i, betas)),
         f"the compressed star of {a}", "cycle coefficients",
     )
-    families = [
+    families = tuple(
         ChainFamily(count=count, chain=tuple(_neg_cont_frac(alpha_w, beta)), beta=beta)
         for count, alpha_w, beta in zip(inv.ghat_i, inv.alpha_i, betas)
-    ]
-    # each chain's continuants, once: a continuant reads the same both ways,
-    # so suf[v] = K(c_{v+1}..c_s) comes from the reversed chain
-    solves = [
-        (_continuants(fam.chain), _continuants(fam.chain[::-1])[::-1]) for fam in families
-    ]
-    for (pre, _), alpha_w in zip(solves, inv.alpha_i):
-        if pre[-1] != alpha_w:
-            raise InternalError("chain continuant does not reproduce alpha_w")
+    )
 
     two_g = (inv.m - 2) * inv.ghat - sum(inv.ghat_i)
     if two_g % 2:
@@ -318,6 +316,29 @@ def _star_cached(a: tuple[int, ...]) -> StarGraph:
     if c0 < 1:
         raise ConstructionError(f"central weight c0 = {c0} is below 1")
 
+    branch_count = sum(fam.count for fam in families if fam.chain)
+    flags = (FLAG_NON_MINIMAL,) if c0 == 1 and center_genus == 0 and branch_count <= 2 else ()
+    quo = Quotient.star(
+        (center_genus, -c0), [(fam.count, [-c for c in fam.chain]) for fam in families]
+    )
+    for ks, alpha_w in zip(quo.chain_continuants(), inv.alpha_i):
+        if ks[0] != alpha_w:
+            raise InternalError("chain continuant does not reproduce alpha_w")
+    return _Seifert(center_genus, c0, families, flags, quo)
+
+
+@lru_cache(maxsize=64)
+def _star_cached(a: tuple[int, ...]) -> StarGraph:
+    """The cycles step of the star build: the m + 2 cycles on the Seifert
+    step's data, each solved and paired once."""
+    inv = _invariants_cached(a)
+    sd = _seifert_cached(a)
+    # each chain's continuants K(c_1..c_v) and, from the quotient,
+    # K(c_{v+1}..c_s)
+    solves = [
+        (_continuants(fam.chain), ks)
+        for fam, ks in zip(sd.branch_families, sd.quotient.chain_continuants())
+    ]
     # Z_0 (center alpha, 0 past every tip), then Z^(1..m) (center lambda_i,
     # 1 past each family-i tip), as class vectors: each chain is solved once,
     # integrally
@@ -331,12 +352,15 @@ def _star_cached(a: tuple[int, ...]) -> StarGraph:
     k = (inv.m - 2) * (inv.ell // inv.alpha)
     cycles.append(tuple(1 + k * x0 - sum(xs) for x0, *xs in zip(*cycles)))
 
-    branch_count = sum(fam.count for fam in families if fam.chain)
-    flags = (FLAG_NON_MINIMAL,) if c0 == 1 and center_genus == 0 and branch_count <= 2 else ()
     star = StarGraph(
-        center_genus=center_genus, c0=c0, branch_families=tuple(families),
-        flags=flags, cycles=tuple(cycles),
+        center_genus=sd.center_genus, c0=sd.c0, branch_families=sd.branch_families,
+        flags=sd.flags, cycles=tuple(cycles),
     )
+    if star[:4] == sd[:4]:
+        # the star of exactly the Seifert data shares its quotient, which the
+        # cached_property then keeps; the checks below pair on the quotient
+        # of the star's own fields either way
+        vars(star)["quotient"] = sd.quotient
 
     # Z_0 and Z^(i) pair to -1 at the tips they were solved for, 0 on other chain
     # curves, and at the center 0 if there are such tips, else -x ghat/ell; Z_K
@@ -344,10 +368,10 @@ def _star_cached(a: tuple[int, ...]) -> StarGraph:
     # on the quotient of the built star; the center pairing is
     # -c0 x + sum_w count_w lam_{w,1}.  A positive Z_0 pairing below 0 at the
     # center proves the connected star negative definite.
+    quo = star.quotient
     m = inv.m
     names = ["central-multiple cycle", *(f"divisor cycle {i}" for i in range(1, m + 1))]
     names.append("canonical cycle")
-    quo = star.quotient
     for i, z in enumerate(star.cycles):
         got = quo.products(z)
         want = [0] * len(z)
@@ -365,7 +389,7 @@ def _star_cached(a: tuple[int, ...]) -> StarGraph:
             raise ConstructionError("Z_0 does not show the star graph negative definite")
         if not chains_ok or got[0] != want[0]:
             raise ConstructionError(f"{names[i]} has the wrong intersection pattern")
-        if i > m and low < 0 and FLAG_NON_MINIMAL not in flags:
+        if i > m and low < 0 and FLAG_NON_MINIMAL not in star.flags:
             raise InternalError("canonical cycle formula produced a non-effective cycle")
     return star
 
@@ -460,9 +484,9 @@ def _pf_value(a: tuple[int, ...]) -> FundamentalGenus:
 @lru_cache(maxsize=4096)
 def _pf_verified(a: tuple[int, ...]) -> FundamentalGenus:
     pf = _pf_value(a)
-    # Laufer's sequence and p_a class by class, on the star's quotient
-    quo = _star_cached(a).quotient
-    pa = quo.arithmetic_genus(quo.fundamental_cycle())
+    # Z_f from the star's Seifert data and p_a class by class, on its quotient
+    quo = _seifert_cached(a).quotient
+    pa = quo.arithmetic_genus(quo.fundamental_cycle_search())
     if pa != pf.value:
         raise ConsistencyError(
             f"closed-form fundamental genus {pf.value} of {a} disagrees with "
@@ -477,8 +501,10 @@ def fundamental_genus(a: Sequence[int]) -> FundamentalGenus:
     The fundamental cycle equals the central-multiple cycle when
     lambda_m >= alpha and the maximal-ideal cycle when lambda_m <= alpha;
     the returned selector records which case applied.  The value is always
-    cross-checked against p_a of the fundamental cycle that Laufer's
-    sequence computes on the star's classes, without flattening the star.
+    cross-checked against p_a of the fundamental cycle that
+    :meth:`Quotient.fundamental_cycle_search` reads off the star's Seifert
+    data, class by class: no cycle is built, no quotient is eliminated and
+    Laufer's sequence does not run.
     """
     return _pf_verified(_validated(a))
 
@@ -656,7 +682,8 @@ def q_sequence(a: Sequence[int], n_max: int) -> tuple[int, ...]:
 
 
 def is_elliptic(a: Sequence[int]) -> bool:
-    """True iff the fundamental genus equals one, cross-checked against Laufer."""
+    """True iff the fundamental genus equals one, cross-checked against the
+    search on the star's Seifert data, as :func:`fundamental_genus` is."""
     return _pf_verified(_validated(a)).value == 1
 
 
@@ -736,8 +763,9 @@ def _walk_census(m_max: int, a_max: int) -> Iterator[tuple[tuple[int, ...], int]
 
 def _laufer_checked(found: list[tuple[tuple[int, ...], int]]) -> list[tuple[int, ...]]:
     """The tuples of the scanned ``(a, p_f)`` pairs in lex order, after each
-    ``p_f`` has been compared with the one that Laufer's algorithm verifies
-    on the star's classes."""
+    ``p_f`` has been compared with the one :func:`fundamental_genus`
+    verifies by the search on the star's Seifert data.  The messages keep
+    the name "the Laufer value": it is p_a of Laufer's Z_f."""
     for a, pf in found:
         laufer = _pf_verified(a).value
         if pf != laufer:
@@ -770,8 +798,9 @@ def classify_elliptic(m_max: int, a_max: int) -> list[tuple[int, ...]]:
     m <= 5, a_m <= 30, and reads each p_f from the record's kernel and
     closed form, with every consistency check; no invariant record is
     built and no cache is filled for a tuple that is not reported.  Every
-    tuple reported has that p_f compared with the one Laufer's algorithm
-    verifies on its star's classes.  More than ``LATTICE_BUDGET``
+    tuple reported has that p_f compared with the one verified by the
+    search on its star's Seifert data, which builds no cycle and runs no
+    elimination and no Laufer sequence.  More than ``LATTICE_BUDGET``
     candidates raise ``ResourceError`` before the first is read.
     :func:`_verify_census_box` checks the walk against a scan of the
     whole box.
@@ -813,10 +842,10 @@ def br2_exceptions() -> list[tuple[int, int, int]]:
     box; only the 47 tuples with nr = 2 reach the closed p_f of
     :func:`_with_closed_pf`, which builds no record, and only those with
     p_f != 1 reach the invariant record and the box-basis p_g.  Every tuple
-    reported has its scanned p_f compared with the one Laufer's algorithm
-    verifies.  The filter finds (3, 4, 6) and (3, 4, 7), both with p_f = 2.
-    Other non-elliptic tuples do reach nr = 2 with a different p_g, e.g.
-    (2, 5, 10) with p_f = 2 and p_g = 4.
+    reported has its scanned p_f compared with the one the search on the
+    star's Seifert data verifies.  The filter finds (3, 4, 6) and
+    (3, 4, 7), both with p_f = 2.  Other non-elliptic tuples do reach
+    nr = 2 with a different p_g, e.g. (2, 5, 10) with p_f = 2 and p_g = 4.
     """
     nr_two = (a for a in _box(5, 12) if _nr_value(a) == 2)
     return _laufer_checked(
@@ -829,10 +858,10 @@ def invariant_report(a: Sequence[int]) -> dict:
     "g","c0","pf","pg","nr","elliptic","flags"}."""
     a = _validated(a)
     # p_g first: a pair range or box over its budget is refused before the
-    # star is built and Laufer's sequence runs on it
+    # star's Seifert data is read
     pg = _pg_cached(a)
     inv = _invariants_cached(a)
-    star = _star_cached(a)
+    sd = _seifert_cached(a)
     pf = _pf_verified(a)
     return {
         "a": list(a),
@@ -842,11 +871,11 @@ def invariant_report(a: Sequence[int]) -> dict:
         "lambda": list(inv.lambda_i),
         "eta": list(inv.eta),
         "delta": inv.delta,
-        "g": star.center_genus,
-        "c0": star.c0,
+        "g": sd.center_genus,
+        "c0": sd.c0,
         "pf": pf.value,
         "pg": pg,
         "nr": _nr_value(a),
         "elliptic": pf.value == 1,
-        "flags": list(star.flags),
+        "flags": list(sd.flags),
     }

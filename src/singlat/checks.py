@@ -158,6 +158,8 @@ def run_tuple_checks(a: Sequence[int]) -> list[CheckResult]:
     def fundamental() -> str:
         pf = brieskorn.fundamental_genus(a)
         zf = graph_lattice.fundamental_cycle(star.graph)
+        # the Seifert-data search that verifies p_f, against Laufer's sequence
+        assert_same("searched Z_f is", star.assemble(star.quotient.fundamental_cycle_search()), zf)
         lam_m = inv.lambda_i[-1]
         if lam_m >= inv.alpha:
             _require(zf == brieskorn.central_multiple_cycle(a), "Z_f != Z_0")

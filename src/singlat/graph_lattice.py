@@ -16,9 +16,11 @@ elimination runs in integers, on sparse rows that one gcd reduces per
 fold, pendant classes first, then the 2-core of a graph with cycles; the
 only ``Fraction``s it makes are the entries of Z_K, one per class.  A star's
 quotient is built from its families before any curve is emitted, so a star
-and its flattened graph share one, and ``brieskorn`` reads ``p_f`` off it
-with the class-wise pairing alone.  Pairings with every curve walk the edge
-list.
+and its flattened graph share one.  On it, a second route to Z_f,
+:meth:`Quotient.fundamental_cycle_search`, reads it off the Seifert data
+``(g, c0, [(count, chain)])`` with no elimination and no Laufer sequence;
+``brieskorn`` verifies ``p_f`` with it and the class-wise pairing alone.
+Pairings with every curve walk the edge list.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from itertools import compress
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
+from . import ideal_oracle
 from .errors import DimensionError, DomainError, InternalError
 
 Cycle = tuple[int, ...]
@@ -50,6 +53,27 @@ __all__ = [
 ]
 
 
+def _continuants(chain: Sequence[int]) -> list[int]:
+    """Continuants K(c_1..c_v) for v = 0..s: K() = 1 and
+    K(c_1..c_v) = c_v K(c_1..c_{v-1}) - K(c_1..c_{v-2})."""
+    ks = [0, 1]
+    for c in chain:
+        ks.append(c * ks[-1] - ks[-2])
+    return ks[1:]
+
+
+def _chain_ceilings(x: int, ks: Sequence[int]) -> list[int]:
+    """The least ``z_1..z_s`` that pair to at most 0 with every curve of a
+    chain ``c_1..c_s`` next to a curve of coefficient ``z_0 = x``, from
+    ``ks[v] = K(c_{v+1}..c_s)``, v = 0..s, all positive: the recursive
+    ceilings ``z_v = ceil(z_{v-1} K(c_{v+1}..c_s) / K(c_v..c_s))``."""
+    out = []
+    for k0, k1 in zip(ks, ks[1:]):
+        x = -(-x * k1 // k0)
+        out.append(x)
+    return out
+
+
 class Quotient:
     """A dual graph's quotient by its classes, and what is computed on it.
 
@@ -59,8 +83,9 @@ class Quotient:
     in increasing B.  The classes are equitable: every curve of A has the
     same ``n_AB`` edges into each class B, and no edge joins two curves of
     A.  A vector over the classes stands for the cycle that is ``z_A`` on
-    every curve of A.  The definiteness verdict, Z_K and Z_f are computed
-    on first use and cached here, one entry per class.
+    every curve of A.  The definiteness verdict, Z_K and Laufer's Z_f are
+    computed on first use and cached here, one entry per class, and so are
+    a star's chain continuants.
 
     ``spans`` is ``None`` when every class is one curve, and on a star's
     quotient, from :meth:`star`, family w's classes ``range(first, end)``
@@ -69,14 +94,15 @@ class Quotient:
     :meth:`curves` alone turn into curve indices.
     """
 
-    __slots__ = ("genera", "self_ints", "sizes", "into", "spans", "_neg_def", "_zk", "_zf")
+    __slots__ = ("genera", "self_ints", "sizes", "into", "spans", "_neg_def", "_zk", "_zf",
+                 "_ks")
 
     def __init__(self, genera, self_ints, sizes, into: list[dict[int, int]], spans=None) -> None:
         self.genera, self.self_ints, self.sizes, self.into = genera, self_ints, sizes, into
         self.spans = spans
-        # the verdict, Z_K and Z_f, computed from the data above on first use;
-        # that data never changes
-        self._neg_def = self._zk = self._zf = None
+        # the verdict, Z_K, Z_f and a star's chain continuants, computed from
+        # the data above on first use; that data never changes
+        self._neg_def = self._zk = self._zf = self._ks = None
 
     @classmethod
     def star(cls, center: tuple[int, int], families: Iterable[tuple[int, Sequence[int]]]):
@@ -190,6 +216,86 @@ class Quotient:
                     work.append(b)
         self._zf = tuple(z)
         return self._zf
+
+    def chain_continuants(self) -> list[list[int]]:
+        """Family w's ``K(c_{v+1}..c_s)`` for v = 0..s on a star's quotient,
+        ``c_v`` the chain's negated self-intersections and ``K`` the
+        continuant: ``alpha_w`` first, then ``beta_w`` when the chain is not
+        empty, and ``K() = 1`` last.  Computed once; ``DomainError`` on a
+        quotient that is not a star's."""
+        if self.spans is None:
+            raise DomainError("chain continuants need a star's quotient")
+        if self._ks is None:
+            # a continuant reads the same both ways, so K(c_{v+1}..c_s) comes
+            # from the reversed chain
+            self._ks = [_continuants([-e for e in reversed(self.self_ints[first:end])])[::-1]
+                        for first, end in self.spans]
+        return self._ks
+
+    def fundamental_cycle_search(self) -> Cycle:
+        """Z_f of a star as a class vector, read off its Seifert data
+        ``(g, c0, [(count_w, chain_w)])``: ``c0 = -E_0^2`` and family w's
+        ``count_w`` copies of the chain ``c_1..c_s``, ``c_v = -E_v^2``.
+        Raises ``DomainError`` on a quotient that is not a star's, or whose
+        form is not negative definite.  Not cached, so that the cache of
+        :meth:`fundamental_cycle`, the independent route, is Laufer's alone.
+
+        With ``K`` the continuant, ``alpha_w = K(c_1..c_s)`` and
+        ``beta_w = K(c_2..c_s)``.  A chain is negative definite when every
+        ``K(c_v..c_s)`` is positive, and then the star is when
+        ``e = c0 - sum_w count_w beta_w / alpha_w`` is, the center's pivot
+        after the chains; the search tests ``eA = e A > 0``,
+        ``A = lcm(alpha_w)``.
+
+        - Chains: given ``z_0`` at the center, the least cycle that pairs to
+          at most 0 with every chain curve has ``z_v = ceil(z_{v-1}
+          K(c_{v+1}..c_s) / K(c_v..c_s))``.  By induction from the tip,
+          pairing at most 0 with curves v..s bounds ``z_v`` below by
+          ``z_{v-1}`` times that ratio, and these ceilings pair to at most
+          0.  Any anti-nef cycle with center x dominates them.
+        - Center: so ``Z_f`` is that cycle on the least ``x >= 1`` with
+          ``N(x) = c0 x - sum_w count_w ceil(x beta_w / alpha_w) >= 0``,
+          and ``N(A) = eA > 0``.  Since ``beta_w`` is prime to
+          ``alpha_w``, the ceiling exceeds ``x beta_w / alpha_w`` by at
+          least ``1 / alpha_w`` unless ``alpha_w | x``, so
+          ``N(x) <= e x - count_w / alpha_w``: while ``x e alpha_w <
+          count_w``, ``N(x) >= 0`` forces ``alpha_w | x``.  The search
+          tests N only at multiples of the lcm of the forced ``alpha_w``,
+          and recomputes the forced set at the least threshold
+          ``ceil(count_w A / (eA alpha_w))`` past which w is no longer
+          forced, whichever comes first.
+
+        All in integers; more than ``LATTICE_BUDGET`` steps raise
+        ``ResourceError``.
+        """
+        c0 = -self.self_ints[0]
+        # each non-empty family's count and K(c_{v+1}..c_s), v = 0..s
+        fams = [(self.sizes[first], ks)
+                for (first, end), ks in zip(self.spans, self.chain_continuants()) if first < end]
+        e_a = 0  # stays so when a chain is not negative definite
+        if all(min(ks) > 0 for _, ks in fams):
+            big = lcm(*(ks[0] for _, ks in fams))
+            e_a = c0 * big - sum(count * ks[1] * (big // ks[0]) for count, ks in fams)
+        if e_a <= 0:
+            raise DomainError("the fundamental-cycle search needs a negative-definite star")
+        x, steps = 1, 0
+        while True:
+            steps += 1
+            ideal_oracle._check_budget(steps, "the fundamental-cycle search", "steps")
+            forced = [(count, ks[0]) for count, ks in fams if x * e_a * ks[0] < count * big]
+            step = lcm(*(alpha for _, alpha in forced))
+            y = -(-x // step) * step
+            t = min((-(-count * big // (e_a * alpha)) for count, alpha in forced), default=y)
+            if t < y:
+                x = t
+            elif c0 * y >= sum(count * -(-y * ks[1] // ks[0]) for count, ks in fams):
+                break
+            else:
+                x = y + 1
+        z = [y]
+        for _, ks in fams:
+            z += _chain_ceilings(y, ks)
+        return tuple(z)
 
     def _solve(self) -> None:
         """Eliminate the class system once against the adjunction right-hand

@@ -607,11 +607,15 @@ def test_invariant_paths_build_no_flattened_graph(monkeypatch):
 
 
 def test_one_elimination_and_one_laufer_run_per_star(monkeypatch):
-    """p_f, verified on the star's quotient, and the verdict, Z_K and Z_f
-    of its flattened graph share one quotient: each star is eliminated once
-    and runs Laufer's sequence once, whichever path asks first."""
+    """The p_f paths read Z_f off the star's Seifert data by the search:
+    fundamental_genus, is_elliptic, invariant_report, classify_elliptic and
+    br2_exceptions neither eliminate a quotient nor run Laufer's sequence.
+    The graph paths, the verdict, Z_K and Z_f of the flattened graph,
+    eliminate each star's quotient once and run Laufer's sequence on it
+    once, whichever paths ask first; it is the quotient of the star's
+    Seifert data."""
     Quotient = graph_lattice.Quotient
-    solved, ran = [], []
+    solved, called, ran = [], [], []
     real_solve, real_laufer = Quotient._solve, Quotient.fundamental_cycle
 
     def solve(q):
@@ -619,12 +623,18 @@ def test_one_elimination_and_one_laufer_run_per_star(monkeypatch):
         return real_solve(q)
 
     def laufer(q):
+        called.append(q)
         if q._zf is None:
             ran.append(q)
         return real_laufer(q)
 
     monkeypatch.setattr(Quotient, "_solve", solve)
     monkeypatch.setattr(Quotient, "fundamental_cycle", laufer)
+    caches = (brieskorn._seifert_cached, brieskorn._star_cached, brieskorn._pf_verified)
+
+    def clear():
+        for cache in caches:
+            cache.cache_clear()
 
     def p_f_paths(a):
         fundamental_genus(a)
@@ -637,20 +647,26 @@ def test_one_elimination_and_one_laufer_run_per_star(monkeypatch):
         canonical_qcycle(g)
         fundamental_cycle(g)
 
-    tuples = [GAMMA2, (2, 3, 4, 5), (11, 12, 12, 12, 12)]
     try:
-        for first, then in ((p_f_paths, graph_paths), (graph_paths, p_f_paths)):
-            for a in tuples:
-                brieskorn._star_cached.cache_clear()
-                brieskorn._pf_verified.cache_clear()
-                first(a)
-                then(a)
-                assert solved == ran == [dual_graph(a).quotient], a
-                solved.clear()
-                ran.clear()
+        for a in [GAMMA2, (2, 3, 4, 5), (11, 12, 12, 12, 12)]:
+            clear()
+            p_f_paths(a)
+            assert solved == called == [], a
+            clear()
+            for paths in (graph_paths, p_f_paths, graph_paths):
+                paths(a)
+            quotient = brieskorn._seifert_cached(a).quotient
+            assert dual_graph(a).quotient is quotient
+            assert solved == ran == [quotient], a
+            assert called == [quotient, quotient], a  # one per graph_paths
+            for calls in (solved, called, ran):
+                calls.clear()
+        clear()
+        assert classify_elliptic(5, 30)[-1] == (3, 4, 5)
+        assert br2_exceptions() == [GAMMA1, GAMMA2]
+        assert solved == called == []
     finally:
-        brieskorn._star_cached.cache_clear()
-        brieskorn._pf_verified.cache_clear()
+        clear()
 
 
 def test_star_build_rejects_a_wrong_cycle(monkeypatch):

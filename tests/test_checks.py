@@ -118,6 +118,20 @@ def test_canonical_cycle_step_compares_the_lengths(monkeypatch, change, detail):
     assert sum(not r.passed for r in by_name.values()) == 1
 
 
+def test_fundamental_cycle_step_compares_the_search_with_laufer(monkeypatch):
+    """A search that puts one more on the tip of family 3 of (3,4,7), asked
+    after p_f is verified, fails only the comparison with Laufer's Z_f on
+    the flattened graph, naming the first differing vertex."""
+    brieskorn.fundamental_genus((3, 4, 7))
+    real = graph_lattice.Quotient.fundamental_cycle_search
+    monkeypatch.setattr(graph_lattice.Quotient, "fundamental_cycle_search",
+                        lambda q: real(q)[:-1] + (real(q)[-1] + 1,))
+    by_name = {r.name: r for r in run_tuple_checks((3, 4, 7))}
+    assert by_name["fundamental-cycle"] == (
+        "fundamental-cycle", False, "searched Z_f is 3 at vertex 7, expected 2")
+    assert sum(not r.passed for r in by_name.values()) == 1
+
+
 def test_invariants_step_checks_the_branch_counts(monkeypatch):
     """ghat_1 one too high on (3,4,7) breaks ghat_1 ell_1 = a_2 a_3, which
     none of the conditions the invariant record is built under restates."""

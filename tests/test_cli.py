@@ -1,6 +1,7 @@
 """Command-line interface: frozen outputs, exit codes, JSON round-trips."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -148,8 +149,8 @@ def test_flattened_graph_budget_exits_4(monkeypatch):
 
 
 def test_invariants_of_a_star_too_large_to_flatten(monkeypatch):
-    """p_f of (23,24,24,24,24,24) is verified by Laufer's sequence on the
-    star's 23 classes, so invariants answers without a DualGraph, with the
+    """p_f of (23,24,24,24,24,24) is verified by the search on the star's
+    Seifert data, so invariants answers without a DualGraph, with the
     closed-form p_f."""
     from singlat import brieskorn
 
@@ -159,6 +160,28 @@ def test_invariants_of_a_star_too_large_to_flatten(monkeypatch):
     assert code == 0
     pf = brieskorn._pf_value((23, 24, 24, 24, 24, 24)).value
     assert f"pf = {pf}\n" in out and pf == 14_148_865
+
+
+@pytest.mark.parametrize("args", [
+    "invariants 97 98 99 101", "invariants 3 4 6 --json", "nr 3 4 6 --oracle",
+    "qseq 3 4 6 -N 4", "elliptic --max-exp 12",
+])
+def test_the_invariant_commands_run_no_laufer_sequence(monkeypatch, args):
+    """invariants, nr, qseq and elliptic read every p_f they verify off the
+    star's Seifert data, so none runs Laufer's sequence or eliminates a
+    quotient, even with cold caches."""
+    from singlat import brieskorn, graph_lattice
+
+    def refuse(q):
+        raise RuntimeError("a p_f path eliminated a quotient or ran Laufer's sequence")
+
+    for name in ("fundamental_cycle", "_solve"):
+        monkeypatch.setattr(graph_lattice.Quotient, name, refuse)
+    for cache in (brieskorn._seifert_cached, brieskorn._star_cached, brieskorn._pf_verified):
+        cache.cache_clear()
+    code, out, err = invoke(args.split())
+    assert (code, err) == (0, ""), args
+    assert out
 
 
 # -------------------------------------------------------------- frozen outputs
@@ -200,6 +223,28 @@ def test_invariants_exits_4_before_laufer(monkeypatch):
     assert code == 4
     assert out == ""
     assert "p_g pairs" in err
+
+
+@pytest.mark.deadline(5)
+@pytest.mark.parametrize("args, digest", [
+    ("invariants 97 98 99 101",
+     "dce66c761caaa4004488315990100015c4435e8a11e047f8ebf65224423402e4"),
+    ("invariants 97 98 99 101 --json",
+     "306aef6e38c087abe49c4adca5284266b7157b448ad6091238f67de445758331"),
+    ("invariants 61 67 71 73",
+     "e74269a7d702fa362b70761c225c77fc5ab73887c86e8859fc0611397526f21f"),
+    ("invariants 61 67 71 73 --json",
+     "1a5304d1c9359f352c0dcaf7f7f02cbb246533499c9d0067d5ac33340078df75"),
+])
+def test_invariants_of_large_tuples(args, digest):
+    """The sha256 of the stdout that Laufer's sequence verified, which took
+    seconds on these stars; the search verifies the same p_f at once."""
+    from singlat import brieskorn
+
+    brieskorn._pf_verified.cache_clear()
+    code, out, err = invoke(args.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_invariants_plain():

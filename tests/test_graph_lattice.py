@@ -21,6 +21,7 @@ from singlat import (
     DomainError,
     DualGraph,
     InternalError,
+    ResourceError,
     arithmetic_genus,
     canonical_qcycle,
     cycle_products,
@@ -31,6 +32,7 @@ from singlat import (
     is_negative_definite,
     to_dot,
 )
+from singlat import graph_lattice, ideal_oracle
 from singlat.brieskorn import ChainFamily, StarGraph
 from singlat.graph_lattice import Quotient
 from conftest import (
@@ -809,6 +811,95 @@ def _seifert_data(data):
 
 def _seifert_graph(data):
     return DualGraph.from_star(*_seifert_data(data))
+
+
+# ------------------------------------- Z_f from the Seifert data, by the search
+
+def _scanned_center(q):
+    """The least x >= 1 with ``N(x) = c0 x - sum_w count_w ceil(x beta_w /
+    alpha_w) >= 0``, by testing x = 1, 2, ... in turn, ``alpha_w / beta_w``
+    evaluated from the tip as the negative continued fraction
+    ``c_1 - 1/(c_2 - ...)`` of family w's chain.  The reference for the
+    stepped search's center."""
+    fracs = []
+    for first, end in q.spans:
+        if first < end:
+            r = Fraction(-q.self_ints[end - 1])
+            for e in q.self_ints[end - 2:first - 1:-1]:
+                r = -e - 1 / r
+            fracs.append((q.sizes[first], 1 / r))  # beta_w / alpha_w in lowest terms
+    x = 1
+    while -q.self_ints[0] * x < sum(count * math.ceil(x * f) for count, f in fracs):
+        x += 1
+    return x
+
+
+def _assert_search_matches_the_references(g):
+    """The search on a star's quotient against the unit scan of N and the
+    heap-order Laufer sequence on the plain twin: its class vector,
+    flattened, and its class-wise p_a; on an indefinite star, ``DomainError``."""
+    q = g.quotient
+    twin = DualGraph(zip(g.genera, g.self_ints), g.edges)
+    if not is_negative_definite(twin):
+        with pytest.raises(DomainError, match="negative-definite star"):
+            q.fundamental_cycle_search()
+        return
+    z = q.fundamental_cycle_search()
+    zf = _fundamental_cycle_heap(twin)
+    assert z[0] == _scanned_center(q)
+    assert q.flatten(z) == zf
+    assert q.arithmetic_genus(z) == arithmetic_genus(twin, zf)
+    # the search fills no cache of the independent route
+    assert q._zf is None
+
+
+@given(seifert_stars().map(_seifert_graph) | weighted_stars())
+@example(_seifert_graph((0, 2, [(3, [4, 4, 2]), (1, [2, 2, 2, 2])])))
+@settings(max_examples=500, deadline=None)
+def test_the_search_matches_the_unit_scan_and_laufer(g):
+    """Definite and indefinite stars, chains with entries 0 and 1 among
+    them.  The example has Z_f (3, 3, 2, 1) on its -2 chain: the direct
+    form ``ceil(x K(c_{v+1}..c_s) / alpha_w)`` puts (3, 2, 2, 1) there,
+    which pairs to +1 with the chain's second curve."""
+    _assert_search_matches_the_references(g)
+
+
+def test_the_search_refuses_a_graph_that_is_not_a_star(e8):
+    with pytest.raises(DomainError, match="star's quotient"):
+        e8.quotient.fundamental_cycle_search()
+
+
+@given(st.lists(st.integers(min_value=2, max_value=8), min_size=1, max_size=6),
+       st.integers(min_value=1, max_value=10**6))
+@settings(max_examples=300, deadline=None)
+def test_the_recursive_ceilings_are_the_least_anti_nef_chain(chain, x):
+    """On a Hirzebruch-Jung chain next to a curve of coefficient x, the
+    ceilings pair to at most 0 with every chain curve, and lowering any one
+    of them by 1 makes some chain curve pair positive."""
+    ks = graph_lattice._continuants(chain[::-1])[::-1]
+
+    def pairings(z):
+        full = [x, *z, 0]
+        return [full[v - 1] - c * full[v] + full[v + 1] for v, c in enumerate(chain, start=1)]
+
+    z = graph_lattice._chain_ceilings(x, ks)
+    assert len(z) == len(chain) and min(z) >= 1
+    assert max(pairings(z)) <= 0
+    for v in range(len(z)):
+        lower = z[:v] + [z[v] - 1] + z[v + 1:]
+        assert max(pairings(lower)) > 0, (v, z)
+
+
+def test_the_search_is_budgeted(monkeypatch):
+    """The (2, 3, 7) star on a -1 center has e = 1/42: every family is
+    forced at x = 1, the threshold 6 of the -7 curve comes before the
+    multiple 42, and N(6) = 0 ends the search at its second step."""
+    q = Quotient.star((0, -1), [(1, [-2]), (1, [-3]), (1, [-7])])
+    monkeypatch.setattr(ideal_oracle, "LATTICE_BUDGET", 2)
+    assert q.fundamental_cycle_search() == (6, 3, 2, 1)
+    monkeypatch.setattr(ideal_oracle, "LATTICE_BUDGET", 1)
+    with pytest.raises(ResourceError, match="fundamental-cycle search needs 2 steps"):
+        q.fundamental_cycle_search()
 
 
 @given(weighted_stars() | seifert_stars().map(_seifert_graph), st.data())
