@@ -201,10 +201,9 @@ class StarGraph(_StarFields):
         return self.quotient.flatten(z)
 
 
-def _lcm_fields(a: Sequence[int]) -> tuple:
-    """The lcm data of ``a``: ``(ell, ell_i, alpha_i, alpha, ghat, ghat_i,
-    lambda_i, eta_i, eta_m, delta, a_invariant)``, the fields of
-    :class:`BCIInvariants` after ``a`` in their order, uncached.
+def _lcm_fields(a: tuple[int, ...]) -> BCIInvariants:
+    """The invariant record of ``a``, uncached: its lcm data and its
+    multiplicity.
 
     ``ell_i`` is the lcm of the prefix lcm before ``a_i`` and the suffix lcm
     after it, so the lcms take O(m) calls.  The five consistency checks of
@@ -248,16 +247,18 @@ def _lcm_fields(a: Sequence[int]) -> tuple:
         raise InternalError(f"delta = {delta} is negative")
     # the a-invariant B = (m-2) ell - sum lambda_i
     b = (len(a) - 2) * ell - sum(lams)
-    return ell, ell_i, alphas, alpha, ghat, tuple(ghats), lams, tuple(eta), eta_m, delta, b
+    return BCIInvariants(
+        a, ell, ell_i, alphas, alpha, ghat, tuple(ghats), lams, tuple(eta), eta_m, delta, b,
+        math.prod(a[:-2]),
+    )
 
 
 @lru_cache(maxsize=2048)
 def _invariants_cached(a: tuple[int, ...]) -> BCIInvariants:
-    """The record of ``a``: the lcm data of :func:`_lcm_fields`, checked
-    there, plus the multiplicity.  Cached for the per-tuple paths; the
-    elliptic walk and the box scans read the same kernel tuple by tuple and
-    build no record."""
-    return BCIInvariants(a, *_lcm_fields(a), multiplicity=math.prod(a[:-2]))
+    """The record of :func:`_lcm_fields`, cached for the per-tuple paths;
+    the elliptic walk and the box scans call the kernel itself, tuple by
+    tuple, and fill no cache."""
+    return _lcm_fields(a)
 
 
 def numeric_invariants(a: Sequence[int]) -> BCIInvariants:
@@ -444,55 +445,55 @@ class FundamentalGenus(NamedTuple):
     cycle: str  # which minimal cycle realizes it: "Z0", "MX", or "both"
 
 
-def _genus_numerators(data: tuple) -> tuple[int, int]:
+def _genus_numerators(inv: BCIInvariants) -> tuple[int, int]:
     """``2 ell (p_a - 1)`` of the central-multiple cycle Z_0 and of the
-    maximal-ideal cycle M_X, on the lcm data ``data`` of :func:`_lcm_fields`.
-    Each is ``ghat x (B + x - c)``, B the a-invariant, with
+    maximal-ideal cycle M_X, on the record ``inv``.  Each is
+    ``ghat x (B + x - c)``, B the a-invariant, with
     ``(x, c) = (alpha, 2 alpha - 1)`` for Z_0 and
     ``(lambda_m, (2 eta_m - 1) alpha_m)`` for M_X, x the center
     coefficient."""
-    _, _, alphas, alpha, ghat, _, lams, _, eta_m, _, b = data
-    lam_m = lams[-1]
+    alpha, lam_m, b = inv.alpha, inv.lambda_i[-1], inv.a_invariant
     return (
-        ghat * alpha * (b + alpha - (2 * alpha - 1)),
-        ghat * lam_m * (b + lam_m - (2 * eta_m - 1) * alphas[-1]),
+        inv.ghat * alpha * (b + alpha - (2 * alpha - 1)),
+        inv.ghat * lam_m * (b + lam_m - (2 * inv.eta_m - 1) * inv.alpha_i[-1]),
     )
 
 
-def _closed_pf(data: tuple) -> int:
-    """The closed p_f on the lcm data ``data`` of :func:`_lcm_fields`: p_a of
-    the central-multiple cycle where lambda_m >= alpha, else of the
-    maximal-ideal cycle.  Its two checks raise ``InternalError``."""
-    ell, alpha, lam_m = data[0], data[3], data[6][-1]
-    z0, mx = _genus_numerators(data)
+def _closed_pf(inv: BCIInvariants) -> int:
+    """The closed p_f on the record ``inv``: p_a of the central-multiple
+    cycle where lambda_m >= alpha, else of the maximal-ideal cycle.  Its
+    two checks raise ``InternalError``."""
+    z0, mx = _genus_numerators(inv)
+    lam_m, alpha = inv.lambda_i[-1], inv.alpha
     if lam_m == alpha and z0 != mx:
         raise InternalError("the two fundamental-genus formulas disagree at lambda_m = alpha")
     num = z0 if lam_m >= alpha else mx
-    if num % (2 * ell):
-        raise InternalError(f"fundamental genus 1 + {num}/{2 * ell} is not an integer")
-    return num // (2 * ell) + 1
+    if num % (2 * inv.ell):
+        raise InternalError(f"fundamental genus 1 + {num}/{2 * inv.ell} is not an integer")
+    return num // (2 * inv.ell) + 1
 
 
-def _pf_value(a: tuple[int, ...]) -> FundamentalGenus:
-    inv = _invariants_cached(a)
-    lam_m, alpha = inv.lambda_i[-1], inv.alpha
-    sel = "Z0" if lam_m > alpha else "MX" if lam_m < alpha else "both"
-    # the record holds the fields of _lcm_fields between a and the multiplicity
-    return FundamentalGenus(_closed_pf(inv[1:-1]), sel)
-
-
-@lru_cache(maxsize=4096)
-def _pf_verified(a: tuple[int, ...]) -> FundamentalGenus:
-    pf = _pf_value(a)
-    # Z_f from the star's Seifert data and p_a class by class, on its quotient
+def _check_by_search(a: tuple[int, ...], pf: int) -> None:
+    """Compare the closed p_f of ``a`` with p_a, class by class, of the Z_f
+    that :meth:`Quotient.fundamental_cycle_search` reads off the star's
+    Seifert data; raise ``ConsistencyError`` if they differ.  The message
+    keeps the name "the Laufer value": it is p_a of Laufer's Z_f."""
     quo = _seifert_cached(a).quotient
     pa = quo.arithmetic_genus(quo.fundamental_cycle_search())
-    if pa != pf.value:
+    if pa != pf:
         raise ConsistencyError(
-            f"closed-form fundamental genus {pf.value} of {a} disagrees with "
-            f"the Laufer value {pa}"
+            f"closed-form fundamental genus {pf} of {a} disagrees with the Laufer value {pa}"
         )
-    return pf
+
+
+def _pf_verified(a: tuple[int, ...]) -> FundamentalGenus:
+    """The closed p_f of ``a``, compared with the search, and the cycle it
+    is the genus of."""
+    inv = _invariants_cached(a)
+    pf = _closed_pf(inv)
+    _check_by_search(a, pf)
+    lam_m, alpha = inv.lambda_i[-1], inv.alpha
+    return FundamentalGenus(pf, "Z0" if lam_m > alpha else "MX" if lam_m < alpha else "both")
 
 
 def fundamental_genus(a: Sequence[int]) -> FundamentalGenus:
@@ -500,10 +501,10 @@ def fundamental_genus(a: Sequence[int]) -> FundamentalGenus:
 
     The fundamental cycle equals the central-multiple cycle when
     lambda_m >= alpha and the maximal-ideal cycle when lambda_m <= alpha;
-    the returned selector records which case applied.  The value is always
-    cross-checked against p_a of the fundamental cycle that
-    :meth:`Quotient.fundamental_cycle_search` reads off the star's Seifert
-    data, class by class: no cycle is built, no quotient is eliminated and
+    the returned selector records which case applied.  The value, the
+    closed form on the invariant record, is compared on every call by
+    :func:`_check_by_search` with p_a of the fundamental cycle read off the
+    star's Seifert data: no cycle is built, no quotient is eliminated and
     Laufer's sequence does not run.
     """
     return _pf_verified(_validated(a))
@@ -620,7 +621,7 @@ def maximal_cycle_numbers(a: Sequence[int]) -> MaximalCycleNumbers:
 def _mcn_value(a: tuple[int, ...]) -> MaximalCycleNumbers:
     inv = _invariants_cached(a)
     # mx = 2 ell (p_a(M_X) - 1) = ell M_X.(M_X + K)
-    mx = _genus_numerators(inv[1:-1])[1]
+    mx = _genus_numerators(inv)[1]
     if mx % (2 * inv.ell):
         raise InternalError("M_X.(M_X + K) is odd")
     my_sq = -inv.multiplicity
@@ -688,9 +689,9 @@ def is_elliptic(a: Sequence[int]) -> bool:
 
 
 def _with_closed_pf(tuples: Iterable[tuple[int, ...]]) -> Iterator[tuple[tuple[int, ...], int]]:
-    """``(a, p_f)`` for each tuple ``a`` of ``tuples``, ``p_f`` from the
-    record's kernel and closed form, with all their checks; no record is
-    built and no cache is filled."""
+    """``(a, p_f)`` for each tuple ``a`` of ``tuples``, ``p_f`` the closed
+    form on the record of the uncached kernel :func:`_lcm_fields`, with all
+    their checks; no cache is filled."""
     for a in tuples:
         yield a, _closed_pf(_lcm_fields(a))
 
@@ -738,8 +739,8 @@ def _walk_census(m_max: int, a_max: int) -> Iterator[tuple[tuple[int, ...], int]
     """``(a, p_f)`` for every tuple with m <= m_max and a_m <= a_max that
     satisfies (E) of :func:`classify_elliptic`, m by m, each prefix of
     :func:`_census_prefixes` followed by its last entries in increasing
-    order.  ``p_f`` comes from the record's kernel and closed form, with
-    all their checks; no record is built and no cache is filled.
+    order.  ``p_f`` comes from :func:`_with_closed_pf`, with all its
+    checks; no cache is filled.
 
     The last entries of a prefix with ``1/a_1 + ... + 1/a_{m-1} = s`` are
     the ``x`` from ``a_{m-1}`` to ``a_max`` with ``2/x > r``,
@@ -759,20 +760,6 @@ def _walk_census(m_max: int, a_max: int) -> Iterator[tuple[tuple[int, ...], int]
         f"the elliptic candidates of m <= {m_max}, a_m <= {a_max}", "tuples",
     )
     yield from _with_closed_pf(prefix + (x,) for prefix, last in runs for x in last)
-
-
-def _laufer_checked(found: list[tuple[tuple[int, ...], int]]) -> list[tuple[int, ...]]:
-    """The tuples of the scanned ``(a, p_f)`` pairs in lex order, after each
-    ``p_f`` has been compared with the one :func:`fundamental_genus`
-    verifies by the search on the star's Seifert data.  The messages keep
-    the name "the Laufer value": it is p_a of Laufer's Z_f."""
-    for a, pf in found:
-        laufer = _pf_verified(a).value
-        if pf != laufer:
-            raise ConsistencyError(
-                f"scanned fundamental genus {pf} of {a} disagrees with the Laufer value {laufer}"
-            )
-    return sorted(a for a, _ in found)
 
 
 def classify_elliptic(m_max: int, a_max: int) -> list[tuple[int, ...]]:
@@ -795,12 +782,12 @@ def classify_elliptic(m_max: int, a_max: int) -> list[tuple[int, ...]]:
     m >= 6 satisfies it, so m runs from 3 to ``min(m_max, 5)``.
 
     :func:`_walk_census` lists the tuples that satisfy (E), 161 of them for
-    m <= 5, a_m <= 30, and reads each p_f from the record's kernel and
-    closed form, with every consistency check; no invariant record is
-    built and no cache is filled for a tuple that is not reported.  Every
-    tuple reported has that p_f compared with the one verified by the
-    search on its star's Seifert data, which builds no cycle and runs no
-    elimination and no Laufer sequence.  More than ``LATTICE_BUDGET``
+    m <= 5, a_m <= 30, and reads each p_f as the closed form on the
+    uncached record, with every consistency check; no cache is filled for
+    a tuple that is not reported.  Every tuple reported has that p_f
+    compared by :func:`_check_by_search` with the search on its star's
+    Seifert data, which builds no cycle and runs no elimination and no
+    Laufer sequence.  More than ``LATTICE_BUDGET``
     candidates raise ``ResourceError`` before the first is read.
     :func:`_verify_census_box` checks the walk against a scan of the
     whole box.
@@ -809,7 +796,10 @@ def classify_elliptic(m_max: int, a_max: int) -> list[tuple[int, ...]]:
         raise DomainError("m_max must be an integer at least 3")
     if not isinstance(a_max, int) or a_max < 2:
         raise DomainError("a_max must be an integer at least 2")
-    return _laufer_checked([(a, pf) for a, pf in _walk_census(m_max, a_max) if pf == 1])
+    found = sorted(a for a, pf in _walk_census(m_max, a_max) if pf == 1)
+    for a in found:
+        _check_by_search(a, 1)
+    return found
 
 
 def _verify_census_box(m_max: int, a_max: int) -> list[tuple[int, ...]]:
@@ -840,17 +830,18 @@ def br2_exceptions() -> list[tuple[int, int, int]]:
 
     The list is derived from the closed form for nr on every tuple of that
     box; only the 47 tuples with nr = 2 reach the closed p_f of
-    :func:`_with_closed_pf`, which builds no record, and only those with
-    p_f != 1 reach the invariant record and the box-basis p_g.  Every tuple
-    reported has its scanned p_f compared with the one the search on the
-    star's Seifert data verifies.  The filter finds (3, 4, 6) and
+    :func:`_with_closed_pf`, which fills no cache, and only those with
+    p_f != 1 reach the cached record and the box-basis p_g.  Every tuple
+    reported has that p_f compared by :func:`_check_by_search` with the
+    search on the star's Seifert data.  The filter finds (3, 4, 6) and
     (3, 4, 7), both with p_f = 2.  Other non-elliptic tuples do reach
     nr = 2 with a different p_g, e.g. (2, 5, 10) with p_f = 2 and p_g = 4.
     """
     nr_two = (a for a in _box(5, 12) if _nr_value(a) == 2)
-    return _laufer_checked(
-        [(a, pf) for a, pf in _with_closed_pf(nr_two) if pf != 1 and _pg_cached(a) == 3]
-    )
+    found = [(a, pf) for a, pf in _with_closed_pf(nr_two) if pf != 1 and _pg_cached(a) == 3]
+    for a, pf in found:
+        _check_by_search(a, pf)
+    return sorted(a for a, _ in found)
 
 
 def invariant_report(a: Sequence[int]) -> dict:

@@ -145,7 +145,7 @@ def sweep():
             == 2 * arithmetic_genus(graph, mx) - 2 - 2 * inv.delta * inv.ghat_i[-1],
             # the closed 2 ell (p_a - 1) of Z_0 and of M_X, against p_a of the
             # star's cycles class by class; Z_0 is not Z_f where lambda_m < alpha
-            closed_genera_match_classes=_genus_numerators(inv[1:-1]) == tuple(
+            closed_genera_match_classes=_genus_numerators(inv) == tuple(
                 2 * inv.ell * (quo.arithmetic_genus(star_graph.cycles[i]) - 1)
                 for i in (0, len(a))
             ),

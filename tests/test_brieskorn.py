@@ -222,15 +222,14 @@ def _pf_value(a: tuple[int, ...]) -> brieskorn.FundamentalGenus:
 @settings(max_examples=200, deadline=None)
 def test_lcm_kernel_against_the_definitions(a):
     """The prefix-suffix lcms against lcm of all the other exponents, and
-    the record's lcm data against the reference kernel."""
+    the kernel's record against the reference kernel."""
     data = _lcm_data(a)
     ell, ell_i, alpha_i, alpha, ghat, ghat_i, lams, eta_i, eta_m, delta, b = data
     assert ell == lcm(*a)
     assert ell_i == tuple(lcm(*(a[:i] + a[i + 1 :])) for i in range(len(a)))
     assert all(lam * x == ell for lam, x in zip(lams, a))
     assert ghat * ell == prod(a)
-    inv = brieskorn._invariants_cached.__wrapped__(a)
-    assert tuple(inv)[1:-1] == data
+    assert brieskorn._lcm_fields(a) == (a, *data, prod(a[:-2]))
 
 
 def _scanned_pf(monkeypatch, a):
@@ -256,51 +255,49 @@ def _scanned_pf(monkeypatch, a):
 )
 def test_every_kernel_check_can_fire(monkeypatch, a, fake, message):
     """Each consistency check of the lcm data raises, with its message, on
-    the record's route, on ``_pf_value``'s and on the box scan's; the fake
-    lcm is seen by ``brieskorn`` alone."""
+    the record's route, on ``_pf_verified``'s and on the box scan's; the
+    fake lcm is seen by ``brieskorn`` alone."""
     monkeypatch.setattr(brieskorn, "math", SimpleNamespace(**{**vars(math), **fake}))
-    # _pf_value reads the record, so it must not find one cached before the fake
+    # _pf_verified reads the record, so it must not find one cached before the fake
     record = brieskorn._invariants_cached.__wrapped__
     monkeypatch.setattr(brieskorn, "_invariants_cached", record)
-    for route in (record, brieskorn._pf_value, lambda a: _scanned_pf(monkeypatch, a)):
+    for route in (record, brieskorn._pf_verified, lambda a: _scanned_pf(monkeypatch, a)):
         with pytest.raises(InternalError) as err:
             route(a)
         assert str(err.value) == message
 
 
 @contextmanager
-def _changed_kernel(field, change):
-    """A ``MonkeyPatch`` under which the kernel changes one field of its
-    lcm data, and the record that ``_pf_value`` and ``_mcn_value`` read is
-    built from the changed data and not cached."""
+def _changed_kernel(change):
+    """A ``MonkeyPatch`` under which the kernel's record is ``change`` of
+    the true one, and the record that ``_pf_verified`` and ``_mcn_value``
+    read, and the Seifert step built on it, come from the changed kernel
+    and are not cached."""
     real = brieskorn._lcm_fields
-
-    def changed(a):
-        data = list(real(a))
-        data[field] = change(data[field])
-        return tuple(data)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(brieskorn, "_lcm_fields", changed)
-        mp.setattr(brieskorn, "_invariants_cached", brieskorn._invariants_cached.__wrapped__)
+        mp.setattr(brieskorn, "_lcm_fields", lambda a: change(real(a)))
+        for name in ("_invariants_cached", "_seifert_cached"):
+            mp.setattr(brieskorn, name, getattr(brieskorn, name).__wrapped__)
         yield mp
 
 
-def _pf_with_changed_kernel(scan, a, field, change):
-    """p_f of ``a`` with one field of its lcm data changed: on the record's
-    route, or on the box scan's with ``a`` the one tuple of its box."""
-    with _changed_kernel(field, change) as mp:
-        return _scanned_pf(mp, a) if scan else brieskorn._pf_value(a).value
+def _pf_with_changed_kernel(scan, a, change):
+    """p_f of ``a`` with its record changed: on the record's route, or on
+    the box scan's with ``a`` the one tuple of its box."""
+    with _changed_kernel(change) as mp:
+        return _scanned_pf(mp, a) if scan else brieskorn._pf_verified(a).value
 
 
 def test_pf_formulas_must_agree_at_lambda_m_equal_alpha():
-    assert brieskorn._pf_value((2, 3, 6)).cycle == "both"
+    assert fundamental_genus((2, 3, 6)).cycle == "both"
     for scan in (False, True):
         with pytest.raises(
             InternalError,
             match="^the two fundamental-genus formulas disagree at lambda_m = alpha$",
         ):
-            _pf_with_changed_kernel(scan, (2, 3, 6), 8, lambda eta_m: eta_m + 1)
+            _pf_with_changed_kernel(
+                scan, (2, 3, 6), lambda inv: inv._replace(eta_m=inv.eta_m + 1)
+            )
 
 
 def test_pf_must_be_an_integer():
@@ -310,24 +307,58 @@ def test_pf_must_be_an_integer():
         with pytest.raises(
             InternalError, match=r"^fundamental genus 1 \+ -6/84 is not an integer$"
         ):
-            _pf_with_changed_kernel(scan, (2, 3, 7), 10, lambda b: b - 1)
+            _pf_with_changed_kernel(
+                scan, (2, 3, 7), lambda inv: inv._replace(a_invariant=inv.a_invariant - 1)
+            )
 
 
 def test_maximal_cycle_genus_must_be_an_integer():
     """The a-invariant one too high on (2, 3, 7) moves ell M_X.(M_X + K)
     from 0 to ghat lambda_m = 6, which 2 ell = 84 does not divide."""
-    with _changed_kernel(10, lambda b: b + 1):
+    with _changed_kernel(lambda inv: inv._replace(a_invariant=inv.a_invariant + 1)):
         with pytest.raises(InternalError, match=r"^M_X\.\(M_X \+ K\) is odd$"):
             maximal_cycle_numbers((2, 3, 7))
 
 
-def test_the_record_matches_the_reference_kernel():
-    """The record's lcm data and closed p_f equal the reference kernel's on
-    every tuple of m = 3..6, a_m <= 12."""
+@pytest.mark.parametrize(
+    "change, step, error, message",
+    [
+        ({"ghat_i": (2, 1, 1)}, 0, ConstructionError, "central genus is not an integer"),
+        ({"ghat_i": (2, 2, 1)}, 0, ConstructionError, "central genus -1 is negative"),
+        (
+            {"ghat": 3}, 0, ConstructionError,
+            "central self-intersection -(22/21) is not integral",
+        ),
+        ({"ghat_i": (-1, 1, 1)}, 0, ConstructionError, "central weight c0 = 0 is below 1"),
+        ({}, 1, InternalError, "chain continuant does not reproduce alpha_w"),
+    ],
+    ids=["genus-not-integral", "genus-negative", "c0-not-integral", "c0-below-1", "continuant"],
+)
+def test_every_seifert_check_can_fire(change, step, error, message):
+    """Each check of the Seifert step raises, with its message, through
+    fundamental_genus.  On (2, 3, 7), every beta_w is 1 and
+    ``ell_i = (21, 14, 6)``, so ``2 g - 2 = ghat - sum ghat_i`` and
+    ``42 c0 = ghat + 21 ghat_1 + 14 ghat_2 + 6 ghat_3``; the closed p_f
+    reads no ``ghat_i`` and its numerator is 0 for every ``ghat``, so each
+    changed record reaches the Seifert step.  ``step``, added to every
+    chain entry, breaks the continuants alone."""
+    real = brieskorn._neg_cont_frac
+    with _changed_kernel(lambda inv: inv._replace(**change)) as mp:
+        mp.setattr(brieskorn, "_neg_cont_frac", lambda p, q: [c + step for c in real(p, q)])
+        with pytest.raises(error) as err:
+            fundamental_genus((2, 3, 7))
+    assert str(err.value) == message
+
+
+def test_the_record_matches_the_reference_kernel(monkeypatch):
+    """The record's lcm data and the closed p_f with its selector equal the
+    reference kernel's on every tuple of m = 3..6, a_m <= 12; the search
+    comparison, tested on its own, is left out."""
+    monkeypatch.setattr(brieskorn, "_check_by_search", lambda a, pf: None)
     for m in range(3, 7):
         for a in combinations_with_replacement(range(2, 13), m):
-            assert brieskorn._invariants_cached.__wrapped__(a)[1:-1] == _lcm_data(a)
-            assert brieskorn._pf_value(a) == _pf_value(a)
+            assert brieskorn._lcm_fields(a) == (a, *_lcm_data(a), prod(a[:-2]))
+            assert brieskorn._pf_verified(a) == _pf_value(a)
 
 
 def test_the_box_scan_matches_the_record_kernel():
@@ -581,7 +612,7 @@ def test_invariant_paths_build_no_flattened_graph(monkeypatch):
     and every p_f path (fundamental_genus, is_elliptic, invariant_report,
     classify_elliptic) work on the compressed star and its quotient alone."""
     flat = _count_flattening(monkeypatch)
-    caches = (brieskorn._star_cached, brieskorn._pf_verified)
+    caches = (brieskorn._seifert_cached, brieskorn._star_cached)
     try:
         for a in [GAMMA1, (2, 3, 5), (2, 2, 3), (6, 10, 15), (11, 12, 12, 12, 12)]:
             for cache in caches:
@@ -592,9 +623,7 @@ def test_invariant_paths_build_no_flattened_graph(monkeypatch):
             canonical_cycle_formula(a)
             assert flat == [], a
             fundamental_genus(a)
-            brieskorn._pf_verified.cache_clear()
             is_elliptic(a)
-            brieskorn._pf_verified.cache_clear()
             invariant_report(a)
             assert flat == [], a
         for cache in caches:
@@ -630,7 +659,7 @@ def test_one_elimination_and_one_laufer_run_per_star(monkeypatch):
 
     monkeypatch.setattr(Quotient, "_solve", solve)
     monkeypatch.setattr(Quotient, "fundamental_cycle", laufer)
-    caches = (brieskorn._seifert_cached, brieskorn._star_cached, brieskorn._pf_verified)
+    caches = (brieskorn._seifert_cached, brieskorn._star_cached)
 
     def clear():
         for cache in caches:
@@ -1283,31 +1312,65 @@ def _with_scanned_pf(monkeypatch, scan, a, value):
 
 def test_classify_elliptic_verifies_what_it_reports(monkeypatch):
     """A walk that wrongly calls its candidate (2, 3, 5) elliptic is caught
-    by the Laufer cross-check instead of being reported."""
+    by the comparison with the search instead of being reported."""
     assert (2, 3, 5) in dict(brieskorn._walk_census(3, 5))
     _with_scanned_pf(monkeypatch, "_walk_census", (2, 3, 5), 1)
     with pytest.raises(
         ConsistencyError,
-        match=r"^scanned fundamental genus 1 of \(2, 3, 5\) disagrees with the Laufer value 0$",
+        match=r"^closed-form fundamental genus 1 of \(2, 3, 5\) disagrees with "
+        r"the Laufer value 0$",
     ):
         classify_elliptic(3, 5)
 
 
 def test_br2_exceptions_verifies_what_it_reports(monkeypatch):
-    """A wrong scanned p_f of a reported tuple is caught by the Laufer
-    cross-check."""
+    """A wrong scanned p_f of a reported tuple is caught by the comparison
+    with the search."""
     _with_scanned_pf(monkeypatch, "_with_closed_pf", GAMMA1, 3)
     with pytest.raises(
         ConsistencyError,
-        match=r"^scanned fundamental genus 3 of \(3, 4, 6\) disagrees with the Laufer value 2$",
+        match=r"^closed-form fundamental genus 3 of \(3, 4, 6\) disagrees with "
+        r"the Laufer value 2$",
     ):
         br2_exceptions()
+
+
+@pytest.mark.parametrize(
+    "call, a, pf",
+    [
+        (lambda: fundamental_genus((2, 3, 7)), (2, 3, 7), 1),
+        (lambda: is_elliptic((2, 3, 7)), (2, 3, 7), 1),
+        (lambda: invariant_report((2, 3, 7)), (2, 3, 7), 1),
+        (lambda: classify_elliptic(3, 7), (2, 3, 6), 1),
+        (br2_exceptions, GAMMA1, 2),
+    ],
+    ids=["fundamental_genus", "is_elliptic", "invariant_report", "classify_elliptic",
+         "br2_exceptions"],
+)
+def test_every_p_f_path_compares_with_the_search(monkeypatch, call, a, pf):
+    """A search that returns twice its Z_f moves p_a off the closed p_f;
+    every p_f path raises, naming the first tuple it reports and both
+    values."""
+    real = graph_lattice.Quotient.fundamental_cycle_search
+
+    def doubled(q):
+        return tuple(2 * x for x in real(q))
+
+    quo = brieskorn._seifert_cached(a).quotient
+    pa = quo.arithmetic_genus(doubled(quo))
+    assert pa != pf
+    monkeypatch.setattr(graph_lattice.Quotient, "fundamental_cycle_search", doubled)
+    with pytest.raises(ConsistencyError) as err:
+        call()
+    assert str(err.value) == (
+        f"closed-form fundamental genus {pf} of {a} disagrees with the Laufer value {pa}"
+    )
 
 
 def test_classify_elliptic_walks_and_holds_no_box():
     """The census walks its candidates and holds no box: its tracemalloc
     peak on m <= 5, a_m <= 14 (8,463 tuples) stays below 2 MB."""
-    for cache in (brieskorn._pf_verified, brieskorn._star_cached, brieskorn._invariants_cached):
+    for cache in (brieskorn._seifert_cached, brieskorn._star_cached, brieskorn._invariants_cached):
         cache.cache_clear()
     tracemalloc.start()
     try:
@@ -1320,9 +1383,10 @@ def test_classify_elliptic_walks_and_holds_no_box():
 
 
 def test_classify_elliptic_builds_records_only_for_what_it_reports():
-    """The scan reads the uncached lcm kernel; only the Laufer cross-check
-    of a reported tuple builds its record."""
-    for cache in (brieskorn._pf_verified, brieskorn._star_cached, brieskorn._invariants_cached):
+    """The walk reads the uncached lcm kernel; only the comparison of a
+    reported tuple with the search caches its record, in the Seifert
+    step."""
+    for cache in (brieskorn._seifert_cached, brieskorn._star_cached, brieskorn._invariants_cached):
         cache.cache_clear()
     found = classify_elliptic(4, 12)
     assert len(found) < 100 < comb(13, 3) + comb(14, 4)

@@ -119,16 +119,30 @@ def test_canonical_cycle_step_compares_the_lengths(monkeypatch, change, detail):
 
 
 def test_fundamental_cycle_step_compares_the_search_with_laufer(monkeypatch):
-    """A search that puts one more on the tip of family 3 of (3,4,7), asked
-    after p_f is verified, fails only the comparison with Laufer's Z_f on
-    the flattened graph, naming the first differing vertex."""
-    brieskorn.fundamental_genus((3, 4, 7))
+    """A Laufer sequence that puts one less on the tip of family 3 of
+    (3,4,7), vertex 7, fails only the comparison of the flattened search
+    with Laufer's Z_f, naming the first differing vertex."""
+    real = graph_lattice.fundamental_cycle
+    monkeypatch.setattr(graph_lattice, "fundamental_cycle",
+                        lambda g: real(g)[:-1] + (real(g)[-1] - 1,))
+    by_name = {r.name: r for r in run_tuple_checks((3, 4, 7))}
+    assert by_name["fundamental-cycle"] == (
+        "fundamental-cycle", False, "searched Z_f is 2 at vertex 7, expected 1")
+    assert sum(not r.passed for r in by_name.values()) == 1
+
+
+def test_fundamental_cycle_step_verifies_p_f_by_the_search(monkeypatch):
+    """A search that puts one more on the tip of family 3 of (3,4,7) moves
+    p_a from 2 to 0; the comparison that verifies p_f on every call fails
+    the fundamental-cycle step alone, naming both values."""
     real = graph_lattice.Quotient.fundamental_cycle_search
     monkeypatch.setattr(graph_lattice.Quotient, "fundamental_cycle_search",
                         lambda q: real(q)[:-1] + (real(q)[-1] + 1,))
     by_name = {r.name: r for r in run_tuple_checks((3, 4, 7))}
     assert by_name["fundamental-cycle"] == (
-        "fundamental-cycle", False, "searched Z_f is 3 at vertex 7, expected 2")
+        "fundamental-cycle", False,
+        "ConsistencyError: closed-form fundamental genus 2 of (3, 4, 7) disagrees with "
+        "the Laufer value 0")
     assert sum(not r.passed for r in by_name.values()) == 1
 
 

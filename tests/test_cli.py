@@ -155,11 +155,28 @@ def test_invariants_of_a_star_too_large_to_flatten(monkeypatch):
     from singlat import brieskorn
 
     _refuse_dual_graphs(monkeypatch)
-    brieskorn._pf_verified.cache_clear()
     code, out, _ = invoke(["invariants", "23", "24", "24", "24", "24", "24"])
     assert code == 0
-    pf = brieskorn._pf_value((23, 24, 24, 24, 24, 24)).value
+    pf = brieskorn._closed_pf(brieskorn.numeric_invariants((23, 24, 24, 24, 24, 24)))
     assert f"pf = {pf}\n" in out and pf == 14_148_865
+
+
+def test_invariants_exits_3_when_the_search_disagrees(monkeypatch):
+    """A search that returns twice its Z_f moves p_a of (2, 3, 7) from 1
+    to 0; invariants refuses the closed p_f it cannot verify."""
+    from singlat import graph_lattice
+
+    real = graph_lattice.Quotient.fundamental_cycle_search
+    monkeypatch.setattr(
+        graph_lattice.Quotient, "fundamental_cycle_search",
+        lambda q: tuple(2 * x for x in real(q)),
+    )
+    code, out, err = invoke(["invariants", "2", "3", "7"])
+    assert (code, out) == (3, "")
+    assert err == (
+        "inconsistency: closed-form fundamental genus 1 of (2, 3, 7) disagrees with "
+        "the Laufer value 0\n"
+    )
 
 
 @pytest.mark.parametrize("args", [
@@ -177,7 +194,7 @@ def test_the_invariant_commands_run_no_laufer_sequence(monkeypatch, args):
 
     for name in ("fundamental_cycle", "_solve"):
         monkeypatch.setattr(graph_lattice.Quotient, name, refuse)
-    for cache in (brieskorn._seifert_cached, brieskorn._star_cached, brieskorn._pf_verified):
+    for cache in (brieskorn._seifert_cached, brieskorn._star_cached):
         cache.cache_clear()
     code, out, err = invoke(args.split())
     assert (code, err) == (0, ""), args
@@ -239,9 +256,6 @@ def test_invariants_exits_4_before_laufer(monkeypatch):
 def test_invariants_of_large_tuples(args, digest):
     """The sha256 of the stdout that Laufer's sequence verified, which took
     seconds on these stars; the search verifies the same p_f at once."""
-    from singlat import brieskorn
-
-    brieskorn._pf_verified.cache_clear()
     code, out, err = invoke(args.split())
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
