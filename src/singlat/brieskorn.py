@@ -144,9 +144,11 @@ class StarGraph(_StarFields):
 
     ``quotient`` is the star's :class:`Quotient`: class 0 is the center,
     then each family's chain positions center-outward, as its ``spans``
-    record.  A star from :func:`dual_graph` shares the quotient of its
-    Seifert data, on which the p_f paths search for Z_f; any other is built
-    on first use from the fields.  ``cycles`` holds ``Z_0,
+    record.  It is built on first use from the fields, here and nowhere
+    else in this module.  The Seifert step's star, with no cycles, is the
+    one whose quotient the p_f paths search for Z_f, and a star from
+    :func:`dual_graph` with the same first four fields shares that
+    quotient.  ``cycles`` holds ``Z_0,
     Z^(1), ..., Z^(m), Z_K`` as class vectors in that order;
     ``assemble(cycle)`` flattens one with :meth:`Quotient.flatten`.
     ``graph``, the flattened :class:`DualGraph`, is emitted on first use
@@ -266,21 +268,13 @@ def numeric_invariants(a: Sequence[int]) -> BCIInvariants:
     return _invariants_cached(_validated(a))
 
 
-class _Seifert(NamedTuple):
-    """The checked Seifert data of a tuple's star and its quotient, with no
-    cycle: what the p_f paths read."""
-
-    center_genus: int
-    c0: int
-    branch_families: tuple[ChainFamily, ...]
-    flags: tuple[str, ...]
-    quotient: Quotient
-
-
 @lru_cache(maxsize=256)
-def _seifert_cached(a: tuple[int, ...]) -> _Seifert:
-    """The Seifert step of the star build: the chains, the center and the
-    quotient, with every check that needs no cycle."""
+def _seifert_cached(a: tuple[int, ...]) -> StarGraph:
+    """The Seifert step of the star build: the star of the chains and the
+    center with ``cycles=()``, with every check that needs no cycle, its
+    quotient among them.  This star never leaves ``brieskorn``: the p_f
+    paths read its fields and search its quotient, and the cycles step
+    builds on it."""
     inv = _invariants_cached(a)
     # beta_w = 0 and the chain is empty where alpha_w = 1
     betas = [
@@ -319,19 +313,19 @@ def _seifert_cached(a: tuple[int, ...]) -> _Seifert:
 
     branch_count = sum(fam.count for fam in families if fam.chain)
     flags = (FLAG_NON_MINIMAL,) if c0 == 1 and center_genus == 0 and branch_count <= 2 else ()
-    quo = Quotient.star(
-        (center_genus, -c0), [(fam.count, [-c for c in fam.chain]) for fam in families]
+    star = StarGraph(
+        center_genus=center_genus, c0=c0, branch_families=families, flags=flags, cycles=()
     )
-    for ks, alpha_w in zip(quo.chain_continuants(), inv.alpha_i):
+    for ks, alpha_w in zip(star.quotient.chain_continuants(), inv.alpha_i):
         if ks[0] != alpha_w:
             raise InternalError("chain continuant does not reproduce alpha_w")
-    return _Seifert(center_genus, c0, families, flags, quo)
+    return star
 
 
 @lru_cache(maxsize=64)
 def _star_cached(a: tuple[int, ...]) -> StarGraph:
-    """The cycles step of the star build: the m + 2 cycles on the Seifert
-    step's data, each solved and paired once."""
+    """The cycles step of the star build: the Seifert step's star with its
+    m + 2 cycles, each solved and paired once."""
     inv = _invariants_cached(a)
     sd = _seifert_cached(a)
     # each chain's continuants K(c_1..c_v) and, from the quotient,
@@ -353,10 +347,7 @@ def _star_cached(a: tuple[int, ...]) -> StarGraph:
     k = (inv.m - 2) * (inv.ell // inv.alpha)
     cycles.append(tuple(1 + k * x0 - sum(xs) for x0, *xs in zip(*cycles)))
 
-    star = StarGraph(
-        center_genus=sd.center_genus, c0=sd.c0, branch_families=sd.branch_families,
-        flags=sd.flags, cycles=tuple(cycles),
-    )
+    star = StarGraph(**{**sd._asdict(), "cycles": tuple(cycles)})
     if star[:4] == sd[:4]:
         # the star of exactly the Seifert data shares its quotient, which the
         # cached_property then keeps; the checks below pair on the quotient
@@ -703,12 +694,6 @@ def _box(m_max: int, a_max: int) -> Iterator[tuple[int, ...]]:
         yield from combinations_with_replacement(range(2, a_max + 1), m)
 
 
-def _scan_box(m_max: int, a_max: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """``(a, p_f)`` for every tuple of :func:`_box`, by
-    :func:`_with_closed_pf`."""
-    return _with_closed_pf(_box(m_max, a_max))
-
-
 # (E) fails on every tuple with m >= 6: its left side is largest at
 # a = (2, ..., 2), where it is (m - 1)/2 + 2/2 + 1/2 = (m + 2)/2 <= m - 2
 _ELLIPTIC_M_MAX = 5
@@ -804,13 +789,13 @@ def classify_elliptic(m_max: int, a_max: int) -> list[tuple[int, ...]]:
 
 def _verify_census_box(m_max: int, a_max: int) -> list[tuple[int, ...]]:
     """The elliptic tuples of the box 3 <= m <= m_max, a_m <= a_max, found
-    by scanning every tuple of it with :func:`_scan_box`, with all kernel
-    and p_f checks.  Raises ``ConsistencyError``, naming the tuple, if one
-    outside the candidates of :func:`_walk_census` has p_f = 1, which would
-    break (E), or if the tuples with p_f = 1 are not those
-    :func:`classify_elliptic` reports.  Not budgeted: the box m <= 5,
+    by scanning every tuple of :func:`_box` with :func:`_with_closed_pf`,
+    with all kernel and p_f checks.  Raises ``ConsistencyError``, naming
+    the tuple, if one outside the candidates of :func:`_walk_census` has
+    p_f = 1, which would break (E), or if the tuples with p_f = 1 are not
+    those :func:`classify_elliptic` reports.  Not budgeted: the box m <= 5,
     a_m <= 30 (277,791 tuples) takes about two seconds."""
-    found = sorted(a for a, pf in _scan_box(m_max, a_max) if pf == 1)
+    found = sorted(a for a, pf in _with_closed_pf(_box(m_max, a_max)) if pf == 1)
     candidates = {a for a, _ in _walk_census(m_max, a_max)}
     for a in found:
         if a not in candidates:

@@ -449,14 +449,15 @@ class DualGraph:
     enforced here; it is the job of :func:`is_negative_definite`.
 
     ``quotient`` is the graph's :class:`Quotient` by its classes, which
-    holds the cached results.  ``classes`` maps each curve to its class:
-    ``None``, every curve its own class and the quotient the adjacency that
-    the constructor builds for its connectivity check, except on a graph
-    built by :meth:`from_star`, where it gives each curve its chain
-    position.  Equality, hashing and ``to_json_dict`` ignore both.
+    holds the cached results and alone knows the curve layout: every curve
+    is its own class, and the quotient the adjacency that the constructor
+    builds for its connectivity check, except on a graph built by
+    :meth:`from_star`, whose classes are the chain positions and whose
+    curves come in the order of :meth:`Quotient.flatten`.  Equality,
+    hashing and ``to_json_dict`` ignore it.
     """
 
-    __slots__ = ("genera", "self_ints", "edges", "classes", "quotient")
+    __slots__ = ("genera", "self_ints", "edges", "quotient")
 
     def __init__(
         self,
@@ -506,11 +507,11 @@ class DualGraph:
         genera, self_ints = tuple(genera), tuple(self_ints)
         # with one class per curve, the quotient is the adjacency
         quotient = Quotient(genera, self_ints, (1,) * n, adj)
-        self._fill(genera, self_ints, tuple(norm), None, quotient)
+        self._fill(genera, self_ints, tuple(norm), quotient)
 
-    def _fill(self, genera, self_ints, edges, classes, quotient: Quotient) -> None:
+    def _fill(self, genera, self_ints, edges, quotient: Quotient) -> None:
         self.genera, self.self_ints, self.edges = genera, self_ints, edges
-        self.classes, self.quotient = classes, quotient
+        self.quotient = quotient
 
     @property
     def n(self) -> int:
@@ -556,18 +557,18 @@ class DualGraph:
         curve, sharing that quotient.
 
         The curves come in the order of :meth:`Quotient.flatten`, which
-        gives each its genus, self-intersection and class.  The center meets
+        gives each its genus and self-intersection; the graph keeps no copy
+        of that layout, which the shared quotient knows.  The center meets
         every curve of each class next to it, and a curve of another class A
         meets the next curve when A's chain goes on to class A + 1; so the
         edges come out normalized and sorted, and the graph is connected by
         construction and needs no search.
         """
-        classes = q.flatten(list(range(len(q.sizes))))
         goes_on = q.flatten([a and a + 1 in row for a, row in enumerate(q.into)])
         edges = [(0, v) for b in q.into[0] for v in q.curves(b)]
-        edges += [(v, v + 1) for v in compress(range(len(classes)), goes_on)]
+        edges += [(v, v + 1) for v in compress(range(len(goes_on)), goes_on)]
         g = cls.__new__(cls)
-        g._fill(q.flatten(q.genera), q.flatten(q.self_ints), tuple(edges), classes, q)
+        g._fill(q.flatten(q.genera), q.flatten(q.self_ints), tuple(edges), q)
         return g
 
     @classmethod

@@ -104,7 +104,7 @@ def reference_quotient(g):
     for i, j in g.edges:
         adj[i][j] = adj[i].get(j, 0) + 1
         adj[j][i] = adj[j].get(i, 0) + 1
-    col = g.classes or range(g.n)
+    col = curve_classes(g)
     last = dict(zip(col, range(g.n)))
     rep = [last[a] for a in range(len(last))]
     into = [{} for _ in rep]
@@ -125,9 +125,15 @@ def ordered_quotient(quo):
             [list(row.items()) for row in quo.into])
 
 
+def curve_classes(g):
+    """The class of each curve of g, read from its quotient, which alone
+    knows the layout."""
+    return g.quotient.flatten(list(range(len(g.quotient.sizes))))
+
+
 def per_curve(g, z):
     """The class vector z of g's quotient as one coefficient per curve."""
-    return tuple(map(z.__getitem__, g.classes)) if g.classes else tuple(z)
+    return tuple(map(z.__getitem__, curve_classes(g)))
 
 
 def star_layout_reference(q):
@@ -189,7 +195,8 @@ def star_layout_mismatches(star_graph):
         by_class[a].append(v)
     checks = {
         "spans": q.spans == tuple(zip(ends, ends[1:])),
-        "graph": (g.genera, g.self_ints, g.edges, g.classes) == (genera, self_ints, edges, classes),
+        "graph": (g.genera, g.self_ints, g.edges, curve_classes(g))
+        == (genera, self_ints, edges, classes),
         "vertex_count": star_graph.vertex_count == len(self_ints),
         "flatten": q.flatten(z) == q.flatten(list(z)) == assemble_reference(fams, z),
         "assemble": star_graph.assemble(list(z)) == assemble_reference(fams, z),

@@ -233,10 +233,10 @@ def test_lcm_kernel_against_the_definitions(a):
 
 
 def _scanned_pf(monkeypatch, a):
-    """The p_f that ``_scan_box`` finds for ``a``, read as the one tuple of
+    """The p_f that the box scan finds for ``a``, read as the one tuple of
     a box that holds it alone."""
     monkeypatch.setattr(brieskorn, "combinations_with_replacement", lambda pool, m: iter([a]))
-    [(_, pf)] = brieskorn._scan_box(3, 0)
+    [(_, pf)] = brieskorn._with_closed_pf(brieskorn._box(3, 0))
     return pf
 
 
@@ -365,7 +365,8 @@ def test_the_box_scan_matches_the_record_kernel():
     """The scan's p_f equals the reference kernel's on every tuple of two
     boxes, in the order of the boxes."""
     for m_min, m_max, a_max in ((3, 5, 16), (6, 6, 10)):
-        got = [(a, pf) for a, pf in brieskorn._scan_box(m_max, a_max) if len(a) >= m_min]
+        scan = brieskorn._with_closed_pf(brieskorn._box(m_max, a_max))
+        got = [(a, pf) for a, pf in scan if len(a) >= m_min]
         want = [
             (a, _pf_value(a).value)
             for m in range(m_min, m_max + 1)
@@ -727,6 +728,9 @@ def test_star_build_rejects_a_wrong_center_pairing(monkeypatch):
     def heavier_center(**fields):
         return real(**{**fields, "c0": fields["c0"] + 1})
 
+    # the Seifert step is built before the patch, so only the cycles step
+    # sees the heavier center
+    brieskorn._seifert_cached((2, 3, 5))
     monkeypatch.setattr(brieskorn, "StarGraph", heavier_center)
     brieskorn._star_cached.cache_clear()
     try:
@@ -736,15 +740,18 @@ def test_star_build_rejects_a_wrong_center_pairing(monkeypatch):
         brieskorn._star_cached.cache_clear()
 
 
-def _build_with(monkeypatch, a, change):
-    """Build the star of a with StarGraph's fields passed through change."""
+def _build_with(a, change):
+    """Build the star of a with StarGraph's fields passed through change in
+    the cycles step; the Seifert step is built before the patch."""
     real = brieskorn.StarGraph
-    monkeypatch.setattr(brieskorn, "StarGraph", lambda **fields: real(**change(fields)))
-    brieskorn._star_cached.cache_clear()
-    try:
-        return dual_graph(a)
-    finally:
+    brieskorn._seifert_cached(a)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(brieskorn, "StarGraph", lambda **fields: real(**change(fields)))
         brieskorn._star_cached.cache_clear()
+        try:
+            return dual_graph(a)
+        finally:
+            brieskorn._star_cached.cache_clear()
 
 
 def _with_cycle(fields, i, z):
@@ -753,7 +760,7 @@ def _with_cycle(fields, i, z):
     return {**fields, "cycles": tuple(cycles)}
 
 
-def test_star_build_rejects_a_wrong_canonical_cycle(monkeypatch):
+def test_star_build_rejects_a_wrong_canonical_cycle():
     """Z_K is paired with the other cycles: the entry at family 2's first
     curve or the center coefficient raised by one fails the adjunction
     pattern."""
@@ -771,10 +778,10 @@ def test_star_build_rejects_a_wrong_canonical_cycle(monkeypatch):
     for change in (chain_entry, center):
         for a in [(2, 3, 5), GAMMA1, GAMMA2]:
             with pytest.raises(ConstructionError, match="canonical cycle has the wrong"):
-                _build_with(monkeypatch, a, change)
+                _build_with(a, change)
 
 
-def test_star_build_rejects_a_zero_central_cycle(monkeypatch):
+def test_star_build_rejects_a_zero_central_cycle():
     """The zero cycle pairs to 0 = -(0 ghat // ell) at the center and to 0 on
     every chain curve; only the positivity that makes Z_0 prove definiteness
     rejects it."""
@@ -784,15 +791,15 @@ def test_star_build_rejects_a_zero_central_cycle(monkeypatch):
 
     for a in [(2, 3, 5), (2, 2, 2), GAMMA1]:
         with pytest.raises(ConstructionError, match="negative definite"):
-            _build_with(monkeypatch, a, zero)
+            _build_with(a, zero)
 
 
-def test_star_build_rejects_an_indefinite_star(monkeypatch):
+def test_star_build_rejects_an_indefinite_star():
     """(2,3,5) with its center weight lowered from 2 to 1 has orbifold Euler
     number 1/30 - 1 < 0, so Z_0 pairs to 29 > 0 at the center: the build
     reports the star as not negative definite."""
     with pytest.raises(ConstructionError, match="negative definite"):
-        _build_with(monkeypatch, (2, 3, 5), lambda fields: {**fields, "c0": fields["c0"] - 1})
+        _build_with((2, 3, 5), lambda fields: {**fields, "c0": fields["c0"] - 1})
 
 
 @given(exponent_tuples | wide_tuples)

@@ -94,10 +94,10 @@ def test_equality_and_serialization(e8):
     # the classes are not part of the graph's identity
     d4 = star((0, -2), [[-2]] * 3)
     h = DualGraph.from_star((0, -2), [(3, [-2])])
-    assert h.classes == (0, 1, 1, 1) and d4.classes is None
+    assert h.quotient.sizes == (1, 3) and d4.quotient.spans is None
     assert h == d4 and hash(h) == hash(d4)
     assert h.to_json_dict() == d4.to_json_dict()
-    assert DualGraph.from_json_dict(h.to_json_dict()).classes is None
+    assert DualGraph.from_json_dict(h.to_json_dict()).quotient.spans is None
 
 
 def test_edge_order_does_not_matter():
@@ -762,7 +762,7 @@ def _assert_built_as_its_plain_twin(g):
     assert g.edges == twin.edges
     assert g == twin and hash(g) == hash(twin)
     assert g.to_json_dict() == twin.to_json_dict()
-    assert twin.classes is None
+    assert twin.quotient.spans is None
     assert ordered_quotient(g.quotient) == ordered_quotient(reference_quotient(g))
     assert ordered_quotient(twin.quotient) == ordered_quotient(reference_quotient(twin))
     return twin
@@ -785,7 +785,7 @@ def test_a_star_with_its_classes_matches_its_plain_twin(data):
     # center-outward
     assert g == star((genus, -c0), [[-c for c in chain]
                                     for count, chain in families for _ in range(count)])
-    assert len(set(g.classes)) == 1 + sum(len(chain) for _, chain in families)
+    assert len(g.quotient.sizes) == 1 + sum(len(chain) for _, chain in families)
     assert canonical_qcycle(g) == canonical_qcycle(twin)
     zf = _fundamental_cycle_heap(twin)
     assert fundamental_cycle(g) == zf
@@ -971,14 +971,14 @@ def _chain_positions(a):
 def test_flattened_stars_have_one_class_per_chain_position(a):
     """The ghat_w copies of a chain share their classes, so Laufer's
     sequence never works curve by curve on a flattened star."""
-    assert len(set(dual_graph(a).graph.classes)) == _chain_positions(a)
+    assert len(dual_graph(a).graph.quotient.sizes) == _chain_positions(a)
 
 
 def test_the_largest_sweep_star_has_few_classes():
     a = (50, 60, 70, 80, 90)
     g = dual_graph(a).graph
     assert g.n == 25_001
-    assert len(set(g.classes)) == _chain_positions(a)
+    assert len(g.quotient.sizes) == _chain_positions(a)
 
 
 # ------------------------------------- the elimination against its Fraction form

@@ -1,5 +1,5 @@
 """The package surface: the exported names, the runnable demos and the
-README's quick start."""
+README's quick start, and the test settings in ``pyproject.toml``."""
 
 import doctest
 import os
@@ -75,9 +75,8 @@ def test_readme_quick_start():
 def test_import_leaves_out_heavy_modules(stmt):
     """Neither the package nor the command line loads ``dataclasses``,
     ``inspect``, ``json``, ``multiprocessing`` or ``concurrent.futures`` on
-    import; the command line imports ``json`` only when it prints JSON, and
-    the census imports ``multiprocessing`` only when it splits a box over
-    worker processes.  ``-S`` keeps site hooks from loading them first."""
+    import, and the command line imports ``json`` only when it prints JSON.
+    ``-S`` keeps site hooks from loading them first."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src")
     code = (
@@ -91,3 +90,33 @@ def test_import_leaves_out_heavy_modules(stmt):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+PROBE = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_test_does_not_stop_the_session(tmp_path):
+    """Under the project's warning filters, a failing ``@given`` test is
+    reported as one failure and the tests after it still run: the
+    deprecation warning that importing ``libcst`` raises, when Hypothesis
+    loads it to write the failing example's patch, must not become an
+    internal error that ends the session."""
+    (tmp_path / "test_probe.py").write_text(PROBE)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_probe.py"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout
