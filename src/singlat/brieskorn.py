@@ -6,6 +6,14 @@ resolution dual graph, the distinguished anti-nef cycles living on it, the
 fundamental and geometric genera, the normal reduction number of the maximal
 ideal, and the classification of the elliptic members.  All arithmetic is
 exact.
+
+Every cache here and in ``ideal_oracle`` has one slot
+(``lru_cache(maxsize=1)``).  Each call asks about one tuple, and a tuple's
+paths read its record, its stars, its p_g and its quotient table back to
+back, so one slot gets the hits a larger cache would.  What a cache keeps
+between calls is then what the last tuple built, which passed its own
+``LATTICE_BUDGET``; the walks and scans over many tuples go through the
+same caches and keep no more.
 """
 
 from __future__ import annotations
@@ -162,7 +170,8 @@ class StarGraph(_StarFields):
     equality, hashing and ``repr`` see them alone.  This subclass declares
     no ``__slots__``, so each star has a ``__dict__``, where the
     ``cached_property`` values ``vertex_count``, ``quotient`` and ``graph``
-    are kept after their first use.
+    are kept after their first use, for as long as the star is: the one
+    slot of each cache (module docstring) holds the last tuple's stars.
     """
 
     @cached_property
@@ -203,9 +212,11 @@ class StarGraph(_StarFields):
         return self.quotient.flatten(z)
 
 
-def _lcm_fields(a: tuple[int, ...]) -> BCIInvariants:
-    """The invariant record of ``a``, uncached: its lcm data and its
-    multiplicity.
+@lru_cache(maxsize=1)
+def _invariants_cached(a: tuple[int, ...]) -> BCIInvariants:
+    """The invariant record of ``a``: its lcm data and its multiplicity.
+    Every path reads the record here, the census walk and the box scans
+    too, under the one-slot rule of the module docstring.
 
     ``ell_i`` is the lcm of the prefix lcm before ``a_i`` and the suffix lcm
     after it, so the lcms take O(m) calls.  The five consistency checks of
@@ -255,20 +266,12 @@ def _lcm_fields(a: tuple[int, ...]) -> BCIInvariants:
     )
 
 
-@lru_cache(maxsize=2048)
-def _invariants_cached(a: tuple[int, ...]) -> BCIInvariants:
-    """The record of :func:`_lcm_fields`, cached for the per-tuple paths;
-    the elliptic walk and the box scans call the kernel itself, tuple by
-    tuple, and fill no cache."""
-    return _lcm_fields(a)
-
-
 def numeric_invariants(a: Sequence[int]) -> BCIInvariants:
     """All lcm-derived invariants of the exponent tuple, fully validated."""
     return _invariants_cached(_validated(a))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)
 def _seifert_cached(a: tuple[int, ...]) -> StarGraph:
     """The Seifert step of the star build: the star of the chains and the
     center with ``cycles=()``, with every check that needs no cycle, its
@@ -322,7 +325,7 @@ def _seifert_cached(a: tuple[int, ...]) -> StarGraph:
     return star
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _star_cached(a: tuple[int, ...]) -> StarGraph:
     """The cycles step of the star build: the Seifert step's star with its
     m + 2 cycles, each solved and paired once."""
@@ -467,13 +470,13 @@ def _closed_pf(inv: BCIInvariants) -> int:
 def _check_by_search(a: tuple[int, ...], pf: int) -> None:
     """Compare the closed p_f of ``a`` with p_a, class by class, of the Z_f
     that :meth:`Quotient.fundamental_cycle_search` reads off the star's
-    Seifert data; raise ``ConsistencyError`` if they differ.  The message
-    keeps the name "the Laufer value": it is p_a of Laufer's Z_f."""
+    Seifert data; raise ``ConsistencyError`` if they differ."""
     quo = _seifert_cached(a).quotient
     pa = quo.arithmetic_genus(quo.fundamental_cycle_search())
     if pa != pf:
         raise ConsistencyError(
-            f"closed-form fundamental genus {pf} of {a} disagrees with the Laufer value {pa}"
+            f"closed-form fundamental genus {pf} of {a} disagrees with "
+            f"the search on the Seifert data: p_a(Z_f) = {pa}"
         )
 
 
@@ -530,7 +533,7 @@ def _pg_series_size(a: tuple[int, ...]) -> tuple[int, str]:
     return _invariants_cached(a).a_invariant + 1, f"the dense p_g series of {a}"
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=1)
 def _pg_cached(a: tuple[int, ...]) -> int:
     inv = _invariants_cached(a)
     m, lams = inv.m, inv.lambda_i
@@ -681,10 +684,10 @@ def is_elliptic(a: Sequence[int]) -> bool:
 
 def _with_closed_pf(tuples: Iterable[tuple[int, ...]]) -> Iterator[tuple[tuple[int, ...], int]]:
     """``(a, p_f)`` for each tuple ``a`` of ``tuples``, ``p_f`` the closed
-    form on the record of the uncached kernel :func:`_lcm_fields`, with all
-    their checks; no cache is filled."""
+    form on the record of :func:`_invariants_cached`, with all their
+    checks."""
     for a in tuples:
-        yield a, _closed_pf(_lcm_fields(a))
+        yield a, _closed_pf(_invariants_cached(a))
 
 
 def _box(m_max: int, a_max: int) -> Iterator[tuple[int, ...]]:
@@ -725,7 +728,7 @@ def _walk_census(m_max: int, a_max: int) -> Iterator[tuple[tuple[int, ...], int]
     satisfies (E) of :func:`classify_elliptic`, m by m, each prefix of
     :func:`_census_prefixes` followed by its last entries in increasing
     order.  ``p_f`` comes from :func:`_with_closed_pf`, with all its
-    checks; no cache is filled.
+    checks.
 
     The last entries of a prefix with ``1/a_1 + ... + 1/a_{m-1} = s`` are
     the ``x`` from ``a_{m-1}`` to ``a_max`` with ``2/x > r``,
@@ -768,14 +771,12 @@ def classify_elliptic(m_max: int, a_max: int) -> list[tuple[int, ...]]:
 
     :func:`_walk_census` lists the tuples that satisfy (E), 161 of them for
     m <= 5, a_m <= 30, and reads each p_f as the closed form on the
-    uncached record, with every consistency check; no cache is filled for
-    a tuple that is not reported.  Every tuple reported has that p_f
-    compared by :func:`_check_by_search` with the search on its star's
-    Seifert data, which builds no cycle and runs no elimination and no
-    Laufer sequence.  More than ``LATTICE_BUDGET``
-    candidates raise ``ResourceError`` before the first is read.
-    :func:`_verify_census_box` checks the walk against a scan of the
-    whole box.
+    invariant record, with every consistency check.  Every tuple reported
+    has that p_f compared by :func:`_check_by_search` with the search on
+    its star's Seifert data, which builds no cycle and runs no elimination
+    and no Laufer sequence.  More than ``LATTICE_BUDGET`` candidates raise
+    ``ResourceError`` before the first is read.  :func:`_verify_census_box`
+    checks the walk against a scan of the whole box.
     """
     if not isinstance(m_max, int) or m_max < 3:
         raise DomainError("m_max must be an integer at least 3")
@@ -815,12 +816,12 @@ def br2_exceptions() -> list[tuple[int, int, int]]:
 
     The list is derived from the closed form for nr on every tuple of that
     box; only the 47 tuples with nr = 2 reach the closed p_f of
-    :func:`_with_closed_pf`, which fills no cache, and only those with
-    p_f != 1 reach the cached record and the box-basis p_g.  Every tuple
-    reported has that p_f compared by :func:`_check_by_search` with the
-    search on the star's Seifert data.  The filter finds (3, 4, 6) and
-    (3, 4, 7), both with p_f = 2.  Other non-elliptic tuples do reach
-    nr = 2 with a different p_g, e.g. (2, 5, 10) with p_f = 2 and p_g = 4.
+    :func:`_with_closed_pf`, and only those with p_f != 1 reach the
+    box-basis p_g.  Every tuple reported has that p_f compared by
+    :func:`_check_by_search` with the search on the star's Seifert data.
+    The filter finds (3, 4, 6) and (3, 4, 7), both with p_f = 2.  Other
+    non-elliptic tuples do reach nr = 2 with a different p_g, e.g.
+    (2, 5, 10) with p_f = 2 and p_g = 4.
     """
     nr_two = (a for a in _box(5, 12) if _nr_value(a) == 2)
     found = [(a, pf) for a, pf in _with_closed_pf(nr_two) if pf != 1 and _pg_cached(a) == 3]

@@ -125,14 +125,13 @@ def _lambdas(a: tuple[int, ...]) -> list[int]:
 
 @lru_cache(maxsize=1)
 def _box_degrees(a: tuple[int, ...]) -> tuple[int, ...]:
-    """The degrees D(u) = sum u_i lambda_i of the box points, sorted.  p_g
-    and the quotient table of a tuple are asked for back to back, so one
-    entry serves both; a larger cache would keep more box-sized lists
-    alive."""
+    """The degrees D(u) = sum u_i lambda_i of the box points, sorted, read
+    by p_g and by the quotient table.  Its one slot, like every cache's
+    (``brieskorn`` module docstring), keeps one box-sized list alive."""
     return tuple(sorted(_box_sums(a[: len(a) - 2], _lambdas(a))))
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=1)
 def _table_cached(a: tuple[int, ...]) -> QuotientTable:
     degs = _box_degrees(a)
     step = _lambdas(a)[-1]  # lambda_{m-1}

@@ -1,6 +1,7 @@
 """Brieskorn complete intersections: numeric invariants, resolution graphs,
 distinguished cycles, genera, reduction numbers, the elliptic census."""
 
+import gc
 import math
 import time
 import tracemalloc
@@ -47,7 +48,7 @@ from singlat import (
     q_sequence,
     quotient_dimension,
 )
-from singlat import brieskorn, graph_lattice, ideal_oracle
+from singlat import brieskorn, checks, cli, cone_homogeneous, graph_lattice, ideal_oracle
 from singlat.cli import _star_dot
 from conftest import per_curve, wide_tuples
 
@@ -153,7 +154,7 @@ def _lcm_data(a: tuple[int, ...]) -> tuple:
     """The reference lcm kernel for one tuple, kept as it stood before the
     record and the census scan shared one kernel: ``(ell, ell_i, alpha_i,
     alpha, ghat, ghat_i, lambda_i, eta_i, eta_m, delta)``, with the five
-    checks and messages of ``brieskorn._lcm_fields``, and then the
+    checks and messages of ``brieskorn._invariants_cached``, and then the
     a-invariant, as the record once added it."""
     lcm = math.lcm
     suf = list(accumulate(a[:0:-1], lcm, initial=1))  # lcm(a[m-j:]), j = 0..m-1
@@ -229,7 +230,7 @@ def test_lcm_kernel_against_the_definitions(a):
     assert ell_i == tuple(lcm(*(a[:i] + a[i + 1 :])) for i in range(len(a)))
     assert all(lam * x == ell for lam, x in zip(lams, a))
     assert ghat * ell == prod(a)
-    assert brieskorn._lcm_fields(a) == (a, *data, prod(a[:-2]))
+    assert brieskorn._invariants_cached(a) == (a, *data, prod(a[:-2]))
 
 
 def _scanned_pf(monkeypatch, a):
@@ -258,7 +259,7 @@ def test_every_kernel_check_can_fire(monkeypatch, a, fake, message):
     the record's route, on ``_pf_verified``'s and on the box scan's; the
     fake lcm is seen by ``brieskorn`` alone."""
     monkeypatch.setattr(brieskorn, "math", SimpleNamespace(**{**vars(math), **fake}))
-    # _pf_verified reads the record, so it must not find one cached before the fake
+    # every route reads the record, so none may find one cached before the fake
     record = brieskorn._invariants_cached.__wrapped__
     monkeypatch.setattr(brieskorn, "_invariants_cached", record)
     for route in (record, brieskorn._pf_verified, lambda a: _scanned_pf(monkeypatch, a)):
@@ -269,15 +270,13 @@ def test_every_kernel_check_can_fire(monkeypatch, a, fake, message):
 
 @contextmanager
 def _changed_kernel(change):
-    """A ``MonkeyPatch`` under which the kernel's record is ``change`` of
-    the true one, and the record that ``_pf_verified`` and ``_mcn_value``
-    read, and the Seifert step built on it, come from the changed kernel
-    and are not cached."""
-    real = brieskorn._lcm_fields
+    """A ``MonkeyPatch`` under which the record of every route is
+    ``change`` of the true one, and neither the record nor the Seifert
+    step built on it is cached."""
+    real = brieskorn._invariants_cached.__wrapped__
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(brieskorn, "_lcm_fields", lambda a: change(real(a)))
-        for name in ("_invariants_cached", "_seifert_cached"):
-            mp.setattr(brieskorn, name, getattr(brieskorn, name).__wrapped__)
+        mp.setattr(brieskorn, "_invariants_cached", lambda a: change(real(a)))
+        mp.setattr(brieskorn, "_seifert_cached", brieskorn._seifert_cached.__wrapped__)
         yield mp
 
 
@@ -357,7 +356,7 @@ def test_the_record_matches_the_reference_kernel(monkeypatch):
     monkeypatch.setattr(brieskorn, "_check_by_search", lambda a, pf: None)
     for m in range(3, 7):
         for a in combinations_with_replacement(range(2, 13), m):
-            assert brieskorn._lcm_fields(a) == (a, *_lcm_data(a), prod(a[:-2]))
+            assert brieskorn._invariants_cached(a) == (a, *_lcm_data(a), prod(a[:-2]))
             assert brieskorn._pf_verified(a) == _pf_value(a)
 
 
@@ -1190,9 +1189,9 @@ def test_a_census_box_over_the_budget_is_refused_before_the_scan(monkeypatch):
     kernel call: (2, 2, x), (2, 3, x), (2, 4, x) and (3, 3, x) satisfy (E)
     for every x, so a_m <= 10^6 has 4,000,009 candidates with m = 3."""
     kernel_calls = []
-    real = brieskorn._lcm_fields
+    real = brieskorn._invariants_cached
     monkeypatch.setattr(
-        brieskorn, "_lcm_fields", lambda a: kernel_calls.append(a) or real(a)
+        brieskorn, "_invariants_cached", lambda a: kernel_calls.append(a) or real(a)
     )
     with pytest.raises(
         ResourceError, match="^the elliptic candidates of m <= 3, a_m <= 1000000 needs 4000009 "
@@ -1253,7 +1252,7 @@ def test_every_elliptic_tuple_satisfies_the_bound(head, last):
     """p_f = 1 forces (E): small leading exponents and one free last one
     reach the elliptic families and their neighbours."""
     a = tuple(sorted(head + [last]))
-    if brieskorn._closed_pf(brieskorn._lcm_fields(a)) == 1:
+    if brieskorn._closed_pf(brieskorn._invariants_cached(a)) == 1:
         assert _satisfies_bound(a), a
 
 
@@ -1325,7 +1324,7 @@ def test_classify_elliptic_verifies_what_it_reports(monkeypatch):
     with pytest.raises(
         ConsistencyError,
         match=r"^closed-form fundamental genus 1 of \(2, 3, 5\) disagrees with "
-        r"the Laufer value 0$",
+        r"the search on the Seifert data: p_a\(Z_f\) = 0$",
     ):
         classify_elliptic(3, 5)
 
@@ -1337,7 +1336,7 @@ def test_br2_exceptions_verifies_what_it_reports(monkeypatch):
     with pytest.raises(
         ConsistencyError,
         match=r"^closed-form fundamental genus 3 of \(3, 4, 6\) disagrees with "
-        r"the Laufer value 2$",
+        r"the search on the Seifert data: p_a\(Z_f\) = 2$",
     ):
         br2_exceptions()
 
@@ -1370,7 +1369,8 @@ def test_every_p_f_path_compares_with_the_search(monkeypatch, call, a, pf):
     with pytest.raises(ConsistencyError) as err:
         call()
     assert str(err.value) == (
-        f"closed-form fundamental genus {pf} of {a} disagrees with the Laufer value {pa}"
+        f"closed-form fundamental genus {pf} of {a} disagrees with "
+        f"the search on the Seifert data: p_a(Z_f) = {pa}"
     )
 
 
@@ -1389,15 +1389,58 @@ def test_classify_elliptic_walks_and_holds_no_box():
     assert peak < 2_000_000
 
 
-def test_classify_elliptic_builds_records_only_for_what_it_reports():
-    """The walk reads the uncached lcm kernel; only the comparison of a
-    reported tuple with the search caches its record, in the Seifert
-    step."""
-    for cache in (brieskorn._seifert_cached, brieskorn._star_cached, brieskorn._invariants_cached):
+def _caches():
+    """Every ``lru_cache`` bound on a singlat module, found by its
+    ``cache_info`` and ``cache_clear`` and keyed ``<module>.<attribute>``."""
+    return {
+        f"{mod.__name__.rsplit('.', 1)[-1]}.{attr}": value
+        for mod in (brieskorn, checks, cli, cone_homogeneous, graph_lattice, ideal_oracle)
+        for attr, value in vars(mod).items()
+        if callable(getattr(value, "cache_info", None))
+        and callable(getattr(value, "cache_clear", None))
+    }
+
+
+def test_every_cache_has_one_slot():
+    caches = _caches()
+    assert set(caches) >= {
+        "brieskorn._invariants_cached", "brieskorn._seifert_cached", "brieskorn._star_cached",
+        "brieskorn._pg_cached", "ideal_oracle._table_cached", "ideal_oracle._box_degrees",
+    }
+    assert {name: c.cache_parameters()["maxsize"] for name, c in caches.items()} == dict.fromkeys(
+        caches, 1
+    )
+
+
+def test_a_flattened_star_is_dropped_with_the_next_tuple():
+    """The flattened graph of (11, 12, 12, 12, 12), 17,281 curves, is read
+    and dropped, then that of (2, 3, 7): the caches then hold the small
+    star alone, under 0.5 MB of what was allocated meanwhile."""
+    for cache in _caches().values():
+        cache.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert len(dual_graph((11, 12, 12, 12, 12)).graph.genera) == 17_281
+        assert len(dual_graph((2, 3, 7)).graph.genera) == 4
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 500_000
+
+
+def test_classify_elliptic_leaves_one_entry_per_cache():
+    """The walk reads every candidate's record through the same caches as
+    the per-tuple paths, and leaves at most one entry in each."""
+    caches = _caches()
+    for cache in caches.values():
         cache.cache_clear()
     found = classify_elliptic(4, 12)
     assert len(found) < 100 < comb(13, 3) + comb(14, 4)
-    assert brieskorn._invariants_cached.cache_info().misses == len(found)
+    assert brieskorn._invariants_cached.cache_info().misses > len(found)
+    held = {name: c.cache_info().currsize for name, c in caches.items()}
+    assert max(held.values()) == 1, held
 
 
 def test_br2_exceptions():

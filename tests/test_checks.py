@@ -142,7 +142,7 @@ def test_fundamental_cycle_step_verifies_p_f_by_the_search(monkeypatch):
     assert by_name["fundamental-cycle"] == (
         "fundamental-cycle", False,
         "ConsistencyError: closed-form fundamental genus 2 of (3, 4, 7) disagrees with "
-        "the Laufer value 0")
+        "the search on the Seifert data: p_a(Z_f) = 0")
     assert sum(not r.passed for r in by_name.values()) == 1
 
 

@@ -175,7 +175,7 @@ def test_invariants_exits_3_when_the_search_disagrees(monkeypatch):
     assert (code, out) == (3, "")
     assert err == (
         "inconsistency: closed-form fundamental genus 1 of (2, 3, 7) disagrees with "
-        "the Laufer value 0\n"
+        "the search on the Seifert data: p_a(Z_f) = 0\n"
     )
 
 
